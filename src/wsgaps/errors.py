@@ -64,3 +64,9 @@ class LengthMismatch(WsgapsError):
 
 class NotSorted(WsgapsError):
     pass
+
+
+class SelfCheckError(Exception):
+    """An internal consistency check failed: a defect in this package, never
+    bad input.  Deliberately not a WsgapsError, so the CLI cannot report it
+    as exit 2; unlike an assert it also runs under python -O."""

@@ -15,7 +15,7 @@ from itertools import product
 from .curves import DerivedConstants, check_m
 from .errors import NotSorted, WsgapsError
 from .maximal import count_Lambda, enumerate_classical_Lambda
-from .membership import in_classical_H, nabla_witness
+from .membership import membership_test, witness_test
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,14 @@ def gaps_via_complement(
     """Independent route: complement of membership on the bounded simplex."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    points = list(simplex_points(m + 1, bound))
+    member = membership_test(dc, m, use_theta=use_theta)
+    if jobs <= 1:
+        return {a for a in simplex_points(m + 1, bound) if not member(a)}
 
     def scan(chunk):
-        return [a for a in chunk if not in_classical_H(dc, m, a, use_theta=use_theta)]
+        return [a for a in chunk if not member(a)]
 
-    if jobs <= 1:
-        return set(scan(points))
+    points = list(simplex_points(m + 1, bound))
     chunks = [points[i::jobs] for i in range(jobs)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(scan, chunks))
@@ -111,12 +112,12 @@ def pure_gaps_via_nabla(
     """Definition-based route: every coordinate witness must fail."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
+    has_witness = witness_test(dc, m, use_theta=use_theta)
+    coords = range(m + 1)
     return {
         a
         for a in simplex_points(m + 1, bound)
-        if all(
-            nabla_witness(dc, m, a, r, use_theta=use_theta) is None for r in range(m + 1)
-        )
+        if not any(has_witness(a, r) for r in coords)
     }
 
 

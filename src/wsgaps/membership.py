@@ -3,18 +3,25 @@
 Membership in the generalized semigroup is decided coordinate by
 coordinate: a vector belongs iff every coordinate r admits an absolute
 maximal element agreeing with it at r and dominated elsewhere.  Because the
-absolute maximal set is exactly GammaFamily union ThetaFamily, the witness
-search reduces to forcing the family parameters from the residue of the
-target coordinate mod (q+1)M; no box enumeration is involved.
+absolute maximal set is exactly GammaFamily union ThetaFamily, the residue
+of the target coordinate mod e = (q+1)M forces the family member, and a
+witness exists iff one closed-form inequality holds; no box enumeration is
+involved.
+
+Two procedures share that reduction.  membership_test and witness_test
+build the residue tables once and return per-vector boolean closures; the
+gap scans and in_classical_H use them.  nabla_witness and in_generalized_H
+construct the witnesses themselves and serve `wsgaps member` and the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import DerivedConstants, check_m
-from .errors import EmptyInput, LengthMismatch
+from .errors import EmptyInput, LengthMismatch, SelfCheckError
 from .maximal import (
     GammaFamily,
     MaximalElement,
@@ -143,21 +150,79 @@ def in_generalized_H(
             return MembershipVerdict(member=False, witnesses=None, failing_coordinate=r)
         witnesses[r] = w
     ordered = tuple(witnesses[r] for r in range(m + 1))
-    assert lub(realize(dc, m, w) for w in ordered) == alpha
+    reached = lub(realize(dc, m, w) for w in ordered)
+    if reached != alpha:
+        raise SelfCheckError(f"witnesses of {alpha} have lub {reached}, not {alpha}")
     return MembershipVerdict(member=True, witnesses=ordered, failing_coordinate=None)
 
 
+def witness_test(
+    dc: DerivedConstants, m: int, use_theta: bool = True
+) -> Callable[[tuple[int, ...], int], bool]:
+    """has_witness(alpha, r) == (nabla_witness(dc, m, alpha, r) is not None),
+    decided without building the witness.
+
+    The residue of the target coordinate forces the family member (rho, a0):
+    for r != 0, rho = alpha_r mod e (by_rho; ThetaFamily at rho = 0); for
+    r = 0, the member whose first coordinate a0 matches alpha_0 mod e
+    (by_class).  Its shifts can reach alpha at r and stay below it elsewhere
+    iff (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e >= 0.
+    """
+    check_m(dc, m)
+    e = dc.e
+    by_rho = [(0, 0) if use_theta else None]
+    by_rho += [(rho, alpha_coord0(dc, m, pair_from_residue(dc, rho))) for rho in range(1, e)]
+    # The e first coordinates fall in distinct classes mod e on every
+    # instance checked, which makes the r = 0 lookup a single entry.
+    by_class: dict[int, tuple[int, int]] = {}
+    for entry in filter(None, by_rho):
+        cls = entry[1] % e
+        if cls in by_class:
+            raise SelfCheckError(
+                f"residue {cls} mod {e} holds the first coordinates of both "
+                f"rho = {by_class[cls][0]} and rho = {entry[0]}"
+            )
+        by_class[cls] = entry
+
+    def has_witness(alpha: tuple[int, ...], r: int) -> bool:
+        forced = by_rho[alpha[r] % e] if r else by_class.get(alpha[0] % e)
+        if forced is None:
+            return False
+        rho, a0 = forced
+        return (alpha[0] - a0) // e + sum([(x - rho) // e for x in alpha[1:]]) >= 0
+
+    return has_witness
+
+
+def membership_test(
+    dc: DerivedConstants, m: int, use_theta: bool = True
+) -> Callable[[tuple[int, ...]], bool]:
+    """member(alpha) == in_generalized_H(dc, m, alpha).member: witness_test
+    at every coordinate."""
+    has_witness = witness_test(dc, m, use_theta=use_theta)
+    coords = range(m + 1)
+    return lambda alpha: all(has_witness(alpha, r) for r in coords)
+
+
+_cached_membership_test = lru_cache(maxsize=None)(membership_test)
+
+
 def in_classical_H(dc: DerivedConstants, m: int, alpha, use_theta: bool = True) -> bool:
+    """Membership with every coordinate >= 0, by the boolean test."""
     alpha = tuple(alpha)
-    return all(a >= 0 for a in alpha) and in_generalized_H(dc, m, alpha, use_theta=use_theta).member
+    if any(a < 0 for a in alpha):
+        return False
+    if len(alpha) != m + 1:
+        raise LengthMismatch(f"expected a vector of length {m + 1}")
+    return _cached_membership_test(dc, m, use_theta)(alpha)
 
 
 def one_point_gaps_at_P1(dc: DerivedConstants) -> tuple[int, ...]:
     """Gap sequence of the one-point semigroup at P_1, via the witness test
     at coordinate 1 with nothing allowed at P_inf."""
     g = dc.genus
-    out = tuple(
-        b for b in range(2 * g + 1) if nabla_witness(dc, 1, (0, b), 1) is None
-    )
-    assert len(out) == g
+    has_witness = witness_test(dc, 1)
+    out = tuple(b for b in range(2 * g + 1) if not has_witness((0, b), 1))
+    if len(out) != g:
+        raise SelfCheckError(f"{len(out)} one-point gaps at P_1 for {dc.params}, genus {g}")
     return out

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import GcdNotOne
+from .errors import GcdNotOne, SelfCheckError
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,12 @@ def from_generators(gens) -> NumericalSemigroup:
     frob = max(apery) - m0
     gaps = tuple(sorted(x for r in range(m0) for x in range(r, apery[r], m0)))
     # Apery genus formula must agree with the direct count.
-    assert 2 * len(gaps) * m0 == 2 * sum(apery) - m0 * (m0 - 1)
+    lhs, rhs = 2 * len(gaps) * m0, 2 * sum(apery) - m0 * (m0 - 1)
+    if lhs != rhs:
+        raise SelfCheckError(
+            f"Apery genus identity fails for generators {gens}: "
+            f"2*|gaps|*m0 = {lhs}, 2*sum(apery) - m0*(m0-1) = {rhs}"
+        )
     return NumericalSemigroup(
         generators=gens, multiplicity=m0, apery=apery, frobenius=frob, gaps=gaps
     )

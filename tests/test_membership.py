@@ -1,11 +1,18 @@
 """lub, coordinate witnesses and the membership decision procedures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsgaps import membership, semigroup
 from wsgaps.curves import curve
-from wsgaps.errors import EmptyInput, LengthMismatch
+from wsgaps.errors import EmptyInput, LengthMismatch, SelfCheckError, WsgapsError
+from wsgaps.gaps import simplex_points
 from wsgaps.maximal import (
     DeltaFamily,
     GammaFamily,
@@ -18,9 +25,13 @@ from wsgaps.membership import (
     in_classical_H,
     in_generalized_H,
     lub,
+    membership_test,
     nabla_witness,
     one_point_gaps_at_P1,
+    witness_test,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_lub_examples():
@@ -141,3 +152,112 @@ def test_degree_threshold_m2(a0, a1, a2):
     dc = curve("Y", q=2, n=3, s=1)
     if a0 + a1 + a2 >= 2 * dc.genus:
         assert in_classical_H(dc, 2, (a0, a1, a2))
+
+
+def _assert_boolean_test_matches_witnesses(dc, m, vectors):
+    """witness_test and membership_test against nabla_witness, at every
+    coordinate and with and without the ThetaFamily witnesses."""
+    vectors = list(vectors)
+    for use_theta in (True, False):
+        has_witness = witness_test(dc, m, use_theta=use_theta)
+        member = membership_test(dc, m, use_theta=use_theta)
+        for a in vectors:
+            found = [
+                nabla_witness(dc, m, a, r, use_theta=use_theta) is not None
+                for r in range(m + 1)
+            ]
+            assert [has_witness(a, r) for r in range(m + 1)] == found, (dc.params, m, use_theta, a)
+            assert member(a) == all(found), (dc.params, m, use_theta, a)
+
+
+def test_boolean_test_matches_witness_path_on_simplex(sweep):
+    """Every simplex point at bound 2g, sweep instances with g <= 60."""
+    checked = 0
+    for dc in sweep:
+        if dc.genus > 60:
+            continue
+        for m in range(1, min(2, dc.max_m) + 1):
+            _assert_boolean_test_matches_witnesses(dc, m, simplex_points(m + 1, 2 * dc.genus))
+            checked += 1
+    assert checked >= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_boolean_test_matches_witness_path_negative_coordinates(sweep, data):
+    dc = data.draw(st.sampled_from([d for d in sweep if d.genus <= 160]))
+    m = data.draw(st.integers(1, min(3, dc.max_m)))
+    span = 3 * dc.e + 2 * dc.genus
+    vec = st.tuples(*[st.integers(-span, span)] * (m + 1))
+    _assert_boolean_test_matches_witnesses(dc, m, data.draw(st.lists(vec, min_size=1, max_size=20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
+def test_failing_coordinate_is_first_in_witness_order(a0, a1, a2):
+    dc = curve("Y", q=2, n=3, s=1)
+    for m, alpha in ((1, (a0, a1)), (2, (a0, a1, a2))):
+        has_witness = witness_test(dc, m)
+        failing = [r for r in list(range(1, m + 1)) + [0] if not has_witness(alpha, r)]
+        verdict = in_generalized_H(dc, m, alpha)
+        assert verdict.member == (not failing)
+        assert verdict.failing_coordinate == (failing[0] if failing else None)
+
+
+def test_in_classical_H_rejects_bad_length(y231):
+    with pytest.raises(LengthMismatch):
+        in_classical_H(y231, 1, (1, 2, 3))
+    assert not in_classical_H(y231, 1, (-1, 2, 3))
+
+
+def test_boolean_test_uses_no_relative_maximals():
+    """The scan routes must stay independent of the Lambda side."""
+    names = set(vars(membership))
+    for banned in ("DeltaFamily", "LambdaZeroFamily", "tau",
+                   "enumerate_classical_Lambda", "lambda_hat_in_C"):
+        assert banned not in names
+
+
+def test_lub_self_check_survives_optimize():
+    """The witness lub check raises under python -O when realize is broken,
+    with an error the CLI cannot mistake for bad input (exit 2)."""
+    assert not issubclass(SelfCheckError, WsgapsError)
+    script = (
+        "import sys\n"
+        "from wsgaps import membership\n"
+        "from wsgaps.curves import curve\n"
+        "from wsgaps.errors import SelfCheckError\n"
+        "assert False, 'asserts must be stripped'\n"
+        "membership.realize = lambda dc, m, w: (0,) * (m + 1)\n"
+        "try:\n"
+        "    membership.in_generalized_H(curve('Y', q=2, n=3, s=1), 1, (19, 1))\n"
+        "except SelfCheckError as err:\n"
+        "    print(err)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "(19, 1)" in proc.stdout and "(0, 0)" in proc.stdout
+
+
+def test_one_point_gap_count_self_check(monkeypatch, y231):
+    monkeypatch.setattr(membership, "witness_test", lambda dc, m: lambda a, r: True)
+    with pytest.raises(SelfCheckError, match="genus 10"):
+        one_point_gaps_at_P1(y231)
+
+
+def test_apery_genus_self_check(monkeypatch):
+    monkeypatch.setattr(semigroup, "sorted", lambda xs: (), raising=False)
+    with pytest.raises(SelfCheckError, match=r"\(6, 8, 9\)"):
+        semigroup.from_generators((6, 8, 9))
+
+
+def test_residue_collision_self_check(monkeypatch, y231):
+    monkeypatch.setattr(membership, "alpha_coord0", lambda dc, m, pair: 0)
+    with pytest.raises(SelfCheckError, match="residue 0"):
+        membership_test(y231, 1)
