@@ -66,7 +66,11 @@ def _emit(record: dict, fmt: str) -> None:
             print("\t".join(str(x) for x in v))
     else:
         for k in sorted(payload):
-            print(f"{k}\t{payload[k]}")
+            if isinstance(payload[k], dict):
+                for name in sorted(payload[k]):
+                    print(f"{k}.{name}\t{payload[k][name]}")
+            else:
+                print(f"{k}\t{payload[k]}")
 
 
 def _add_param_flags(sub):
@@ -89,10 +93,20 @@ def _curve_from_args(args):
 
 
 def _parse_vector(text: str, length: int) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in text.split(","))
+    try:
+        vec = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise WsgapsError(f"--vector must be comma-separated integers, got {text!r}") from None
     if len(vec) != length:
         raise WsgapsError(f"--vector must have {length} entries, got {len(vec)}")
     return vec
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text) if text.lstrip("-").isdigit() else 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,8 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "member":
             sub.add_argument("--vector", required=True)
         if name in ("gaps", "verify"):
-            sub.add_argument("--box-sum", type=int, default=None)
-            sub.add_argument("--jobs", type=int, default=1)
+            # Widens the search region past its proven bound, never shrinks it.
+            sub.add_argument("--box-sum", type=int, default=0)
+            # Accepted for compatibility; every scan runs in one thread.
+            sub.add_argument("--jobs", type=_jobs, default=1)
     return ap
 
 
@@ -132,34 +148,23 @@ def run(argv) -> int:
             _emit(_record(dc, {}), args.format)
             return 0
 
-        if args.command == "gamma":
-            vecs = (
-                maximal.enumerate_classical_Gamma(dc, args.m)
-                if args.classical
-                else maximal.gamma_hat_in_C(dc, args.m)
-            )
-            _emit(_record(dc, {"m": args.m, "vectors": sorted(vecs), "count": len(vecs)}), args.format)
-            return 0
-
-        if args.command == "lambda":
-            vecs = (
-                maximal.enumerate_classical_Lambda(dc, args.m)
-                if args.classical
-                else maximal.lambda_hat_in_C(dc, args.m)
-            )
+        if args.command in ("gamma", "lambda"):
+            classical, in_C = {
+                "gamma": (maximal.enumerate_classical_Gamma, maximal.gamma_hat_in_C),
+                "lambda": (maximal.enumerate_classical_Lambda, maximal.lambda_hat_in_C),
+            }[args.command]
+            vecs = (classical if args.classical else in_C)(dc, args.m)
             _emit(_record(dc, {"m": args.m, "vectors": sorted(vecs), "count": len(vecs)}), args.format)
             return 0
 
         if args.command == "gaps":
-            bound = 2 * dc.genus - 1
-            if args.box_sum is not None:
-                bound = max(args.box_sum, bound)  # never below the proven bound
+            bound = max(args.box_sum, 2 * dc.genus - 1)
             fn = gaps_mod.pure_gaps_via_lambda if args.pure else gaps_mod.gaps_via_lambda
             vecs = fn(dc, args.m, bound)
             check = (
                 gaps_mod.pure_gaps_via_nabla(dc, args.m, bound)
                 if args.pure
-                else gaps_mod.gaps_via_complement(dc, args.m, bound, jobs=args.jobs)
+                else gaps_mod.gaps_via_complement(dc, args.m, bound)
             )
             if vecs != check:
                 print("route disagreement between formula and complement", file=sys.stderr)
@@ -192,7 +197,7 @@ def run(argv) -> int:
             return 0
 
         if args.command == "verify":
-            checks = oracle.consistency_report(dc, args.m, bound=args.box_sum, jobs=args.jobs)
+            checks = oracle.consistency_report(dc, args.m, bound=max(args.box_sum, 2 * dc.genus))
             _emit(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
             return 0 if all(checks.values()) else 1
     except WsgapsError as err:

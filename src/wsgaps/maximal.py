@@ -1,13 +1,16 @@
 """Closed-form families of maximal elements of the generalized semigroup.
 
-Four parameterized families are realized as integer vectors indexed by
+Two parameterized families are realized as integer vectors indexed by
 (P_inf, P_1, ..., P_m):
 
-* GammaFamily   -- absolute maximal elements (index pair + lattice shifts);
-* ThetaFamily   -- the pure lattice translates of the zero vector, which are
-                   absolute maximal as well (only constants have no poles);
-* DeltaFamily   -- relative maximal elements carrying an index pair;
-* LambdaZeroFamily -- the remaining relative maximal elements.
+* GammaFamily -- absolute maximal elements (index pair + lattice shifts);
+* ThetaFamily -- the pure lattice translates of the zero vector, which are
+                 absolute maximal as well (only constants have no poles).
+
+Together they are the absolute maximal elements.  Every relative maximal
+element is an absolute one translated by relative_shift(dc, m) = (m-1)e at
+P_inf, so the relative side needs no family of its own: realize takes that
+shift as an argument.
 
 Index pairs (i, j) run over [0, q] x [1, M] minus (q, M); the map
 (i, j) -> i*M + j is a bijection onto [1, (q+1)M - 1].
@@ -33,18 +36,7 @@ class ThetaFamily:
     ks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DeltaFamily:
-    pair: tuple[int, int]
-    ks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LambdaZeroFamily:
-    ks: tuple[int, ...]
-
-
-MaximalElement = GammaFamily | ThetaFamily | DeltaFamily | LambdaZeroFamily
+MaximalElement = GammaFamily | ThetaFamily
 
 
 def check_pair(dc: DerivedConstants, pair: tuple[int, int]) -> None:
@@ -70,16 +62,37 @@ def pair_from_residue(dc: DerivedConstants, rho: int) -> tuple[int, int]:
 
 
 def alpha_coord0(dc: DerivedConstants, m: int, pair: tuple[int, int]) -> int:
+    """First coordinate of the GammaFamily member for pair with zero shifts."""
     i, j = pair
     return ((dc.q**2 - m * dc.pb) * dc.e - i * dc.q * dc.M - j * dc.q**3) // dc.pb
 
 
+def relative_shift(dc: DerivedConstants, m: int) -> int:
+    """The translation at P_inf taking absolute maximal elements to relative ones."""
+    return (m - 1) * dc.e
+
+
+def realize(
+    dc: DerivedConstants, m: int, elem: MaximalElement, shift: int = 0
+) -> tuple[int, ...]:
+    """Evaluate a tagged family member to its point vector, translated by
+    shift at P_inf (relative_shift(dc, m) for a relative maximal element)."""
+    check_m(dc, m)
+    ks = elem.ks
+    if len(ks) != m:
+        raise LengthMismatch(f"expected {m} shift parameters, got {len(ks)}")
+    if isinstance(elem, ThetaFamily):
+        c0, rho = 0, 0
+    else:
+        check_pair(dc, elem.pair)
+        i, j = elem.pair
+        c0, rho = alpha_coord0(dc, m, elem.pair), i * dc.M + j
+    return (c0 + shift - sum(ks) * dc.e,) + tuple(k * dc.e + rho for k in ks)
+
+
 def alpha_element(dc: DerivedConstants, m: int, pair: tuple[int, int]) -> tuple[int, ...]:
     """The absolute maximal element in the fundamental region for (i, j)."""
-    check_m(dc, m)
-    check_pair(dc, pair)
-    i, j = pair
-    return (alpha_coord0(dc, m, pair),) + (i * dc.M + j,) * m
+    return realize(dc, m, GammaFamily(pair, (0,) * m))
 
 
 def gamma_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
@@ -93,44 +106,19 @@ def gamma_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
 
 def lambda_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     """Relative maximals inside the fundamental region: e vectors."""
-    check_m(dc, m)
-    out = {((m - 1) * dc.e,) + (0,) * m}
-    for pair in index_pairs(dc):
-        i, j = pair
-        c0 = ((dc.q**2 - dc.pb) * dc.e - i * dc.q * dc.M - j * dc.q**3) // dc.pb
-        out.add((c0,) + (i * dc.M + j,) * m)
-    return out
-
-
-def realize(dc: DerivedConstants, m: int, elem: MaximalElement) -> tuple[int, ...]:
-    """Evaluate a tagged family member to its point vector."""
-    check_m(dc, m)
-    ks = elem.ks
-    if len(ks) != m:
-        raise LengthMismatch(f"expected {m} shift parameters, got {len(ks)}")
-    ksum = sum(ks)
-    if isinstance(elem, ThetaFamily):
-        return (-ksum * dc.e,) + tuple(k * dc.e for k in ks)
-    if isinstance(elem, LambdaZeroFamily):
-        return ((m - 1 - ksum) * dc.e,) + tuple(k * dc.e for k in ks)
-    check_pair(dc, elem.pair)
-    i, j = elem.pair
-    rho = i * dc.M + j
-    if isinstance(elem, GammaFamily):
-        c0 = ((dc.q**2 - m * dc.pb - dc.pb * ksum) * dc.e - i * dc.q * dc.M - j * dc.q**3) // dc.pb
-    else:  # DeltaFamily
-        c0 = ((dc.q**2 - dc.pb * (1 + ksum)) * dc.e - i * dc.q * dc.M - j * dc.q**3) // dc.pb
-    return (c0,) + tuple(k * dc.e + rho for k in ks)
+    shift = relative_shift(dc, m)
+    return {(v[0] + shift,) + v[1:] for v in gamma_hat_in_C(dc, m)}
 
 
 def tau(dc: DerivedConstants, pair: tuple[int, int]) -> int:
-    """Largest shift sum keeping the Delta first coordinate nonnegative.
+    """Largest shift sum keeping the first coordinate of the relative maximal
+    GammaFamily realization for pair nonnegative; the same at every m, since
+    the relative shift cancels the m-dependence of alpha_coord0.
 
-    Floor division toward -inf, so negative numerators exclude the pair.
+    Floor division toward -inf, so negative first coordinates exclude the pair.
     """
     check_pair(dc, pair)
-    i, j = pair
-    return (dc.q**3 * (dc.M - j) + dc.q * dc.M * (dc.q - i) - dc.pb * dc.e) // (dc.pb * dc.e)
+    return alpha_coord0(dc, 1, pair) // dc.e
 
 
 def _ks_with_sum_at_most(m: int, total: int):
@@ -145,32 +133,30 @@ def _ks_with_sum_at_most(m: int, total: int):
             yield (first,) + rest
 
 
-def enumerate_classical_Gamma(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
-    """GammaFamily realizations with every coordinate >= 0, plus the zero vector.
+def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> set[tuple[int, ...]]:
+    """Realizations translated by shift at P_inf with every coordinate >= 0.
 
-    The bound on the shift sum comes from first-coordinate nonnegativity;
-    coordinates 1..m are nonnegative iff every k is.
+    Coordinates 1..m are nonnegative iff every k is; the first coordinate,
+    alpha_coord0 (0 for ThetaFamily) + shift - e*sum(ks), bounds the shift sum.
     """
     check_m(dc, m)
-    out = {(0,) * (m + 1)}
+    out = set()
+    for ks in _ks_with_sum_at_most(m, shift // dc.e):
+        out.add(realize(dc, m, ThetaFamily(ks), shift))
     for pair in index_pairs(dc):
-        i, j = pair
-        smax = ((dc.q**2 - m * dc.pb) * dc.e - i * dc.q * dc.M - j * dc.q**3) // (dc.pb * dc.e)
-        for ks in _ks_with_sum_at_most(m, smax):
-            out.add(realize(dc, m, GammaFamily(pair, ks)))
+        for ks in _ks_with_sum_at_most(m, (alpha_coord0(dc, m, pair) + shift) // dc.e):
+            out.add(realize(dc, m, GammaFamily(pair, ks), shift))
     return out
+
+
+def enumerate_classical_Gamma(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
+    """Absolute maximals with all coordinates >= 0 (the zero vector included)."""
+    return _enumerate_classical(dc, m, 0)
 
 
 def enumerate_classical_Lambda(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     """Relative maximals with all coordinates >= 0."""
-    check_m(dc, m)
-    out = set()
-    for pair in index_pairs(dc):
-        for ks in _ks_with_sum_at_most(m, tau(dc, pair)):
-            out.add(realize(dc, m, DeltaFamily(pair, ks)))
-    for ks in _ks_with_sum_at_most(m, m - 1):
-        out.add(realize(dc, m, LambdaZeroFamily(ks)))
-    return out
+    return _enumerate_classical(dc, m, relative_shift(dc, m))
 
 
 def count_Lambda(dc: DerivedConstants, m: int) -> int:

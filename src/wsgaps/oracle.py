@@ -14,17 +14,8 @@ from itertools import product
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
 from .errors import BadBox
-from .gaps import (
-    count_gaps_two_points,
-    gap_count_upper_bound,
-    gaps_via_complement,
-    gaps_via_lambda,
-    pure_gaps_via_lambda,
-    pure_gaps_via_nabla,
-    simplex_points,
-)
+from .gaps import build_gap_report, simplex_points
 from .maximal import (
-    count_Lambda,
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
     gamma_hat_in_C,
@@ -162,7 +153,6 @@ def consistency_report(
     m: int,
     bound: int | None = None,
     drop_theta: bool = False,
-    jobs: int = 1,
 ) -> dict[str, bool]:
     """Run the full cross-validation suite; all verdicts True means pass.
 
@@ -189,19 +179,5 @@ def consistency_report(
         in_lub_closure(idx, v) for v in families if v in box
     )
 
-    gap_bound = min(bound, 2 * dc.genus - 1)
-    g_lambda = gaps_via_lambda(dc, m, gap_bound)
-    g_compl = gaps_via_complement(dc, m, gap_bound, jobs=jobs, use_theta=use_theta)
-    checks["gap_routes_agree"] = g_lambda == g_compl
-    checks["pure_gap_routes_agree"] = pure_gaps_via_lambda(dc, m, gap_bound) == (
-        pure_gaps_via_nabla(dc, m, gap_bound, use_theta=use_theta)
-    )
-    checks["lambda_count_formula"] = count_Lambda(dc, m) == len(
-        enumerate_classical_Lambda(dc, m)
-    )
-    checks["gap_count_bound"] = len(g_compl) <= gap_count_upper_bound(dc, m)
-    if m == 1:
-        if gap_bound != 2 * dc.genus - 1:
-            g_compl = gaps_via_complement(dc, m, use_theta=use_theta)
-        checks["two_point_count_formula"] = count_gaps_two_points(dc) == len(g_compl)
+    checks.update(build_gap_report(dc, m, min(bound, 2 * dc.genus - 1), use_theta=use_theta))
     return checks

@@ -1,7 +1,14 @@
 """Command-line surface: formats, exit codes, round-trips, stability."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsgaps import oracle
 from wsgaps.cli import run
 
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
@@ -56,8 +63,10 @@ def test_member_false(capsys):
 
 
 def test_member_bad_vector_exit_2(capsys):
-    assert run(["member", *Y231, "--m", "1", "--vector", "1,1,1"]) == 2
-    capsys.readouterr()
+    for vector in ("1,1,1", "1,x", ""):
+        assert run(["member", *Y231, "--m", "1", "--vector", vector]) == 2
+        err = capsys.readouterr().err
+        assert "WsgapsError" in err and "Traceback" not in err
 
 
 def test_counts(capsys):
@@ -72,6 +81,39 @@ def test_verify_exit_0(capsys):
     assert run(["verify", *Y231, "--m", "1"]) == 0
     payload = _json(capsys)["payload"]
     assert payload["pass"] is True
+
+
+def test_verify_negative_box_sum_keeps_default_region(capsys, monkeypatch):
+    run(["verify", *Y231, "--m", "1"])
+    plain = capsys.readouterr().out
+    assert run(["verify", *Y231, "--m", "1", "--box-sum", "-5"]) == 0
+    assert capsys.readouterr().out == plain
+
+    bounds = []
+    report = oracle.consistency_report
+    monkeypatch.setattr(oracle, "consistency_report",
+                        lambda dc, m, bound: bounds.append(bound) or report(dc, m, bound))
+    for box_sum in ("-5", "25"):
+        run(["verify", *Y231, "--m", "1", "--box-sum", box_sum])
+    capsys.readouterr()
+    assert bounds == [20, 25]  # 2g = 20 is the default region
+
+
+def test_verify_tsv_one_row_per_check(capsys):
+    assert run(["verify", *Y231, "--m", "1", "--format", "tsv"]) == 0
+    rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
+    names = [k for k, _ in rows if k.startswith("checks.")]
+    assert names == sorted(names) and "checks.gap_routes_agree" in names
+    assert all(v == "True" for k, v in rows if k != "m")
+    assert [k for k, _ in rows if not k.startswith("checks.")] == ["m", "pass"]
+
+
+def test_jobs_below_one_exit_2(capsys):
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *Y231, "--m", "1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def test_bad_m_exit_2(capsys):
@@ -100,3 +142,48 @@ def test_round_trip_gamma_are_members(capsys):
     for v in vectors:
         run(["member", *Y231, "--m", "1", "--vector", ",".join(map(str, v))])
         assert _json(capsys)["payload"]["member"] is True
+
+
+# (flags, genus) per fuzzed instance; --box-sum stays <= 2g + 5 so every
+# example is small.
+FUZZ_INSTANCES = {"Y231": (Y231, 10), "X21131": (X21131, 3)}
+COMMANDS = ["params", "gamma", "lambda", "gaps", "member", "counts", "verify"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    params, genus = FUZZ_INSTANCES[draw(st.sampled_from(sorted(FUZZ_INSTANCES)))]
+    argv = [command, *params]
+    if command != "params" and draw(st.booleans()):
+        argv += ["--m", str(draw(st.integers(-1, 4)))]
+    if command == "member":
+        ints = st.lists(st.integers(-50, 50), max_size=4).map(lambda v: ",".join(map(str, v)))
+        text = st.text(alphabet="0123456789,-x ", max_size=8)
+        argv.append("--vector=" + draw(st.one_of(ints, text)))
+    if command in ("gamma", "lambda") and draw(st.booleans()):
+        argv.append("--classical")
+    if command == "gaps" and draw(st.booleans()):
+        argv.append("--pure")
+    if command in ("gaps", "verify"):
+        if draw(st.booleans()):
+            argv += ["--jobs", str(draw(st.integers(-3, 4)))]
+        if draw(st.booleans()):
+            argv += ["--box-sum", str(draw(st.integers(-10, 2 * genus + 5)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "tsv"]))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argv())
+def test_fuzz_exit_code_contract(argv):
+    """Exit 0, 1 or 2 for every flag combination, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

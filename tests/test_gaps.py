@@ -104,8 +104,10 @@ def test_every_gap_under_degree_bound(y231):
 
 
 def test_build_gap_report(y231):
-    rep = build_gap_report(y231, 1)
-    assert all(rep.cross_checks.values()), rep.cross_checks
-    assert rep.gap_count == 115
-    assert set(rep.pure_gaps) <= set(rep.gaps)
-    assert rep.gaps == tuple(sorted(rep.gaps))
+    for m in (1, 2):
+        checks = build_gap_report(y231, m)
+        assert all(checks.values()), checks
+        assert ("two_point_count_formula" in checks) == (m == 1)
+    # A shrunken region still counts every two-point gap against the formula.
+    assert build_gap_report(y231, 1, bound=5)["two_point_count_formula"] is True
+    assert build_gap_report(y231, 1, use_theta=False)["gap_routes_agree"] is False

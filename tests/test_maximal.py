@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from wsgaps.curves import curve
 from wsgaps.errors import BadIndexPair, LengthMismatch
 from wsgaps.maximal import (
-    DeltaFamily,
     GammaFamily,
-    LambdaZeroFamily,
     ThetaFamily,
     alpha_element,
     count_Lambda,
@@ -20,6 +18,7 @@ from wsgaps.maximal import (
     lambda_hat_in_C,
     pair_from_residue,
     realize,
+    relative_shift,
     tau,
 )
 
@@ -85,9 +84,11 @@ def test_realize_examples(y231):
     assert realize(y231, 1, GammaFamily((0, 1), (1,))) == (10, 10)
     assert realize(y231, 1, ThetaFamily((0,))) == (0, 0)
     assert realize(y231, 2, ThetaFamily((0, 0))) == (0, 0, 0)
-    assert realize(y231, 1, DeltaFamily((0, 1), (2,))) == (1, 19)
-    assert realize(y231, 2, LambdaZeroFamily((1, 0))) == (0, 9, 0)
-    assert realize(y231, 2, LambdaZeroFamily((0, 0))) == (9, 0, 0)
+    # relative maximals: absolute ones shifted by (m-1)e at P_inf
+    assert relative_shift(y231, 1) == 0 and relative_shift(y231, 2) == y231.e
+    assert realize(y231, 1, GammaFamily((0, 1), (2,)), relative_shift(y231, 1)) == (1, 19)
+    assert realize(y231, 2, ThetaFamily((1, 0)), relative_shift(y231, 2)) == (0, 9, 0)
+    assert realize(y231, 2, ThetaFamily((0, 0)), relative_shift(y231, 2)) == (9, 0, 0)
 
 
 def test_realize_rejects_bad_inputs(y231):
@@ -169,18 +170,15 @@ def test_count_lambda_matches_enumeration(sweep):
 
 def test_delta_lambda_zero_injective(y231):
     """Collision scan over bounded shift parameters: distinct family
-    parameters always realize distinct vectors."""
+    parameters always realize distinct relative maximal vectors."""
     seen = {}
     for m in (1, 2):
         seen.clear()
-        for pair in index_pairs(y231):
-            for ks in _all_ks(m, 3):
-                elem = DeltaFamily(pair, ks)
-                v = realize(y231, m, elem)
-                assert seen.setdefault(v, elem) == elem
-        for ks in _all_ks(m, 3):
-            elem = LambdaZeroFamily(ks)
-            v = realize(y231, m, elem)
+        shift = relative_shift(y231, m)
+        elems = [GammaFamily(pair, ks) for pair in index_pairs(y231) for ks in _all_ks(m, 3)]
+        elems += [ThetaFamily(ks) for ks in _all_ks(m, 3)]
+        for elem in elems:
+            v = realize(y231, m, elem, shift)
             assert seen.setdefault(v, elem) == elem
 
 

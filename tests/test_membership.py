@@ -14,12 +14,11 @@ from wsgaps.curves import curve
 from wsgaps.errors import EmptyInput, LengthMismatch, SelfCheckError, WsgapsError
 from wsgaps.gaps import simplex_points
 from wsgaps.maximal import (
-    DeltaFamily,
     GammaFamily,
-    LambdaZeroFamily,
     ThetaFamily,
     pair_from_residue,
     realize,
+    relative_shift,
 )
 from wsgaps.membership import (
     in_classical_H,
@@ -95,14 +94,17 @@ def test_one_point_gaps_examples(y231, y233, x21131):
 
 
 def _sample_elements(dc, m):
-    out = [ThetaFamily((0,) * m), ThetaFamily((2,) + (0,) * (m - 1))]
+    """(family member, shift at P_inf) pairs: absolute maximals at shift 0,
+    relative maximals at relative_shift(dc, m)."""
+    rel = relative_shift(dc, m)
+    out = [(ThetaFamily((0,) * m), 0), (ThetaFamily((2,) + (0,) * (m - 1)), 0)]
     for rho in (1, dc.e // 2, dc.e - 1):
         pair = pair_from_residue(dc, rho)
-        out.append(GammaFamily(pair, (0,) * m))
-        out.append(GammaFamily(pair, (1,) * m))
-        out.append(DeltaFamily(pair, (0,) * m))
-        out.append(DeltaFamily(pair, (2,) + (0,) * (m - 1)))
-    out.append(LambdaZeroFamily((0,) * m))
+        out.append((GammaFamily(pair, (0,) * m), 0))
+        out.append((GammaFamily(pair, (1,) * m), 0))
+        out.append((GammaFamily(pair, (0,) * m), rel))
+        out.append((GammaFamily(pair, (2,) + (0,) * (m - 1)), rel))
+    out.append((ThetaFamily((0,) * m), rel))
     return out
 
 
@@ -111,15 +113,15 @@ def test_soundness_realized_elements_are_members(sweep):
     generalized semigroup."""
     for dc in sweep[:10]:
         for m in range(1, min(2, dc.max_m) + 1):
-            for elem in _sample_elements(dc, m):
-                vec = realize(dc, m, elem)
+            for elem, shift in _sample_elements(dc, m):
+                vec = realize(dc, m, elem, shift)
                 assert in_generalized_H(dc, m, vec).member, (dc.params, elem)
 
 
 def test_lub_of_members_is_member(sweep):
     for dc in sweep[:10]:
         for m in range(1, min(2, dc.max_m) + 1):
-            vecs = [realize(dc, m, e) for e in _sample_elements(dc, m)]
+            vecs = [realize(dc, m, e, shift) for e, shift in _sample_elements(dc, m)]
             for u in vecs:
                 for v in vecs:
                     assert in_generalized_H(dc, m, lub([u, v])).member
@@ -130,7 +132,7 @@ def test_sum_of_members_is_member(sweep):
     the generalized semigroup is closed under addition."""
     for dc in sweep[:10]:
         for m in range(1, min(2, dc.max_m) + 1):
-            vecs = [realize(dc, m, e) for e in _sample_elements(dc, m)]
+            vecs = [realize(dc, m, e, shift) for e, shift in _sample_elements(dc, m)]
             for u in vecs[:6]:
                 for v in vecs[:6]:
                     w = tuple(a + b for a, b in zip(u, v))
@@ -213,7 +215,7 @@ def test_in_classical_H_rejects_bad_length(y231):
 def test_boolean_test_uses_no_relative_maximals():
     """The scan routes must stay independent of the Lambda side."""
     names = set(vars(membership))
-    for banned in ("DeltaFamily", "LambdaZeroFamily", "tau",
+    for banned in ("DeltaFamily", "LambdaZeroFamily", "tau", "relative_shift",
                    "enumerate_classical_Lambda", "lambda_hat_in_C"):
         assert banned not in names
 

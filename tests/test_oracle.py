@@ -90,10 +90,6 @@ def test_consistency_report_x21131(x21131):
     assert all(checks.values()), checks
 
 
-def test_consistency_report_jobs_deterministic(y231):
-    assert consistency_report(y231, 1, jobs=3) == consistency_report(y231, 1)
-
-
 def test_mutation_dropping_theta_is_detected(y231):
     checks = consistency_report(y231, 1, drop_theta=True)
     assert checks["closure_matches_membership"] is False
