@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import asdict
 
@@ -56,6 +57,13 @@ def _record(dc, payload) -> dict:
     }
 
 
+def _tsv_field(value) -> str:
+    """A TSV cell: lists comma-joined, as --vector takes them; None empty."""
+    if isinstance(value, list):
+        return ",".join(str(x) for x in value)
+    return "" if value is None else str(value)
+
+
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(record, sort_keys=True, separators=(",", ": "), indent=1))
@@ -64,13 +72,15 @@ def _emit(record: dict, fmt: str) -> None:
     if "vectors" in payload:
         for v in payload["vectors"]:
             print("\t".join(str(x) for x in v))
-    else:
-        for k in sorted(payload):
-            if isinstance(payload[k], dict):
-                for name in sorted(payload[k]):
-                    print(f"{k}.{name}\t{payload[k][name]}")
-            else:
-                print(f"{k}\t{payload[k]}")
+        return
+    # Only `params` has an empty payload; its answer is the record header.
+    rows = payload or {"params": record["params"], "derived": record["derived"]}
+    for k in sorted(rows):
+        if isinstance(rows[k], dict):
+            for name in sorted(rows[k]):
+                print(f"{k}.{name}\t{_tsv_field(rows[k][name])}")
+        else:
+            print(f"{k}\t{_tsv_field(rows[k])}")
 
 
 def _add_param_flags(sub):
@@ -207,6 +217,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # A reader closing stdout early (`wsgaps ... | head`) ends the process by
+    # SIGPIPE, as for any Unix filter, not by a traceback with exit code 1.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

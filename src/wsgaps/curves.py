@@ -181,6 +181,17 @@ def curve(family: str, **raw) -> DerivedConstants:
     return derive(validate_params(family, **raw))
 
 
+def simplex_points(dim: int, bound: int):
+    """All vectors in N_0^dim with coordinate sum <= bound."""
+    if dim == 1:
+        for x in range(bound + 1):
+            yield (x,)
+        return
+    for x in range(bound + 1):
+        for rest in simplex_points(dim - 1, bound - x):
+            yield (x,) + rest
+
+
 def check_m(dc: DerivedConstants, m: int) -> None:
     if not 1 <= m <= dc.max_m:
         raise BadM(f"m = {m} out of range [1, {dc.max_m}]")

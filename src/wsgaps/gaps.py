@@ -10,21 +10,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .curves import DerivedConstants, check_m
+from .curves import DerivedConstants, check_m, simplex_points
 from .errors import NotSorted, WsgapsError
 from .maximal import count_Lambda, enumerate_classical_Lambda
 from .membership import membership_test, witness_test
-
-
-def simplex_points(dim: int, bound: int):
-    """All vectors in N_0^dim with coordinate sum <= bound."""
-    if dim == 1:
-        for x in range(bound + 1):
-            yield (x,)
-        return
-    for x in range(bound + 1):
-        for rest in simplex_points(dim - 1, bound - x):
-            yield (x,) + rest
 
 
 def _default_bound(dc: DerivedConstants, bound: int | None) -> int:
@@ -74,23 +63,19 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     return out
 
 
-def gaps_via_complement(
-    dc: DerivedConstants, m: int, bound: int | None = None, use_theta: bool = True
-) -> set:
+def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
     """Independent route: complement of membership on the bounded simplex."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    member = membership_test(dc, m, use_theta=use_theta)
+    member = membership_test(dc, m)
     return {a for a in simplex_points(m + 1, bound) if not member(a)}
 
 
-def pure_gaps_via_nabla(
-    dc: DerivedConstants, m: int, bound: int | None = None, use_theta: bool = True
-) -> set:
+def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
     """Definition-based route: every coordinate witness must fail."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    has_witness = witness_test(dc, m, use_theta=use_theta)
+    has_witness = witness_test(dc, m)
     coords = range(m + 1)
     return {
         a
@@ -137,25 +122,17 @@ def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
     return total
 
 
-def build_gap_report(
-    dc: DerivedConstants, m: int, bound: int | None = None, use_theta: bool = True
-) -> dict[str, bool]:
+def build_gap_report(dc: DerivedConstants, m: int) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
-    independent one on the simplex sum(alpha) <= bound.  use_theta=False is
-    passed to the membership side only (mutation harness)."""
-    check_m(dc, m)
-    bound = _default_bound(dc, bound)
-    g_compl = gaps_via_complement(dc, m, bound, use_theta=use_theta)
+    independent one on the proven gap region sum(alpha) <= 2g - 1."""
+    g_compl = gaps_via_complement(dc, m)
     checks = {
-        "gap_routes_agree": gaps_via_lambda(dc, m, bound) == g_compl,
-        "pure_gap_routes_agree": pure_gaps_via_lambda(dc, m, bound)
-        == pure_gaps_via_nabla(dc, m, bound, use_theta=use_theta),
+        "gap_routes_agree": gaps_via_lambda(dc, m) == g_compl,
+        "pure_gap_routes_agree": pure_gaps_via_lambda(dc, m) == pure_gaps_via_nabla(dc, m),
         "lambda_count_formula": count_Lambda(dc, m)
         == len(enumerate_classical_Lambda(dc, m)),
         "gap_count_bound": len(g_compl) <= gap_count_upper_bound(dc, m),
     }
     if m == 1:
-        if bound != 2 * dc.genus - 1:
-            g_compl = gaps_via_complement(dc, m, use_theta=use_theta)
         checks["two_point_count_formula"] = count_gaps_two_points(dc) == len(g_compl)
     return checks

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .curves import DerivedConstants, check_m
+from .curves import DerivedConstants, check_m, simplex_points
 from .errors import BadIndexPair, LengthMismatch
 
 
@@ -121,18 +121,6 @@ def tau(dc: DerivedConstants, pair: tuple[int, int]) -> int:
     return alpha_coord0(dc, 1, pair) // dc.e
 
 
-def _ks_with_sum_at_most(m: int, total: int):
-    """All k in N_0^m with sum(k) <= total, lexicographic order."""
-    if total < 0:
-        return
-    if m == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _ks_with_sum_at_most(m - 1, total - first):
-            yield (first,) + rest
-
-
 def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> set[tuple[int, ...]]:
     """Realizations translated by shift at P_inf with every coordinate >= 0.
 
@@ -141,10 +129,10 @@ def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> set[tuple[
     """
     check_m(dc, m)
     out = set()
-    for ks in _ks_with_sum_at_most(m, shift // dc.e):
+    for ks in simplex_points(m, shift // dc.e):
         out.add(realize(dc, m, ThetaFamily(ks), shift))
     for pair in index_pairs(dc):
-        for ks in _ks_with_sum_at_most(m, (alpha_coord0(dc, m, pair) + shift) // dc.e):
+        for ks in simplex_points(m, (alpha_coord0(dc, m, pair) + shift) // dc.e):
             out.add(realize(dc, m, GammaFamily(pair, ks), shift))
     return out
 

@@ -89,13 +89,10 @@ def nabla_witness(
     m: int,
     alpha: tuple[int, ...],
     r: int,
-    use_theta: bool = True,
 ) -> MaximalElement | None:
     """An absolute maximal gamma with gamma_r = alpha_r and gamma <= alpha.
 
-    Returns None when no such element exists.  use_theta=False drops the
-    ThetaFamily witnesses; it exists only for the mutation harness and makes
-    the procedure deliberately incomplete.
+    Returns None when no such element exists.
     """
     check_m(dc, m)
     if len(alpha) != m + 1:
@@ -105,8 +102,6 @@ def nabla_witness(
     if r != 0:
         rho = alpha[r] % e
         if rho == 0:
-            if not use_theta:
-                return None
             kmax = [alpha[t + 1] // e for t in range(m)]
             fixed = {r - 1: alpha[r] // e}
             smin = -(alpha[0] // e)  # gamma_0 = -e*sum(ks) <= alpha_0
@@ -128,7 +123,7 @@ def nabla_witness(
         ks = _lex_min_ks(kmax, {}, (a0 - alpha[0]) // e)
         if ks is not None:
             return GammaFamily(pair, ks)
-    if use_theta and alpha[0] % e == 0:
+    if alpha[0] % e == 0:
         kmax = [alpha[t + 1] // e for t in range(m)]
         ks = _lex_min_ks(kmax, {}, -alpha[0] // e)
         if ks is not None:
@@ -136,16 +131,14 @@ def nabla_witness(
     return None
 
 
-def in_generalized_H(
-    dc: DerivedConstants, m: int, alpha, use_theta: bool = True
-) -> MembershipVerdict:
+def in_generalized_H(dc: DerivedConstants, m: int, alpha) -> MembershipVerdict:
     """Decide membership in the generalized semigroup at (P_inf, P_1..P_m)."""
     alpha = tuple(alpha)
     witnesses: dict[int, MaximalElement] = {}
     # Affine coordinates first: their witness parameters are fully forced,
     # while coordinate 0 needs a scan over all index pairs.
     for r in list(range(1, m + 1)) + [0]:
-        w = nabla_witness(dc, m, alpha, r, use_theta=use_theta)
+        w = nabla_witness(dc, m, alpha, r)
         if w is None:
             return MembershipVerdict(member=False, witnesses=None, failing_coordinate=r)
         witnesses[r] = w
@@ -156,9 +149,7 @@ def in_generalized_H(
     return MembershipVerdict(member=True, witnesses=ordered, failing_coordinate=None)
 
 
-def witness_test(
-    dc: DerivedConstants, m: int, use_theta: bool = True
-) -> Callable[[tuple[int, ...], int], bool]:
+def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int], bool]:
     """has_witness(alpha, r) == (nabla_witness(dc, m, alpha, r) is not None),
     decided without building the witness.
 
@@ -170,12 +161,12 @@ def witness_test(
     """
     check_m(dc, m)
     e = dc.e
-    by_rho = [(0, 0) if use_theta else None]
+    by_rho = [(0, 0)]
     by_rho += [(rho, alpha_coord0(dc, m, pair_from_residue(dc, rho))) for rho in range(1, e)]
     # The e first coordinates fall in distinct classes mod e on every
     # instance checked, which makes the r = 0 lookup a single entry.
     by_class: dict[int, tuple[int, int]] = {}
-    for entry in filter(None, by_rho):
+    for entry in by_rho:
         cls = entry[1] % e
         if cls in by_class:
             raise SelfCheckError(
@@ -194,12 +185,10 @@ def witness_test(
     return has_witness
 
 
-def membership_test(
-    dc: DerivedConstants, m: int, use_theta: bool = True
-) -> Callable[[tuple[int, ...]], bool]:
+def membership_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...]], bool]:
     """member(alpha) == in_generalized_H(dc, m, alpha).member: witness_test
     at every coordinate."""
-    has_witness = witness_test(dc, m, use_theta=use_theta)
+    has_witness = witness_test(dc, m)
     coords = range(m + 1)
     return lambda alpha: all(has_witness(alpha, r) for r in coords)
 
@@ -207,14 +196,14 @@ def membership_test(
 _cached_membership_test = lru_cache(maxsize=None)(membership_test)
 
 
-def in_classical_H(dc: DerivedConstants, m: int, alpha, use_theta: bool = True) -> bool:
+def in_classical_H(dc: DerivedConstants, m: int, alpha) -> bool:
     """Membership with every coordinate >= 0, by the boolean test."""
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         return False
     if len(alpha) != m + 1:
         raise LengthMismatch(f"expected a vector of length {m + 1}")
-    return _cached_membership_test(dc, m, use_theta)(alpha)
+    return _cached_membership_test(dc, m)(alpha)
 
 
 def one_point_gaps_at_P1(dc: DerivedConstants) -> tuple[int, ...]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
+from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_points
 from .errors import BadBox
-from .gaps import build_gap_report, simplex_points
+from .gaps import build_gap_report
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -148,25 +148,20 @@ def index_generators(gens) -> dict:
     return idx
 
 
-def consistency_report(
-    dc: DerivedConstants,
-    m: int,
-    bound: int | None = None,
-    drop_theta: bool = False,
-) -> dict[str, bool]:
+def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -> dict[str, bool]:
     """Run the full cross-validation suite; all verdicts True means pass.
 
-    drop_theta removes the ThetaFamily witnesses from the membership side
-    (mutation harness only); check (a) must then fail.
+    The closure checks run on the simplex sum(alpha) <= bound (2g by
+    default); the gap-side table always runs on its proven region
+    sum(alpha) <= 2g - 1.
     """
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
-    use_theta = not drop_theta
     box = default_box(dc, m, bound)
     mono = monomial_vectors_in_box(dc, m, box)
     idx = index_generators(mono)
 
-    member = membership_test(dc, m, use_theta=use_theta)
+    member = membership_test(dc, m)
     checks = {
         "closure_matches_membership": all(
             in_lub_closure(idx, a) == member(a) for a in simplex_points(m + 1, bound)
@@ -179,5 +174,5 @@ def consistency_report(
         in_lub_closure(idx, v) for v in families if v in box
     )
 
-    checks.update(build_gap_report(dc, m, min(bound, 2 * dc.genus - 1), use_theta=use_theta))
+    checks.update(build_gap_report(dc, m))
     return checks

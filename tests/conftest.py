@@ -1,7 +1,10 @@
 """Shared fixtures and the independent coin-problem oracle."""
 
+import sys
+
 import pytest
 
+from wsgaps import membership
 from wsgaps.curves import curve
 from wsgaps.sweep import sweep_instances
 
@@ -30,6 +33,28 @@ def x22313():
 @pytest.fixture(scope="session")
 def sweep():
     return sweep_instances()
+
+
+@pytest.fixture
+def drop_theta(monkeypatch):
+    """Mutation harness: a boolean membership test without the ThetaFamily
+    witnesses, i.e. no witness at a coordinate divisible by e.
+
+    Every wsgaps module attribute bound to witness_test is replaced, so the
+    gap scans, membership_test and in_classical_H all see the mutant.
+    """
+    real = membership.witness_test
+
+    def mutant(dc, m):
+        has_witness = real(dc, m)
+        return lambda alpha, r: alpha[r] % dc.e != 0 and has_witness(alpha, r)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("wsgaps.") and getattr(mod, "witness_test", None) is real:
+            monkeypatch.setattr(mod, "witness_test", mutant)
+    membership._cached_membership_test.cache_clear()
+    yield
+    membership._cached_membership_test.cache_clear()
 
 
 def dp_members(gens, limit):

@@ -193,8 +193,8 @@ def test_09_m1_bijection():
     _verdict(9, "m=1 maximal elements biject gap sequences at both points", ok)
 
 
-def test_10_mutation_sensitivity():
-    checks = consistency_report(curve("Y", q=2, n=3, s=1), 1, drop_theta=True)
+def test_10_mutation_sensitivity(drop_theta):
+    checks = consistency_report(curve("Y", q=2, n=3, s=1), 1)
     ok = checks["closure_matches_membership"] is False
     _verdict(10, "dropping the lattice-translate family breaks the "
                  "closure/membership equivalence", ok)

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from wsgaps import oracle
 from wsgaps.cli import run
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
 X21131 = ["--family", "X", "--p", "2", "--a", "1", "--b", "1", "--n", "3", "--s", "1"]
 
@@ -25,6 +31,16 @@ def test_params_y231(capsys):
     assert rec["schema_version"] == "1"
     assert rec["derived"]["genus"] == 10
     assert rec["derived"]["gens"] == [6, 8, 9]
+
+
+def test_params_tsv_one_row_per_field(capsys):
+    assert run(["params", *Y231]) == 0
+    rec = _json(capsys)
+    assert run(["params", *Y231, "--format", "tsv"]) == 0
+    rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
+    names = [k for k, _ in rows]
+    assert names == sorted(f"{sec}.{k}" for sec in ("params", "derived") for k in rec[sec])
+    assert ["derived.gens", "6,8,9"] in rows and ["params.family", "Y"] in rows
 
 
 def test_params_invalid_exit_2(capsys):
@@ -60,6 +76,20 @@ def test_member_false(capsys):
     payload = _json(capsys)["payload"]
     assert payload["member"] is False
     assert payload["failing_coordinate"] == 1
+
+
+def test_member_tsv_fields(capsys):
+    expected = {
+        "1,1": {"vector": "1,1", "member": "False", "failing_coordinate": "1"},
+        "19,1": {"vector": "19,1", "member": "True", "failing_coordinate": ""},
+    }
+    for vector, fields in expected.items():
+        assert run(["member", *Y231, "--m", "1", "--vector", vector, "--format", "tsv"]) == 0
+        rows = dict(r.split("\t") for r in capsys.readouterr().out.splitlines())
+        assert {k: rows[k] for k in fields} == fields
+        # The vector cell is what --vector accepts.
+        assert run(["member", *Y231, "--m", "1", "--vector", rows["vector"]]) == 0
+        assert _json(capsys)["payload"]["member"] == (fields["member"] == "True")
 
 
 def test_member_bad_vector_exit_2(capsys):
@@ -114,6 +144,21 @@ def test_jobs_below_one_exit_2(capsys):
             run(["verify", *Y231, "--m", "1", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["lambda", "--family", "Y", "--q", "4", "--n", "5", "--s", "5", "--m", "2",
+            "--classical", "--format", "tsv"]  # about 95 KiB, more than a pipe buffer holds
+    with subprocess.Popen([sys.executable, "-m", "wsgaps.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == -signal.SIGPIPE
+    assert "Traceback" not in err
 
 
 def test_bad_m_exit_2(capsys):

@@ -108,6 +108,9 @@ def test_build_gap_report(y231):
         checks = build_gap_report(y231, m)
         assert all(checks.values()), checks
         assert ("two_point_count_formula" in checks) == (m == 1)
-    # A shrunken region still counts every two-point gap against the formula.
-    assert build_gap_report(y231, 1, bound=5)["two_point_count_formula"] is True
-    assert build_gap_report(y231, 1, use_theta=False)["gap_routes_agree"] is False
+
+
+def test_build_gap_report_detects_dropped_theta(y231, drop_theta):
+    checks = build_gap_report(y231, 1)
+    assert checks["gap_routes_agree"] is False
+    assert checks["pure_gap_routes_agree"] is False

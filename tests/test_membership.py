@@ -158,18 +158,13 @@ def test_degree_threshold_m2(a0, a1, a2):
 
 def _assert_boolean_test_matches_witnesses(dc, m, vectors):
     """witness_test and membership_test against nabla_witness, at every
-    coordinate and with and without the ThetaFamily witnesses."""
-    vectors = list(vectors)
-    for use_theta in (True, False):
-        has_witness = witness_test(dc, m, use_theta=use_theta)
-        member = membership_test(dc, m, use_theta=use_theta)
-        for a in vectors:
-            found = [
-                nabla_witness(dc, m, a, r, use_theta=use_theta) is not None
-                for r in range(m + 1)
-            ]
-            assert [has_witness(a, r) for r in range(m + 1)] == found, (dc.params, m, use_theta, a)
-            assert member(a) == all(found), (dc.params, m, use_theta, a)
+    coordinate."""
+    has_witness = witness_test(dc, m)
+    member = membership_test(dc, m)
+    for a in vectors:
+        found = [nabla_witness(dc, m, a, r) is not None for r in range(m + 1)]
+        assert [has_witness(a, r) for r in range(m + 1)] == found, (dc.params, m, a)
+        assert member(a) == all(found), (dc.params, m, a)
 
 
 def test_boolean_test_matches_witness_path_on_simplex(sweep):

@@ -90,6 +90,6 @@ def test_consistency_report_x21131(x21131):
     assert all(checks.values()), checks
 
 
-def test_mutation_dropping_theta_is_detected(y231):
-    checks = consistency_report(y231, 1, drop_theta=True)
+def test_mutation_dropping_theta_is_detected(y231, drop_theta):
+    checks = consistency_report(y231, 1)
     assert checks["closure_matches_membership"] is False
