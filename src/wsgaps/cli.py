@@ -146,7 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    # argparse hands `--flag=--` over as an empty list, whatever the flag's type.
+    if any(isinstance(v, list) for v in vars(args).values()):
+        ap.error("'--' is not a flag value")
     try:
         dc = _curve_from_args(args)
     except WsgapsError as err:

@@ -12,7 +12,9 @@ from itertools import product
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import NotSorted, WsgapsError
-from .maximal import count_Lambda, enumerate_classical_Lambda
+from .maximal import (
+    alpha_coord0, count_Lambda, enumerate_classical_Lambda, index_pairs, relative_shift,
+)
 from .membership import membership_test, witness_test
 
 
@@ -43,8 +45,7 @@ def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> s
     """Gap set from the relative maximals: union of the shifted open boxes."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    slices = _nabla_bar_slices(dc, m, bound)
-    return set().union(*slices)
+    return set().union(*_nabla_bar_slices(dc, m, bound))
 
 
 def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
@@ -56,11 +57,7 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     """
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    slices = _nabla_bar_slices(dc, m, bound)
-    out = slices[0]
-    for s in slices[1:]:
-        out = out & s
-    return out
+    return set.intersection(*_nabla_bar_slices(dc, m, bound))
 
 
 def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
@@ -97,28 +94,61 @@ def zeta(sorted_lambda: list, t: int) -> int:
     return sum(1 for b in sorted_lambda[: t - 1] if b[0] > first_t)
 
 
+def _inversions(xs: list[int]) -> int:
+    """Pairs s < t with xs[s] > xs[t] (xs distinct), by a Fenwick tree over ranks."""
+    rank = {x: r for r, x in enumerate(sorted(xs), start=1)}
+    tree = [0] * (len(xs) + 1)
+    total = 0
+    for seen, x in enumerate(xs):
+        i = r = rank[x]
+        while i:  # earlier elements not above x
+            total -= tree[i]
+            i &= i - 1
+        total += seen
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
+    return total
+
+
 def count_gaps_two_points(dc: DerivedConstants) -> int:
-    """Exact two-point gap count from the sorted relative maximals."""
+    """Exact two-point gap count sum_t (b0 + b1 - zeta(t)) from the sorted
+    relative maximals; sum_t zeta(t) counts the inversions of the b0."""
     lam = sorted(enumerate_classical_Lambda(dc, 1), key=lambda b: b[1])
     # The formula needs all first and all second coordinates pairwise distinct.
     if len({b[0] for b in lam}) != len(lam) or len({b[1] for b in lam}) != len(lam):
         raise WsgapsError("relative maximals have repeated coordinates")
-    return sum(
-        b[0] + b[1] - zeta(lam, t) for t, b in enumerate(lam, start=1)
+    return sum(b[0] + b[1] for b in lam) - _inversions([b[0] for b in lam])
+
+
+def _box_volume_sum(c: int, rho: int, e: int, m: int) -> int:
+    """Sum over r of prod_{s != r} beta_s, over the vectors
+    beta = (c - eK, k1*e + rho, ..., km*e + rho) with k >= 0, K = sum(k) <= T = c // e.
+
+    p[K] sums prod(k*e + rho) over the tuples of sum K (m convolutions).  r = 0
+    gives sum(p_m); each r >= 1 fixes k_r and gives, over the other tuples of
+    sum K', p_{m-1}[K'] * sum_{K=K'}^{T} (c - eK), an arithmetic series.
+    """
+    T = c // e
+    if T < 0:
+        return 0
+    p1 = [k * e + rho for k in range(T + 1)]
+    p = [1] + [0] * T
+    for _ in range(m):
+        p_prev, p = p, [sum(p[a] * p1[K - a] for a in range(K + 1)) for K in range(T + 1)]
+    return sum(p) + m * sum(
+        x * ((T - K + 1) * c - e * (K + T) * (T - K + 1) // 2) for K, x in enumerate(p_prev)
     )
 
 
 def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
-    """Sum over relative maximals of the shifted-box volumes."""
+    """Sum over the classical relative maximals of the shifted-box volumes,
+    in closed form per index pair (ThetaFamily: c = shift, rho = 0)."""
     check_m(dc, m)
-    total = 0
-    for beta in enumerate_classical_Lambda(dc, m):
-        for r in range(m + 1):
-            prod = 1
-            for s in range(m + 1):
-                if s != r:
-                    prod *= beta[s]
-            total += prod
+    shift = relative_shift(dc, m)
+    total = _box_volume_sum(shift, 0, dc.e, m)
+    for i, j in index_pairs(dc):
+        total += _box_volume_sum(alpha_coord0(dc, m, (i, j)) + shift, i * dc.M + j, dc.e, m)
     return total
 
 
@@ -126,9 +156,10 @@ def build_gap_report(dc: DerivedConstants, m: int) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
     independent one on the proven gap region sum(alpha) <= 2g - 1."""
     g_compl = gaps_via_complement(dc, m)
+    slices = _nabla_bar_slices(dc, m, 2 * dc.genus - 1)
     checks = {
-        "gap_routes_agree": gaps_via_lambda(dc, m) == g_compl,
-        "pure_gap_routes_agree": pure_gaps_via_lambda(dc, m) == pure_gaps_via_nabla(dc, m),
+        "gap_routes_agree": set().union(*slices) == g_compl,
+        "pure_gap_routes_agree": set.intersection(*slices) == pure_gaps_via_nabla(dc, m),
         "lambda_count_formula": count_Lambda(dc, m)
         == len(enumerate_classical_Lambda(dc, m)),
         "gap_count_bound": len(g_compl) <= gap_count_upper_bound(dc, m),

@@ -107,6 +107,16 @@ def test_counts(capsys):
     assert payload["two_point_gap_count"] == 115
 
 
+def test_counts_large_instance(capsys):
+    # Y(4,5,1) at m=4: the bound is summed in closed form, never over Lambda.
+    assert run(["counts", "--family", "Y", "--q", "4", "--n", "5", "--s", "1", "--m", "4"]) == 0
+    payload = _json(capsys)["payload"]
+    assert payload["lambda_count"] == 596139
+    # Above 2**53, so emitted as a decimal string (checked against the
+    # enumerated sum over all 596,139 relative maximals).
+    assert payload["gap_count_upper_bound"] == "50683820011114178430"
+
+
 def test_verify_exit_0(capsys):
     assert run(["verify", *Y231, "--m", "1"]) == 0
     payload = _json(capsys)["payload"]
@@ -136,6 +146,17 @@ def test_verify_tsv_one_row_per_check(capsys):
     assert names == sorted(names) and "checks.gap_routes_agree" in names
     assert all(v == "True" for k, v in rows if k != "m")
     assert [k for k, _ in rows if not k.startswith("checks.")] == ["m", "pass"]
+
+
+def test_double_dash_flag_value_exit_2(capsys):
+    # argparse parses `--flag=--` to an empty list; it used to reach the
+    # library and end in a traceback with exit 1.
+    for argv in (["member", *Y231, "--vector=--"], ["counts", *Y231, "--m=--"],
+                 ["counts", "--family", "Y", "--q=--", "--n", "3", "--s", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert "'--' is not a flag value" in capsys.readouterr().err
 
 
 def test_jobs_below_one_exit_2(capsys):

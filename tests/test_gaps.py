@@ -1,9 +1,13 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from wsgaps.curves import curve
 from wsgaps.errors import NotSorted, WsgapsError
 from wsgaps.gaps import (
+    _inversions,
     build_gap_report,
     count_gaps_two_points,
     gap_count_upper_bound,
@@ -14,7 +18,7 @@ from wsgaps.gaps import (
     simplex_points,
     zeta,
 )
-from wsgaps.maximal import enumerate_classical_Lambda
+from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
 from wsgaps.semigroup import from_generators
 
 
@@ -87,6 +91,53 @@ def test_two_point_count_internals(y231, x21131):
     lam_x = sorted(enumerate_classical_Lambda(x21131, 1), key=lambda b: b[1])
     assert sum(b[0] + b[1] for b in lam_x) == 15
     assert sum(zeta(lam_x, t) for t in range(1, len(lam_x) + 1)) == 2
+
+
+def test_two_point_count_matches_zeta_definition(sweep):
+    checked = 0
+    for dc in sweep:
+        if count_Lambda(dc, 1) > 2000:
+            continue
+        lam = sorted(enumerate_classical_Lambda(dc, 1), key=lambda b: b[1])
+        by_definition = sum(b[0] + b[1] for b in lam) - sum(
+            zeta(lam, t) for t in range(1, len(lam) + 1)
+        )
+        assert count_gaps_two_points(dc) == by_definition, dc.params
+        checked += 1
+    assert checked >= 20
+
+
+@given(st.lists(st.integers(-50, 50), unique=True, max_size=40))
+def test_inversions_match_brute_force(xs):
+    n = len(xs)
+    assert _inversions(xs) == sum(
+        1 for s in range(n) for t in range(s + 1, n) if xs[s] > xs[t]
+    )
+
+
+def _enumerated_upper_bound(dc, m):
+    """The bound as a plain sum of box volumes over the enumerated maximals."""
+    total = 0
+    for beta in enumerate_classical_Lambda(dc, m):
+        for r in range(m + 1):
+            prod = 1
+            for s in range(m + 1):
+                if s != r:
+                    prod *= beta[s]
+            total += prod
+    return total
+
+
+def test_gap_count_upper_bound_matches_enumeration(sweep):
+    cases = [
+        (dc, m)
+        for dc in sweep
+        for m in range(1, min(3, dc.max_m) + 1)
+        if m < 3 or dc.genus <= 2000
+    ]
+    cases.append((curve("Y", q=4, n=5, s=5), 4))
+    for dc, m in cases:
+        assert gap_count_upper_bound(dc, m) == _enumerated_upper_bound(dc, m), (dc.params, m)
 
 
 def test_gap_count_upper_bound(y231, x21131):
