@@ -29,15 +29,6 @@ class GenusNotPositive(ParameterError):
     pass
 
 
-class Overflow(WsgapsError):
-    """Magnitude exceeded the exact-arithmetic contract.
-
-    All arithmetic in this package is arbitrary-precision, so silent
-    wraparound cannot occur; this class exists so callers can catch a
-    declared overflow condition uniformly.
-    """
-
-
 class GcdNotOne(WsgapsError):
     pass
 

@@ -22,10 +22,9 @@ def _default_bound(dc: DerivedConstants, bound: int | None) -> int:
     return 2 * dc.genus - 1 if bound is None else bound
 
 
-def _nabla_bar_slices(dc: DerivedConstants, m: int, bound: int) -> list[set]:
+def _nabla_bar_slices(lam: set, m: int, bound: int) -> list[set]:
     """slice[i] = all alpha in the simplex lying in some shifted open box
-    of a classical relative maximal at coordinate i."""
-    lam = enumerate_classical_Lambda(dc, m)
+    of a classical relative maximal (an element of lam) at coordinate i."""
     slices = [set() for _ in range(m + 1)]
     for beta in lam:
         for i in range(m + 1):
@@ -45,7 +44,7 @@ def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> s
     """Gap set from the relative maximals: union of the shifted open boxes."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    return set().union(*_nabla_bar_slices(dc, m, bound))
+    return set().union(*_nabla_bar_slices(enumerate_classical_Lambda(dc, m), m, bound))
 
 
 def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
@@ -57,7 +56,7 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     """
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    return set.intersection(*_nabla_bar_slices(dc, m, bound))
+    return set.intersection(*_nabla_bar_slices(enumerate_classical_Lambda(dc, m), m, bound))
 
 
 def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
@@ -156,12 +155,12 @@ def build_gap_report(dc: DerivedConstants, m: int) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
     independent one on the proven gap region sum(alpha) <= 2g - 1."""
     g_compl = gaps_via_complement(dc, m)
-    slices = _nabla_bar_slices(dc, m, 2 * dc.genus - 1)
+    lam = enumerate_classical_Lambda(dc, m)
+    slices = _nabla_bar_slices(lam, m, 2 * dc.genus - 1)
     checks = {
         "gap_routes_agree": set().union(*slices) == g_compl,
         "pure_gap_routes_agree": set.intersection(*slices) == pure_gaps_via_nabla(dc, m),
-        "lambda_count_formula": count_Lambda(dc, m)
-        == len(enumerate_classical_Lambda(dc, m)),
+        "lambda_count_formula": count_Lambda(dc, m) == len(lam),
         "gap_count_bound": len(g_compl) <= gap_count_upper_bound(dc, m),
     }
     if m == 1:

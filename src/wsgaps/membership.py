@@ -8,10 +8,11 @@ of the target coordinate mod e = (q+1)M forces the family member, and a
 witness exists iff one closed-form inequality holds; no box enumeration is
 involved.
 
-Two procedures share that reduction.  membership_test and witness_test
-build the residue tables once and return per-vector boolean closures; the
-gap scans and in_classical_H use them.  nabla_witness and in_generalized_H
-construct the witnesses themselves and serve `wsgaps member` and the tests.
+Two procedures read one residue table (_residue_tables) and one slack
+formula.  membership_test and witness_test return per-vector boolean
+closures for the gap scans and in_classical_H.  nabla_witness and
+in_generalized_H build the witness itself for `wsgaps member` and the
+tests: caps, first unpinned shift lowered by the slack.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .maximal import (
     MaximalElement,
     ThetaFamily,
     alpha_coord0,
-    index_pairs,
     pair_from_residue,
     realize,
 )
@@ -51,37 +51,31 @@ def lub(vectors) -> tuple[int, ...]:
     return tuple(max(v[i] for v in vectors) for i in range(n))
 
 
-def _lex_min_ks(
-    kmax: list[int], fixed: dict[int, int], total: int, exact: bool = True
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest ks with ks[p] <= kmax[p] (p free),
-    ks[p] = fixed[p] (p fixed) and sum(ks) == total (>= total when
-    exact=False); None if infeasible."""
-    free = [p for p in range(len(kmax)) if p not in fixed]
-    need = total - sum(fixed.values())
-    if need > sum(kmax[p] for p in free):
-        return None
-    if not free:
-        ok = need == 0 if exact else need <= 0
-        return tuple(fixed[p] for p in range(len(kmax))) if ok else None
-    ks = dict(fixed)
-    for idx, p in enumerate(free):
-        later = sum(kmax[u] for u in free[idx + 1 :])
-        ks[p] = need - later
-        need = later
-    return tuple(ks[p] for p in range(len(kmax)))
+def _residue_tables(dc: DerivedConstants, m: int):
+    """The family member each coordinate residue forces, as (rho, a0) with
+    a0 the zero-shift first coordinate.
+
+    by_rho[rho] serves r != 0 (rho = alpha_r mod e; ThetaFamily at rho = 0);
+    by_class[c] serves r = 0, keyed by a0 mod e.  The e first coordinates
+    fall in distinct classes mod e on every instance checked, which makes the
+    r = 0 lookup a single entry; a collision raises SelfCheckError.
+    """
+    e = dc.e
+    by_rho = [(0, 0)]
+    by_rho += [(rho, alpha_coord0(dc, m, pair_from_residue(dc, rho))) for rho in range(1, e)]
+    by_class: dict[int, tuple[int, int]] = {}
+    for entry in by_rho:
+        cls = entry[1] % e
+        if cls in by_class:
+            raise SelfCheckError(
+                f"residue {cls} mod {e} holds the first coordinates of both "
+                f"rho = {by_class[cls][0]} and rho = {entry[0]}"
+            )
+        by_class[cls] = entry
+    return by_rho, by_class
 
 
-@lru_cache(maxsize=None)
-def _pairs_by_coord0_residue(dc: DerivedConstants, m: int):
-    """Index pairs grouped by first-coordinate residue mod e, lex order kept
-    within each class.  Lets the r = 0 witness scan touch only the pairs
-    whose first coordinate can match the target at all."""
-    groups: dict[int, list] = {}
-    for pair in index_pairs(dc):
-        a0 = alpha_coord0(dc, m, pair)
-        groups.setdefault(a0 % dc.e, []).append((pair, a0))
-    return {rho: tuple(v) for rho, v in groups.items()}
+_cached_residue_tables = lru_cache(maxsize=None)(_residue_tables)
 
 
 def nabla_witness(
@@ -90,53 +84,39 @@ def nabla_witness(
     alpha: tuple[int, ...],
     r: int,
 ) -> MaximalElement | None:
-    """An absolute maximal gamma with gamma_r = alpha_r and gamma <= alpha.
+    """The absolute maximal gamma with gamma_r = alpha_r and gamma <= alpha
+    whose shifts ks are lexicographically smallest; None when none exists.
 
-    Returns None when no such element exists.
+    The residue tables force the member (rho, a0).  Every shift at its cap
+    (alpha_t - rho)//e gives the largest shift sum; lowering the first shift
+    not pinned by coordinate r by the slack keeps gamma_0 <= alpha_0 (equal
+    at r = 0) and is the lexicographically smallest choice.
     """
     check_m(dc, m)
     if len(alpha) != m + 1:
         raise LengthMismatch(f"expected a vector of length {m + 1}")
     e = dc.e
-
-    if r != 0:
-        rho = alpha[r] % e
-        if rho == 0:
-            kmax = [alpha[t + 1] // e for t in range(m)]
-            fixed = {r - 1: alpha[r] // e}
-            smin = -(alpha[0] // e)  # gamma_0 = -e*sum(ks) <= alpha_0
-            ks = _lex_min_ks(kmax, fixed, smin, exact=False)
-            return ThetaFamily(ks) if ks is not None else None
-        pair = pair_from_residue(dc, rho)
-        a0 = alpha_coord0(dc, m, pair)
-        kmax = [(alpha[t + 1] - rho) // e for t in range(m)]
-        fixed = {r - 1: (alpha[r] - rho) // e}
-        smin = -((alpha[0] - a0) // e)  # ceil((a0 - alpha_0)/e)
-        ks = _lex_min_ks(kmax, fixed, smin, exact=False)
-        return GammaFamily(pair, ks) if ks is not None else None
-
-    # r = 0: scan matching-residue index pairs in lexicographic order,
-    # ThetaFamily last.
-    for pair, a0 in _pairs_by_coord0_residue(dc, m).get(alpha[0] % e, ()):
-        rho = pair[0] * dc.M + pair[1]
-        kmax = [(alpha[t + 1] - rho) // e for t in range(m)]
-        ks = _lex_min_ks(kmax, {}, (a0 - alpha[0]) // e)
-        if ks is not None:
-            return GammaFamily(pair, ks)
-    if alpha[0] % e == 0:
-        kmax = [alpha[t + 1] // e for t in range(m)]
-        ks = _lex_min_ks(kmax, {}, -alpha[0] // e)
-        if ks is not None:
-            return ThetaFamily(ks)
-    return None
+    by_rho, by_class = _cached_residue_tables(dc, m)
+    forced = by_rho[alpha[r] % e] if r else by_class.get(alpha[0] % e)
+    if forced is None:
+        return None
+    rho, a0 = forced
+    ks = [(x - rho) // e for x in alpha[1:]]
+    slack = (alpha[0] - a0) // e + sum(ks)
+    if slack < 0:
+        return None
+    free = 1 if r == 1 else 0  # coordinate r >= 1 pins shift r - 1
+    if free < m:
+        ks[free] -= slack
+    return GammaFamily(pair_from_residue(dc, rho), tuple(ks)) if rho else ThetaFamily(tuple(ks))
 
 
 def in_generalized_H(dc: DerivedConstants, m: int, alpha) -> MembershipVerdict:
     """Decide membership in the generalized semigroup at (P_inf, P_1..P_m)."""
     alpha = tuple(alpha)
     witnesses: dict[int, MaximalElement] = {}
-    # Affine coordinates first: their witness parameters are fully forced,
-    # while coordinate 0 needs a scan over all index pairs.
+    # The order 1..m, 0 fixes failing_coordinate, which `wsgaps member`
+    # prints: the first affine coordinate without a witness, else 0.
     for r in list(range(1, m + 1)) + [0]:
         w = nabla_witness(dc, m, alpha, r)
         if w is None:
@@ -153,27 +133,14 @@ def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int
     """has_witness(alpha, r) == (nabla_witness(dc, m, alpha, r) is not None),
     decided without building the witness.
 
-    The residue of the target coordinate forces the family member (rho, a0):
-    for r != 0, rho = alpha_r mod e (by_rho; ThetaFamily at rho = 0); for
-    r = 0, the member whose first coordinate a0 matches alpha_0 mod e
-    (by_class).  Its shifts can reach alpha at r and stay below it elsewhere
-    iff (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e >= 0.
+    The residue of the target coordinate forces the family member (rho, a0)
+    through _residue_tables, built afresh here.  Its shifts can reach alpha
+    at r and stay below it elsewhere iff the slack
+    (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e is >= 0.
     """
     check_m(dc, m)
     e = dc.e
-    by_rho = [(0, 0)]
-    by_rho += [(rho, alpha_coord0(dc, m, pair_from_residue(dc, rho))) for rho in range(1, e)]
-    # The e first coordinates fall in distinct classes mod e on every
-    # instance checked, which makes the r = 0 lookup a single entry.
-    by_class: dict[int, tuple[int, int]] = {}
-    for entry in by_rho:
-        cls = entry[1] % e
-        if cls in by_class:
-            raise SelfCheckError(
-                f"residue {cls} mod {e} holds the first coordinates of both "
-                f"rho = {by_class[cls][0]} and rho = {entry[0]}"
-            )
-        by_class[cls] = entry
+    by_rho, by_class = _residue_tables(dc, m)
 
     def has_witness(alpha: tuple[int, ...], r: int) -> bool:
         forced = by_rho[alpha[r] % e] if r else by_class.get(alpha[0] % e)

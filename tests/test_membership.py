@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,47 @@ def test_failing_coordinate_is_first_in_witness_order(a0, a1, a2):
         verdict = in_generalized_H(dc, m, alpha)
         assert verdict.member == (not failing)
         assert verdict.failing_coordinate == (failing[0] if failing else None)
+
+
+def _realized_window(dc, m, window):
+    """Every GammaFamily/ThetaFamily member with shifts in
+    [-window, window]^m, realized and indexed by (coordinate, value).  Within
+    a bucket the members come in lexicographic order of their shifts (index
+    pairs before ThetaFamily on a tie); no residue table is consulted."""
+    pairs = [pair_from_residue(dc, rho) for rho in range(1, dc.e)]
+    index: dict = {}
+    for ks in product(range(-window, window + 1), repeat=m):
+        for elem in [GammaFamily(pair, ks) for pair in pairs] + [ThetaFamily(ks)]:
+            gamma = realize(dc, m, elem)
+            for r, x in enumerate(gamma):
+                index.setdefault((r, x), []).append((gamma, elem))
+    return index
+
+
+def test_nabla_witness_is_lex_min_of_brute_force_window(y231, x21131):
+    """nabla_witness against an independent reference: the realized member
+    with the lexicographically smallest shifts among those with
+    gamma_r = alpha_r and gamma <= alpha, or None when there is none.  Every
+    alpha with |alpha_i| <= 30 at m = 1 and <= 12 at m = 2; no expected
+    witness touches the edge of the shift window."""
+    window = 20
+    checked = 0
+    for dc in (y231, x21131):
+        for m in range(1, min(2, dc.max_m) + 1):
+            index = _realized_window(dc, m, window)
+            span = 30 if m == 1 else 12
+            for alpha in product(range(-span, span + 1), repeat=m + 1):
+                for r in range(m + 1):
+                    expected = next(
+                        (elem for gamma, elem in index.get((r, alpha[r]), ())
+                         if all(x <= a for x, a in zip(gamma, alpha))),
+                        None,
+                    )
+                    assert nabla_witness(dc, m, alpha, r) == expected, (dc.params, m, alpha, r)
+                    if expected is not None:
+                        assert max(map(abs, expected.ks)) < window, (dc.params, m, alpha, r)
+                    checked += 1
+    assert checked == 2 * 61**2 * 2 + 25**3 * 3
 
 
 def test_in_classical_H_rejects_bad_length(y231):
