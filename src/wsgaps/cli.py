@@ -13,14 +13,18 @@ import json
 import signal
 import sys
 from dataclasses import asdict
+from math import comb
 
 from . import gaps as gaps_mod
 from . import maximal, membership, oracle
 from .curves import curve
-from .errors import WsgapsError
+from .errors import TooMuchWork, WsgapsError
 
 SCHEMA_VERSION = "1"
 _JSON_SAFE = 2**53
+# Largest work estimate `gaps` runs; above it the command exits 2 at once
+# instead of running for hours or exhausting memory.
+GAPS_WORK_LIMIT = 10**8
 
 
 def _encode(obj):
@@ -173,6 +177,15 @@ def run(argv) -> int:
 
         if args.command == "gaps":
             bound = max(args.box_sum, 2 * dc.genus - 1)
+            # The threshold scan visits comb(bound + m, m) tails with e classes
+            # each; the Lambda route fills boxes of total volume
+            # gap_count_upper_bound, which also rejects a bad m first.
+            work = gaps_mod.gap_count_upper_bound(dc, args.m) + comb(bound + args.m, args.m) * dc.e
+            if work > GAPS_WORK_LIMIT:
+                raise TooMuchWork(
+                    f"gaps at m = {args.m} up to degree {bound} needs about {work} steps "
+                    f"(simplex tails x e + Lambda-box volume), above the limit {GAPS_WORK_LIMIT}"
+                )
             fn = gaps_mod.pure_gaps_via_lambda if args.pure else gaps_mod.gaps_via_lambda
             vecs = fn(dc, args.m, bound)
             check = (

@@ -57,6 +57,10 @@ class NotSorted(WsgapsError):
     pass
 
 
+class TooMuchWork(WsgapsError):
+    """A command's closed-form work estimate is above its fixed limit."""
+
+
 class SelfCheckError(Exception):
     """An internal consistency check failed: a defect in this package, never
     bad input.  Deliberately not a WsgapsError, so the CLI cannot report it

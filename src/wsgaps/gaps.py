@@ -4,18 +4,32 @@ bounding count formulas.
 All searches are confined to the simplex sum(alpha) <= 2g - 1: any
 nonnegative vector of total degree at least 2g is a semigroup member
 (nonspeciality of divisors of degree >= 2g), so no gap lies outside.
+
+The Lambda route unions the shifted open boxes of the relative maximals.
+The complement and nabla routes never read Lambda: they run one threshold
+scan over the residue tables of membership.  Fix a tail t = (alpha_1..alpha_m)
+with top = bound - sum(t).  A witness at coordinate r exists iff
+alpha_0 >= a0 - e*S(t), with (rho, a0) the forced table entry and
+S(t) = sum_s (alpha_s - rho)//e (the slack inequality, solved for alpha_0).
+Each r >= 1 fixes rho by alpha_r, so its threshold does not depend on
+alpha_0; r = 0 gives one threshold U_c per class c = alpha_0 mod e.  The
+gaps of the tail in class c are range(c, min(max(L, U_c), top + 1), e) with L
+the largest r >= 1 threshold; the pure gaps use the smallest and min.  A
+missing table entry means no witness at any alpha_0 and counts as top + 1.
+Cost: O(#tails * e * m + output), against O(#points * m^2) for a per-point
+membership test.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import NotSorted, WsgapsError
 from .maximal import (
     alpha_coord0, count_Lambda, enumerate_classical_Lambda, index_pairs, relative_shift,
 )
-from .membership import membership_test, witness_test
+from .membership import _residue_tables
 
 
 def _default_bound(dc: DerivedConstants, bound: int | None) -> int:
@@ -59,25 +73,42 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     return set.intersection(*_nabla_bar_slices(enumerate_classical_Lambda(dc, m), m, bound))
 
 
+def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> set:
+    """The non-members (pure: the vectors with no witness at any coordinate)
+    of the simplex sum(alpha) <= bound, one tail at a time."""
+    e = dc.e
+    by_rho, by_class = _residue_tables(dc, m)
+    classes = [by_class.get(c) for c in range(e)]
+    pick = min if pure else max
+    out: set = set()
+    for tail in simplex_points(m, bound):
+        cap = bound - sum(tail) + 1  # top + 1
+
+        def threshold(forced):
+            if forced is None:
+                return cap
+            rho, a0 = forced
+            return a0 - e * sum([(x - rho) // e for x in tail])
+
+        lim = pick([threshold(by_rho[x % e]) for x in tail])
+        tails = [repeat(x) for x in tail]
+        # A pure gap lies below every r >= 1 threshold, so no class >= lim has one.
+        for c in range(min(e, cap, lim) if pure else min(e, cap)):
+            hi = min(pick(lim, threshold(classes[c])), cap)
+            out.update(zip(range(c, hi, e), *tails))
+    return out
+
+
 def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
     """Independent route: complement of membership on the bounded simplex."""
     check_m(dc, m)
-    bound = _default_bound(dc, bound)
-    member = membership_test(dc, m)
-    return {a for a in simplex_points(m + 1, bound) if not member(a)}
+    return _threshold_scan(dc, m, _default_bound(dc, bound), pure=False)
 
 
 def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
     """Definition-based route: every coordinate witness must fail."""
     check_m(dc, m)
-    bound = _default_bound(dc, bound)
-    has_witness = witness_test(dc, m)
-    coords = range(m + 1)
-    return {
-        a
-        for a in simplex_points(m + 1, bound)
-        if not any(has_witness(a, r) for r in coords)
-    }
+    return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
 
 
 def zeta(sorted_lambda: list, t: int) -> int:

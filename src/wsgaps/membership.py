@@ -8,11 +8,13 @@ of the target coordinate mod e = (q+1)M forces the family member, and a
 witness exists iff one closed-form inequality holds; no box enumeration is
 involved.
 
-Two procedures read one residue table (_residue_tables) and one slack
+Everything reads one residue table (_residue_tables) and one slack
 formula.  membership_test and witness_test return per-vector boolean
-closures for the gap scans and in_classical_H.  nabla_witness and
-in_generalized_H build the witness itself for `wsgaps member` and the
-tests: caps, first unpinned shift lowered by the slack.
+closures for in_classical_H, the one-point gaps, the oracle's closure check
+and the tests; the gap scans in gaps.py solve the same inequality for
+alpha_0 once per tail.  nabla_witness and in_generalized_H build the witness
+itself for `wsgaps member` and the tests: caps, first unpinned shift lowered
+by the slack.
 """
 
 from __future__ import annotations

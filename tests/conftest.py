@@ -37,21 +37,23 @@ def sweep():
 
 @pytest.fixture
 def drop_theta(monkeypatch):
-    """Mutation harness: a boolean membership test without the ThetaFamily
-    witnesses, i.e. no witness at a coordinate divisible by e.
+    """Mutation harness: residue tables without the ThetaFamily member, i.e.
+    no witness at a coordinate divisible by e.
 
-    Every wsgaps module attribute bound to witness_test is replaced, so the
-    gap scans, membership_test and in_classical_H all see the mutant.
+    by_rho[0] becomes None and the by_class entry with rho = 0 is dropped.
+    Every wsgaps module attribute bound to _residue_tables is replaced, so the
+    threshold scans, witness_test, membership_test and in_classical_H all see
+    the mutant; the witness builder keeps its own cached tables.
     """
-    real = membership.witness_test
+    real = membership._residue_tables
 
     def mutant(dc, m):
-        has_witness = real(dc, m)
-        return lambda alpha, r: alpha[r] % dc.e != 0 and has_witness(alpha, r)
+        by_rho, by_class = real(dc, m)
+        return [None] + by_rho[1:], {c: f for c, f in by_class.items() if f[0] != 0}
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("wsgaps.") and getattr(mod, "witness_test", None) is real:
-            monkeypatch.setattr(mod, "witness_test", mutant)
+        if name.startswith("wsgaps.") and getattr(mod, "_residue_tables", None) is real:
+            monkeypatch.setattr(mod, "_residue_tables", mutant)
     membership._cached_membership_test.cache_clear()
     yield
     membership._cached_membership_test.cache_clear()

@@ -43,7 +43,8 @@ SWEEP = sweep_instances()
 # at desk scale; larger instances are covered by the formula-side criteria.
 BRUTE_GENUS_CAP = 1000
 
-_GAP_CACHE: dict = {}
+# Complement-route gap counts by (instance, m); criteria 5-7 share them.
+_GAP_COUNTS: dict = {}
 
 
 def _label(dc):
@@ -59,10 +60,25 @@ def _verdict(num, name, ok):
 
 
 def _complement_gaps(dc, m):
-    key = (dc, m)
-    if key not in _GAP_CACHE:
-        _GAP_CACHE[key] = gaps_via_complement(dc, m)
-    return _GAP_CACHE[key]
+    gaps = gaps_via_complement(dc, m)
+    _GAP_COUNTS[dc, m] = len(gaps)
+    return gaps
+
+
+def _complement_gap_count(dc, m):
+    if (dc, m) not in _GAP_COUNTS:
+        _complement_gaps(dc, m)
+    return _GAP_COUNTS[dc, m]
+
+
+def _route_cases():
+    """The (instance, m) pairs of criteria 5 and 7: m = 1 up to
+    BRUTE_GENUS_CAP, m <= 2 up to g = 100, every m up to g = 10."""
+    for dc in SWEEP:
+        g = dc.genus
+        top = dc.max_m if g <= 10 else 2 if g <= 100 else 1 if g <= BRUTE_GENUS_CAP else 0
+        for m in range(1, min(top, dc.max_m) + 1):
+            yield dc, m
 
 
 def test_01_genus_frobenius_sweep():
@@ -121,16 +137,13 @@ def test_04_lambda_counting_formula():
 def test_05_gap_route_agreement():
     t0 = time.time()
     ok = True
-    for dc in SWEEP:
-        if dc.genus > 100:
-            continue
-        for m in range(1, min(2, dc.max_m) + 1):
-            ok &= gaps_via_lambda(dc, m) == _complement_gaps(dc, m)
-            ok &= pure_gaps_via_lambda(dc, m) == pure_gaps_via_nabla(dc, m)
+    for dc, m in _route_cases():
+        ok &= gaps_via_lambda(dc, m) == _complement_gaps(dc, m)
+        ok &= pure_gaps_via_lambda(dc, m) == pure_gaps_via_nabla(dc, m)
     elapsed = time.time() - t0
     ok &= elapsed < 300
-    _verdict(5, f"gap and pure-gap route agreement, g <= 100, m in {{1,2}} "
-                f"({elapsed:.1f}s)", ok)
+    _verdict(5, f"gap and pure-gap route agreement, m = 1 for g <= {BRUTE_GENUS_CAP}, "
+                f"m <= 2 for g <= 100, every m for g <= 10 ({elapsed:.1f}s)", ok)
 
 
 def test_06_two_point_exact_count():
@@ -139,23 +152,24 @@ def test_06_two_point_exact_count():
     for dc in SWEEP:
         formula = count_gaps_two_points(dc)
         if dc.genus <= BRUTE_GENUS_CAP:
-            ok &= formula == len(_complement_gaps(dc, 1))
+            ok &= formula == _complement_gap_count(dc, 1)
             checked += 1
     x = curve("X", p=2, a=1, b=1, n=3, s=1)
     y = curve("Y", q=2, n=3, s=1)
-    ok &= count_gaps_two_points(x) == 13 == len(_complement_gaps(x, 1))
-    ok &= count_gaps_two_points(y) == 115 == len(_complement_gaps(y, 1))
+    ok &= count_gaps_two_points(x) == 13 == _complement_gap_count(x, 1)
+    ok &= count_gaps_two_points(y) == 115 == _complement_gap_count(y, 1)
     _verdict(6, f"two-point gap count formula vs brute force "
                 f"({checked} instances)", ok)
 
 
 def test_07_gap_count_upper_bound():
     ok = True
-    for (dc, m), gaps in _GAP_CACHE.items():
-        ok &= len(gaps) <= gap_count_upper_bound(dc, m)
-    ok &= len(_GAP_CACHE) > 0
+    cases = list(_route_cases())
+    for dc, m in cases:
+        ok &= _complement_gap_count(dc, m) <= gap_count_upper_bound(dc, m)
+    ok &= len(cases) > 0
     _verdict(7, f"gap count within the box-volume bound "
-                f"({len(_GAP_CACHE)} gap sets)", ok)
+                f"({len(cases)} gap sets)", ok)
 
 
 def test_08_oracle_equivalence():

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -185,6 +186,20 @@ def test_closed_stdout_ends_by_sigpipe():
 def test_bad_m_exit_2(capsys):
     assert run(["gamma", *Y231, "--m", "5"]) == 2
     assert "BadM" in capsys.readouterr().err
+
+
+def test_gaps_refuses_work_that_cannot_finish(capsys):
+    # X(3,2,1,3,1) at m = 3: about 7e16 steps; Y(3,3,1) at m = 3: about 1.6e8.
+    for argv in (["--family", "X", "--p", "3", "--a", "2", "--b", "1", "--n", "3", "--s", "1"],
+                 ["--family", "Y", "--q", "3", "--n", "3", "--s", "1"]):
+        t0 = time.perf_counter()
+        assert run(["gaps", *argv, "--m", "3"]) == 2
+        assert time.perf_counter() - t0 < 5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "TooMuchWork" in out.err and "above the limit 100000000" in out.err
+    assert run(["gaps", *Y231, "--m", "1", "--box-sum", str(10**8)]) == 2
+    assert "TooMuchWork" in capsys.readouterr().err
 
 
 def test_output_stability(capsys):

@@ -1,7 +1,7 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsgaps.curves import curve
@@ -19,6 +19,7 @@ from wsgaps.gaps import (
     zeta,
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
+from wsgaps.membership import membership_test, witness_test
 from wsgaps.semigroup import from_generators
 
 
@@ -165,3 +166,69 @@ def test_build_gap_report_detects_dropped_theta(y231, drop_theta):
     checks = build_gap_report(y231, 1)
     assert checks["gap_routes_agree"] is False
     assert checks["pure_gap_routes_agree"] is False
+
+
+def _per_point_routes(dc, m, bound):
+    """Gaps and pure gaps of the simplex sum(alpha) <= bound, one
+    membership_test / witness_test call per point."""
+    member = membership_test(dc, m)
+    has_witness = witness_test(dc, m)
+    gaps, pure = set(), set()
+    for a in simplex_points(m + 1, bound):
+        if not member(a):
+            gaps.add(a)
+            if not any(has_witness(a, r) for r in range(m + 1)):
+                pure.add(a)
+    return gaps, pure
+
+
+def _assert_scan_matches_per_point(dc, m, bounds):
+    """Both scan routes against the per-point sets; the verdict of a point
+    does not depend on the bound, so one pass at the largest bound serves."""
+    gaps, pure = _per_point_routes(dc, m, max(bounds))
+    for bound in bounds:
+        assert gaps_via_complement(dc, m, bound) == {a for a in gaps if sum(a) <= bound}, (
+            dc.params, m, bound)
+        assert pure_gaps_via_nabla(dc, m, bound) == {a for a in pure if sum(a) <= bound}, (
+            dc.params, m, bound)
+
+
+def test_threshold_scan_matches_per_point_oracle(sweep):
+    """Bounds with top < e, classes beyond top, the proven region and a
+    region wider than it, on every sweep instance with g <= 100, m <= 2."""
+    checked = 0
+    for dc in sweep:
+        if dc.genus > 100:
+            continue
+        for m in range(1, min(2, dc.max_m) + 1):
+            g = dc.genus
+            _assert_scan_matches_per_point(dc, m, {0, 1, dc.e - 1, 2 * g - 1, 2 * g + dc.e})
+            checked += 1
+    assert checked >= 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_threshold_scan_matches_per_point_oracle_high_m(sweep, data):
+    dc = data.draw(st.sampled_from([d for d in sweep if d.genus <= 10 and d.max_m >= 3]))
+    m = data.draw(st.integers(3, dc.max_m))
+    bound = data.draw(st.integers(0, 2 * dc.genus + dc.e))
+    _assert_scan_matches_per_point(dc, m, {bound})
+
+
+def test_drop_theta_is_the_witness_mutant(sweep, request):
+    """The table-level drop_theta mutant equals `alpha[r] % e != 0 and
+    has_witness(alpha, r)` on every simplex point at bound 2g and every r,
+    and the scans under it equal the per-point routes."""
+    cases = [(dc, m) for dc in sweep if dc.genus <= 60 for m in range(1, min(2, dc.max_m) + 1)]
+    real = [witness_test(dc, m) for dc, m in cases]
+    request.getfixturevalue("drop_theta")
+    pairs = 0
+    for (dc, m), has_witness in zip(cases, real):
+        mutant = witness_test(dc, m)
+        for a in simplex_points(m + 1, 2 * dc.genus):
+            for r in range(m + 1):
+                assert mutant(a, r) == (a[r] % dc.e != 0 and has_witness(a, r)), (dc.params, a, r)
+                pairs += 1
+        _assert_scan_matches_per_point(dc, m, {2 * dc.genus - 1})
+    assert pairs == 449_846
