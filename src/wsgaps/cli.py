@@ -22,9 +22,9 @@ from .errors import TooMuchWork, WsgapsError
 
 SCHEMA_VERSION = "1"
 _JSON_SAFE = 2**53
-# Largest work estimate `gaps` runs; above it the command exits 2 at once
-# instead of running for hours or exhausting memory.
-GAPS_WORK_LIMIT = 10**8
+# Largest work estimate `gaps` and `verify` run; above it the command exits 2
+# at once instead of running for hours or exhausting memory.
+WORK_LIMIT = 10**8
 
 
 def _encode(obj):
@@ -85,6 +85,20 @@ def _emit(record: dict, fmt: str) -> None:
                 print(f"{k}.{name}\t{_tsv_field(rows[k][name])}")
         else:
             print(f"{k}\t{_tsv_field(rows[k])}")
+
+
+def _gaps_work(dc, m: int, bound: int) -> int:
+    """Steps of `gaps` up to degree bound: comb(bound + m, m) threshold-scan
+    tails with e classes each, plus the Lambda-box volume (which checks m)."""
+    return gaps_mod.gap_count_upper_bound(dc, m) + comb(bound + m, m) * dc.e
+
+
+def _refuse_above_limit(command: str, m: int, bound: int, work: int) -> None:
+    if work > WORK_LIMIT:
+        raise TooMuchWork(
+            f"{command} at m = {m} up to degree {bound} needs about {work} steps, "
+            f"above the limit {WORK_LIMIT}"
+        )
 
 
 def _add_param_flags(sub):
@@ -177,15 +191,7 @@ def run(argv) -> int:
 
         if args.command == "gaps":
             bound = max(args.box_sum, 2 * dc.genus - 1)
-            # The threshold scan visits comb(bound + m, m) tails with e classes
-            # each; the Lambda route fills boxes of total volume
-            # gap_count_upper_bound, which also rejects a bad m first.
-            work = gaps_mod.gap_count_upper_bound(dc, args.m) + comb(bound + args.m, args.m) * dc.e
-            if work > GAPS_WORK_LIMIT:
-                raise TooMuchWork(
-                    f"gaps at m = {args.m} up to degree {bound} needs about {work} steps "
-                    f"(simplex tails x e + Lambda-box volume), above the limit {GAPS_WORK_LIMIT}"
-                )
+            _refuse_above_limit("gaps", args.m, bound, _gaps_work(dc, args.m, bound))
             fn = gaps_mod.pure_gaps_via_lambda if args.pure else gaps_mod.gaps_via_lambda
             vecs = fn(dc, args.m, bound)
             check = (
@@ -224,7 +230,11 @@ def run(argv) -> int:
             return 0
 
         if args.command == "verify":
-            checks = oracle.consistency_report(dc, args.m, bound=max(args.box_sum, 2 * dc.genus))
+            bound = max(args.box_sum, 2 * dc.genus)
+            # The gap routes as in `gaps`, plus the closure walk over the simplex.
+            work = _gaps_work(dc, args.m, bound) + comb(bound + args.m + 1, args.m + 1)
+            _refuse_above_limit("verify", args.m, bound, work)
+            checks = oracle.consistency_report(dc, args.m, bound=bound)
             _emit(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
             return 0 if all(checks.values()) else 1
     except WsgapsError as err:

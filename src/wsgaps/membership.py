@@ -8,13 +8,12 @@ of the target coordinate mod e = (q+1)M forces the family member, and a
 witness exists iff one closed-form inequality holds; no box enumeration is
 involved.
 
-Everything reads one residue table (_residue_tables) and one slack
-formula.  membership_test and witness_test return per-vector boolean
-closures for in_classical_H, the one-point gaps, the oracle's closure check
-and the tests; the gap scans in gaps.py solve the same inequality for
-alpha_0 once per tail.  nabla_witness and in_generalized_H build the witness
-itself for `wsgaps member` and the tests: caps, first unpinned shift lowered
-by the slack.
+Everything reads one cached residue table and one slack formula.  Per
+point, nabla_witness builds the witness (caps, first unpinned shift lowered
+by the slack) for in_generalized_H, in_classical_H and `wsgaps member`;
+witness_test decides the same inequality as a boolean closure, for the
+one-point gaps and the tests.  Sets come from the threshold scan in
+gaps.py, which solves the inequality for alpha_0 once per tail.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ def lub(vectors) -> tuple[int, ...]:
     return tuple(max(v[i] for v in vectors) for i in range(n))
 
 
+@lru_cache(maxsize=None)
 def _residue_tables(dc: DerivedConstants, m: int):
     """The family member each coordinate residue forces, as (rho, a0) with
     a0 the zero-shift first coordinate.
@@ -60,7 +60,8 @@ def _residue_tables(dc: DerivedConstants, m: int):
     by_rho[rho] serves r != 0 (rho = alpha_r mod e; ThetaFamily at rho = 0);
     by_class[c] serves r = 0, keyed by a0 mod e.  The e first coordinates
     fall in distinct classes mod e on every instance checked, which makes the
-    r = 0 lookup a single entry; a collision raises SelfCheckError.
+    r = 0 lookup a single entry; a collision raises SelfCheckError.  The
+    result is cached and shared, so callers must not mutate it.
     """
     e = dc.e
     by_rho = [(0, 0)]
@@ -75,9 +76,6 @@ def _residue_tables(dc: DerivedConstants, m: int):
             )
         by_class[cls] = entry
     return by_rho, by_class
-
-
-_cached_residue_tables = lru_cache(maxsize=None)(_residue_tables)
 
 
 def nabla_witness(
@@ -98,7 +96,7 @@ def nabla_witness(
     if len(alpha) != m + 1:
         raise LengthMismatch(f"expected a vector of length {m + 1}")
     e = dc.e
-    by_rho, by_class = _cached_residue_tables(dc, m)
+    by_rho, by_class = _residue_tables(dc, m)
     forced = by_rho[alpha[r] % e] if r else by_class.get(alpha[0] % e)
     if forced is None:
         return None
@@ -136,9 +134,9 @@ def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int
     decided without building the witness.
 
     The residue of the target coordinate forces the family member (rho, a0)
-    through _residue_tables, built afresh here.  Its shifts can reach alpha
-    at r and stay below it elsewhere iff the slack
-    (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e is >= 0.
+    through _residue_tables.  Its shifts can reach alpha at r and stay below
+    it elsewhere iff the slack (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e
+    is >= 0.
     """
     check_m(dc, m)
     e = dc.e
@@ -154,25 +152,12 @@ def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int
     return has_witness
 
 
-def membership_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...]], bool]:
-    """member(alpha) == in_generalized_H(dc, m, alpha).member: witness_test
-    at every coordinate."""
-    has_witness = witness_test(dc, m)
-    coords = range(m + 1)
-    return lambda alpha: all(has_witness(alpha, r) for r in coords)
-
-
-_cached_membership_test = lru_cache(maxsize=None)(membership_test)
-
-
 def in_classical_H(dc: DerivedConstants, m: int, alpha) -> bool:
-    """Membership with every coordinate >= 0, by the boolean test."""
+    """Membership with every coordinate >= 0."""
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         return False
-    if len(alpha) != m + 1:
-        raise LengthMismatch(f"expected a vector of length {m + 1}")
-    return _cached_membership_test(dc, m)(alpha)
+    return in_generalized_H(dc, m, alpha).member
 
 
 def one_point_gaps_at_P1(dc: DerivedConstants) -> tuple[int, ...]:

@@ -14,14 +14,13 @@ from itertools import product
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_points
 from .errors import BadBox
-from .gaps import build_gap_report
+from .gaps import build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
     gamma_hat_in_C,
     lambda_hat_in_C,
 )
-from .membership import membership_test
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,12 @@ def default_box(dc: DerivedConstants, m: int, bound: int | None = None) -> Box:
     Witnesses agree with the target at one coordinate and sit at most one
     lattice period below it elsewhere; the coordinate-0 slack additionally
     absorbs the forced shift sums, giving the (m+2)-fold padding below.
+    The affine upper end max(bound, m*e - 1) holds every closed-form family
+    vector of the sweep instances (a test checks it); bound alone does not.
     """
     bound = 2 * dc.genus if bound is None else bound
     hi0 = max(bound, dc.q**2 * dc.e // dc.pb)
-    hit = max(bound, dc.e - 1)
+    hit = max(bound, m * dc.e - 1)
     lo = -((m + 2) * (bound + dc.e) + (dc.q**3 + dc.q**2 * dc.e) // dc.pb)
     return Box(lower=(lo,) * (m + 1), upper=(hi0,) + (hit,) * m)
 
@@ -151,9 +152,11 @@ def index_generators(gens) -> dict:
 def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -> dict[str, bool]:
     """Run the full cross-validation suite; all verdicts True means pass.
 
-    The closure checks run on the simplex sum(alpha) <= bound (2g by
-    default); the gap-side table always runs on its proven region
-    sum(alpha) <= 2g - 1.
+    The closure check walks the simplex sum(alpha) <= bound (2g by default)
+    and compares the monomial lub closure with the threshold scan's gap set
+    (gaps_via_complement) at the same bound: a point is in the closure iff
+    it is not a gap.  The closed-form families must lie in the closure too.
+    The gap-side table always runs on its proven region sum(alpha) <= 2g - 1.
     """
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
@@ -161,18 +164,17 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -
     mono = monomial_vectors_in_box(dc, m, box)
     idx = index_generators(mono)
 
-    member = membership_test(dc, m)
+    gaps = gaps_via_complement(dc, m, bound)
     checks = {
         "closure_matches_membership": all(
-            in_lub_closure(idx, a) == member(a) for a in simplex_points(m + 1, bound)
+            in_lub_closure(idx, a) != (a in gaps) for a in simplex_points(m + 1, bound)
         )
     }
+    del gaps  # released before build_gap_report builds its own sets
 
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
     families |= enumerate_classical_Gamma(dc, m) | enumerate_classical_Lambda(dc, m)
-    checks["families_in_closure"] = all(
-        in_lub_closure(idx, v) for v in families if v in box
-    )
+    checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)
 
     checks.update(build_gap_report(dc, m))
     return checks

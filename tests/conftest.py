@@ -41,9 +41,10 @@ def drop_theta(monkeypatch):
     no witness at a coordinate divisible by e.
 
     by_rho[0] becomes None and the by_class entry with rho = 0 is dropped.
-    Every wsgaps module attribute bound to _residue_tables is replaced, so the
-    threshold scans, witness_test, membership_test and in_classical_H all see
-    the mutant; the witness builder keeps its own cached tables.
+    Every wsgaps module attribute bound to _residue_tables is replaced, so
+    every membership decision sees the mutant: the threshold scans (and with
+    them the oracle's closure check), witness_test, nabla_witness,
+    in_generalized_H and in_classical_H.
     """
     real = membership._residue_tables
 
@@ -54,9 +55,6 @@ def drop_theta(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("wsgaps.") and getattr(mod, "_residue_tables", None) is real:
             monkeypatch.setattr(mod, "_residue_tables", mutant)
-    membership._cached_membership_test.cache_clear()
-    yield
-    membership._cached_membership_test.cache_clear()
 
 
 def dp_members(gens, limit):

@@ -202,6 +202,20 @@ def test_gaps_refuses_work_that_cannot_finish(capsys):
     assert "TooMuchWork" in capsys.readouterr().err
 
 
+def test_verify_refuses_work_that_cannot_finish(capsys):
+    # Y(3,3,1) at m = 3: about 2.2e8 steps; Y(2,3,1) up to degree 100000 at
+    # m = 1: about 5e9.
+    for argv in (["--family", "Y", "--q", "3", "--n", "3", "--s", "1", "--m", "3"],
+                 [*Y231, "--m", "1", "--box-sum", "100000"]):
+        t0 = time.perf_counter()
+        assert run(["verify", *argv]) == 2
+        assert time.perf_counter() - t0 < 5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "TooMuchWork" in out.err and "above the limit 100000000" in out.err
+        assert "Traceback" not in out.err
+
+
 def test_output_stability(capsys):
     run(["gaps", *Y231, "--m", "1"])
     first = capsys.readouterr().out

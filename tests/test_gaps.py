@@ -19,7 +19,7 @@ from wsgaps.gaps import (
     zeta,
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
-from wsgaps.membership import membership_test, witness_test
+from wsgaps.membership import witness_test
 from wsgaps.semigroup import from_generators
 
 
@@ -170,14 +170,15 @@ def test_build_gap_report_detects_dropped_theta(y231, drop_theta):
 
 def _per_point_routes(dc, m, bound):
     """Gaps and pure gaps of the simplex sum(alpha) <= bound, one
-    membership_test / witness_test call per point."""
-    member = membership_test(dc, m)
+    witness_test call per point and coordinate: a gap lacks a witness at
+    some coordinate, a pure gap at every coordinate."""
     has_witness = witness_test(dc, m)
     gaps, pure = set(), set()
     for a in simplex_points(m + 1, bound):
-        if not member(a):
+        found = [has_witness(a, r) for r in range(m + 1)]
+        if not all(found):
             gaps.add(a)
-            if not any(has_witness(a, r) for r in range(m + 1)):
+            if not any(found):
                 pure.add(a)
     return gaps, pure
 

@@ -2,9 +2,16 @@
 
 import pytest
 
+from wsgaps import gaps
+from wsgaps.curves import simplex_points
 from wsgaps.errors import BadBox
-from wsgaps.maximal import gamma_hat_in_C
-from wsgaps.membership import in_generalized_H
+from wsgaps.maximal import (
+    enumerate_classical_Gamma,
+    enumerate_classical_Lambda,
+    gamma_hat_in_C,
+    lambda_hat_in_C,
+)
+from wsgaps.membership import in_classical_H, in_generalized_H
 from wsgaps.oracle import (
     Box,
     consistency_report,
@@ -93,3 +100,47 @@ def test_consistency_report_x21131(x21131):
 def test_mutation_dropping_theta_is_detected(y231, drop_theta):
     checks = consistency_report(y231, 1)
     assert checks["closure_matches_membership"] is False
+
+
+def test_default_box_holds_every_family_vector(sweep):
+    """families_in_closure tests every closed-form family vector, so each must
+    lie in the box whose monomials it is tested against: every sweep case
+    with m <= 3 (g <= 2000 at m = 3) and m = 4 with g <= 60."""
+    checked = 0
+    for dc in sweep:
+        for m in range(1, min(4, dc.max_m) + 1):
+            if (m == 3 and dc.genus > 2000) or (m == 4 and dc.genus > 60):
+                continue
+            box = default_box(dc, m, 2 * dc.genus)
+            families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
+            families |= enumerate_classical_Gamma(dc, m) | enumerate_classical_Lambda(dc, m)
+            assert all(v in box for v in families), (dc.params, m)
+            checked += 1
+    assert checked >= 65
+
+
+def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
+    """A gap scan that loses its smallest gap must fail the closure check."""
+    real = gaps._threshold_scan
+
+    def lossy(dc, m, bound, pure):
+        out = real(dc, m, bound, pure)
+        if not pure:
+            out.discard(min(out))
+        return out
+
+    monkeypatch.setattr(gaps, "_threshold_scan", lossy)
+    assert consistency_report(y231, 1)["closure_matches_membership"] is False
+
+
+def test_mutant_reaches_every_membership_decision(y231, drop_theta):
+    """Under drop_theta the per-point entry points and the scan give one
+    verdict on every simplex point at bound 2g, and the mutant shows."""
+    for m in (1, 2):
+        bound = 2 * y231.genus
+        scan_gaps = gaps.gaps_via_complement(y231, m, bound)
+        for a in simplex_points(m + 1, bound):
+            member = a not in scan_gaps
+            assert in_generalized_H(y231, m, a).member == member, (m, a)
+            assert in_classical_H(y231, m, a) == member, (m, a)
+        assert (0,) * (m + 1) in scan_gaps
