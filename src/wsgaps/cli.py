@@ -17,7 +17,7 @@ from math import comb
 
 from . import gaps as gaps_mod
 from . import maximal, membership, oracle
-from .curves import curve
+from .curves import check_m, curve
 from .errors import TooMuchWork, WsgapsError
 
 SCHEMA_VERSION = "1"
@@ -41,18 +41,8 @@ def _encode(obj):
 
 
 def _record(dc, payload) -> dict:
-    params = {k: v for k, v in asdict(dc.params).items() if v is not None}
-    derived = {
-        "q": dc.q,
-        "pb": dc.pb,
-        "M": dc.M,
-        "e": dc.e,
-        "gens": list(dc.gens),
-        "genus": dc.genus,
-        "frobenius": dc.frobenius,
-        "canonical_degree": dc.canonical_degree,
-        "max_m": dc.max_m,
-    }
+    derived = asdict(dc)
+    params = {k: v for k, v in derived.pop("params").items() if v is not None}
     return {
         "schema_version": SCHEMA_VERSION,
         "params": _encode(params),
@@ -87,16 +77,17 @@ def _emit(record: dict, fmt: str) -> None:
             print(f"{k}\t{_tsv_field(rows[k])}")
 
 
-def _gaps_work(dc, m: int, bound: int) -> int:
-    """Steps of `gaps` up to degree bound: comb(bound + m, m) threshold-scan
-    tails with e classes each, plus the Lambda-box volume (which checks m)."""
-    return gaps_mod.gap_count_upper_bound(dc, m) + comb(bound + m, m) * dc.e
-
-
-def _refuse_above_limit(command: str, m: int, bound: int, work: int) -> None:
+def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> None:
+    """Raise TooMuchWork when closed_form plus the Lambda-box volume exceeds
+    WORK_LIMIT.  The volume (gap_count_upper_bound) is a convolution whose
+    length grows with the instance, so it runs only when closed_form is under
+    the limit."""
+    work = closed_form
+    if work <= WORK_LIMIT:
+        work += gaps_mod.gap_count_upper_bound(dc, m)
     if work > WORK_LIMIT:
         raise TooMuchWork(
-            f"{command} at m = {m} up to degree {bound} needs about {work} steps, "
+            f"{command} at m = {m} up to degree {bound} needs at least {work} steps, "
             f"above the limit {WORK_LIMIT}"
         )
 
@@ -109,15 +100,13 @@ def _add_param_flags(sub):
 
 
 def _curve_from_args(args):
-    kwargs = {"n": args.n, "s": args.s}
-    if args.family == "X":
-        kwargs.update(p=args.p, a=args.a, b=args.b)
-    else:
-        kwargs.update(q=args.q)
-    missing = [k for k, v in kwargs.items() if v is None]
+    required = ("n", "s", "p", "a", "b") if args.family == "X" else ("n", "s", "q")
+    missing = [k for k in required if getattr(args, k) is None]
     if missing:
         raise WsgapsError(f"missing flags for family {args.family}: {missing}")
-    return curve(args.family, **kwargs)
+    # Every given flag goes through, so validate_params rejects the other family's.
+    given = {k: getattr(args, k) for k in ("p", "a", "b", "q", "n", "s")}
+    return curve(args.family, **{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_vector(text: str, length: int) -> tuple[int, ...]:
@@ -180,6 +169,9 @@ def run(argv) -> int:
             _emit(_record(dc, {}), args.format)
             return 0
 
+        # Every other command takes --m; the work estimates need it in range.
+        check_m(dc, args.m)
+
         if args.command in ("gamma", "lambda"):
             classical, in_C = {
                 "gamma": (maximal.enumerate_classical_Gamma, maximal.gamma_hat_in_C),
@@ -191,7 +183,8 @@ def run(argv) -> int:
 
         if args.command == "gaps":
             bound = max(args.box_sum, 2 * dc.genus - 1)
-            _refuse_above_limit("gaps", args.m, bound, _gaps_work(dc, args.m, bound))
+            # comb(bound + m, m) threshold-scan tails with e classes each.
+            _refuse_above_limit(dc, "gaps", args.m, bound, comb(bound + args.m, args.m) * dc.e)
             fn = gaps_mod.pure_gaps_via_lambda if args.pure else gaps_mod.gaps_via_lambda
             vecs = fn(dc, args.m, bound)
             check = (
@@ -231,9 +224,9 @@ def run(argv) -> int:
 
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
-            # The gap routes as in `gaps`, plus the closure walk over the simplex.
-            work = _gaps_work(dc, args.m, bound) + comb(bound + args.m + 1, args.m + 1)
-            _refuse_above_limit("verify", args.m, bound, work)
+            # The threshold scan as in `gaps`, plus the closure walk over the simplex.
+            work = comb(bound + args.m, args.m) * dc.e + comb(bound + args.m + 1, args.m + 1)
+            _refuse_above_limit(dc, "verify", args.m, bound, work)
             checks = oracle.consistency_report(dc, args.m, bound=bound)
             _emit(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
             return 0 if all(checks.values()) else 1

@@ -120,6 +120,8 @@ def validate_params(
     if family == "X":
         if p is None or a is None or b is None:
             raise ParameterError("family X requires p, a and b")
+        if q is not None:
+            raise ParameterError("family X takes no q; it is p^a")
         if p < 2 or a < 1 or b < 1:
             raise ParameterError("p, a, b must be positive")
         if not _is_prime(p):

@@ -25,10 +25,8 @@ from __future__ import annotations
 from itertools import product, repeat
 
 from .curves import DerivedConstants, check_m, simplex_points
-from .errors import NotSorted, WsgapsError
-from .maximal import (
-    alpha_coord0, count_Lambda, enumerate_classical_Lambda, index_pairs, relative_shift,
-)
+from .errors import NotSorted, SelfCheckError, WsgapsError
+from .maximal import coord0, count_Lambda, enumerate_classical_Lambda, relative_shift
 from .membership import _residue_tables
 
 
@@ -147,7 +145,7 @@ def count_gaps_two_points(dc: DerivedConstants) -> int:
     lam = sorted(enumerate_classical_Lambda(dc, 1), key=lambda b: b[1])
     # The formula needs all first and all second coordinates pairwise distinct.
     if len({b[0] for b in lam}) != len(lam) or len({b[1] for b in lam}) != len(lam):
-        raise WsgapsError("relative maximals have repeated coordinates")
+        raise SelfCheckError(f"relative maximals of {dc.params} at m = 1 have repeated coordinates")
     return sum(b[0] + b[1] for b in lam) - _inversions([b[0] for b in lam])
 
 
@@ -173,13 +171,10 @@ def _box_volume_sum(c: int, rho: int, e: int, m: int) -> int:
 
 def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
     """Sum over the classical relative maximals of the shifted-box volumes,
-    in closed form per index pair (ThetaFamily: c = shift, rho = 0)."""
+    in closed form per residue rho."""
     check_m(dc, m)
     shift = relative_shift(dc, m)
-    total = _box_volume_sum(shift, 0, dc.e, m)
-    for i, j in index_pairs(dc):
-        total += _box_volume_sum(alpha_coord0(dc, m, (i, j)) + shift, i * dc.M + j, dc.e, m)
-    return total
+    return sum(_box_volume_sum(coord0(dc, m, rho) + shift, rho, dc.e, m) for rho in range(dc.e))
 
 
 def build_gap_report(dc: DerivedConstants, m: int) -> dict[str, bool]:

@@ -2,11 +2,11 @@
 
 Membership in the generalized semigroup is decided coordinate by
 coordinate: a vector belongs iff every coordinate r admits an absolute
-maximal element agreeing with it at r and dominated elsewhere.  Because the
-absolute maximal set is exactly GammaFamily union ThetaFamily, the residue
-of the target coordinate mod e = (q+1)M forces the family member, and a
-witness exists iff one closed-form inequality holds; no box enumeration is
-involved.
+maximal element agreeing with it at r and dominated elsewhere.  Because
+every absolute maximal element is MaximalElement(rho, ks) with rho in
+[0, e - 1], the residue of the target coordinate mod e = (q+1)M forces rho,
+and a witness exists iff one closed-form inequality holds; no box
+enumeration is involved.
 
 Everything reads one cached residue table and one slack formula.  Per
 point, nabla_witness builds the witness (caps, first unpinned shift lowered
@@ -24,14 +24,7 @@ from functools import lru_cache
 
 from .curves import DerivedConstants, check_m
 from .errors import EmptyInput, LengthMismatch, SelfCheckError
-from .maximal import (
-    GammaFamily,
-    MaximalElement,
-    ThetaFamily,
-    alpha_coord0,
-    pair_from_residue,
-    realize,
-)
+from .maximal import MaximalElement, coord0, realize
 
 
 @dataclass(frozen=True)
@@ -54,18 +47,17 @@ def lub(vectors) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _residue_tables(dc: DerivedConstants, m: int):
-    """The family member each coordinate residue forces, as (rho, a0) with
-    a0 the zero-shift first coordinate.
+    """The maximal element each coordinate residue forces, as (rho, a0) with
+    a0 = coord0(dc, m, rho), its zero-shift first coordinate.
 
-    by_rho[rho] serves r != 0 (rho = alpha_r mod e; ThetaFamily at rho = 0);
+    by_rho[rho] serves r != 0 (rho = alpha_r mod e);
     by_class[c] serves r = 0, keyed by a0 mod e.  The e first coordinates
     fall in distinct classes mod e on every instance checked, which makes the
     r = 0 lookup a single entry; a collision raises SelfCheckError.  The
     result is cached and shared, so callers must not mutate it.
     """
     e = dc.e
-    by_rho = [(0, 0)]
-    by_rho += [(rho, alpha_coord0(dc, m, pair_from_residue(dc, rho))) for rho in range(1, e)]
+    by_rho = [(rho, coord0(dc, m, rho)) for rho in range(e)]
     by_class: dict[int, tuple[int, int]] = {}
     for entry in by_rho:
         cls = entry[1] % e
@@ -108,7 +100,7 @@ def nabla_witness(
     free = 1 if r == 1 else 0  # coordinate r >= 1 pins shift r - 1
     if free < m:
         ks[free] -= slack
-    return GammaFamily(pair_from_residue(dc, rho), tuple(ks)) if rho else ThetaFamily(tuple(ks))
+    return MaximalElement(rho, tuple(ks))
 
 
 def in_generalized_H(dc: DerivedConstants, m: int, alpha) -> MembershipVerdict:
@@ -133,7 +125,7 @@ def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int
     """has_witness(alpha, r) == (nabla_witness(dc, m, alpha, r) is not None),
     decided without building the witness.
 
-    The residue of the target coordinate forces the family member (rho, a0)
+    The residue of the target coordinate forces the maximal element (rho, a0)
     through _residue_tables.  Its shifts can reach alpha at r and stay below
     it elsewhere iff the slack (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e
     is >= 0.

@@ -37,7 +37,7 @@ def sweep():
 
 @pytest.fixture
 def drop_theta(monkeypatch):
-    """Mutation harness: residue tables without the ThetaFamily member, i.e.
+    """Mutation harness: residue tables without the rho = 0 (Theta) member, i.e.
     no witness at a coordinate divisible by e.
 
     by_rho[0] becomes None and the by_class entry with rho = 0 is dropped.

@@ -19,12 +19,13 @@ from wsgaps.gaps import (
     simplex_points,
 )
 from wsgaps.maximal import (
-    alpha_element,
+    MaximalElement,
     count_Lambda,
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
     gamma_hat_in_C,
-    index_pairs,
+    pair_from_residue,
+    realize,
 )
 from wsgaps.membership import in_classical_H, one_point_gaps_at_P1
 from wsgaps.oracle import (
@@ -116,10 +117,12 @@ def test_03_gamma_hat_cardinality_and_content():
         for m in range(1, dc.max_m + 1):
             got = gamma_hat_in_C(dc, m)
             ok &= len(got) == dc.e
-            for i, j in index_pairs(dc):
+            for rho in range(1, dc.e):
+                i, j = pair_from_residue(dc, rho)
                 exps = MonomialExponents(dc.M - j, dc.q - i, (-1,) * m)
                 vec, regular = monomial_valuation(dc, m, exps)
-                ok &= regular and vec == alpha_element(dc, m, (i, j)) and vec in got
+                alpha = realize(dc, m, MaximalElement(rho, (0,) * m))
+                ok &= regular and vec == alpha and vec in got
     _verdict(3, "fundamental-region absolute maximals: cardinality e and "
                 "monomial reconstruction", ok)
 

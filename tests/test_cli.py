@@ -58,6 +58,13 @@ def test_params_missing_flags_exit_2(capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_params_other_family_flags_exit_2(capsys):
+    assert run(["params", *Y231, "--p", "7"]) == 2
+    assert "family Y takes no p, a, b" in capsys.readouterr().err
+    assert run(["params", *X21131, "--q", "5"]) == 2
+    assert "family X takes no q" in capsys.readouterr().err
+
+
 def test_gamma_count(capsys):
     assert run(["gamma", *Y231, "--m", "1"]) == 0
     rec = _json(capsys)
@@ -214,6 +221,23 @@ def test_verify_refuses_work_that_cannot_finish(capsys):
         assert out.out == ""
         assert "TooMuchWork" in out.err and "above the limit 100000000" in out.err
         assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["gaps", "verify"])
+def test_refusal_skips_the_volume_convolution(command):
+    """Y(101,3,1) at m = 1: the threshold scan alone is about 1.1e16 steps,
+    so the command refuses before summing the Lambda-box volume, whose
+    convolution would run for minutes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [command, "--family", "Y", "--q", "101", "--n", "3", "--s", "1", "--m", "1"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wsgaps.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "TooMuchWork" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_output_stability(capsys):

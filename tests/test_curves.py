@@ -22,7 +22,7 @@ from wsgaps.errors import (
     ParameterError,
     SNotDividing,
 )
-from wsgaps.maximal import alpha_element, index_pairs
+from wsgaps.maximal import MaximalElement, pair_from_residue, realize
 
 
 def test_validate_y_231_ok():
@@ -56,6 +56,17 @@ def test_validate_other_rejections():
         validate_params("Z", n=3, s=1)
     with pytest.raises(ParameterError):
         validate_params("Y", q=2, n=3, s=1, p=2)
+
+
+def test_validate_rejects_other_family_parameters():
+    """Family X derives q = p^a and family Y has no p, a, b: a given value
+    for the other family's parameter is an error, never dropped."""
+    for q in (5, 2):
+        with pytest.raises(ParameterError, match="family X takes no q"):
+            validate_params("X", p=2, a=1, b=1, n=3, s=1, q=q)
+    for extra in ({"p": 7}, {"a": 1}, {"b": 1}):
+        with pytest.raises(ParameterError, match="family Y takes no p, a, b"):
+            validate_params("Y", q=2, n=3, s=1, **extra)
 
 
 def test_derive_x21131():
@@ -110,11 +121,12 @@ def test_discrepancy_monomial_reconstructs_alpha(sweep):
     absolute maximal for (i, j), for every instance and admissible m."""
     for dc in sweep:
         for m in range(1, dc.max_m + 1):
-            for i, j in index_pairs(dc):
+            for rho in range(1, dc.e):
+                i, j = pair_from_residue(dc, rho)
                 exps = MonomialExponents(dc.M - j, dc.q - i, (-1,) * m)
                 vec, regular = monomial_valuation(dc, m, exps)
                 assert regular
-                assert vec == alpha_element(dc, m, (i, j))
+                assert vec == realize(dc, m, MaximalElement(rho, (0,) * m))
 
 
 @settings(max_examples=200)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsgaps import gaps
 from wsgaps.curves import curve
-from wsgaps.errors import NotSorted, WsgapsError
+from wsgaps.errors import NotSorted, SelfCheckError, WsgapsError
 from wsgaps.gaps import (
     _inversions,
     build_gap_report,
@@ -83,6 +84,14 @@ def test_two_point_count(y231, y233, x21131):
     assert count_gaps_two_points(x21131) == 13
     assert count_gaps_two_points(y231) == 115
     assert count_gaps_two_points(y233) == len(gaps_via_complement(y233, 1))
+
+
+def test_two_point_count_repeated_coordinate_is_a_defect(monkeypatch, y231):
+    """Distinct coordinates among the m = 1 relative maximals are a property
+    of the families, so a repeat is a defect of this package, not bad input."""
+    monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: {(0, 0), (0, 9)})
+    with pytest.raises(SelfCheckError, match="repeated coordinates"):
+        count_gaps_two_points(y231)
 
 
 def test_two_point_count_internals(y231, x21131):

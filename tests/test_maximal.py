@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 from wsgaps.curves import curve
 from wsgaps.errors import BadIndexPair, LengthMismatch
 from wsgaps.maximal import (
-    GammaFamily,
-    ThetaFamily,
-    alpha_element,
+    MaximalElement,
+    coord0,
     count_Lambda,
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
     gamma_hat_in_C,
-    index_pairs,
     lambda_hat_in_C,
     pair_from_residue,
     realize,
     relative_shift,
-    tau,
 )
 
 Y231_GAMMA_HAT = {
@@ -31,19 +28,18 @@ X21131_GAMMA_HAT = {
 
 
 def test_alpha_element(y231, x21131):
-    assert alpha_element(y231, 1, (0, 1)) == (19, 1)
-    assert alpha_element(x21131, 1, (0, 1)) == (5, 1)
-    assert alpha_element(y231, 2, (0, 1)) == (10, 1, 1)
+    """The fundamental-region member of the index pair (0, 1), i.e. rho = 1."""
+    assert realize(y231, 1, MaximalElement(1, (0,))) == (19, 1)
+    assert realize(x21131, 1, MaximalElement(1, (0,))) == (5, 1)
+    assert realize(y231, 2, MaximalElement(1, (0, 0))) == (10, 1, 1)
+    assert coord0(y231, 1, 1) == 19 and coord0(y231, 2, 0) == 0
 
 
 def test_alpha_element_m_shift(sweep):
     for dc in sweep:
         for m in range(2, dc.max_m + 1):
-            for pair in index_pairs(dc):
-                assert (
-                    alpha_element(dc, m, pair)[0]
-                    == alpha_element(dc, m - 1, pair)[0] - dc.e
-                )
+            for rho in range(1, dc.e):
+                assert coord0(dc, m, rho) == coord0(dc, m - 1, rho) - dc.e
 
 
 def test_gamma_hat_in_C_y231(y231):
@@ -81,33 +77,44 @@ def test_lambda_hat_in_C(y231):
 
 
 def test_realize_examples(y231):
-    assert realize(y231, 1, GammaFamily((0, 1), (1,))) == (10, 10)
-    assert realize(y231, 1, ThetaFamily((0,))) == (0, 0)
-    assert realize(y231, 2, ThetaFamily((0, 0))) == (0, 0, 0)
+    assert realize(y231, 1, MaximalElement(1, (1,))) == (10, 10)
+    assert realize(y231, 1, MaximalElement(0, (0,))) == (0, 0)
+    assert realize(y231, 2, MaximalElement(0, (0, 0))) == (0, 0, 0)
     # relative maximals: absolute ones shifted by (m-1)e at P_inf
     assert relative_shift(y231, 1) == 0 and relative_shift(y231, 2) == y231.e
-    assert realize(y231, 1, GammaFamily((0, 1), (2,)), relative_shift(y231, 1)) == (1, 19)
-    assert realize(y231, 2, ThetaFamily((1, 0)), relative_shift(y231, 2)) == (0, 9, 0)
-    assert realize(y231, 2, ThetaFamily((0, 0)), relative_shift(y231, 2)) == (9, 0, 0)
+    assert realize(y231, 1, MaximalElement(1, (2,)), relative_shift(y231, 1)) == (1, 19)
+    assert realize(y231, 2, MaximalElement(0, (1, 0)), relative_shift(y231, 2)) == (0, 9, 0)
+    assert realize(y231, 2, MaximalElement(0, (0, 0)), relative_shift(y231, 2)) == (9, 0, 0)
 
 
 def test_realize_rejects_bad_inputs(y231):
     with pytest.raises(LengthMismatch):
-        realize(y231, 1, GammaFamily((0, 1), (1, 2)))
+        realize(y231, 1, MaximalElement(1, (1, 2)))
+    with pytest.raises(BadIndexPair):  # rho = e is the excluded pair (q, M)
+        realize(y231, 1, MaximalElement(y231.e, (0,)))
     with pytest.raises(BadIndexPair):
-        realize(y231, 1, GammaFamily((y231.q, y231.M), (0,)))
+        realize(y231, 1, MaximalElement(-1, (0,)))
+
+
+def _tau(dc, m, rho):
+    """Largest shift sum keeping the first coordinate of the relative
+    maximal member for rho nonnegative."""
+    return (coord0(dc, m, rho) + relative_shift(dc, m)) // dc.e
 
 
 def test_tau_examples(y231, x21131):
-    assert tau(y231, (0, 1)) == 2  # (16 + 12 - 9) // 9
-    assert tau(x21131, (0, 3)) == -1  # (0 + 12 - 18) floored by 18
+    for m in range(1, y231.max_m + 1):
+        assert _tau(y231, m, 1) == 2  # pair (0, 1): (16 + 12 - 9) // 9
+    for m in range(1, x21131.max_m + 1):
+        assert _tau(x21131, m, 3) == -1  # pair (0, 3): (0 + 12 - 18) floored by 18
     with pytest.raises(BadIndexPair):
-        tau(y231, (y231.q, y231.M))
+        _tau(y231, 1, y231.e)
 
 
 def test_pair_from_residue_bijection(sweep):
     for dc in sweep:
-        pairs = list(index_pairs(dc))
+        pairs = [(i, j) for i in range(dc.q + 1) for j in range(1, dc.M + 1)
+                 if (i, j) != (dc.q, dc.M)]
         assert len(pairs) == dc.e - 1
         for pair in pairs:
             rho = pair[0] * dc.M + pair[1]
@@ -175,8 +182,7 @@ def test_delta_lambda_zero_injective(y231):
     for m in (1, 2):
         seen.clear()
         shift = relative_shift(y231, m)
-        elems = [GammaFamily(pair, ks) for pair in index_pairs(y231) for ks in _all_ks(m, 3)]
-        elems += [ThetaFamily(ks) for ks in _all_ks(m, 3)]
+        elems = [MaximalElement(rho, ks) for rho in range(y231.e) for ks in _all_ks(m, 3)]
         for elem in elems:
             v = realize(y231, m, elem, shift)
             assert seen.setdefault(v, elem) == elem
@@ -195,9 +201,8 @@ def test_gamma_family_coordinates(rho_off, k1, k2):
     affine coordinate and respect the shift lattice."""
     dc = curve("Y", q=2, n=3, s=1)
     rho = rho_off + 1  # in [1, e-1]
-    pair = pair_from_residue(dc, rho)
-    v = realize(dc, 2, GammaFamily(pair, (k1, k2)))
+    v = realize(dc, 2, MaximalElement(rho, (k1, k2)))
     assert v[1] == k1 * dc.e + rho
     assert v[2] == k2 * dc.e + rho
-    base = alpha_element(dc, 2, pair)
+    base = realize(dc, 2, MaximalElement(rho, (0, 0)))
     assert v[0] == base[0] - (k1 + k2) * dc.e

@@ -14,13 +14,7 @@ from wsgaps import membership, semigroup
 from wsgaps.curves import curve
 from wsgaps.errors import EmptyInput, LengthMismatch, SelfCheckError, WsgapsError
 from wsgaps.gaps import simplex_points
-from wsgaps.maximal import (
-    GammaFamily,
-    ThetaFamily,
-    pair_from_residue,
-    realize,
-    relative_shift,
-)
+from wsgaps.maximal import MaximalElement, realize, relative_shift
 from wsgaps.membership import (
     in_classical_H,
     in_generalized_H,
@@ -48,7 +42,7 @@ def test_lub_rejects():
 
 def test_nabla_witness_examples(y231, x21131):
     w = nabla_witness(y231, 1, (0, 9), 1)
-    assert w == ThetaFamily((1,))
+    assert w == MaximalElement(0, (1,))
     assert realize(y231, 1, w) == (-9, 9)
 
     assert nabla_witness(y231, 1, (1, 1), 1) is None
@@ -97,14 +91,13 @@ def _sample_elements(dc, m):
     """(family member, shift at P_inf) pairs: absolute maximals at shift 0,
     relative maximals at relative_shift(dc, m)."""
     rel = relative_shift(dc, m)
-    out = [(ThetaFamily((0,) * m), 0), (ThetaFamily((2,) + (0,) * (m - 1)), 0)]
+    out = [(MaximalElement(0, (0,) * m), 0), (MaximalElement(0, (2,) + (0,) * (m - 1)), 0)]
     for rho in (1, dc.e // 2, dc.e - 1):
-        pair = pair_from_residue(dc, rho)
-        out.append((GammaFamily(pair, (0,) * m), 0))
-        out.append((GammaFamily(pair, (1,) * m), 0))
-        out.append((GammaFamily(pair, (0,) * m), rel))
-        out.append((GammaFamily(pair, (2,) + (0,) * (m - 1)), rel))
-    out.append((ThetaFamily((0,) * m), rel))
+        out.append((MaximalElement(rho, (0,) * m), 0))
+        out.append((MaximalElement(rho, (1,) * m), 0))
+        out.append((MaximalElement(rho, (0,) * m), rel))
+        out.append((MaximalElement(rho, (2,) + (0,) * (m - 1)), rel))
+    out.append((MaximalElement(0, (0,) * m), rel))
     return out
 
 
@@ -199,14 +192,13 @@ def test_failing_coordinate_is_first_in_witness_order(a0, a1, a2):
 
 
 def _realized_window(dc, m, window):
-    """Every GammaFamily/ThetaFamily member with shifts in
-    [-window, window]^m, realized and indexed by (coordinate, value).  Within
-    a bucket the members come in lexicographic order of their shifts (index
-    pairs before ThetaFamily on a tie); no residue table is consulted."""
-    pairs = [pair_from_residue(dc, rho) for rho in range(1, dc.e)]
+    """Every maximal element with shifts in [-window, window]^m, realized and
+    indexed by (coordinate, value).  Within a bucket the members come in
+    lexicographic order of their shifts (smaller rho first on a tie); no
+    residue table is consulted."""
     index: dict = {}
     for ks in product(range(-window, window + 1), repeat=m):
-        for elem in [GammaFamily(pair, ks) for pair in pairs] + [ThetaFamily(ks)]:
+        for elem in [MaximalElement(rho, ks) for rho in range(dc.e)]:
             gamma = realize(dc, m, elem)
             for r, x in enumerate(gamma):
                 index.setdefault((r, x), []).append((gamma, elem))
@@ -293,7 +285,7 @@ def test_apery_genus_self_check(monkeypatch):
 
 
 def test_residue_collision_self_check(monkeypatch, y231):
-    monkeypatch.setattr(membership, "alpha_coord0", lambda dc, m, pair: 0)
+    monkeypatch.setattr(membership, "coord0", lambda dc, m, rho: 0)
     membership._residue_tables.cache_clear()  # a cached table would hide the patch
     with pytest.raises(SelfCheckError, match="residue 0"):
         witness_test(y231, 1)
