@@ -85,11 +85,20 @@ def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) 
     work = closed_form
     if work <= WORK_LIMIT:
         work += gaps_mod.gap_count_upper_bound(dc, m)
+    _refuse(f"{command} at m = {m} up to degree {bound} needs at least", work)
+
+
+def _refuse(what: str, work: int) -> None:
     if work > WORK_LIMIT:
-        raise TooMuchWork(
-            f"{command} at m = {m} up to degree {bound} needs at least {work} steps, "
-            f"above the limit {WORK_LIMIT}"
-        )
+        raise TooMuchWork(f"{what} {work} steps, above the limit {WORK_LIMIT}")
+
+
+def _counts_work(dc, m: int) -> int:
+    """Steps of `counts`, in O(1): gap_count_upper_bound convolves, for each
+    of e residues, m sequences of length T + 1 <= q^2/p^b; at m = 1 the
+    two-point count sorts up to e*T relative maximals."""
+    t = dc.q**2 // dc.pb
+    return dc.e * m * t * t + (dc.e * t if m == 1 else 0)
 
 
 def _add_param_flags(sub):
@@ -212,6 +221,7 @@ def run(argv) -> int:
             return 0
 
         if args.command == "counts":
+            _refuse(f"counts at m = {args.m} needs about", _counts_work(dc, args.m))
             payload = {
                 "m": args.m,
                 "lambda_count": maximal.count_Lambda(dc, args.m),

@@ -14,7 +14,8 @@ families apart; together they are the absolute maximal elements.
 
 Every relative maximal element is an absolute one translated by
 relative_shift(dc, m) = (m-1)e at P_inf, so the relative side needs no
-family of its own: realize takes that shift as an argument.
+family of its own: realize gives the absolute vector, and the relative
+side adds the shift to its first coordinate.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ def relative_shift(dc: DerivedConstants, m: int) -> int:
     return (m - 1) * dc.e
 
 
-def realize(
-    dc: DerivedConstants, m: int, elem: MaximalElement, shift: int = 0
-) -> tuple[int, ...]:
-    """Evaluate a maximal element to its point vector, translated by shift
-    at P_inf (relative_shift(dc, m) for a relative maximal element)."""
+def realize(dc: DerivedConstants, m: int, elem: MaximalElement) -> tuple[int, ...]:
+    """Evaluate a maximal element to its point vector."""
     check_m(dc, m)
     ks, rho = elem.ks, elem.rho
     if len(ks) != m:
         raise LengthMismatch(f"expected {m} shift parameters, got {len(ks)}")
-    return (coord0(dc, m, rho) + shift - sum(ks) * dc.e,) + tuple(k * dc.e + rho for k in ks)
+    return (coord0(dc, m, rho) - sum(ks) * dc.e,) + tuple(k * dc.e + rho for k in ks)
 
 
 def gamma_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:

@@ -1,10 +1,11 @@
 """Brute-force oracle: rebuild the semigroup from raw valuation vectors.
 
-This module never consults the closed-form families in maximal.py.  It
-enumerates regular monomials directly from the divisor tables, closes the
-resulting vectors under componentwise maxima, and compares the outcome with
-the formula-driven modules.  That independence is the whole point: every
-formula is cross-examined against nothing but the curve equations.
+The closure side never consults the closed-form families in maximal.py.
+It enumerates exactly the regular monomials whose valuation vectors lie in
+a box, closes those vectors under componentwise maxima, and compares the
+outcome with the formula-driven modules.  That independence is the whole
+point: every formula is cross-examined against nothing but the curve
+equations.
 """
 
 from __future__ import annotations
@@ -42,68 +43,58 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def default_box(dc: DerivedConstants, m: int, bound: int | None = None) -> Box:
-    """A sampling box wide enough to contain every monomial witness needed
-    for vectors of the nonnegative simplex and of the closed-form families.
+def default_box(dc: DerivedConstants, m: int, bound: int) -> Box:
+    """The closure check's box for the simplex sum(alpha) <= bound.
 
-    Witnesses agree with the target at one coordinate and sit at most one
-    lattice period below it elsewhere; the coordinate-0 slack additionally
-    absorbs the forced shift sums, giving the (m+2)-fold padding below.
-    The affine upper end max(bound, m*e - 1) holds every closed-form family
-    vector of the sweep instances (a test checks it); bound alone does not.
+    The upper corner U holds the simplex and every closed-form family vector
+    of the sweep instances (a test checks it); bound alone does not.  The
+    coordinates of a regular monomial have a nonnegative sum (see
+    monomial_vectors_in_box), so one below U has coordinate t >= U_t - sum(U):
+    that lower corner holds every regular monomial vector below U.
     """
-    bound = 2 * dc.genus if bound is None else bound
-    hi0 = max(bound, dc.q**2 * dc.e // dc.pb)
-    hit = max(bound, m * dc.e - 1)
-    lo = -((m + 2) * (bound + dc.e) + (dc.q**3 + dc.q**2 * dc.e) // dc.pb)
-    return Box(lower=(lo,) * (m + 1), upper=(hi0,) + (hit,) * m)
+    upper = (max(bound, dc.q**2 * dc.e // dc.pb),) + (max(bound, m * dc.e - 1),) * m
+    return Box(lower=tuple(u - sum(upper) for u in upper), upper=upper)
 
 
-def monomial_vectors_in_box(
-    dc: DerivedConstants, m: int, box: Box, _pad: int = 0
-) -> set[tuple[int, ...]]:
-    """Valuation vectors of all regular monomials that land in the box.
+def monomial_vectors_in_box(dc: DerivedConstants, m: int, box: Box) -> set[tuple[int, ...]]:
+    """Valuation vectors of all regular monomials in the box, each monomial
+    built once and none discarded.
 
-    Exponent ranges are derived from the box via the identity
-
-        coords[0] + sum(coords[1:]) = a_z*(q^3 - q)/p^b + (max_m - m)*w,
-
-    where w = a_z + b_y*M is the pole order at the beta = 0 points outside
-    the tuple.  Both right-hand terms are nonnegative for regular monomials
-    (w >= 0 is vacuous at m = max_m, where b_y is only defined mod q+1 and a
-    window of q+1 values saturates the vector set).  _pad widens every range
-    and exists so tests can assert the derivation saturates the box.
+    With w = a_z + b_y*M, coords[l] = -(w + c_l*e) and coords[0] =
+    base + e*sum(c), base = a_z*q^3/p^b + b_y*(q/p^b)*M, so the coordinates
+    sum to a_z*(q^3 - q)/p^b + (max_m - m)*w.  Regular means a_z >= 0 and,
+    unless m = max_m, w >= 0, so sum(box.upper) bounds a_z and w.  At
+    m = max_m, (b_y, c) and (b_y + q + 1, c - 1) give one vector, so q + 1
+    values of b_y suffice.  Coordinate l bounds c_l and coordinate 0 bounds
+    sum(c): c_1..c_{m-1} run over their product, c_m over what both leave.
     """
     check_m(dc, m)
     if len(box.lower) != m + 1:
         raise BadBox(f"box dimension {len(box.lower)} != {m + 1}")
     q, pb, M, e = dc.q, dc.pb, dc.M, dc.e
     s_hi = sum(box.upper)
-    out = set()
-    if s_hi < 0:
-        return out
     az_coeff = (q**3 - q) // pb
-    for a_z in range(0, s_hi // az_coeff + 1 + _pad):
+    out = set()
+    for a_z in range(s_hi // az_coeff + 1):
+        b_lo = _ceil_div(-a_z, M)
         if m < dc.max_m:
-            rem = s_hi - a_z * az_coeff
-            if rem < 0 and _pad == 0:
-                break
-            w_hi = max(rem, 0) // (dc.max_m - m) + _pad * e
-            b_ys = range(_ceil_div(-a_z, M), (w_hi - a_z) // M + 1)
+            w_hi = (s_hi - a_z * az_coeff) // (dc.max_m - m)
+            b_ys = range(b_lo, (w_hi - a_z) // M + 1)
         else:
-            start = _ceil_div(-a_z, M)
-            b_ys = range(start - _pad, start + q + 1 + _pad)
+            b_ys = range(b_lo, b_lo + q + 1)
         for b_y in b_ys:
             w = a_z + b_y * M
-            c_ranges = []
-            for ell in range(1, m + 1):
-                c_lo = _ceil_div(-box.upper[ell] - w, e) - _pad
-                c_hi = (-box.lower[ell] - w) // e + _pad
-                c_ranges.append(range(c_lo, c_hi + 1))
-            for c in product(*c_ranges):
-                vec, regular = monomial_valuation(dc, m, MonomialExponents(a_z, b_y, c))
-                if regular and vec in box:
-                    out.add(vec)
+            base = a_z * (q**3 // pb) + b_y * (q // pb) * M
+            sum_lo, sum_hi = _ceil_div(box.lower[0] - base, e), (box.upper[0] - base) // e
+            *heads, last = [
+                range(_ceil_div(-box.upper[ell] - w, e), (-box.lower[ell] - w) // e + 1)
+                for ell in range(1, m + 1)
+            ]
+            for head in product(*heads):
+                part = sum(head)
+                for c_m in range(max(last.start, sum_lo - part), min(last.stop, sum_hi - part + 1)):
+                    exps = MonomialExponents(a_z, b_y, head + (c_m,))
+                    out.add(monomial_valuation(dc, m, exps)[0])
     return out
 
 

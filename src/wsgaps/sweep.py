@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from .curves import DerivedConstants, ParameterError, curve
 
+MAX_M = 500
+
 
 def divisors(n: int) -> list[int]:
     out = []
@@ -23,27 +25,22 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def sweep_instances(max_M: int = 500) -> list[DerivedConstants]:
+def sweep_instances() -> list[DerivedConstants]:
+    families = [
+        ("X", p**a, {"p": p, "a": a, "b": b})
+        for p in (2, 3)
+        for a in (1, 2)
+        for b in (1, 2)
+        if a % b == 0
+    ] + [("Y", q, {"q": q}) for q in (2, 3, 4)]
     out = []
-    for p in (2, 3):
-        for a in (1, 2):
-            for b in (x for x in (1, 2) if a % x == 0):
-                q = p**a
-                for n in (3, 5):
-                    for s in divisors((q**n + 1) // (q + 1)):
-                        if (q**n + 1) // (s * (q + 1)) > max_M:
-                            continue
-                        try:
-                            out.append(curve("X", p=p, a=a, b=b, n=n, s=s))
-                        except ParameterError:
-                            pass
-    for q in (2, 3, 4):
+    for family, q, flags in families:
         for n in (3, 5):
             for s in divisors((q**n + 1) // (q + 1)):
-                if (q**n + 1) // (s * (q + 1)) > max_M:
+                if (q**n + 1) // (s * (q + 1)) > MAX_M:
                     continue
                 try:
-                    out.append(curve("Y", q=q, n=n, s=s))
+                    out.append(curve(family, n=n, s=s, **flags))
                 except ParameterError:
                     pass
     return out

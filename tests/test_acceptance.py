@@ -186,14 +186,14 @@ def test_08_oracle_equivalence():
     ]
     ok = True
     for dc in instances:
-        for m in range(1, min(2, dc.max_m) + 1):
+        for m in range(1, min(3, dc.max_m) + 1):
             bound = 2 * dc.genus
             box = default_box(dc, m, bound)
             idx = index_generators(monomial_vectors_in_box(dc, m, box))
             for a in simplex_points(m + 1, bound):
                 ok &= in_lub_closure(idx, a) == in_classical_H(dc, m, a)
     _verdict(8, f"monomial lub-closure equals membership on the simplex, "
-                f"{len(instances)} instances, m in {{1,2}}", ok)
+                f"{len(instances)} instances, m in {{1,2,3}}", ok)
 
 
 def test_09_m1_bijection():

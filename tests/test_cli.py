@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsgaps import oracle
-from wsgaps.cli import run
+from wsgaps.cli import WORK_LIMIT, _counts_work, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
@@ -223,11 +223,11 @@ def test_verify_refuses_work_that_cannot_finish(capsys):
         assert "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("command", ["gaps", "verify"])
+@pytest.mark.parametrize("command", ["gaps", "verify", "counts"])
 def test_refusal_skips_the_volume_convolution(command):
-    """Y(101,3,1) at m = 1: the threshold scan alone is about 1.1e16 steps,
-    so the command refuses before summing the Lambda-box volume, whose
-    convolution would run for minutes."""
+    """Y(101,3,1) at m = 1: the threshold scan alone is about 1.1e16 steps
+    and the counts estimate about 1.1e14, so the command refuses before
+    summing the Lambda-box volume, whose convolution would run for minutes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [command, "--family", "Y", "--q", "101", "--n", "3", "--s", "1", "--m", "1"]
@@ -238,6 +238,10 @@ def test_refusal_skips_the_volume_convolution(command):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "TooMuchWork" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_counts_admits_every_sweep_case(sweep):
+    assert all(_counts_work(dc, m) <= WORK_LIMIT for dc in sweep for m in range(1, dc.max_m + 1))
 
 
 def test_output_stability(capsys):

@@ -82,9 +82,15 @@ def test_realize_examples(y231):
     assert realize(y231, 2, MaximalElement(0, (0, 0))) == (0, 0, 0)
     # relative maximals: absolute ones shifted by (m-1)e at P_inf
     assert relative_shift(y231, 1) == 0 and relative_shift(y231, 2) == y231.e
-    assert realize(y231, 1, MaximalElement(1, (2,)), relative_shift(y231, 1)) == (1, 19)
-    assert realize(y231, 2, MaximalElement(0, (1, 0)), relative_shift(y231, 2)) == (0, 9, 0)
-    assert realize(y231, 2, MaximalElement(0, (0, 0)), relative_shift(y231, 2)) == (9, 0, 0)
+    assert _realize_relative(y231, 1, MaximalElement(1, (2,))) == (1, 19)
+    assert _realize_relative(y231, 2, MaximalElement(0, (1, 0))) == (0, 9, 0)
+    assert _realize_relative(y231, 2, MaximalElement(0, (0, 0))) == (9, 0, 0)
+
+
+def _realize_relative(dc, m, elem):
+    """The relative maximal of elem: its absolute vector plus relative_shift at P_inf."""
+    v = realize(dc, m, elem)
+    return (v[0] + relative_shift(dc, m),) + v[1:]
 
 
 def test_realize_rejects_bad_inputs(y231):
@@ -181,10 +187,9 @@ def test_delta_lambda_zero_injective(y231):
     seen = {}
     for m in (1, 2):
         seen.clear()
-        shift = relative_shift(y231, m)
         elems = [MaximalElement(rho, ks) for rho in range(y231.e) for ks in _all_ks(m, 3)]
         for elem in elems:
-            v = realize(y231, m, elem, shift)
+            v = _realize_relative(y231, m, elem)
             assert seen.setdefault(v, elem) == elem
 
 

@@ -88,8 +88,8 @@ def test_one_point_gaps_examples(y231, y233, x21131):
 
 
 def _sample_elements(dc, m):
-    """(family member, shift at P_inf) pairs: absolute maximals at shift 0,
-    relative maximals at relative_shift(dc, m)."""
+    """Realized family members: absolute maximals, and relative maximals
+    (absolute ones plus relative_shift(dc, m) at P_inf)."""
     rel = relative_shift(dc, m)
     out = [(MaximalElement(0, (0,) * m), 0), (MaximalElement(0, (2,) + (0,) * (m - 1)), 0)]
     for rho in (1, dc.e // 2, dc.e - 1):
@@ -98,7 +98,11 @@ def _sample_elements(dc, m):
         out.append((MaximalElement(rho, (0,) * m), rel))
         out.append((MaximalElement(rho, (2,) + (0,) * (m - 1)), rel))
     out.append((MaximalElement(0, (0,) * m), rel))
-    return out
+    vecs = []
+    for elem, shift in out:
+        v = realize(dc, m, elem)
+        vecs.append((v[0] + shift,) + v[1:])
+    return vecs
 
 
 def test_soundness_realized_elements_are_members(sweep):
@@ -106,15 +110,14 @@ def test_soundness_realized_elements_are_members(sweep):
     generalized semigroup."""
     for dc in sweep[:10]:
         for m in range(1, min(2, dc.max_m) + 1):
-            for elem, shift in _sample_elements(dc, m):
-                vec = realize(dc, m, elem, shift)
-                assert in_generalized_H(dc, m, vec).member, (dc.params, elem)
+            for vec in _sample_elements(dc, m):
+                assert in_generalized_H(dc, m, vec).member, (dc.params, vec)
 
 
 def test_lub_of_members_is_member(sweep):
     for dc in sweep[:10]:
         for m in range(1, min(2, dc.max_m) + 1):
-            vecs = [realize(dc, m, e, shift) for e, shift in _sample_elements(dc, m)]
+            vecs = _sample_elements(dc, m)
             for u in vecs:
                 for v in vecs:
                     assert in_generalized_H(dc, m, lub([u, v])).member
@@ -125,7 +128,7 @@ def test_sum_of_members_is_member(sweep):
     the generalized semigroup is closed under addition."""
     for dc in sweep[:10]:
         for m in range(1, min(2, dc.max_m) + 1):
-            vecs = [realize(dc, m, e, shift) for e, shift in _sample_elements(dc, m)]
+            vecs = _sample_elements(dc, m)
             for u in vecs[:6]:
                 for v in vecs[:6]:
                     w = tuple(a + b for a, b in zip(u, v))

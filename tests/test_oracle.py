@@ -1,9 +1,11 @@
 """Brute-force reconstruction from monomial valuations and lub closure."""
 
+from itertools import product
+
 import pytest
 
 from wsgaps import gaps
-from wsgaps.curves import simplex_points
+from wsgaps.curves import MonomialExponents, monomial_valuation, simplex_points
 from wsgaps.errors import BadBox
 from wsgaps.maximal import (
     enumerate_classical_Gamma,
@@ -48,14 +50,38 @@ def test_monomial_vectors_are_members(y231):
         assert in_generalized_H(y231, 1, v).member
 
 
-def test_monomial_ranges_saturate(sweep):
-    """Widening the derived exponent ranges adds no in-box vector."""
-    for dc in [d for d in sweep if d.genus <= 25][:6]:
-        for m in range(1, min(2, dc.max_m) + 1):
-            box = default_box(dc, m, 2 * dc.genus)
-            assert monomial_vectors_in_box(dc, m, box) == monomial_vectors_in_box(
-                dc, m, box, _pad=2
-            )
+def _brute_force_monomials(dc, m, box):
+    """The regular in-box valuations over a fixed wide (a_z, b_y) window, with
+    each c_l over the range its own coordinate allows and no other bound."""
+    out = set()
+    for a_z in range(-1, 20):
+        for b_y in range(-25, 51):
+            w = a_z + b_y * dc.M
+            c_ranges = [
+                range(-((box.upper[ell] + w) // dc.e), (-box.lower[ell] - w) // dc.e + 1)
+                for ell in range(1, m + 1)
+            ]
+            for c in product(*c_ranges):
+                vec, regular = monomial_valuation(dc, m, MonomialExponents(a_z, b_y, c))
+                if regular and vec in box:
+                    out.add(vec)
+    return out
+
+
+def test_monomial_vectors_are_exact(y231, y233, x21131, x22313):
+    """The enumeration equals the brute force at every m, on the default box,
+    on hand boxes with negative and nonnegative lower corners, and on one
+    that holds no regular monomial."""
+    hand = {
+        1: [Box((-40, -30), (25, 20)), Box((0, -5), (30, 12)), Box((-30, -30), (-5, -5))],
+        2: [Box((-15, -12, -12), (15, 10, 10)), Box((-4, -9, 0), (18, 6, 7))],
+    }
+    for dc in (y231, y233, x21131, x22313):
+        for m in range(1, dc.max_m + 1):
+            for box in [default_box(dc, m, 2 * dc.genus)] + hand[m]:
+                got = monomial_vectors_in_box(dc, m, box)
+                assert got == _brute_force_monomials(dc, m, box), (dc.params, m, box)
+    assert monomial_vectors_in_box(y231, 1, hand[1][2]) == set()
 
 
 def test_lub_closure_examples():
