@@ -8,7 +8,7 @@ import time
 from wsgaps.oracle import consistency_report
 from wsgaps.sweep import sweep_instances
 
-MAX_GENUS = 25
+MAX_GENUS = 100
 
 
 def main() -> int:

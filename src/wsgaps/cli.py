@@ -18,7 +18,7 @@ from math import comb
 from . import gaps as gaps_mod
 from . import maximal, membership, oracle
 from .curves import check_m, curve
-from .errors import TooMuchWork, WsgapsError
+from .errors import TooMuchWork, WsgapsError, exact_str
 
 SCHEMA_VERSION = "1"
 _JSON_SAFE = 2**53
@@ -32,7 +32,7 @@ def _encode(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj) if abs(obj) > _JSON_SAFE else obj
+        return exact_str(obj) if abs(obj) > _JSON_SAFE else obj
     if isinstance(obj, (list, tuple)):
         return [_encode(x) for x in obj]
     if isinstance(obj, dict):
@@ -85,12 +85,12 @@ def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) 
     work = closed_form
     if work <= WORK_LIMIT:
         work += gaps_mod.gap_count_upper_bound(dc, m)
-    _refuse(f"{command} at m = {m} up to degree {bound} needs at least", work)
+    _refuse(f"{command} at m = {m} up to degree {exact_str(bound)} needs at least", work)
 
 
 def _refuse(what: str, work: int) -> None:
     if work > WORK_LIMIT:
-        raise TooMuchWork(f"{what} {work} steps, above the limit {WORK_LIMIT}")
+        raise TooMuchWork(f"{what} {exact_str(work)} steps, above the limit {WORK_LIMIT}")
 
 
 def _counts_work(dc, m: int) -> int:
@@ -99,6 +99,12 @@ def _counts_work(dc, m: int) -> int:
     two-point count sorts up to e*T relative maximals."""
     t = dc.q**2 // dc.pb
     return dc.e * m * t * t + (dc.e * t if m == 1 else 0)
+
+
+def _listing_work(dc, m: int, classical: bool) -> int:
+    """Steps of `member`, `gamma` and `lambda`, in O(1): e residues, each with
+    m + 1 coordinates or (classical) shift vectors of sum T < q^2/p^b."""
+    return dc.e * (comb(dc.q**2 // dc.pb + m, m) if classical else m)
 
 
 def _add_param_flags(sub):
@@ -182,6 +188,7 @@ def run(argv) -> int:
         check_m(dc, args.m)
 
         if args.command in ("gamma", "lambda"):
+            _refuse(f"{args.command} at m = {args.m} needs about", _listing_work(dc, args.m, args.classical))
             classical, in_C = {
                 "gamma": (maximal.enumerate_classical_Gamma, maximal.gamma_hat_in_C),
                 "lambda": (maximal.enumerate_classical_Lambda, maximal.lambda_hat_in_C),
@@ -209,6 +216,7 @@ def run(argv) -> int:
 
         if args.command == "member":
             vec = _parse_vector(args.vector, args.m + 1)
+            _refuse(f"member at m = {args.m} needs about", _listing_work(dc, args.m, False))
             verdict = membership.in_generalized_H(dc, args.m, vec)
             payload = {
                 "m": args.m,
@@ -234,7 +242,7 @@ def run(argv) -> int:
 
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
-            # The threshold scan as in `gaps`, plus the closure walk over the simplex.
+            # The threshold scan as in `gaps`, plus at most one closure probe per point.
             work = comb(bound + args.m, args.m) * dc.e + comb(bound + args.m + 1, args.m + 1)
             _refuse_above_limit(dc, "verify", args.m, bound, work)
             checks = oracle.consistency_report(dc, args.m, bound=bound)

@@ -21,6 +21,7 @@ from .errors import (
     NonPrimeP,
     ParameterError,
     SNotDividing,
+    exact_str,
 )
 
 
@@ -143,7 +144,7 @@ def validate_params(
     if num % (q + 1) != 0:
         raise SNotDividing(f"q + 1 does not divide q^n + 1 (n = {n})")
     if (num // (q + 1)) % s != 0:
-        raise SNotDividing(f"s = {s} does not divide (q^n + 1)/(q + 1) = {num // (q + 1)}")
+        raise SNotDividing(f"s = {s} does not divide (q^n + 1)/(q + 1) = {exact_str(num // (q + 1))}")
 
     gnum = _genus_numerator(q, pb, n, s)
     if gnum % (2 * s * pb) != 0:

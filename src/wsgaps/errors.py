@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all wsgaps modules."""
+"""Exception hierarchy shared by all wsgaps modules, and exact_str for output."""
+
+
+def exact_str(n: int) -> str:
+    """str(n), also past str()'s digit limit; decimal (0.4 MB) loads only then."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 class WsgapsError(Exception):

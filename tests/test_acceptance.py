@@ -184,16 +184,17 @@ def test_08_oracle_equivalence():
         curve("Y", q=3, n=3, s=7),
         curve("Y", q=4, n=3, s=13),
     ]
+    cases = [(dc, m) for dc in instances for m in range(1, min(3, dc.max_m) + 1)]
+    cases.append((curve("Y", q=2, n=5, s=1), 2))  # g = 46
     ok = True
-    for dc in instances:
-        for m in range(1, min(3, dc.max_m) + 1):
-            bound = 2 * dc.genus
-            box = default_box(dc, m, bound)
-            idx = index_generators(monomial_vectors_in_box(dc, m, box))
-            for a in simplex_points(m + 1, bound):
-                ok &= in_lub_closure(idx, a) == in_classical_H(dc, m, a)
+    for dc, m in cases:
+        bound = 2 * dc.genus
+        box = default_box(dc, m, bound)
+        idx = index_generators(monomial_vectors_in_box(dc, m, box))
+        for a in simplex_points(m + 1, bound):
+            ok &= in_lub_closure(idx, a) == in_classical_H(dc, m, a)
     _verdict(8, f"monomial lub-closure equals membership on the simplex, "
-                f"{len(instances)} instances, m in {{1,2,3}}", ok)
+                f"{len(instances)} instances, m in {{1,2,3}}, and Y(2,5,1) at m = 2", ok)
 
 
 def test_09_m1_bijection():

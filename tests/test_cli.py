@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsgaps import oracle
-from wsgaps.cli import WORK_LIMIT, _counts_work, run
+from wsgaps.cli import WORK_LIMIT, _counts_work, _listing_work, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
@@ -223,25 +224,67 @@ def test_verify_refuses_work_that_cannot_finish(capsys):
         assert "Traceback" not in out.err
 
 
+def _cli_subprocess(argv):
+    """Run the CLI in a fresh interpreter; returns (process, seconds)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wsgaps.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    return proc, time.perf_counter() - t0
+
+
+def _assert_refused_at_once(argv):
+    proc, seconds = _cli_subprocess(argv)
+    assert seconds < 5, argv
+    assert proc.returncode == 2, (argv, proc.stderr)
+    assert proc.stdout == ""
+    assert "TooMuchWork" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["gaps", "verify", "counts"])
 def test_refusal_skips_the_volume_convolution(command):
     """Y(101,3,1) at m = 1: the threshold scan alone is about 1.1e16 steps
     and the counts estimate about 1.1e14, so the command refuses before
     summing the Lambda-box volume, whose convolution would run for minutes."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = [command, "--family", "Y", "--q", "101", "--n", "3", "--s", "1", "--m", "1"]
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "wsgaps.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=20)
-    assert time.perf_counter() - t0 < 5
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert "TooMuchWork" in proc.stderr and "Traceback" not in proc.stderr
+    _assert_refused_at_once([command, "--family", "Y", "--q", "101", "--n", "3", "--s", "1", "--m", "1"])
+
+
+@pytest.mark.parametrize("flags", [["member", "--vector", "1,1"], ["gamma"], ["lambda"],
+                                   ["gamma", "--classical"], ["lambda", "--classical"]])
+def test_listings_refuse_work_that_cannot_finish(flags):
+    """Y(2,41,1) at m = 1 has e = 2^41 + 1 residues: `member` would build an
+    e-entry residue table and the listings would loop over every residue."""
+    _assert_refused_at_once([flags[0], "--family", "Y", "--q", "2", "--n", "41", "--s", "1",
+                             "--m", "1", *flags[1:]])
 
 
 def test_counts_admits_every_sweep_case(sweep):
     assert all(_counts_work(dc, m) <= WORK_LIMIT for dc in sweep for m in range(1, dc.max_m + 1))
+
+
+def test_listings_admit_every_sweep_case(sweep):
+    assert all(_listing_work(dc, m, classical) <= WORK_LIMIT
+               for dc in sweep for m in range(1, dc.max_m + 1) for classical in (False, True))
+
+
+def test_integers_past_the_str_limit_print_exactly():
+    """Y(2,14283,1): e and g have 4300 decimal digits, and the Frobenius
+    number 2g - 1 has 4301, one past str()'s default limit."""
+    y = ["--family", "Y", "--q", "2", "--n", "14283", "--s", "1"]
+    proc, _ = _cli_subprocess(["params", *y])
+    assert proc.returncode == 0, proc.stderr
+    derived = json.loads(proc.stdout)["derived"]
+    genus = (2**14285 - 2**14283 - 4) // 2
+    assert Decimal(derived["e"]) == Decimal(2**14283 + 1)
+    assert Decimal(derived["genus"]) == Decimal(genus)
+    assert Decimal(derived["frobenius"]) == Decimal(2 * genus - 1)
+    _assert_refused_at_once(["gaps", *y, "--m", "1"])
+    # (q^n + 1)/(q + 1) past the limit in the SNotDividing message
+    proc, _ = _cli_subprocess(["params", "--family", "Y", "--q", "2", "--n", "14301", "--s", "2"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("SNotDividing: s = 2 does not divide") and "Traceback" not in proc.stderr
+    assert Decimal(proc.stderr.split()[-1]) == Decimal((2**14301 + 1) // 3)
 
 
 def test_output_stability(capsys):

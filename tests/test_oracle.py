@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsgaps import gaps
 from wsgaps.curves import MonomialExponents, monomial_valuation, simplex_points
@@ -16,6 +18,7 @@ from wsgaps.maximal import (
 from wsgaps.membership import in_classical_H, in_generalized_H
 from wsgaps.oracle import (
     Box,
+    closure_non_members,
     consistency_report,
     default_box,
     in_lub_closure,
@@ -157,6 +160,93 @@ def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
 
     monkeypatch.setattr(gaps, "_threshold_scan", lossy)
     assert consistency_report(y231, 1)["closure_matches_membership"] is False
+
+
+@pytest.mark.parametrize("also_lose", [False, True])
+def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, also_lose):
+    """A gap scan that gains a member must fail the closure check too.  With
+    nothing lost every closure non-member is still a gap, so only the count
+    shows it; with the smallest gap lost as well the count agrees, so only
+    the test of each non-member against the gap set shows it."""
+    real = gaps._threshold_scan
+
+    def gaining(dc, m, bound, pure):
+        out = real(dc, m, bound, pure)
+        if not pure:
+            if also_lose:
+                out.discard(min(out))
+            out.add((bound,) + (0,) * m)  # degree 2g, so a member
+        return out
+
+    monkeypatch.setattr(gaps, "_threshold_scan", gaining)
+    assert consistency_report(y231, 1)["closure_matches_membership"] is False
+
+
+def _per_point_non_members(gens, dim, bound):
+    """The reference: every simplex point tested by in_lub_closure.  A
+    generator with a coordinate above bound is below no simplex point, so
+    leaving it out of the index changes no answer and keeps the probes short."""
+    idx = index_generators(g for g in gens if max(g) <= bound)
+    return {a for a in simplex_points(dim, bound) if not in_lub_closure(idx, a)}
+
+
+def _assert_scan_matches(gens, dim, bound):
+    got = list(closure_non_members(gens, dim, bound))
+    assert len(got) == len(set(got)), (gens, bound)
+    assert set(got) == _per_point_non_members(gens, dim, bound), (gens, bound)
+
+
+def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
+    """Every sweep case with g <= 30, at each m <= 3, on the monomials of the
+    default box at bound 2g.  Instances that differ only in (n, s) but share
+    q, p^b, M and g have the same monomials and bound, so each runs once."""
+    seen = set()
+    for dc in sweep:
+        if dc.genus > 30:
+            continue
+        for m in range(1, min(3, dc.max_m) + 1):
+            if (dc.q, dc.pb, dc.M, dc.genus, m) in seen:
+                continue
+            seen.add((dc.q, dc.pb, dc.M, dc.genus, m))
+            bound = 2 * dc.genus
+            _assert_scan_matches(monomial_vectors_in_box(dc, m, default_box(dc, m, bound)), m + 1, bound)
+    assert len(seen) >= 19
+
+
+@pytest.mark.parametrize(
+    "gens, dim, bound",
+    [
+        ([(-3, 4), (5, -2), (0, 0)], 2, 6),  # negative coordinates
+        ([(2, 1), (2, 3), (4, 1), (1, 2)], 2, 7),  # (2, 1) dominates (2, 3) and (4, 1)
+        ([(2, 1, 0), (2, 1, 0), (0, 3, 3), (0, 3, 3)], 3, 8),  # duplicates
+        ([(9, 0), (0, 9), (3, 3)], 2, 8),  # above bound
+        # positive parts summing to 10 > 9 (pruned) and to 9 (kept)
+        ([(-1, 5, 5), (4, -2, 6), (5, 5, -7), (4, -2, 5), (0, 0, 0)], 3, 9),
+        ([(0, 0, 0), (1, 1, -4), (2, -1, 2), (-5, 2, 1)], 3, 6),
+    ],
+)
+def test_closure_scan_matches_per_point_closure_by_hand(gens, dim, bound):
+    _assert_scan_matches(gens, dim, bound)
+
+
+def test_closure_scan_of_no_generators_is_the_whole_simplex():
+    for dim, bound in ((2, 5), (3, 4)):
+        assert set(closure_non_members([], dim, bound)) == set(simplex_points(dim, bound))
+        _assert_scan_matches([], dim, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.tuples(*[st.integers(-4, 9)] * dim), max_size=12),
+            st.just(dim),
+            st.integers(0, 9),
+        )
+    )
+)
+def test_closure_scan_matches_per_point_closure_random(case):
+    _assert_scan_matches(*case)
 
 
 def test_mutant_reaches_every_membership_decision(y231, drop_theta):
