@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 invalid flags/parameters.
 All configuration comes from flags; no environment variables are read.
 Vectors are emitted in lexicographic order and integers beyond 2^53 are
 serialized as decimal strings so JSON consumers keep them exact.
+
+A record's `vectors` skip the generic encoder.  json.dumps renders the rest
+of the record around a placeholder; each vector fills one %-template (one
+integer per line at the indents json.dumps(indent=1) uses at that depth, or
+one TSV row), and str.join builds the list as one string.  The bytes
+equal json.dumps(indent=1) of the encoded record, and the per-row prints of
+TSV; coordinates go through _encode only when some |x| > 2^53.
 """
 
 from __future__ import annotations
@@ -25,6 +32,13 @@ _JSON_SAFE = 2**53
 # Largest work estimate `gaps` and `verify` run; above it the command exits 2
 # at once instead of running for hours or exhausting memory.
 WORK_LIMIT = 10**8
+# Peak resident bytes of `gaps` per gap: both routes' sets, the sorted list
+# and the rendered text, interpreter included.  Measured 416 on Y(3,5,1) and
+# 414 on Y(4,5,5) at m = 1, and 391 on Y(3,3,1) at m = 2.
+BYTES_PER_GAP = 420
+# Largest memory estimate `gaps` runs; above it the command exits 2 at once
+# instead of being killed when memory runs out.
+BYTE_LIMIT = 8 * 10**9
 
 
 def _encode(obj):
@@ -41,13 +55,15 @@ def _encode(obj):
 
 
 def _record(dc, payload) -> dict:
+    """The record of one command; payload["vectors"], a list of equal-length
+    tuples, stays as it is for _emit to render."""
     derived = asdict(dc)
     params = {k: v for k, v in derived.pop("params").items() if v is not None}
     return {
         "schema_version": SCHEMA_VERSION,
         "params": _encode(params),
         "derived": _encode(derived),
-        "payload": _encode(payload),
+        "payload": {k: v if k == "vectors" else _encode(v) for k, v in payload.items()},
     }
 
 
@@ -58,34 +74,70 @@ def _tsv_field(value) -> str:
     return "" if value is None else str(value)
 
 
+def _dumps(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+# Stands in for payload.vectors while _dumps renders the rest of a record.
+_SLOT = "\0"
+
+
+def _vector_rows(vectors: list, fmt: str) -> list[str]:
+    """Each vector as a TSV row, or as the JSON list _dumps writes at the
+    depth of payload.vectors.  Coordinates are rendered by str unless some
+    |x| > 2^53; then each goes through _encode."""
+    slots = ["%s"] * len(vectors[0])
+    row = "\t".join(slots) if fmt == "tsv" else "   [\n    " + ",\n    ".join(slots) + "\n   ]"
+    if -_JSON_SAFE <= min(map(min, vectors)) and max(map(max, vectors)) <= _JSON_SAFE:
+        return list(map(row.__mod__, vectors))
+    cell = str if fmt == "tsv" else json.dumps
+    return [row % tuple(cell(_encode(x)) for x in v) for v in vectors]
+
+
 def _emit(record: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(record, sort_keys=True, separators=(",", ": "), indent=1))
-        return
     payload = record["payload"]
-    if "vectors" in payload:
-        for v in payload["vectors"]:
-            print("\t".join(str(x) for x in v))
-        return
-    # Only `params` has an empty payload; its answer is the record header.
-    rows = payload or {"params": record["params"], "derived": record["derived"]}
-    for k in sorted(rows):
-        if isinstance(rows[k], dict):
-            for name in sorted(rows[k]):
-                print(f"{k}.{name}\t{_tsv_field(rows[k][name])}")
-        else:
-            print(f"{k}\t{_tsv_field(rows[k])}")
+    vectors = payload.get("vectors")
+    if fmt == "json" and vectors:
+        # _dumps writes the one-entry list [_SLOT] as "[\n   <slot>\n  ]" here.
+        header = _dumps({**record, "payload": {**payload, "vectors": [_SLOT]}})
+        head, tail = header.split("   " + json.dumps(_SLOT))
+        print(head, ",\n".join(_vector_rows(vectors, fmt)), tail, sep="")
+    elif fmt == "json":
+        print(_dumps(record))
+    elif vectors is not None:
+        if vectors:
+            print("\n".join(_vector_rows(vectors, fmt)))
+    else:
+        # Only `params` has an empty payload; its answer is the record header.
+        rows = payload or {"params": record["params"], "derived": record["derived"]}
+        for k in sorted(rows):
+            if isinstance(rows[k], dict):
+                for name in sorted(rows[k]):
+                    print(f"{k}.{name}\t{_tsv_field(rows[k][name])}")
+            else:
+                print(f"{k}\t{_tsv_field(rows[k])}")
 
 
-def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> None:
+def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> int:
     """Raise TooMuchWork when closed_form plus the Lambda-box volume exceeds
-    WORK_LIMIT.  The volume (gap_count_upper_bound) is a convolution whose
-    length grows with the instance, so it runs only when closed_form is under
-    the limit."""
-    work = closed_form
-    if work <= WORK_LIMIT:
-        work += gaps_mod.gap_count_upper_bound(dc, m)
-    _refuse(f"{command} at m = {m} up to degree {exact_str(bound)} needs at least", work)
+    WORK_LIMIT, else return the volume (gap_count_upper_bound).  The volume
+    is a convolution whose length grows with the instance, so it runs only
+    when closed_form is under the limit."""
+    what = f"{command} at m = {m} up to degree {exact_str(bound)} needs at least"
+    _refuse(what, closed_form)
+    volume = gaps_mod.gap_count_upper_bound(dc, m)
+    _refuse(what, closed_form + volume)
+    return volume
+
+
+def _refuse_gaps(dc, m: int, bound: int) -> None:
+    """`gaps` by steps (comb(bound + m, m) threshold-scan tails with e
+    classes each, plus the volume) and by bytes: every gap lies in
+    sum(alpha) <= 2g - 1, so the volume bounds the gaps of any bound."""
+    gaps = _refuse_above_limit(dc, "gaps", m, bound, comb(bound + m, m) * dc.e)
+    if gaps * BYTES_PER_GAP > BYTE_LIMIT:
+        raise TooMuchWork(f"gaps at m = {m} holds up to {exact_str(gaps)} gaps, about "
+                          f"{exact_str(gaps * BYTES_PER_GAP)} bytes, above the limit {BYTE_LIMIT}")
 
 
 def _refuse(what: str, work: int) -> None:
@@ -199,8 +251,7 @@ def run(argv) -> int:
 
         if args.command == "gaps":
             bound = max(args.box_sum, 2 * dc.genus - 1)
-            # comb(bound + m, m) threshold-scan tails with e classes each.
-            _refuse_above_limit(dc, "gaps", args.m, bound, comb(bound + args.m, args.m) * dc.e)
+            _refuse_gaps(dc, args.m, bound)
             fn = gaps_mod.pure_gaps_via_lambda if args.pure else gaps_mod.gaps_via_lambda
             vecs = fn(dc, args.m, bound)
             check = (

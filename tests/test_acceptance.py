@@ -72,14 +72,26 @@ def _complement_gap_count(dc, m):
     return _GAP_COUNTS[dc, m]
 
 
+# Every sweep instance that admits m = 3 has g <= 10 or g = 99, so m = 3
+# above g = 10 is checked on these instances from outside the sweep window.
+M3_INSTANCES = [
+    curve("X", p=2, a=3, b=1, n=3, s=57),  # g = 12
+    curve("Y", q=7, n=3, s=43),  # g = 21
+    curve("Y", q=8, n=3, s=57),  # g = 28
+]
+
+
 def _route_cases():
     """The (instance, m) pairs of criteria 5 and 7: m = 1 up to
-    BRUTE_GENUS_CAP, m <= 2 up to g = 100, every m up to g = 10."""
+    BRUTE_GENUS_CAP, m <= 2 up to g = 100, every m up to g = 10, and m = 3
+    on M3_INSTANCES."""
     for dc in SWEEP:
         g = dc.genus
         top = dc.max_m if g <= 10 else 2 if g <= 100 else 1 if g <= BRUTE_GENUS_CAP else 0
         for m in range(1, min(top, dc.max_m) + 1):
             yield dc, m
+    for dc in M3_INSTANCES:
+        yield dc, 3
 
 
 def test_01_genus_frobenius_sweep():
@@ -146,7 +158,8 @@ def test_05_gap_route_agreement():
     elapsed = time.time() - t0
     ok &= elapsed < 300
     _verdict(5, f"gap and pure-gap route agreement, m = 1 for g <= {BRUTE_GENUS_CAP}, "
-                f"m <= 2 for g <= 100, every m for g <= 10 ({elapsed:.1f}s)", ok)
+                f"m <= 2 for g <= 100, every m for g <= 10, m = 3 for "
+                f"{len(M3_INSTANCES)} off-sweep curves with g <= 28 ({elapsed:.1f}s)", ok)
 
 
 def test_06_two_point_exact_count():

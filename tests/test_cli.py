@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, round-trips, stability."""
 
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsgaps import oracle
-from wsgaps.cli import WORK_LIMIT, _counts_work, _listing_work, run
+from wsgaps.cli import (
+    BYTE_LIMIT,
+    WORK_LIMIT,
+    _counts_work,
+    _emit,
+    _encode,
+    _listing_work,
+    _record,
+    _refuse_gaps,
+    run,
+)
+from wsgaps.errors import TooMuchWork
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
@@ -176,12 +188,13 @@ def test_jobs_below_one_exit_2(capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
-def test_closed_stdout_ends_by_sigpipe():
+def _assert_closed_stdout_ends_by_sigpipe(fmt):
+    """The vectors go out in one write, more than a pipe buffer holds (about
+    95 KiB as TSV, 287 KiB as JSON); the reader closes after one line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = ["lambda", "--family", "Y", "--q", "4", "--n", "5", "--s", "5", "--m", "2",
-            "--classical", "--format", "tsv"]  # about 95 KiB, more than a pipe buffer holds
+            "--classical", "--format", fmt]
     with subprocess.Popen([sys.executable, "-m", "wsgaps.cli", *argv], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline()
@@ -189,6 +202,16 @@ def test_closed_stdout_ends_by_sigpipe():
         err = proc.stderr.read().decode()
     assert proc.returncode == -signal.SIGPIPE
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe():
+    _assert_closed_stdout_ends_by_sigpipe("tsv")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_json():
+    _assert_closed_stdout_ends_by_sigpipe("json")
 
 
 def test_bad_m_exit_2(capsys):
@@ -259,6 +282,35 @@ def test_listings_refuse_work_that_cannot_finish(flags):
                              "--m", "1", *flags[1:]])
 
 
+def test_gaps_refuses_what_memory_cannot_hold(capsys):
+    """Y(4,5,1) at m = 1 passes the step estimate (89,458,320) but has
+    53,650,470 gaps, tens of GB as sets of tuples."""
+    argv = ["gaps", "--family", "Y", "--q", "4", "--n", "5", "--s", "1", "--m", "1"]
+    _assert_refused_at_once(argv)
+    for flags in ([], ["--pure"]):
+        assert run([*argv, *flags]) == 2
+        assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
+
+
+def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep):
+    """Of the sweep cases under the step limit, only Y(4,5,1) at m = 1 is
+    refused by bytes.  Admitted are, among others, Y(3,5,1) and Y(4,5,5)
+    at m = 1 (about 336 and 829 MiB) and Y(4,3,1) at m = 1 (a benchmark
+    command)."""
+    admitted, by_bytes = set(), set()
+    for dc in sweep:
+        for m in range(1, dc.max_m + 1):
+            case = (dc.params.family, dc.params.q, dc.params.n, dc.params.s, m)
+            try:
+                _refuse_gaps(dc, m, 2 * dc.genus - 1)
+                admitted.add(case)
+            except TooMuchWork as err:
+                if f"above the limit {BYTE_LIMIT}" in str(err):
+                    by_bytes.add(case)
+    assert by_bytes == {("Y", 4, 5, 1, 1)}
+    assert {("Y", 3, 5, 1, 1), ("Y", 4, 5, 5, 1), ("Y", 4, 3, 1, 1)} <= admitted
+
+
 def test_counts_admits_every_sweep_case(sweep):
     assert all(_counts_work(dc, m) <= WORK_LIMIT for dc in sweep for m in range(1, dc.max_m + 1))
 
@@ -285,6 +337,102 @@ def test_integers_past_the_str_limit_print_exactly():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("SNotDividing: s = 2 does not divide") and "Traceback" not in proc.stderr
     assert Decimal(proc.stderr.split()[-1]) == Decimal((2**14301 + 1) // 3)
+
+
+# stdout SHA-256 of small commands, pinned at the commit before vectors were
+# spliced into the record by str.join instead of going through json.dumps.
+Y455 = "--family Y --q 4 --n 5 --s 5"
+GOLDEN = {
+    "params --family Y --q 2 --n 3 --s 1": (
+        "b09af2f630f8785758f269d3bf45149d6f9013f21b49ed19fdc73a5d4dc35cee",
+        "f49a691fd704a280e5c84e009f2704ddfad8106fd4c77b82fdffb91b81ad5968"),
+    "params --family X --p 2 --a 1 --b 1 --n 3 --s 1": (
+        "8323e373c31623df040ef81cf7097240ff792a54763cf13375b4c8e4848590a5",
+        "f29f72a670011a5a2f72b8719d02725cd8d0a6a61823ac6e26e963c5797c4797"),
+    "gamma --family Y --q 2 --n 3 --s 1 --m 2": (
+        "1a89941785f1f6539b66cd97175ea475e1c8288c39260bba36d3241d84b42407",
+        "4c5f54859732b90c7cb84939dd6be3aa3cc10c29129ad20aa54f46e17bd81fab"),
+    "gamma --family X --p 2 --a 1 --b 1 --n 3 --s 1 --m 1 --classical": (
+        "48d9e7d6325338c66b2a45011d90c08210d7324fa2baf8c84868cb90f1b0a2dd",
+        "e3128e375cd6086a148c80734f9dade6445f7a3464a488998c4b80793b96a2d7"),
+    "lambda --family Y --q 2 --n 3 --s 1 --m 2": (
+        "f804824df856e2702e93519c47239aea0b399903aed6f6a2627b47a16f5d4359",
+        "e56d6559fb5235d63900f2bbf46ee5f72210ac8422cbf25646c5a3c58760aae6"),
+    f"lambda {Y455} --m 2 --classical": (
+        "9cbf93fb67990b8a4c731acc7368795ec9978a696fdca5f069821a271ebb5d6e",
+        "a1cec138752c424a90d9194f514e714af62079b61167d96e5a9e5d4d53973f06"),
+    "gaps --family X --p 2 --a 1 --b 1 --n 3 --s 1 --m 1": (
+        "2603a8228ea06451d9006c4e6b9562d4072dbfcbfa105624107c829ece90e63a",
+        "caa0bbd06ba436bddcb6d54a65ef3968b447919404eb73805ee2e57e9b22ac7c"),
+    "gaps --family Y --q 2 --n 3 --s 1 --m 2 --pure": (
+        "4491e90184f09be34708a783a6aa92c6771082ba8f7bbfd9e15a953e46463e80",
+        "342a954c8753f106b89d3a60e3338a66680d896a93ecef7ef5d6332a393eed53"),
+    # no pure gaps: "vectors": [] as JSON, no bytes at all as TSV
+    "gaps --family Y --q 2 --n 3 --s 3 --m 1 --pure": (
+        "6a90689b98b01fb42cd9769a99137fb2bd03353cb4e3a77ac980b39d9bb8cd8f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "member --family Y --q 2 --n 3 --s 1 --m 1 --vector 1,1": (
+        "a4547cd5d8bc94fb1a319a999419fdb465d00e6efc2754038e49b4a4d6e273ce",
+        "67d895c4474501ac7907e1a421783b28e2574870d26f2beffd0f01f9f1e5fba1"),
+    "member --family Y --q 2 --n 3 --s 1 --m 2 --vector 19,1,-3": (
+        "a4d77e68fb3f8a92ab6ced654404f7dc1604f30f7abb757522f4339e3e73d90e",
+        "784fbcff990894098acba2385f2db860e0087afc136e0c5af3512b5b031f6f89"),
+    "counts --family Y --q 2 --n 3 --s 1 --m 1": (
+        "b54cf076bcd61cf95afa538163000a0aeacd7185f40c10a33d12f0368c7f10dd",
+        "a015ec6ae20dcf307329eadf06335c7f576ab8073de4b283299e3a3f9c589b2d"),
+    # gap_count_upper_bound is above 2**53: a JSON string, a bare TSV cell
+    "counts --family Y --q 4 --n 5 --s 1 --m 4": (
+        "ee43b61b9c1774dce5a37a03f55369cd827db283cb91aa3a4a6db537b6e823d5",
+        "db877bdfeae4b28ba7d94c3f239a713dfa5cbf59048bb6dc24fc574a52ee7eff"),
+    "verify --family Y --q 2 --n 3 --s 1 --m 1": (
+        "78a0c6c5e9b0943b62faeaeb385e3b2e0660ff11c1de8659a4ef5ffacdff296d",
+        "ac9d8cbb2e1411bd57e3766238e06f5bd4643d6f14764be8f73ac30a07f137c6"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_bytes_pinned(command, fmt, capsys):
+    assert run([*command.split(), "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN[command][fmt == "tsv"]
+
+
+def _reference_emit(record, fmt):
+    """What _emit printed while every record went through _encode and
+    json.dumps and every TSV vector row had its own print."""
+    if fmt == "json":
+        print(json.dumps(_encode(record), sort_keys=True, separators=(",", ": "), indent=1))
+    else:
+        for v in _encode(record["payload"]["vectors"]):
+            print("\t".join(str(x) for x in v))
+
+
+# JSON-safe coordinates, up to +-2**53 itself, and ones past it.
+_SAFE = st.one_of(st.integers(-300, 10**6), st.sampled_from([2**53 - 1, 2**53, -(2**53) + 1, -(2**53)]))
+_PAST = st.one_of(st.sampled_from([2**53 + 1, -(2**53) - 1, 2**64, -(2**64)]), st.integers(-2**60, 2**60))
+
+
+@st.composite
+def _vector_payload(draw):
+    m = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.lists(_SAFE, min_size=m + 1, max_size=m + 1), max_size=8))
+    if vectors and draw(st.booleans()):
+        vectors[draw(st.integers(0, len(vectors) - 1))][draw(st.integers(0, m))] = draw(_PAST)
+    vectors = sorted(map(tuple, vectors))
+    return {"m": m, "vectors": vectors, "count": len(vectors)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vector_payload(), st.sampled_from(["json", "tsv"]))
+def test_emit_matches_the_encoder(y231, payload, fmt):
+    record = _record(y231, payload)
+    fast, reference = io.StringIO(), io.StringIO()
+    with redirect_stdout(fast):
+        _emit(record, fmt)
+    with redirect_stdout(reference):
+        _reference_emit(record, fmt)
+    assert fast.getvalue() == reference.getvalue()
 
 
 def test_output_stability(capsys):
