@@ -10,7 +10,6 @@ from .curves import (
     monomial_valuation,
     validate_params,
 )
-from .semigroup import NumericalSemigroup, contains, from_generators
 
 __all__ = [
     "CurveParams",
@@ -24,3 +23,13 @@ __all__ = [
     "monomial_valuation",
     "validate_params",
 ]
+
+
+def __getattr__(name):
+    """The semigroup names load with their module on first use: no command
+    runs them, so no command pays for them at start-up."""
+    if name in ("NumericalSemigroup", "contains", "from_generators"):
+        from . import semigroup
+
+        return getattr(semigroup, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

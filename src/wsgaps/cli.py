@@ -6,18 +6,21 @@ Vectors are emitted in lexicographic order and integers beyond 2^53 are
 serialized as decimal strings so JSON consumers keep them exact.
 
 A record's `vectors` skip the generic encoder.  json.dumps renders the rest
-of the record around a placeholder; each vector fills one %-template (one
-integer per line at the indents json.dumps(indent=1) uses at that depth, or
-one TSV row), and str.join builds the list as one string.  The bytes
-equal json.dumps(indent=1) of the encoded record, and the per-row prints of
-TSV; coordinates go through _encode only when some |x| > 2^53.
+of the record around a placeholder, and the vectors are written in its
+place at the indents json.dumps(indent=1) uses at that depth (or as TSV
+rows).  A list of vectors (`gamma`, `lambda`) fills one %-template per
+vector and goes out as one str.join.  A gap table (`gaps`) is streamed:
+walking alpha_0 upwards, each alpha_0's rows are one str.join of its
+rendering and the renderings of its tails, each tail rendered once, so
+neither a row list nor the gap set is ever built.  The bytes equal
+json.dumps(indent=1) of the encoded record, and the per-row prints of TSV;
+coordinates go through _encode only when some |x| > 2^53.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 from dataclasses import asdict
 from math import comb
@@ -32,13 +35,16 @@ _JSON_SAFE = 2**53
 # Largest work estimate `gaps` and `verify` run; above it the command exits 2
 # at once instead of running for hours or exhausting memory.
 WORK_LIMIT = 10**8
-# Peak resident bytes of `gaps` per gap: both routes' sets, the sorted list
-# and the rendered text, interpreter included.  Measured 416 on Y(3,5,1) and
-# 414 on Y(4,5,5) at m = 1, and 391 on Y(3,3,1) at m = 2.
-BYTES_PER_GAP = 420
-# Largest memory estimate `gaps` runs; above it the command exits 2 at once
-# instead of being killed when memory runs out.
-BYTE_LIMIT = 8 * 10**9
+# Peak resident bytes of `gaps` per entry of its caps table (comb(bound + m,
+# m) tails, e classes each): both routes' tables, the emitter's per-class
+# copies and the interpreter.  Measured 20.2 on Y(4,5,1) at m = 1, 17.5 on
+# Y(3,3,1) at m = 2 up to degree 1000 and 23.3 on Y(2,3,3) at m = 1 up to
+# degree 3*10^6, where e = 3 leaves the per-tail arrays the most weight.
+BYTES_PER_ENTRY = 24
+# Largest memory estimate `gaps` runs, a quarter of an 8 GB desk machine;
+# above it the command exits 2 at once instead of crowding out the rest of
+# the machine.  Near WORK_LIMIT a table would take about 2.4 GB.
+BYTE_LIMIT = 2 * 10**9
 
 
 def _encode(obj):
@@ -56,7 +62,7 @@ def _encode(obj):
 
 def _record(dc, payload) -> dict:
     """The record of one command; payload["vectors"], a list of equal-length
-    tuples, stays as it is for _emit to render."""
+    tuples or a gap table, stays as it is for _emit to render."""
     derived = asdict(dc)
     params = {k: v for k, v in derived.pop("params").items() if v is not None}
     return {
@@ -80,6 +86,15 @@ def _dumps(record: dict) -> str:
 
 # Stands in for payload.vectors while _dumps renders the rest of a record.
 _SLOT = "\0"
+# Between two rendered vectors.
+_ROW_SEP = {"json": ",\n", "tsv": "\n"}
+
+
+def _cell(fmt: str):
+    """Render one coordinate through _encode: a JSON string or a bare TSV
+    cell when |x| > 2^53."""
+    dumps = str if fmt == "tsv" else json.dumps
+    return lambda x: dumps(_encode(x))
 
 
 def _vector_rows(vectors: list, fmt: str) -> list[str]:
@@ -90,32 +105,70 @@ def _vector_rows(vectors: list, fmt: str) -> list[str]:
     row = "\t".join(slots) if fmt == "tsv" else "   [\n    " + ",\n    ".join(slots) + "\n   ]"
     if -_JSON_SAFE <= min(map(min, vectors)) and max(map(max, vectors)) <= _JSON_SAFE:
         return list(map(row.__mod__, vectors))
-    cell = str if fmt == "tsv" else json.dumps
-    return [row % tuple(cell(_encode(x)) for x in v) for v in vectors]
+    cell = _cell(fmt)
+    return [row % tuple(map(cell, v)) for v in vectors]
+
+
+def _list_blocks(vectors: list, fmt: str):
+    """A list of vectors as one block of rows."""
+    if vectors:
+        yield _ROW_SEP[fmt].join(_vector_rows(vectors, fmt))
+
+
+def _table_blocks(table, fmt: str):
+    """The rows of a gap table, one block per alpha_0 in table.walk order.
+    Every coordinate lies in [0, table.bound], so only the bound needs the
+    2^53 test."""
+    cell = str if table.bound <= _JSON_SAFE else _cell(fmt)
+    lead, sep, end = ("", "\t", "") if fmt == "tsv" else ("   [\n    ", ",\n    ", "\n   ]")
+    between = _ROW_SEP[fmt]
+    for a0, rests in table.walk(lambda tail: "".join([sep + cell(x) for x in tail]) + end):
+        first = lead + cell(a0)
+        yield first + (between + first).join(rests)
 
 
 def _emit(record: dict, fmt: str) -> None:
     payload = record["payload"]
     vectors = payload.get("vectors")
-    if fmt == "json" and vectors:
-        # _dumps writes the one-entry list [_SLOT] as "[\n   <slot>\n  ]" here.
-        header = _dumps({**record, "payload": {**payload, "vectors": [_SLOT]}})
-        head, tail = header.split("   " + json.dumps(_SLOT))
-        print(head, ",\n".join(_vector_rows(vectors, fmt)), tail, sep="")
-    elif fmt == "json":
+    if vectors is None:
+        _emit_fields(record, fmt)
+        return
+    blocks = (_table_blocks if isinstance(vectors, gaps_mod.GapTable) else _list_blocks)(vectors, fmt)
+    write = sys.stdout.write
+    if fmt == "tsv":
+        for block in blocks:
+            write(block)
+            write("\n")
+        return
+    first = next(blocks, None)
+    if first is None:
+        print(_dumps({**record, "payload": {**payload, "vectors": []}}))
+        return
+    # _dumps writes the one-entry list [_SLOT] as "[\n   <slot>\n  ]" here.
+    header = _dumps({**record, "payload": {**payload, "vectors": [_SLOT]}})
+    head, tail = header.split("   " + json.dumps(_SLOT))
+    write(head)
+    write(first)
+    for block in blocks:
+        write(_ROW_SEP[fmt])
+        write(block)
+    write(tail + "\n")
+
+
+def _emit_fields(record: dict, fmt: str) -> None:
+    """A record without vectors: as JSON, or one TSV row per field."""
+    if fmt == "json":
         print(_dumps(record))
-    elif vectors is not None:
-        if vectors:
-            print("\n".join(_vector_rows(vectors, fmt)))
-    else:
-        # Only `params` has an empty payload; its answer is the record header.
-        rows = payload or {"params": record["params"], "derived": record["derived"]}
-        for k in sorted(rows):
-            if isinstance(rows[k], dict):
-                for name in sorted(rows[k]):
-                    print(f"{k}.{name}\t{_tsv_field(rows[k][name])}")
-            else:
-                print(f"{k}\t{_tsv_field(rows[k])}")
+        return
+    payload = record["payload"]
+    # Only `params` has an empty payload; its answer is the record header.
+    rows = payload or {"params": record["params"], "derived": record["derived"]}
+    for k in sorted(rows):
+        if isinstance(rows[k], dict):
+            for name in sorted(rows[k]):
+                print(f"{k}.{name}\t{_tsv_field(rows[k][name])}")
+        else:
+            print(f"{k}\t{_tsv_field(rows[k])}")
 
 
 def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> int:
@@ -132,12 +185,13 @@ def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) 
 
 def _refuse_gaps(dc, m: int, bound: int) -> None:
     """`gaps` by steps (comb(bound + m, m) threshold-scan tails with e
-    classes each, plus the volume) and by bytes: every gap lies in
-    sum(alpha) <= 2g - 1, so the volume bounds the gaps of any bound."""
-    gaps = _refuse_above_limit(dc, "gaps", m, bound, comb(bound + m, m) * dc.e)
-    if gaps * BYTES_PER_GAP > BYTE_LIMIT:
-        raise TooMuchWork(f"gaps at m = {m} holds up to {exact_str(gaps)} gaps, about "
-                          f"{exact_str(gaps * BYTES_PER_GAP)} bytes, above the limit {BYTE_LIMIT}")
+    classes each, plus the volume) and by bytes (the caps table, one entry
+    per tail and class)."""
+    entries = comb(bound + m, m) * dc.e
+    _refuse_above_limit(dc, "gaps", m, bound, entries)
+    if entries * BYTES_PER_ENTRY > BYTE_LIMIT:
+        raise TooMuchWork(f"gaps at m = {m} keeps {exact_str(entries)} table entries, about "
+                          f"{exact_str(entries * BYTES_PER_ENTRY)} bytes, above the limit {BYTE_LIMIT}")
 
 
 def _refuse(what: str, work: int) -> None:
@@ -199,10 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weierstrass semigroups, gaps and pure gaps at several "
         "points on two families of maximal curves; exact arithmetic only.",
     )
+    curve_flags = argparse.ArgumentParser(add_help=False)
+    _add_param_flags(curve_flags)
     subs = ap.add_subparsers(dest="command", required=True)
     for name in ("params", "gamma", "lambda", "gaps", "member", "counts", "verify"):
-        sub = subs.add_parser(name)
-        _add_param_flags(sub)
+        sub = subs.add_parser(name, parents=[curve_flags])
         if name != "params":
             sub.add_argument("--m", type=int, default=1)
         if name in ("gamma", "lambda"):
@@ -252,17 +307,20 @@ def run(argv) -> int:
         if args.command == "gaps":
             bound = max(args.box_sum, 2 * dc.genus - 1)
             _refuse_gaps(dc, args.m, bound)
-            fn = gaps_mod.pure_gaps_via_lambda if args.pure else gaps_mod.gaps_via_lambda
-            vecs = fn(dc, args.m, bound)
-            check = (
-                gaps_mod.pure_gaps_via_nabla(dc, args.m, bound)
-                if args.pure
-                else gaps_mod.gaps_via_complement(dc, args.m, bound)
-            )
-            if vecs != check:
-                print("route disagreement between formula and complement", file=sys.stderr)
+            routes = [("formula", gaps_mod.gaps_via_lambda), ("complement", gaps_mod.gaps_via_complement)]
+            if args.pure:
+                routes = [("formula", gaps_mod.pure_gaps_via_lambda), ("nabla", gaps_mod.pure_gaps_via_nabla)]
+            (name, route), (check_name, check_route) = routes
+            table = route(dc, args.m, bound)
+            differ = table.first_difference(check_route(dc, args.m, bound))
+            if differ is not None:
+                vector, holder = differ
+                held = f"a gap by the {name if holder is table else check_name} route " + (
+                    "above its class prefix" if vector == holder.stray else "only")
+                print(f"route disagreement between {name} and {check_name}: smallest differing vector "
+                      f"{vector}, {held}", file=sys.stderr)
                 return 1
-            _emit(_record(dc, {"m": args.m, "vectors": sorted(vecs), "count": len(vecs)}), args.format)
+            _emit(_record(dc, {"m": args.m, "vectors": table, "count": len(table)}), args.format)
             return 0
 
         if args.command == "member":
@@ -308,6 +366,8 @@ def run(argv) -> int:
 def main() -> None:
     # A reader closing stdout early (`wsgaps ... | head`) ends the process by
     # SIGPIPE, as for any Unix filter, not by a traceback with exit code 1.
+    import signal  # only this entry point sets a handler; importers of cli skip the module
+
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))

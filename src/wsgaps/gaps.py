@@ -5,24 +5,32 @@ All searches are confined to the simplex sum(alpha) <= 2g - 1: any
 nonnegative vector of total degree at least 2g is a semigroup member
 (nonspeciality of divisors of degree >= 2g), so no gap lies outside.
 
-The Lambda route unions the shifted open boxes of the relative maximals.
+A gap set is a GapTable.  (e, 0, ..., 0) lies in H, so for a fixed tail
+t = (alpha_1..alpha_m) the gaps of each class c = alpha_0 mod e form a
+prefix range(c, hi, e) of the class: the table keeps one cap hi per (tail,
+class), comb(bound + m, m)*e integers, and never a tuple per gap.  Tables
+are compared cap by cap, and walk() lists their gaps in lexicographic order
+(alpha_0 first), which `wsgaps gaps` streams as it renders.
+
+The Lambda route converts the shifted open boxes of the relative maximals
+into caps, checking that every point it adds extends its class prefix.
 The complement and nabla routes never read Lambda: they run one threshold
-scan over the residue tables of membership.  Fix a tail t = (alpha_1..alpha_m)
-with top = bound - sum(t).  A witness at coordinate r exists iff
+scan over the residue tables of membership.  Fix a tail t with
+top = bound - sum(t).  A witness at coordinate r exists iff
 alpha_0 >= a0 - e*S(t), with (rho, a0) the forced table entry and
 S(t) = sum_s (alpha_s - rho)//e (the slack inequality, solved for alpha_0).
 Each r >= 1 fixes rho by alpha_r, so its threshold does not depend on
 alpha_0; r = 0 gives one threshold U_c per class c = alpha_0 mod e.  The
-gaps of the tail in class c are range(c, min(max(L, U_c), top + 1), e) with L
-the largest r >= 1 threshold; the pure gaps use the smallest and min.  A
-missing table entry means no witness at any alpha_0 and counts as top + 1.
-Cost: O(#tails * e * m + output), against O(#points * m^2) for a per-point
-membership test.
+cap of class c is min(max(L, U_c), top + 1) with L the largest r >= 1
+threshold; the pure gaps use the smallest and min.  A missing table entry
+means no witness at any alpha_0 and counts as top + 1.  Cost:
+O(#tails * e * m), against O(#points * m^2) for a per-point membership test.
 """
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import compress, product, repeat
+from math import comb
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import NotSorted, SelfCheckError, WsgapsError
@@ -34,76 +42,240 @@ def _default_bound(dc: DerivedConstants, bound: int | None) -> int:
     return 2 * dc.genus - 1 if bound is None else bound
 
 
-def _nabla_bar_slices(lam: set, m: int, bound: int) -> list[set]:
-    """slice[i] = all alpha in the simplex lying in some shifted open box
-    of a classical relative maximal (an element of lam) at coordinate i."""
-    slices = [set() for _ in range(m + 1)]
-    for beta in lam:
-        for i in range(m + 1):
-            if beta[i] > bound or any(beta[j] < 1 for j in range(m + 1) if j != i):
+def _ints(values=()):
+    """array('q', values).  array loads on first use, so the commands that
+    build no table do not pay for it at start-up."""
+    from array import array
+
+    return array("q", values)
+
+
+def _rank(tail, bound: int) -> int:
+    """Position of tail in simplex_points(len(tail), bound).  Coordinate i
+    passes over the tails that share the coordinates before it and are
+    smaller at it, a hockey-stick sum of simplex sizes."""
+    rank, room, k = 0, bound, len(tail)
+    for x in tail:
+        k -= 1
+        rank += comb(room + k + 1, k + 1) - comb(room - x + k + 1, k + 1)
+        room -= x
+    return rank
+
+
+class GapTable:
+    """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as caps.
+
+    hi holds e caps per tail t = (alpha_1..alpha_m), the tails in
+    simplex_points order: hi[_rank(t, bound)*e + c] = c + e*k when the gaps
+    (alpha_0, t) with alpha_0 = c mod e are range(c, c + e*k, e).
+
+    stray is the lexicographically smallest point a route produced above its
+    class prefix, else None.  Such a set is not a union of class prefixes:
+    the caps hold the prefixes only, and a table with a stray equals none.
+    """
+
+    __slots__ = ("e", "m", "bound", "hi", "stray")
+    __hash__ = None
+
+    def __init__(self, e: int, m: int, bound: int, hi, stray: tuple[int, ...] | None = None):
+        self.e, self.m, self.bound, self.hi, self.stray = e, m, bound, hi, stray
+
+    def __len__(self) -> int:
+        e = self.e
+        return (sum(self.hi) - len(self.hi) // e * (e * (e - 1) // 2)) // e
+
+    def __contains__(self, alpha) -> bool:
+        a0, *tail = alpha
+        if len(tail) != self.m or a0 < 0 or min(tail) < 0 or a0 + sum(tail) > self.bound:
+            return False
+        return a0 < self.hi[_rank(tail, self.bound) * self.e + a0 % self.e]
+
+    def __iter__(self):
+        for a0, tails in self.walk(tuple):
+            for tail in tails:
+                yield (a0, *tail)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GapTable):
+            return NotImplemented
+        shape = (self.e, self.m, self.bound)
+        return shape == (other.e, other.m, other.bound) and self.first_difference(other) is None
+
+    def walk(self, label):
+        """Yield (alpha_0, [label(t) for each tail t with a gap (alpha_0, t)])
+        for alpha_0 ascending, the tails in lexicographic order, skipping an
+        alpha_0 without gaps.  label runs once per tail that has a gap.
+
+        Each class keeps the tails it still holds with their caps; at each
+        alpha_0 of the class the tails whose cap it reaches drop out, so the
+        cost is O(#gaps + #entries).
+        """
+        e, hi = self.e, self.hi
+        empty = _ints(range(e))
+        labels = [
+            None if hi[i:i + e] == empty else label(tail)
+            for i, tail in zip(range(0, len(hi), e), simplex_points(self.m, self.bound))
+        ]
+        held = []
+        for c in range(e):
+            caps = hi[c::e]
+            keep = list(map(c.__lt__, caps))
+            held.append([_ints(compress(caps, keep)), list(compress(labels, keep))])
+        del labels
+        for a0 in range(self.bound + 1):
+            entry = held[a0 % e]
+            caps, tails = entry
+            if not caps:
                 continue
-            ranges = [
-                range(min(beta[j] - 1, bound) + 1) if j != i else (beta[i],)
-                for j in range(m + 1)
-            ]
-            for alpha in product(*ranges):
-                if sum(alpha) <= bound:
-                    slices[i].add(alpha)
-    return slices
+            if min(caps) <= a0:
+                keep = list(map(a0.__lt__, caps))
+                caps, tails = _ints(compress(caps, keep)), list(compress(tails, keep))
+                entry[:] = caps, tails
+            if tails:
+                yield a0, tails
+
+    def first_difference(self, other: GapTable):
+        """(vector, table) for the lexicographically smallest vector that one
+        table's caps hold and the other's do not, or that is a table's stray,
+        with the table holding it; None when the tables hold the same set.
+        Both tables must cover the same simplex."""
+        found = [(t.stray, t) for t in (self, other) if t.stray is not None]
+        if self.hi != other.hi:
+            e = self.e
+            rows = range(0, len(self.hi), e)
+            for i, tail in zip(rows, simplex_points(self.m, self.bound)):
+                mine, theirs = self.hi[i:i + e], other.hi[i:i + e]
+                if mine != theirs:
+                    found += [((min(a, b), *tail), self if a > b else other)
+                              for a, b in zip(mine, theirs) if a != b]
+        return min(found, key=lambda f: f[0], default=None)
 
 
-def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
-    """Gap set from the relative maximals: union of the shifted open boxes."""
+def _box_runs(ranges, bound: int, budget: int):
+    """The tails of the box prod(ranges) with sum <= budget, grouped by
+    head (every coordinate but the last): yields (head, xs, base), the tails
+    head + (x,) for x in xs sitting at base + x in simplex_points(len(ranges), bound)."""
+    *heads, last = ranges
+    for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
+        xs = range(last.start, min(last.stop, budget - sum(head) + 1))
+        if xs:
+            yield head, xs, _rank((*head, 0), bound)
+
+
+def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
+    """The gaps (pure: the pure gaps) of the simplex from the relative maximals lam.
+
+    Each beta in lam gives an open box per coordinate i, shifted to pass
+    through beta there: alpha_i = beta_i and 0 <= alpha_j < beta_j elsewhere.
+    The gaps are the union of all boxes; the pure gaps intersect over i the
+    union of the boxes at i.  A box at r >= 1 holds alpha_0 < beta_0 on each
+    of its tails, a prefix of every class.  A box at 0 holds one point
+    (beta_0, t) per tail t.  Taken in ascending beta_0 after every prefix is
+    set, each such point (pure: each below the prefix) must extend its class
+    prefix; the smallest that does not becomes the table's stray.
+    """
+    size = comb(bound + m, m)
+
+    def reach(r):
+        """Per tail, the largest beta_0 of the boxes at r that hold it."""
+        out = _ints([0]) * size
+        for beta in lam:
+            ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
+            for _, xs, base in _box_runs(ranges, bound, bound):
+                cells = slice(base + xs.start, base + xs.stop)
+                out[cells] = _ints(map(max, out[cells], repeat(beta[0])))
+        return out
+
+    prefix = reach(1)
+    for r in range(2, m + 1):
+        prefix = _ints(map(min if pure else max, prefix, reach(r)))
+    tops = (bound - sum(tail) + 1 for tail in simplex_points(m, bound))
+    caps = _ints(map(min, prefix, tops))
+    del prefix
+    if pure:
+        hi = _ints(range(e)) * size
+    else:
+        hi = _ints()
+        for cap in caps:  # class c holds c + e*k for c + e*k < cap
+            q = cap - cap % e
+            hi.extend(range(q + e, cap + e))
+            hi.extend(range(cap, q + e))
+    stray = None
+    for beta in sorted(lam):
+        b0, c = beta[0], beta[0] % e
+        if b0 > bound:
+            break
+        for head, xs, base in _box_runs([range(b) for b in beta[1:]], bound, bound - b0):
+            first, stop = base + xs.start, base + xs.stop
+            cells = slice(first * e + c, stop * e, e)
+            old = hi[cells]
+            # b0 <= top on every tail of the run, so only pure gaps need the prefix.
+            live = caps[first:stop] if pure else repeat(b0 + 1)
+            hi[cells] = _ints([h + e if h == b0 < cap else h for h, cap in zip(old, live)])
+            if min(old) < b0:
+                above = [(b0, *head, x) for x, h, cap in zip(xs, old, live) if h < b0 < cap]
+                if above and (stray is None or above[0] < stray):
+                    stray = above[0]
+    return GapTable(e, m, bound, hi, stray)
+
+
+def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
+    """Gap table from the relative maximals: union of the shifted open boxes."""
     check_m(dc, m)
-    bound = _default_bound(dc, bound)
-    return set().union(*_nabla_bar_slices(enumerate_classical_Lambda(dc, m), m, bound))
+    return _lambda_table(enumerate_classical_Lambda(dc, m), dc.e, m, _default_bound(dc, bound), pure=False)
 
 
-def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
-    """Pure-gap set from the relative maximals.
+def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
+    """Pure-gap table from the relative maximals.
 
     The union over (m+1)-tuples of relative maximals of intersected boxes
     equals the intersection over coordinates of per-coordinate unions, which
     avoids the |Lambda|^(m+1) blowup.
     """
     check_m(dc, m)
-    bound = _default_bound(dc, bound)
-    return set.intersection(*_nabla_bar_slices(enumerate_classical_Lambda(dc, m), m, bound))
+    return _lambda_table(enumerate_classical_Lambda(dc, m), dc.e, m, _default_bound(dc, bound), pure=True)
 
 
-def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> set:
+def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> GapTable:
     """The non-members (pure: the vectors with no witness at any coordinate)
     of the simplex sum(alpha) <= bound, one tail at a time."""
     e = dc.e
     by_rho, by_class = _residue_tables(dc, m)
-    classes = [by_class.get(c) for c in range(e)]
+    # A missing table entry (no witness at any alpha_0) gets a first
+    # coordinate whose threshold lies past every top.
+    past = 2 * bound + 2
+    a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
+    by_class = [by_class.get(c, (0, past)) for c in range(e)]
     pick = min if pure else max
-    out: set = set()
+    hi = _ints()
     for tail in simplex_points(m, bound):
         cap = bound - sum(tail) + 1  # top + 1
-
-        def threshold(forced):
-            if forced is None:
-                return cap
-            rho, a0 = forced
-            return a0 - e * sum([(x - rho) // e for x in tail])
-
-        lim = pick([threshold(by_rho[x % e]) for x in tail])
-        tails = [repeat(x) for x in tail]
+        # The threshold of (rho, a0) is a0 + shift[rho]: with x = e*(x//e) + x % e,
+        # -e * sum_t (x_t - rho)//e = e * (#{t : x_t % e < rho} - sum_t x_t//e).
+        q = sum([x // e for x in tail])
+        residues = [x % e for x in tail]
+        shift, start = [], 0
+        for k, r in enumerate(sorted(residues)):
+            shift += [e * (k - q)] * (r + 1 - start)
+            start = r + 1
+        shift += [e * (m - q)] * (e - start)
+        lim = pick([a0_by_rho[r] + shift[r] for r in residues])
         # A pure gap lies below every r >= 1 threshold, so no class >= lim has one.
-        for c in range(min(e, cap, lim) if pure else min(e, cap)):
-            hi = min(pick(lim, threshold(classes[c])), cap)
-            out.update(zip(range(c, hi, e), *tails))
-    return out
+        held = max(0, min(e, cap, lim)) if pure else min(e, cap)
+        ends = [min(pick(lim, a0 + shift[rho]), cap) for rho, a0 in by_class[:held]]
+        # The cap of class c: the first c + e*k at or past the end of its gaps.
+        hi.extend([c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
+        hi.extend(range(held, e))
+    return GapTable(e, m, bound, hi)
 
 
-def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
+def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
     """Independent route: complement of membership on the bounded simplex."""
     check_m(dc, m)
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=False)
 
 
-def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) -> set:
+def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
     """Definition-based route: every coordinate witness must fail."""
     check_m(dc, m)
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
@@ -180,12 +352,12 @@ def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
 def build_gap_report(dc: DerivedConstants, m: int) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
     independent one on the proven gap region sum(alpha) <= 2g - 1."""
+    bound = 2 * dc.genus - 1
     g_compl = gaps_via_complement(dc, m)
     lam = enumerate_classical_Lambda(dc, m)
-    slices = _nabla_bar_slices(lam, m, 2 * dc.genus - 1)
     checks = {
-        "gap_routes_agree": set().union(*slices) == g_compl,
-        "pure_gap_routes_agree": set.intersection(*slices) == pure_gaps_via_nabla(dc, m),
+        "gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=False) == g_compl,
+        "pure_gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=True) == pure_gaps_via_nabla(dc, m),
         "lambda_count_formula": count_Lambda(dc, m) == len(lam),
         "gap_count_bound": len(g_compl) <= gap_count_upper_bound(dc, m),
     }

@@ -12,8 +12,8 @@ Everything reads one cached residue table and one slack formula.  Per
 point, nabla_witness builds the witness (caps, first unpinned shift lowered
 by the slack) for in_generalized_H, in_classical_H and `wsgaps member`;
 witness_test decides the same inequality as a boolean closure, for the
-one-point gaps and the tests.  Sets come from the threshold scan in
-gaps.py, which solves the inequality for alpha_0 once per tail.
+one-point gaps and the tests.  Gap tables come from the threshold scan
+in gaps.py, which solves the inequality for alpha_0 once per tail.
 """
 
 from __future__ import annotations

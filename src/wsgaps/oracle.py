@@ -201,7 +201,7 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -
     gaps = gaps_via_complement(dc, m, bound)
     hits = Counter(a in gaps for a in closure_non_members(mono, m + 1, bound))
     checks = {"closure_matches_membership": hits[False] == 0 and hits[True] == len(gaps)}
-    del gaps  # released before build_gap_report builds its own sets
+    del gaps  # released before build_gap_report builds its own tables
 
     idx = index_generators(mono)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)

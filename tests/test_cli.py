@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps import oracle
+from wsgaps import gaps, oracle
 from wsgaps.cli import (
     BYTE_LIMIT,
     WORK_LIMIT,
@@ -28,7 +28,9 @@ from wsgaps.cli import (
     _refuse_gaps,
     run,
 )
+from wsgaps.curves import curve, simplex_points
 from wsgaps.errors import TooMuchWork
+from wsgaps.membership import witness_test
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
@@ -283,32 +285,57 @@ def test_listings_refuse_work_that_cannot_finish(flags):
 
 
 def test_gaps_refuses_what_memory_cannot_hold(capsys):
-    """Y(4,5,1) at m = 1 passes the step estimate (89,458,320) but has
-    53,650,470 gaps, tens of GB as sets of tuples."""
-    argv = ["gaps", "--family", "Y", "--q", "4", "--n", "5", "--s", "1", "--m", "1"]
+    """Y(2,3,1) at m = 1 up to degree 10^7 passes the step estimate
+    (90,000,159) but keeps 90,000,009 table entries, about 2.2 GB."""
+    argv = ["gaps", *Y231, "--m", "1", "--box-sum", str(10**7)]
     _assert_refused_at_once(argv)
     for flags in ([], ["--pure"]):
         assert run([*argv, *flags]) == 2
         assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
 
 
-def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep):
-    """Of the sweep cases under the step limit, only Y(4,5,1) at m = 1 is
-    refused by bytes.  Admitted are, among others, Y(3,5,1) and Y(4,5,5)
-    at m = 1 (about 336 and 829 MiB) and Y(4,3,1) at m = 1 (a benchmark
-    command)."""
+def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
+    """Every sweep case under the step limit fits, the largest table among
+    them, Y(4,5,1) at m = 1 (15,694,800 entries, about 0.4 GB), included.
+    Of Y(2,3,1) at m = 1 widened to degree 5*10^6 and 10^7, which both pass
+    the step estimate, only the second is refused by bytes."""
+    cases = [(dc, m, 2 * dc.genus - 1) for dc in sweep for m in range(1, dc.max_m + 1)]
+    cases += [(y231, 1, 5 * 10**6), (y231, 1, 10**7)]
     admitted, by_bytes = set(), set()
-    for dc in sweep:
-        for m in range(1, dc.max_m + 1):
-            case = (dc.params.family, dc.params.q, dc.params.n, dc.params.s, m)
-            try:
-                _refuse_gaps(dc, m, 2 * dc.genus - 1)
-                admitted.add(case)
-            except TooMuchWork as err:
-                if f"above the limit {BYTE_LIMIT}" in str(err):
-                    by_bytes.add(case)
-    assert by_bytes == {("Y", 4, 5, 1, 1)}
-    assert {("Y", 3, 5, 1, 1), ("Y", 4, 5, 5, 1), ("Y", 4, 3, 1, 1)} <= admitted
+    for dc, m, bound in cases:
+        case = (dc.params.family, dc.params.q, dc.params.n, dc.params.s, m, bound)
+        try:
+            _refuse_gaps(dc, m, bound)
+            admitted.add(case)
+        except TooMuchWork as err:
+            if f"above the limit {BYTE_LIMIT}" in str(err):
+                by_bytes.add(case)
+    assert by_bytes == {("Y", 2, 3, 1, 1, 10**7)}
+    assert {("Y", 4, 5, 1, 1, 15311), ("Y", 3, 5, 1, 1, 1925), ("Y", 4, 5, 5, 1, 3011),
+            ("Y", 4, 3, 1, 1, 911), ("Y", 2, 3, 1, 1, 5 * 10**6)} <= admitted
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_gaps_names_the_first_route_disagreement(y231, request, capsys, pure):
+    """Under drop_theta the complement and nabla routes lose the Theta
+    member and the formula route does not: `gaps` exits 1 and names the
+    smallest vector where the per-point gap sets of the real and the mutant
+    witness tests differ, and the route that holds it."""
+    bound = 2 * y231.genus - 1
+    real = witness_test(y231, 1)
+    request.getfixturevalue("drop_theta")
+    mutant = witness_test(y231, 1)
+    quantifier = all if pure else any
+
+    def is_gap(has_witness, a):
+        return quantifier(not has_witness(a, r) for r in range(2))
+
+    vector = min(a for a in simplex_points(2, bound) if is_gap(real, a) != is_gap(mutant, a))
+    holder = "formula" if is_gap(real, vector) else ("nabla" if pure else "complement")
+    assert run(["gaps", *Y231, "--m", "1", *(["--pure"] if pure else [])]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"smallest differing vector {vector}, a gap by the {holder} route only" in out.err
 
 
 def test_counts_admits_every_sweep_case(sweep):
@@ -433,6 +460,59 @@ def test_emit_matches_the_encoder(y231, payload, fmt):
     with redirect_stdout(reference):
         _reference_emit(record, fmt)
     assert fast.getvalue() == reference.getvalue()
+
+
+# The curves the streamed-emitter test draws from.
+TABLE_CURVES = {"Y231": curve("Y", q=2, n=3, s=1), "Y233": curve("Y", q=2, n=3, s=3),
+                "X21131": curve("X", p=2, a=1, b=1, n=3, s=1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TABLE_CURVES)), st.integers(1, 3), st.booleans(), st.integers(0, 30),
+       st.sampled_from(["json", "tsv"]))
+def test_streamed_gap_table_matches_the_encoder(name, m, pure, bound, fmt):
+    """A gap table streamed from walk gives the bytes of json.dumps(indent=1)
+    and of one print per TSV row of the same vectors, sorted: empty tables
+    (every pure-gap table of Y(2,3,3)) and regions past 2g - 1 included."""
+    dc = TABLE_CURVES[name]
+    m = min(m, dc.max_m)
+    table = (gaps.pure_gaps_via_nabla if pure else gaps.gaps_via_complement)(dc, m, bound)
+    fast, reference = io.StringIO(), io.StringIO()
+    with redirect_stdout(fast):
+        _emit(_record(dc, {"m": m, "vectors": table, "count": len(table)}), fmt)
+    with redirect_stdout(reference):
+        _reference_emit(_record(dc, {"m": m, "vectors": sorted(table), "count": len(table)}), fmt)
+    assert fast.getvalue() == reference.getvalue()
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_gaps_box_sum_output_is_the_encoder_output(y231, capsys, pure):
+    """`gaps --box-sum 30` on Y(2,3,1), 2g - 1 = 19, against the reference
+    renderings of its vectors."""
+    flags = ["--pure"] if pure else []
+    route = gaps.pure_gaps_via_nabla if pure else gaps.gaps_via_complement
+    vectors = sorted(route(y231, 2, 30))
+    for fmt in ("json", "tsv"):
+        assert run(["gaps", *Y231, "--m", "2", "--box-sum", "30", "--format", fmt, *flags]) == 0
+        got = capsys.readouterr().out
+        _reference_emit(_record(y231, {"m": 2, "vectors": vectors, "count": len(vectors)}), fmt)
+        assert got == capsys.readouterr().out
+
+
+def test_gaps_names_a_point_above_its_class_prefix(y231, monkeypatch, capsys):
+    """A relative maximal (b0, 1) added to Lambda gives the formula route
+    the point (b0, 0) above the class prefix of its tail when (b0, 0) and
+    (b0 - e, 0) are members; with every (x, 1), x < b0, a gap its box at
+    coordinate 1 adds nothing, so (b0, 0) is the first disagreement."""
+    real = gaps.gaps_via_complement(y231, 1)
+    b0 = next(b for b in range(y231.e, 2 * y231.genus)
+              if (b, 0) not in real and (b - y231.e, 0) not in real and all((x, 1) in real for x in range(b)))
+    lam = gaps.enumerate_classical_Lambda(y231, 1) | {(b0, 1)}
+    monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: lam)
+    assert run(["gaps", *Y231, "--m", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"smallest differing vector {(b0, 0)}, a gap by the formula route above its class prefix" in err
+    assert gaps.gaps_via_lambda(y231, 1).stray == (b0, 0)
 
 
 def test_output_stability(capsys):

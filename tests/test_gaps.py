@@ -1,5 +1,7 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,10 @@ from wsgaps import gaps
 from wsgaps.curves import curve
 from wsgaps.errors import NotSorted, SelfCheckError, WsgapsError
 from wsgaps.gaps import (
+    GapTable,
     _inversions,
+    _lambda_table,
+    _rank,
     build_gap_report,
     count_gaps_two_points,
     gap_count_upper_bound,
@@ -197,9 +202,9 @@ def _assert_scan_matches_per_point(dc, m, bounds):
     does not depend on the bound, so one pass at the largest bound serves."""
     gaps, pure = _per_point_routes(dc, m, max(bounds))
     for bound in bounds:
-        assert gaps_via_complement(dc, m, bound) == {a for a in gaps if sum(a) <= bound}, (
+        assert set(gaps_via_complement(dc, m, bound)) == {a for a in gaps if sum(a) <= bound}, (
             dc.params, m, bound)
-        assert pure_gaps_via_nabla(dc, m, bound) == {a for a in pure if sum(a) <= bound}, (
+        assert set(pure_gaps_via_nabla(dc, m, bound)) == {a for a in pure if sum(a) <= bound}, (
             dc.params, m, bound)
 
 
@@ -242,3 +247,98 @@ def test_drop_theta_is_the_witness_mutant(sweep, request):
                 pairs += 1
         _assert_scan_matches_per_point(dc, m, {2 * dc.genus - 1})
     assert pairs == 449_846
+
+
+def test_rank_is_the_simplex_order():
+    for m in range(1, 5):
+        for bound in (0, 1, 4, 7):
+            tails = list(simplex_points(m, bound))
+            assert [_rank(t, bound) for t in tails] == list(range(comb(bound + m, m)))
+            assert tails == sorted(tails)
+
+
+def _assert_table_is(table, reference):
+    """A table against a per-point reference set: iteration is the sorted
+    set, len its size, and `in` agrees on every simplex point and off it."""
+    bound, m = table.bound, table.m
+    assert table.stray is None
+    assert list(table) == sorted(reference)
+    assert len(table) == len(reference)
+    assert all((a in table) == (a in reference) for a in simplex_points(m + 1, bound))
+    outside = [(bound + 1,) + (0,) * m, (0,) * m + (bound + 1,), (-1,) + (0,) * m, (0,) * m + (-1,)]
+    assert not any(a in table for a in outside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tables_match_per_point_reference(sweep, data):
+    """All four routes on small instances with m = 1..3, at bounds from an
+    empty simplex to past the proven region."""
+    dc = data.draw(st.sampled_from([d for d in sweep if d.genus <= 30]))
+    m = data.draw(st.integers(1, min(3, dc.max_m) if dc.genus <= 12 else min(2, dc.max_m)))
+    bound = data.draw(st.integers(0, 2 * dc.genus + dc.e))
+    gaps, pure = _per_point_routes(dc, m, bound)
+    for route, reference in ((gaps_via_complement, gaps), (gaps_via_lambda, gaps),
+                             (pure_gaps_via_nabla, pure), (pure_gaps_via_lambda, pure)):
+        _assert_table_is(route(dc, m, bound), reference)
+
+
+def test_lambda_conversion_extends_class_prefixes():
+    """e = 3, m = 1: the boxes at 1 give the tail (1,) the prefix 0..5 and
+    the boxes at 0 give the points 0, 3, 6 on the tail (0,), each the next
+    member of class 0, whatever order lam lists them in."""
+    table = _lambda_table({(6, 1), (0, 1), (3, 1)}, 3, 1, 10, pure=False)
+    _assert_table_is(table, {(0, 0), (3, 0), (6, 0)} | {(a, 1) for a in range(6)})
+
+
+def test_lambda_conversion_records_a_point_above_its_class_prefix():
+    """Without (3, 1) the point (6, 0) skips (3, 0): it is the table's
+    stray, and the table equals no table, itself included.  For pure gaps,
+    (10, 0) gives the tail (0,) the prefix 0..9 at coordinate 1, so (6, 0)
+    counts there too and skips (0, 0) and (3, 0)."""
+    table = _lambda_table({(6, 1), (0, 1)}, 3, 1, 10, pure=False)
+    assert table.stray == (6, 0)
+    assert set(table) == {(0, 0)} | {(a, 1) for a in range(6)}
+    assert table != table
+    clean = _lambda_table({(6, 1), (0, 1), (3, 1)}, 3, 1, 10, pure=False)
+    assert table.first_difference(clean) == ((3, 0), clean)
+
+    pure = _lambda_table({(10, 0), (6, 1)}, 3, 1, 10, pure=True)
+    assert pure.stray == (6, 0)
+    assert len(pure) == 0
+
+
+def test_first_difference_is_the_smallest_vector_in_one_table(y231):
+    table = gaps_via_complement(y231, 2)
+    assert table == gaps_via_complement(y231, 2)
+    assert table.first_difference(table) is None
+    e, bound = table.e, table.bound
+    other = GapTable(e, 2, bound, table.hi[:])
+    # The tail (0, 1) loses the largest gap of its first class with one;
+    # (0, 0) gains the next member of its first class whose next member
+    # lies in the simplex.
+    lose = _rank((0, 1), bound) * e
+    lose += next(c for c in range(e) if table.hi[lose + c] > c)
+    gain = _rank((0, 0), bound) * e
+    gain += next(c for c in range(e) if table.hi[gain + c] <= bound)
+    other.hi[lose] -= e
+    other.hi[gain] += e
+    expected = min([((other.hi[lose], 0, 1), table), ((table.hi[gain], 0, 0), other)], key=lambda f: f[0])
+    assert table != other
+    assert table.first_difference(other) == expected
+    assert other.first_difference(table) == expected
+    assert len(other) == len(table)
+    assert set(table) ^ set(other) == {(other.hi[lose], 0, 1), (table.hi[gain], 0, 0)}
+
+
+def test_routes_read_disjoint_inputs(y231, monkeypatch, request):
+    """The Lambda route reads no residue table and the scan no Lambda: an
+    empty Lambda leaves the scan as it is, and drop_theta the Lambda route."""
+    lam_route, scan_route = gaps_via_lambda(y231, 2), gaps_via_complement(y231, 2)
+    monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: set())
+    assert gaps_via_complement(y231, 2) == scan_route
+    assert len(gaps_via_lambda(y231, 2)) == 0
+    monkeypatch.undo()
+    request.getfixturevalue("drop_theta")
+    assert gaps_via_lambda(y231, 2) == lam_route
+    assert gaps_via_complement(y231, 2) != scan_route

@@ -148,14 +148,22 @@ def test_default_box_holds_every_family_vector(sweep):
     assert checked >= 65
 
 
+def _held_classes(table):
+    """The classes of the tail (0, ..., 0) that hold a gap and whose next
+    member, at their cap, lies in the simplex; for a tail of zeros the index
+    of a class in table.hi is the class."""
+    return [c for c in range(table.e) if c < table.hi[c] <= table.bound]
+
+
 def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
-    """A gap scan that loses its smallest gap must fail the closure check."""
+    """A gap scan that loses a gap must fail the closure check: one cap
+    lowered by e drops the largest gap of its class."""
     real = gaps._threshold_scan
 
     def lossy(dc, m, bound, pure):
         out = real(dc, m, bound, pure)
         if not pure:
-            out.discard(min(out))
+            out.hi[_held_classes(out)[0]] -= dc.e
         return out
 
     monkeypatch.setattr(gaps, "_threshold_scan", lossy)
@@ -164,18 +172,20 @@ def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
 
 @pytest.mark.parametrize("also_lose", [False, True])
 def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, also_lose):
-    """A gap scan that gains a member must fail the closure check too.  With
-    nothing lost every closure non-member is still a gap, so only the count
-    shows it; with the smallest gap lost as well the count agrees, so only
-    the test of each non-member against the gap set shows it."""
+    """A gap scan that gains a member must fail the closure check too: one
+    cap raised by e adds the next member of its class.  With nothing lost
+    every closure non-member is still a gap, so only the count shows it;
+    with a gap of another class lost as well the count agrees, so only the
+    test of each non-member against the gap table shows it."""
     real = gaps._threshold_scan
 
     def gaining(dc, m, bound, pure):
         out = real(dc, m, bound, pure)
         if not pure:
+            gain, lose = _held_classes(out)[:2]
+            out.hi[gain] += dc.e
             if also_lose:
-                out.discard(min(out))
-            out.add((bound,) + (0,) * m)  # degree 2g, so a member
+                out.hi[lose] -= dc.e
         return out
 
     monkeypatch.setattr(gaps, "_threshold_scan", gaining)
