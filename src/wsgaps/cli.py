@@ -331,7 +331,7 @@ def run(argv) -> int:
                 "m": args.m,
                 "vector": vec,
                 "member": verdict.member,
-                "classical_member": membership.in_classical_H(dc, args.m, vec),
+                "classical_member": verdict.member and min(vec) >= 0,
                 "failing_coordinate": verdict.failing_coordinate,
             }
             _emit(_record(dc, payload), args.format)
@@ -351,8 +351,9 @@ def run(argv) -> int:
 
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
-            # The threshold scan as in `gaps`, plus at most one closure probe per point.
-            work = comb(bound + args.m, args.m) * dc.e + comb(bound + args.m + 1, args.m + 1)
+            # Five tables as in `gaps` (closure, complement, nabla and both Lambda
+            # routes), plus at most one closure probe per point.
+            work = 5 * comb(bound + args.m, args.m) * dc.e + comb(bound + args.m + 1, args.m + 1)
             _refuse_above_limit(dc, "verify", args.m, bound, work)
             checks = oracle.consistency_report(dc, args.m, bound=bound)
             _emit(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)

@@ -349,18 +349,20 @@ def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
     return sum(_box_volume_sum(coord0(dc, m, rho) + shift, rho, dc.e, m) for rho in range(dc.e))
 
 
-def build_gap_report(dc: DerivedConstants, m: int) -> dict[str, bool]:
+def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
-    independent one on the proven gap region sum(alpha) <= 2g - 1."""
-    bound = 2 * dc.genus - 1
-    g_compl = gaps_via_complement(dc, m)
+    independent one, on the region of complement, the complement route's
+    gap table (gaps_via_complement), which must hold the gap region
+    sum(alpha) <= 2g - 1."""
+    bound = complement.bound
     lam = enumerate_classical_Lambda(dc, m)
     checks = {
-        "gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=False) == g_compl,
-        "pure_gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=True) == pure_gaps_via_nabla(dc, m),
+        "gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=False) == complement,
+        "pure_gap_routes_agree": (_lambda_table(lam, dc.e, m, bound, pure=True)
+                                  == pure_gaps_via_nabla(dc, m, bound)),
         "lambda_count_formula": count_Lambda(dc, m) == len(lam),
-        "gap_count_bound": len(g_compl) <= gap_count_upper_bound(dc, m),
+        "gap_count_bound": len(complement) <= gap_count_upper_bound(dc, m),
     }
     if m == 1:
-        checks["two_point_count_formula"] = count_gaps_two_points(dc) == len(g_compl)
+        checks["two_point_count_formula"] = count_gaps_two_points(dc) == len(complement)
     return checks

@@ -7,20 +7,23 @@ outcome with the formula-driven modules.  That independence is the whole
 point: every formula is cross-examined against nothing but the curve
 equations.
 
-closure_non_members scans pruned generators, cut to minimal antichains, one tail
-at a time in O(#tails * m * antichain + probes); the closure is never built.
+The closure is never built.  index_generators, the one generator index,
+buckets the generators by (coordinate, value) and cuts each bucket to its
+minimal antichain.  closure_table reads it one tail at a time and returns
+the closure's non-members on the simplex sum(alpha) <= bound as a GapTable,
+so consistency_report compares it with the complement route's table cap by
+cap, and every other check of the report runs on that same region.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from operator import le
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_points
 from .errors import BadBox
-from .gaps import build_gap_report, gaps_via_complement
+from .gaps import GapTable, _ints, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -136,78 +139,97 @@ def in_lub_closure(gens_index: dict, alpha: tuple[int, ...]) -> bool:
     return True
 
 
-def index_generators(gens) -> dict:
-    """Index a generator set by (coordinate, value) for in_lub_closure."""
-    idx: dict = {}
-    for g in gens:
-        for r, x in enumerate(g):
-            idx.setdefault((r, x), []).append(g)
-    return idx
+def _minimal(vectors: list) -> list:
+    """The componentwise minimal elements of sorted, distinct vectors, in order.
 
-
-def _minimal(vectors) -> list[tuple[int, ...]]:
-    """Componentwise minimal elements, once each; sorted, none precedes one below it."""
-    kept: list = []
-    for v in sorted(vectors):
-        if not any(all(map(le, k, v)) for k in kept):
-            kept.append(v)
-    return kept
-
-
-def closure_non_members(gens, dim: int, bound: int):
-    """Yield each point of the simplex sum(alpha) <= bound in N_0^dim outside
-    the lub closure of gens, one tail (alpha_1..alpha_m) at a time.
-
-    Generators whose positive coordinates sum past bound are below no simplex
-    point.  The rest go to buckets by (r, g_r >= 0), each cut to its minimal
-    antichain (maxima of vectors, Kung-Luccio-Preparata 1975).  Each r >= 1
-    gives L_r, the least g_0 of the (r, alpha_r) entries below the tail
-    (g <= (bound,) + tail, as g_r is fixed and g_0 <= bound), or top + 1;
-    alpha_0 < max L_r is a non-member, and each alpha_0 from there to
-    top = bound - sum(tail) probes the (0, alpha_0) antichain once.
+    Sorted, a vector can lie above earlier ones only, whose coordinate 0 is
+    not above its own.  Each further coordinate t keeps, as bits, the
+    candidates whose coordinate t is not above its own either, so a vector
+    is minimal iff no candidate survives: O(dim * n log n) steps on n-bit
+    integers, where a scan of the antichain found so far is quadratic.
     """
+    below = [(1 << i) - 1 for i in range(len(vectors))]
+    for t in range(1, len(vectors[0])):
+        col = [v[t] for v in vectors]
+        reached = 0
+        for _, group in groupby(sorted(range(len(col)), key=col.__getitem__), key=col.__getitem__):
+            group = list(group)
+            for i in group:
+                reached |= 1 << i
+            for i in group:
+                below[i] &= reached
+    return [v for v, b in zip(vectors, below) if not b]
+
+
+def index_generators(gens) -> dict:
+    """Index a generator set by (coordinate, value) for in_lub_closure and
+    closure_table.  Each bucket is cut to its minimal antichain (maxima of
+    vectors, Kung-Luccio-Preparata 1975), sorted, once each: a generator of a
+    bucket lies below alpha iff a minimal one does."""
     buckets: dict = {}
     for g in gens:
-        if sum([x for x in g if x > 0]) <= bound:
-            for r, x in enumerate(g):
-                if x >= 0:
-                    buckets.setdefault((r, x), []).append(g)
-    chains = {key: _minimal(bucket) for key, bucket in buckets.items()}
-    for tail in simplex_points(dim - 1, bound):
+        for r, x in enumerate(g):
+            buckets.setdefault((r, x), set()).add(g)
+    return {key: _minimal(sorted(bucket)) for key, bucket in buckets.items()}
+
+
+def closure_table(index: dict, e: int, m: int, bound: int) -> GapTable:
+    """The points of the simplex sum(alpha) <= bound outside the lub closure
+    of the generators behind index (built by index_generators), as a GapTable
+    with e classes of alpha_0, one tail (alpha_1..alpha_m) at a time.
+
+    Each r >= 1 gives L_r, the least g_0 of the (r, alpha_r) entries below
+    the tail (g <= (bound,) + tail, as g_r is fixed and g_0 <= bound), or
+    top + 1 with top = bound - sum(tail).  Every alpha_0 < max L_r is a
+    non-member: the caps of the classes are set there at once.  Each alpha_0
+    from there to top probes the (0, alpha_0) antichain; a non-member that
+    does not extend its class prefix becomes the table's stray, as in the
+    Lambda route.  Cost: O(#tails * (e + m * antichain) + probes).
+    """
+    hi = _ints()
+    stray = None
+    for tail in simplex_points(m, bound):
         top = bound - sum(tail)
         ceil = (bound,) + tail
-        lo = max(min((g[0] for g in chains.get((r, x), ()) if all(map(le, g, ceil))), default=top + 1)
+        lo = max(min((g[0] for g in index.get((r, x), ()) if all(map(le, g, ceil))), default=top + 1)
                  for r, x in enumerate(tail, start=1))
-        for a0 in range(min(lo, top + 1)):
-            yield (a0,) + tail
-        for a0 in range(max(lo, 0), top + 1):
-            if not any(all(map(le, g, ceil)) for g in chains.get((0, a0), ())):
-                yield (a0,) + tail
+        end = min(max(lo, 0), top + 1)
+        caps = [c if end <= c else end + (c - end) % e for c in range(e)]
+        for a0 in range(end, top + 1):
+            if not any(all(map(le, g, ceil)) for g in index.get((0, a0), ())):
+                c = a0 % e
+                if caps[c] == a0:
+                    caps[c] += e
+                elif stray is None or (a0, *tail) < stray:
+                    stray = (a0, *tail)
+        hi.extend(caps)
+    return GapTable(e, m, bound, hi, stray)
 
 
 def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -> dict[str, bool]:
-    """Run the full cross-validation suite; all verdicts True means pass.
+    """Run the full cross-validation suite on the simplex sum(alpha) <= bound
+    (2g by default); all verdicts True means pass.
 
-    The monomial lub closure's non-members on the simplex sum(alpha) <= bound
-    (2g by default), found per tail from the pruned generators in
-    O(#tails * m * antichain + probes), probes <= C(bound + m + 1, m + 1), must
-    equal gaps_via_complement's gaps there: each is a gap, the counts agree.
-    The closed-form families must lie in the closure too, and the gap-side
-    table runs on its proven region sum(alpha) <= 2g - 1."""
+    gaps_via_complement runs once.  The closure_table of the monomials below
+    the simplex (positive parts summing to at most bound) must equal it, the
+    closed-form families must lie in the monomial lub closure, and
+    build_gap_report checks the other routes and formulas against the same
+    table, on the same region."""
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
     mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
+    complement = gaps_via_complement(dc, m, bound)
 
-    gaps = gaps_via_complement(dc, m, bound)
-    hits = Counter(a in gaps for a in closure_non_members(mono, m + 1, bound))
-    checks = {"closure_matches_membership": hits[False] == 0 and hits[True] == len(gaps)}
-    del gaps  # released before build_gap_report builds its own tables
+    below = index_generators(g for g in mono if sum([x for x in g if x > 0]) <= bound)
+    checks = {"closure_matches_membership": closure_table(below, dc.e, m, bound) == complement}
+    del below  # released before the next index and the gap-side tables
 
-    idx = index_generators(mono)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
     families |= enumerate_classical_Gamma(dc, m) | enumerate_classical_Lambda(dc, m)
+    corner = tuple(map(max, zip(*families)))  # a generator not below it is below no family vector
+    idx = index_generators(g for g in mono if all(map(le, g, corner)))
     checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)
     del mono, idx, families  # likewise
 
-    checks.update(build_gap_report(dc, m))
+    checks.update(build_gap_report(dc, m, complement))
     return checks

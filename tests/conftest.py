@@ -42,9 +42,10 @@ def drop_theta(monkeypatch):
 
     by_rho[0] becomes None and the by_class entry with rho = 0 is dropped.
     Every wsgaps module attribute bound to _residue_tables is replaced, so
-    every membership decision sees the mutant: the threshold scans (and with
-    them the oracle's closure check), witness_test, nabla_witness,
-    in_generalized_H and in_classical_H.
+    every membership decision sees the mutant: the threshold scans (so the
+    complement table that the oracle's closure table and every gap-side
+    check of consistency_report are compared with, and the nabla table),
+    witness_test, nabla_witness, in_generalized_H and in_classical_H.
     """
     real = membership._residue_tables
 

@@ -162,6 +162,28 @@ def test_verify_negative_box_sum_keeps_default_region(capsys, monkeypatch):
     assert bounds == [20, 25]  # 2g = 20 is the default region
 
 
+def test_verify_scans_the_complement_once(capsys, monkeypatch):
+    """Every check of `verify` reads one complement table: the run calls
+    gaps_via_complement once and the threshold scan twice (complement and
+    nabla), also with --box-sum."""
+    calls = {"gaps_via_complement": 0, "_threshold_scan": 0}
+    for name in calls:
+        real = getattr(gaps, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (gaps, oracle):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    for argv in (["--m", "1"], ["--m", "2", "--box-sum", "30"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(["verify", *Y231, *argv]) == 0
+        assert calls == {"gaps_via_complement": 1, "_threshold_scan": 2}, argv
+    capsys.readouterr()
+
+
 def test_verify_tsv_one_row_per_check(capsys):
     assert run(["verify", *Y231, "--m", "1", "--format", "tsv"]) == 0
     rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
@@ -237,9 +259,11 @@ def test_gaps_refuses_work_that_cannot_finish(capsys):
 
 def test_verify_refuses_work_that_cannot_finish(capsys):
     # Y(3,3,1) at m = 3: about 2.2e8 steps; Y(2,3,1) up to degree 100000 at
-    # m = 1: about 5e9.
+    # m = 1: about 5e9; Y(2,3,1) up to degree 800 at m = 2: about 1.004e8
+    # for its five tables, where one table would be about 8.9e7.
     for argv in (["--family", "Y", "--q", "3", "--n", "3", "--s", "1", "--m", "3"],
-                 [*Y231, "--m", "1", "--box-sum", "100000"]):
+                 [*Y231, "--m", "1", "--box-sum", "100000"],
+                 [*Y231, "--m", "2", "--box-sum", "800"]):
         t0 = time.perf_counter()
         assert run(["verify", *argv]) == 2
         assert time.perf_counter() - t0 < 5

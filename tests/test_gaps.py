@@ -171,13 +171,13 @@ def test_every_gap_under_degree_bound(y231):
 
 def test_build_gap_report(y231):
     for m in (1, 2):
-        checks = build_gap_report(y231, m)
+        checks = build_gap_report(y231, m, gaps_via_complement(y231, m))
         assert all(checks.values()), checks
         assert ("two_point_count_formula" in checks) == (m == 1)
 
 
 def test_build_gap_report_detects_dropped_theta(y231, drop_theta):
-    checks = build_gap_report(y231, 1)
+    checks = build_gap_report(y231, 1, gaps_via_complement(y231, 1))
     assert checks["gap_routes_agree"] is False
     assert checks["pure_gap_routes_agree"] is False
 

@@ -1,6 +1,7 @@
 """Brute-force reconstruction from monomial valuations and lub closure."""
 
 from itertools import product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from wsgaps.maximal import (
 from wsgaps.membership import in_classical_H, in_generalized_H
 from wsgaps.oracle import (
     Box,
-    closure_non_members,
+    closure_table,
     consistency_report,
     default_box,
     in_lub_closure,
@@ -173,10 +174,9 @@ def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
 @pytest.mark.parametrize("also_lose", [False, True])
 def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, also_lose):
     """A gap scan that gains a member must fail the closure check too: one
-    cap raised by e adds the next member of its class.  With nothing lost
-    every closure non-member is still a gap, so only the count shows it;
-    with a gap of another class lost as well the count agrees, so only the
-    test of each non-member against the gap table shows it."""
+    cap raised by e adds the next member of its class.  With a gap of
+    another class lost as well the gap count agrees, so only the cap by cap
+    comparison shows it."""
     real = gaps._threshold_scan
 
     def gaining(dc, m, bound, pure):
@@ -193,23 +193,43 @@ def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, als
 
 
 def _per_point_non_members(gens, dim, bound):
-    """The reference: every simplex point tested by in_lub_closure.  A
-    generator with a coordinate above bound is below no simplex point, so
-    leaving it out of the index changes no answer and keeps the probes short."""
-    idx = index_generators(g for g in gens if max(g) <= bound)
+    """The reference: every simplex point tested by in_lub_closure, on an
+    index of whole buckets, none cut to its antichain.  A generator with a
+    coordinate above bound is below no simplex point, so leaving it out of
+    the index changes no answer and keeps the probes short."""
+    idx: dict = {}
+    for g in gens:
+        if max(g) <= bound:
+            for r, x in enumerate(g):
+                idx.setdefault((r, x), []).append(g)
     return {a for a in simplex_points(dim, bound) if not in_lub_closure(idx, a)}
 
 
-def _assert_scan_matches(gens, dim, bound):
-    got = list(closure_non_members(gens, dim, bound))
-    assert len(got) == len(set(got)), (gens, bound)
-    assert set(got) == _per_point_non_members(gens, dim, bound), (gens, bound)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(st.tuples(*[st.integers(-3, 4)] * dim), max_size=30)))
+def test_index_buckets_are_minimal_antichains(gens):
+    """Each bucket holds, sorted and once each, exactly the generators of
+    its (coordinate, value) with no other generator of the bucket below."""
+    for (r, x), bucket in index_generators(gens).items():
+        same = {g for g in gens if g[r] == x}
+        assert bucket == sorted(v for v in same if not any(k != v and all(map(le, k, v)) for k in same))
+
+
+def _assert_table_matches(gens, dim, bound, e=None):
+    """closure_table equals the reference, with no stray.  By default
+    e = bound + 1: each class then holds one alpha_0, so any set of points
+    is a union of class prefixes and the table holds it exactly."""
+    table = closure_table(index_generators(gens), bound + 1 if e is None else e, dim - 1, bound)
+    assert table.stray is None, (gens, bound)
+    assert set(table) == _per_point_non_members(gens, dim, bound), (gens, bound)
 
 
 def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
     """Every sweep case with g <= 30, at each m <= 3, on the monomials of the
-    default box at bound 2g.  Instances that differ only in (n, s) but share
-    q, p^b, M and g have the same monomials and bound, so each runs once."""
+    default box at bound 2g that consistency_report indexes (positive parts
+    summing to at most the bound), with the curve's e.  Instances that
+    differ only in (n, s) but share q, p^b, M and g have the same monomials
+    and bound, so each runs once."""
     seen = set()
     for dc in sweep:
         if dc.genus > 30:
@@ -219,7 +239,9 @@ def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
                 continue
             seen.add((dc.q, dc.pb, dc.M, dc.genus, m))
             bound = 2 * dc.genus
-            _assert_scan_matches(monomial_vectors_in_box(dc, m, default_box(dc, m, bound)), m + 1, bound)
+            mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
+            below = [g for g in mono if sum(x for x in g if x > 0) <= bound]
+            _assert_table_matches(below, m + 1, bound, dc.e)
     assert len(seen) >= 19
 
 
@@ -230,19 +252,35 @@ def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
         ([(2, 1), (2, 3), (4, 1), (1, 2)], 2, 7),  # (2, 1) dominates (2, 3) and (4, 1)
         ([(2, 1, 0), (2, 1, 0), (0, 3, 3), (0, 3, 3)], 3, 8),  # duplicates
         ([(9, 0), (0, 9), (3, 3)], 2, 8),  # above bound
-        # positive parts summing to 10 > 9 (pruned) and to 9 (kept)
+        # positive parts summing to 10 > 9 (below no simplex point) and to 9
         ([(-1, 5, 5), (4, -2, 6), (5, 5, -7), (4, -2, 5), (0, 0, 0)], 3, 9),
         ([(0, 0, 0), (1, 1, -4), (2, -1, 2), (-5, 2, 1)], 3, 6),
     ],
 )
 def test_closure_scan_matches_per_point_closure_by_hand(gens, dim, bound):
-    _assert_scan_matches(gens, dim, bound)
+    _assert_table_matches(gens, dim, bound)
 
 
 def test_closure_scan_of_no_generators_is_the_whole_simplex():
     for dim, bound in ((2, 5), (3, 4)):
-        assert set(closure_non_members([], dim, bound)) == set(simplex_points(dim, bound))
-        _assert_scan_matches([], dim, bound)
+        assert set(closure_table({}, bound + 1, dim - 1, bound)) == set(simplex_points(dim, bound))
+        _assert_table_matches([], dim, bound)
+
+
+def test_closure_table_names_a_non_member_above_its_class_prefix():
+    """With e = 2 the non-members of the closure of (0, 0) and (1, 1) are no
+    union of class prefixes: (2, 0) lies above the member (0, 0) of its
+    class, and (3, 1) above (1, 1).  The smallest such point is the stray,
+    and the table equals no stray-free table, not even one with its caps."""
+    gens, e, bound = [(0, 0), (1, 1)], 2, 4
+    table = closure_table(index_generators(gens), e, 1, bound)
+    outside = _per_point_non_members(gens, 2, bound)
+    above = [a for a in outside
+             if any((b0, *a[1:]) not in outside for b0 in range(a[0] % e, a[0], e))]
+    assert table.stray == min(above) == (2, 0)
+    stray_free = gaps.GapTable(e, 1, bound, table.hi)
+    assert table != stray_free
+    assert table.first_difference(stray_free) == ((2, 0), table)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,7 +294,7 @@ def test_closure_scan_of_no_generators_is_the_whole_simplex():
     )
 )
 def test_closure_scan_matches_per_point_closure_random(case):
-    _assert_scan_matches(*case)
+    _assert_table_matches(*case)
 
 
 def test_mutant_reaches_every_membership_decision(y231, drop_theta):
