@@ -9,12 +9,16 @@ A record's `vectors` skip the generic encoder.  json.dumps renders the rest
 of the record around a placeholder, and the vectors are written in its
 place at the indents json.dumps(indent=1) uses at that depth (or as TSV
 rows).  A list of vectors (`gamma`, `lambda`) fills one %-template per
-vector and goes out as one str.join.  A gap table (`gaps`) is streamed:
-walking alpha_0 upwards, each alpha_0's rows are one str.join of its
-rendering and the renderings of its tails, each tail rendered once, so
-neither a row list nor the gap set is ever built.  The bytes equal
-json.dumps(indent=1) of the encoded record, and the per-row prints of TSV;
-coordinates go through _encode only when some |x| > 2^53.
+vector and goes out as one str.join.  The classical listings come from
+maximal already in lexicographic order, so nothing sorts them; the e
+vectors of a fundamental-region listing are sorted here.  A gap table
+(`gaps`) is streamed: walking alpha_0 upwards, each alpha_0's rows are one
+str.join of its rendering and the renderings of its tails, each tail
+rendered once, so neither a row list nor the gap set is ever built.  The
+bytes equal json.dumps(indent=1) of the encoded record, and the per-row
+prints of TSV.  No coordinate is scanned for the 2^53 test: it runs on a
+closed-form bound on |x| (_listing_bound, or a gap table's degree bound),
+and coordinates go through _encode only when that bound exceeds 2^53.
 """
 
 from __future__ import annotations
@@ -97,22 +101,23 @@ def _cell(fmt: str):
     return lambda x: dumps(_encode(x))
 
 
-def _vector_rows(vectors: list, fmt: str) -> list[str]:
+def _vector_rows(vectors: list, fmt: str, bound: int) -> list[str]:
     """Each vector as a TSV row, or as the JSON list _dumps writes at the
-    depth of payload.vectors.  Coordinates are rendered by str unless some
-    |x| > 2^53; then each goes through _encode."""
+    depth of payload.vectors.  bound bounds |x| over every coordinate:
+    coordinates are rendered by str when bound <= 2^53, else each goes
+    through _encode."""
     slots = ["%s"] * len(vectors[0])
     row = "\t".join(slots) if fmt == "tsv" else "   [\n    " + ",\n    ".join(slots) + "\n   ]"
-    if -_JSON_SAFE <= min(map(min, vectors)) and max(map(max, vectors)) <= _JSON_SAFE:
+    if bound <= _JSON_SAFE:
         return list(map(row.__mod__, vectors))
     cell = _cell(fmt)
     return [row % tuple(map(cell, v)) for v in vectors]
 
 
-def _list_blocks(vectors: list, fmt: str):
+def _list_blocks(vectors: list, fmt: str, bound: int):
     """A list of vectors as one block of rows."""
     if vectors:
-        yield _ROW_SEP[fmt].join(_vector_rows(vectors, fmt))
+        yield _ROW_SEP[fmt].join(_vector_rows(vectors, fmt, bound))
 
 
 def _table_blocks(table, fmt: str):
@@ -127,13 +132,16 @@ def _table_blocks(table, fmt: str):
         yield first + (between + first).join(rests)
 
 
-def _emit(record: dict, fmt: str) -> None:
+def _emit(record: dict, fmt: str, bound: int | None = None) -> None:
+    """Write record; a list of vectors needs bound, a bound on |x| over its
+    coordinates (a gap table carries its own)."""
     payload = record["payload"]
     vectors = payload.get("vectors")
     if vectors is None:
         _emit_fields(record, fmt)
         return
-    blocks = (_table_blocks if isinstance(vectors, gaps_mod.GapTable) else _list_blocks)(vectors, fmt)
+    is_table = isinstance(vectors, gaps_mod.GapTable)
+    blocks = _table_blocks(vectors, fmt) if is_table else _list_blocks(vectors, fmt, bound)
     write = sys.stdout.write
     if fmt == "tsv":
         for block in blocks:
@@ -205,6 +213,14 @@ def _counts_work(dc, m: int) -> int:
     two-point count sorts up to e*T relative maximals."""
     t = dc.q**2 // dc.pb
     return dc.e * m * t * t + (dc.e * t if m == 1 else 0)
+
+
+def _listing_bound(dc, m: int, shift: int) -> int:
+    """A bound on |x| over the coordinates of the `gamma` (shift 0) and
+    `lambda` (shift relative_shift) listings, in O(e).  A first coordinate
+    is coord0 + shift, or (classical) lies in [0, coord0 + shift]; every
+    other is rho < e, or (classical) k*e + rho with k*e <= coord0 + shift."""
+    return max(abs(maximal.coord0(dc, m, rho)) for rho in range(dc.e)) + shift + dc.e
 
 
 def _listing_work(dc, m: int, classical: bool) -> int:
@@ -296,12 +312,15 @@ def run(argv) -> int:
 
         if args.command in ("gamma", "lambda"):
             _refuse(f"{args.command} at m = {args.m} needs about", _listing_work(dc, args.m, args.classical))
-            classical, in_C = {
-                "gamma": (maximal.enumerate_classical_Gamma, maximal.gamma_hat_in_C),
-                "lambda": (maximal.enumerate_classical_Lambda, maximal.lambda_hat_in_C),
+            classical, in_C, shift = {
+                "gamma": (maximal.enumerate_classical_Gamma, maximal.gamma_hat_in_C, 0),
+                "lambda": (maximal.enumerate_classical_Lambda, maximal.lambda_hat_in_C,
+                           maximal.relative_shift(dc, args.m)),
             }[args.command]
-            vecs = (classical if args.classical else in_C)(dc, args.m)
-            _emit(_record(dc, {"m": args.m, "vectors": sorted(vecs), "count": len(vecs)}), args.format)
+            # The classical listings come in lexicographic order; in_C is a set of e vectors.
+            vecs = classical(dc, args.m) if args.classical else sorted(in_C(dc, args.m))
+            _emit(_record(dc, {"m": args.m, "vectors": vecs, "count": len(vecs)}), args.format,
+                  _listing_bound(dc, args.m, shift))
             return 0
 
         if args.command == "gaps":

@@ -62,10 +62,6 @@ class LengthMismatch(WsgapsError):
     pass
 
 
-class NotSorted(WsgapsError):
-    pass
-
-
 class TooMuchWork(WsgapsError):
     """A command's closed-form work estimate is above its fixed limit."""
 

@@ -29,11 +29,12 @@ O(#tails * e * m), against O(#points * m^2) for a per-point membership test.
 
 from __future__ import annotations
 
-from itertools import compress, product, repeat
+from itertools import compress, islice, product, repeat
 from math import comb
+from operator import lt
 
 from .curves import DerivedConstants, check_m, simplex_points
-from .errors import NotSorted, SelfCheckError, WsgapsError
+from .errors import SelfCheckError
 from .maximal import coord0, count_Lambda, enumerate_classical_Lambda, relative_shift
 from .membership import _residue_tables
 
@@ -281,19 +282,6 @@ def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) 
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
 
 
-def zeta(sorted_lambda: list, t: int) -> int:
-    """Number of earlier elements (1-based position t) whose first
-    coordinate exceeds that of element t.  The list must be sorted by
-    ascending second coordinate."""
-    seconds = [b[1] for b in sorted_lambda]
-    if any(x > y for x, y in zip(seconds, seconds[1:])):
-        raise NotSorted("list not sorted by second coordinate")
-    if not 1 <= t <= len(sorted_lambda):
-        raise WsgapsError(f"position {t} out of range")
-    first_t = sorted_lambda[t - 1][0]
-    return sum(1 for b in sorted_lambda[: t - 1] if b[0] > first_t)
-
-
 def _inversions(xs: list[int]) -> int:
     """Pairs s < t with xs[s] > xs[t] (xs distinct), by a Fenwick tree over ranks."""
     rank = {x: r for r, x in enumerate(sorted(xs), start=1)}
@@ -312,8 +300,9 @@ def _inversions(xs: list[int]) -> int:
 
 
 def count_gaps_two_points(dc: DerivedConstants) -> int:
-    """Exact two-point gap count sum_t (b0 + b1 - zeta(t)) from the sorted
-    relative maximals; sum_t zeta(t) counts the inversions of the b0."""
+    """Exact two-point gap count sum_t (b0 + b1 - z_t) over the relative
+    maximals in ascending b1, where z_t counts the earlier ones whose b0
+    exceeds that of the t-th; sum_t z_t counts the inversions of the b0."""
     lam = sorted(enumerate_classical_Lambda(dc, 1), key=lambda b: b[1])
     # The formula needs all first and all second coordinates pairwise distinct.
     if len({b[0] for b in lam}) != len(lam) or len({b[1] for b in lam}) != len(lam):
@@ -360,7 +349,8 @@ def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable) -> dict
         "gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=False) == complement,
         "pure_gap_routes_agree": (_lambda_table(lam, dc.e, m, bound, pure=True)
                                   == pure_gaps_via_nabla(dc, m, bound)),
-        "lambda_count_formula": count_Lambda(dc, m) == len(lam),
+        # Strictly increasing: no vector listed twice, and the order the listings rely on.
+        "lambda_count_formula": count_Lambda(dc, m) == len(lam) and all(map(lt, lam, islice(lam, 1, None))),
         "gap_count_bound": len(complement) <= gap_count_upper_bound(dc, m),
     }
     if m == 1:

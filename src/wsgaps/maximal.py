@@ -16,6 +16,11 @@ Every relative maximal element is an absolute one translated by
 relative_shift(dc, m) = (m-1)e at P_inf, so the relative side needs no
 family of its own: realize gives the absolute vector, and the relative
 side adds the shift to its first coordinate.
+
+The classical listings (every coordinate >= 0) are lists built in
+lexicographic order, one vector per (rho, ks): distinct parameters realize
+distinct vectors, so no set removes repeats, and the order follows from the
+closed form, so nothing sorts them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .curves import DerivedConstants, check_m, simplex_points
-from .errors import BadIndexPair, LengthMismatch
+from .curves import DerivedConstants, check_m
+from .errors import BadIndexPair, LengthMismatch, SelfCheckError
 
 
 @dataclass(frozen=True)
@@ -76,29 +81,78 @@ def lambda_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     return {(v[0] + shift,) + v[1:] for v in gamma_hat_in_C(dc, m)}
 
 
-def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> set[tuple[int, ...]]:
-    """Realizations translated by shift at P_inf with every coordinate >= 0.
+def _tails(rho: int, e: int, parts: int, top: int) -> list[list[tuple[int, ...]]]:
+    """For each R in [0, top], the vectors (k_1*e + rho, ..., k_parts*e + rho)
+    with k >= 0 and sum(k) = R, in lexicographic order: for k_1 ascending,
+    (k_1*e + rho,) followed by each vector of parts - 1 shifts with sum
+    R - k_1."""
+    heads = [(k * e + rho,) for k in range(top + 1)]
+    level = [[head] for head in heads]
+    for _ in range(parts - 1):
+        rows = []
+        for r in range(top + 1):
+            row = []
+            for k in range(r + 1):
+                row += map(heads[k].__add__, level[r - k])
+            rows.append(row)
+        level = rows
+    return level
 
-    Coordinates 1..m are nonnegative iff every k is; the first coordinate,
-    coord0 + shift - e*sum(ks), bounds the shift sum by (coord0 + shift)//e.
+
+def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple[int, ...]]:
+    """Realizations translated by shift at P_inf with every coordinate >= 0,
+    in lexicographic order, one per (rho, ks).
+
+    Coordinates 1..m are nonnegative iff every k is.  Write coord0 + shift
+    = c + e*T with c in [0, e - 1]: the first coordinate c + e*(T - sum(ks))
+    is >= 0 iff sum(ks) <= T, and x = c + e*i belongs to the shifts of sum
+    S = T - i.  So the walk takes x upwards, i outer and c inner.  At one x,
+    coordinate 1 is k_1*e + rho, so the rows run k_1 ascending, each
+    followed by the shifts k_2..k_m of sum S - k_1 in lexicographic order
+    (_tails).  Rows differ in rho (coordinate 1 mod e) or in some k, so
+    none repeats, and nothing is sorted.
+
+    No two residues share a class c, so each x has one rho: at m = 1 both
+    would have first coordinate c at i = 0, and the m = 1 first coordinates
+    are 0 and the gaps at P_inf, each once.  The class of a residue is the
+    same at every m and for both shifts, and a residue listed at m > 1 is
+    listed at m = 1.  A shared class is a defect, as in
+    gaps.count_gaps_two_points, and raises SelfCheckError.
     """
     check_m(dc, m)
     e = dc.e
-    out = set()
+    classes: dict[int, tuple[int, int]] = {}
     for rho in range(e):
-        c = coord0(dc, m, rho) + shift
-        for ks in simplex_points(m, c // e):
-            out.add((c - e * sum(ks),) + tuple(k * e + rho for k in ks))
+        top, c = divmod(coord0(dc, m, rho) + shift, e)
+        if top < 0:
+            continue
+        if c in classes:
+            raise SelfCheckError(f"residues {classes[c][0]} and {rho} of {dc.params} at m = {m} share "
+                                 f"the class {c} of the first coordinate mod e")
+        classes[c] = (rho, top)
+    live = sorted((c, rho, top, _tails(rho, e, m - 1, top) if m > 1 else None)
+                  for c, (rho, top) in classes.items())
+    out = []
+    for i in range(max([top for _, _, top, _ in live], default=-1) + 1):
+        live = [entry for entry in live if entry[2] >= i]
+        if m == 1:  # no tail, so k_1 = S: one row per residue
+            out += [(c + e * i, (top - i) * e + rho) for c, rho, top, _ in live]
+            continue
+        for c, rho, top, tails in live:
+            x, s = c + e * i, top - i
+            for k1 in range(s + 1):
+                out += map((x, k1 * e + rho).__add__, tails[s - k1])
     return out
 
 
-def enumerate_classical_Gamma(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
-    """Absolute maximals with all coordinates >= 0 (the zero vector included)."""
+def enumerate_classical_Gamma(dc: DerivedConstants, m: int) -> list[tuple[int, ...]]:
+    """Absolute maximals with all coordinates >= 0 (the zero vector
+    included), in lexicographic order."""
     return _enumerate_classical(dc, m, 0)
 
 
-def enumerate_classical_Lambda(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
-    """Relative maximals with all coordinates >= 0."""
+def enumerate_classical_Lambda(dc: DerivedConstants, m: int) -> list[tuple[int, ...]]:
+    """Relative maximals with all coordinates >= 0, in lexicographic order."""
     return _enumerate_classical(dc, m, relative_shift(dc, m))
 
 

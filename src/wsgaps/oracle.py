@@ -225,7 +225,7 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -
     del below  # released before the next index and the gap-side tables
 
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
-    families |= enumerate_classical_Gamma(dc, m) | enumerate_classical_Lambda(dc, m)
+    families.update(enumerate_classical_Gamma(dc, m), enumerate_classical_Lambda(dc, m))
     corner = tuple(map(max, zip(*families)))  # a generator not below it is below no family vector
     idx = index_generators(g for g in mono if all(map(le, g, corner)))
     checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)

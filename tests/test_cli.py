@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps import gaps, oracle
+from wsgaps import gaps, maximal, oracle
 from wsgaps.cli import (
     BYTE_LIMIT,
     WORK_LIMIT,
     _counts_work,
     _emit,
     _encode,
+    _listing_bound,
     _listing_work,
     _record,
     _refuse_gaps,
@@ -34,6 +35,7 @@ from wsgaps.membership import witness_test
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
+Y233 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "3"]
 X21131 = ["--family", "X", "--p", "2", "--a", "1", "--b", "1", "--n", "3", "--s", "1"]
 
 
@@ -371,6 +373,21 @@ def test_listings_admit_every_sweep_case(sweep):
                for dc in sweep for m in range(1, dc.max_m + 1) for classical in (False, True))
 
 
+def test_listing_bound_holds_every_coordinate(sweep):
+    """The closed-form bound the listings hand the emitter covers |x| of
+    every coordinate of all four listings: every sweep case with g <= 600,
+    at every m."""
+    for dc in sweep:
+        if dc.genus > 600:
+            continue
+        for m in range(1, dc.max_m + 1):
+            for shift, listings in ((0, (maximal.gamma_hat_in_C, maximal.enumerate_classical_Gamma)),
+                                    (maximal.relative_shift(dc, m),
+                                     (maximal.lambda_hat_in_C, maximal.enumerate_classical_Lambda))):
+                largest = max(abs(x) for listing in listings for v in listing(dc, m) for x in v)
+                assert largest <= _listing_bound(dc, m, shift), (dc.params, m, shift)
+
+
 def test_integers_past_the_str_limit_print_exactly():
     """Y(2,14283,1): e and g have 4300 decimal digits, and the Frobenius
     number 2g - 1 has 4301, one past str()'s default limit."""
@@ -475,20 +492,55 @@ def _vector_payload(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_vector_payload(), st.sampled_from(["json", "tsv"]))
-def test_emit_matches_the_encoder(y231, payload, fmt):
+@given(_vector_payload(), st.sampled_from([0, 1, 2**53]), st.sampled_from(["json", "tsv"]))
+def test_emit_matches_the_encoder(y231, payload, slack, fmt):
+    """The bound handed to _emit is the largest |x|, or looser by slack."""
     record = _record(y231, payload)
+    bound = max([abs(x) for v in payload["vectors"] for x in v], default=0) + slack
     fast, reference = io.StringIO(), io.StringIO()
     with redirect_stdout(fast):
-        _emit(record, fmt)
+        _emit(record, fmt, bound)
     with redirect_stdout(reference):
         _reference_emit(record, fmt)
     assert fast.getvalue() == reference.getvalue()
 
 
+def test_emit_encodes_past_2_53_under_a_loose_bound(y231, capsys):
+    """A bound past 2^53 sends every coordinate through _encode: the one
+    past 2^53 comes out as a decimal string, the others as numbers."""
+    vectors = [(0, 2**53 + 1), (5, -(2**53) - 7)]
+    record = _record(y231, {"m": 1, "vectors": vectors, "count": 2})
+    _emit(record, "json", 2**60)
+    assert json.loads(capsys.readouterr().out)["payload"]["vectors"] == [
+        [0, "9007199254740993"], [5, "-9007199254740999"]]
+    _emit(record, "tsv", 2**60)
+    assert capsys.readouterr().out == "0\t9007199254740993\n5\t-9007199254740999\n"
+
+
 # The curves the streamed-emitter test draws from.
 TABLE_CURVES = {"Y231": curve("Y", q=2, n=3, s=1), "Y233": curve("Y", q=2, n=3, s=3),
                 "X21131": curve("X", p=2, a=1, b=1, n=3, s=1)}
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("name", sorted(TABLE_CURVES))
+def test_listings_are_the_encoder_output(name, fmt, capsys):
+    """`gamma` and `lambda`, classical or not, at every m, emitted under
+    their closed-form coordinate bound, against the reference renderings
+    of the same vectors deduplicated and sorted."""
+    dc, params = TABLE_CURVES[name], {"Y231": Y231, "Y233": Y233, "X21131": X21131}[name]
+    listings = {
+        ("gamma", False): maximal.gamma_hat_in_C, ("gamma", True): maximal.enumerate_classical_Gamma,
+        ("lambda", False): maximal.lambda_hat_in_C, ("lambda", True): maximal.enumerate_classical_Lambda,
+    }
+    for m in range(1, dc.max_m + 1):
+        for (command, classical), listing in listings.items():
+            flags = ["--classical"] if classical else []
+            assert run([command, *params, "--m", str(m), "--format", fmt, *flags]) == 0
+            got = capsys.readouterr().out
+            vectors = sorted(set(listing(dc, m)))
+            _reference_emit(_record(dc, {"m": m, "vectors": vectors, "count": len(vectors)}), fmt)
+            assert got == capsys.readouterr().out, (command, classical, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,7 +583,7 @@ def test_gaps_names_a_point_above_its_class_prefix(y231, monkeypatch, capsys):
     real = gaps.gaps_via_complement(y231, 1)
     b0 = next(b for b in range(y231.e, 2 * y231.genus)
               if (b, 0) not in real and (b - y231.e, 0) not in real and all((x, 1) in real for x in range(b)))
-    lam = gaps.enumerate_classical_Lambda(y231, 1) | {(b0, 1)}
+    lam = sorted({*gaps.enumerate_classical_Lambda(y231, 1), (b0, 1)})
     monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: lam)
     assert run(["gaps", *Y231, "--m", "1"]) == 1
     err = capsys.readouterr().err

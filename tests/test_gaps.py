@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wsgaps import gaps
 from wsgaps.curves import curve
-from wsgaps.errors import NotSorted, SelfCheckError, WsgapsError
+from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
     _inversions,
@@ -22,7 +22,6 @@ from wsgaps.gaps import (
     pure_gaps_via_lambda,
     pure_gaps_via_nabla,
     simplex_points,
-    zeta,
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
 from wsgaps.membership import witness_test
@@ -69,6 +68,20 @@ def test_pure_gaps_m2(y231):
     assert pure_gaps_via_lambda(y231, 2) == pure_gaps_via_nabla(y231, 2)
 
 
+def zeta(sorted_lambda: list, t: int) -> int:
+    """Number of earlier elements (1-based position t) whose first
+    coordinate exceeds that of element t.  The list must be sorted by
+    ascending second coordinate.  The definition the two-point count's
+    inversion count is checked against."""
+    seconds = [b[1] for b in sorted_lambda]
+    if any(x > y for x, y in zip(seconds, seconds[1:])):
+        raise ValueError("list not sorted by second coordinate")
+    if not 1 <= t <= len(sorted_lambda):
+        raise ValueError(f"position {t} out of range")
+    first_t = sorted_lambda[t - 1][0]
+    return sum(1 for b in sorted_lambda[: t - 1] if b[0] > first_t)
+
+
 def test_zeta(y231, x21131):
     lam = sorted(enumerate_classical_Lambda(y231, 1), key=lambda b: b[1])
     assert zeta(lam, 1) == 0
@@ -79,9 +92,9 @@ def test_zeta(y231, x21131):
     t = lam_x.index((2, 4)) + 1
     assert zeta(lam_x, t) == 1
 
-    with pytest.raises(NotSorted):
+    with pytest.raises(ValueError, match="not sorted"):
         zeta([(1, 5), (2, 3)], 1)
-    with pytest.raises(WsgapsError):
+    with pytest.raises(ValueError, match="out of range"):
         zeta(lam, 0)
 
 
@@ -174,6 +187,20 @@ def test_build_gap_report(y231):
         checks = build_gap_report(y231, m, gaps_via_complement(y231, m))
         assert all(checks.values()), checks
         assert ("two_point_count_formula" in checks) == (m == 1)
+
+
+@pytest.mark.parametrize("defect", ["duplicate", "swap"])
+def test_lambda_count_formula_needs_strictly_increasing_lambda(y231, monkeypatch, defect):
+    """A repeated vector (in place of its successor, so the count still
+    matches) or two neighbours out of order make the verdict False."""
+    lam = enumerate_classical_Lambda(y231, 2)
+    if defect == "duplicate":
+        bad = lam[:1] + lam[:1] + lam[2:]
+    else:
+        bad = [lam[1], lam[0]] + lam[2:]
+    assert len(bad) == count_Lambda(y231, 2)
+    monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: bad)
+    assert build_gap_report(y231, 2, gaps_via_complement(y231, 2))["lambda_count_formula"] is False
 
 
 def test_build_gap_report_detects_dropped_theta(y231, drop_theta):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps.curves import curve
-from wsgaps.errors import BadIndexPair, LengthMismatch
+from wsgaps import maximal
+from wsgaps.curves import curve, simplex_points
+from wsgaps.errors import BadIndexPair, LengthMismatch, SelfCheckError
 from wsgaps.maximal import (
     MaximalElement,
     coord0,
@@ -132,16 +133,18 @@ def test_pair_from_residue_bijection(sweep):
             pair_from_residue(dc, dc.e)
 
 
+Y231_CLASSICAL_M1 = [
+    (0, 0), (1, 19), (2, 11), (3, 3), (4, 13), (5, 5),
+    (7, 7), (10, 10), (11, 2), (13, 4), (19, 1),
+]
+
+
 def test_classical_gamma_y231(y231):
-    got = enumerate_classical_Gamma(y231, 1)
-    assert got == {
-        (0, 0), (19, 1), (10, 10), (1, 19), (11, 2), (2, 11),
-        (3, 3), (13, 4), (4, 13), (5, 5), (7, 7),
-    }
+    assert enumerate_classical_Gamma(y231, 1) == Y231_CLASSICAL_M1
 
 
 def test_classical_gamma_x21131(x21131):
-    assert enumerate_classical_Gamma(x21131, 1) == {(0, 0), (5, 1), (1, 2), (2, 4)}
+    assert enumerate_classical_Gamma(x21131, 1) == [(0, 0), (1, 2), (2, 4), (5, 1)]
 
 
 def test_classical_gamma_nonnegative(sweep):
@@ -152,15 +155,12 @@ def test_classical_gamma_nonnegative(sweep):
 
 def test_classical_lambda_y231(y231):
     lam = enumerate_classical_Lambda(y231, 1)
-    assert lam == {
-        (0, 0), (19, 1), (10, 10), (1, 19), (11, 2), (2, 11),
-        (3, 3), (13, 4), (4, 13), (5, 5), (7, 7),
-    }
+    assert lam == Y231_CLASSICAL_M1
     assert len(lam) == 11
 
 
 def test_classical_lambda_x21131(x21131):
-    assert enumerate_classical_Lambda(x21131, 1) == {(0, 0), (5, 1), (1, 2), (2, 4)}
+    assert enumerate_classical_Lambda(x21131, 1) == [(0, 0), (1, 2), (2, 4), (5, 1)]
 
 
 def test_classical_lambda_m2_contains(y231):
@@ -178,7 +178,49 @@ def test_count_lambda_matches_enumeration(sweep):
         if dc.genus > 600:
             continue
         for m in range(1, min(2, dc.max_m) + 1):
-            assert count_Lambda(dc, m) == len(enumerate_classical_Lambda(dc, m))
+            assert count_Lambda(dc, m) == len(set(enumerate_classical_Lambda(dc, m)))
+
+
+def _brute_force_listing(dc, m, shift):
+    """Every realization translated by shift at P_inf whose coordinates are
+    all >= 0, from realize over each residue and every shift vector whose
+    sum keeps the first coordinate >= 0, deduplicated and sorted."""
+    found = set()
+    for rho in range(dc.e):
+        for ks in simplex_points(m, max(0, (coord0(dc, m, rho) + shift) // dc.e)):
+            v = realize(dc, m, MaximalElement(rho, ks))
+            v = (v[0] + shift,) + v[1:]
+            if min(v) >= 0:
+                found.add(v)
+    return sorted(found)
+
+
+def test_classical_listings_are_the_sorted_realizations(sweep):
+    """Both classical listings, built in order, equal the sorted set of
+    brute-force realizations and are strictly increasing: every sweep case
+    with g <= 600, at every m."""
+    checked = 0
+    for dc in sweep:
+        if dc.genus > 600:
+            continue
+        for m in range(1, dc.max_m + 1):
+            for listing, shift in ((enumerate_classical_Gamma, 0),
+                                   (enumerate_classical_Lambda, relative_shift(dc, m))):
+                got = listing(dc, m)
+                assert got == _brute_force_listing(dc, m, shift), (dc.params, m, listing.__name__)
+                assert all(u < v for u, v in zip(got, got[1:])), (dc.params, m, listing.__name__)
+                checked += 1
+    assert checked >= 100
+
+
+def test_shared_first_coordinate_class_is_a_defect(y231, monkeypatch):
+    """Two residues whose first coordinates agree mod e would list the same
+    first coordinate twice at m = 1; the listing refuses, as for any
+    self-check, instead of emitting them out of order."""
+    real = maximal.coord0
+    monkeypatch.setattr(maximal, "coord0", lambda dc, m, rho: real(dc, m, 1) if rho == 2 else real(dc, m, rho))
+    with pytest.raises(SelfCheckError, match="share the class"):
+        enumerate_classical_Gamma(y231, 1)
 
 
 def test_delta_lambda_zero_injective(y231):

@@ -143,7 +143,7 @@ def test_default_box_holds_every_family_vector(sweep):
                 continue
             box = default_box(dc, m, 2 * dc.genus)
             families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
-            families |= enumerate_classical_Gamma(dc, m) | enumerate_classical_Lambda(dc, m)
+            families |= set(enumerate_classical_Gamma(dc, m)) | set(enumerate_classical_Lambda(dc, m))
             assert all(v in box for v in families), (dc.params, m)
             checked += 1
     assert checked >= 65
