@@ -371,7 +371,7 @@ def run(argv) -> int:
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
             # Five tables as in `gaps` (closure, complement, nabla and both Lambda
-            # routes), plus at most one closure probe per point.
+            # routes), plus at most one closure bit test per point.
             work = 5 * comb(bound + args.m, args.m) * dc.e + comb(bound + args.m + 1, args.m + 1)
             _refuse_above_limit(dc, "verify", args.m, bound, work)
             checks = oracle.consistency_report(dc, args.m, bound=bound)

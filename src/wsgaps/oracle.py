@@ -7,23 +7,25 @@ outcome with the formula-driven modules.  That independence is the whole
 point: every formula is cross-examined against nothing but the curve
 equations.
 
-The closure is never built.  index_generators, the one generator index,
-buckets the generators by (coordinate, value) and cuts each bucket to its
-minimal antichain.  closure_table reads it one tail at a time and returns
-the closure's non-members on the simplex sum(alpha) <= bound as a GapTable,
-so consistency_report compares it with the complement route's table cap by
-cap, and every other check of the report runs on that same region.
+The closure is never built.  closure_table takes the generators in one
+dominance (zeta) transform over the tails and returns the closure's
+non-members on the simplex sum(alpha) <= bound as a GapTable, so
+consistency_report compares it with the complement route's table cap by
+cap, and every other check of the report runs on that same region.  The
+families check alone reads the (coordinate, value) buckets of
+index_generators, one in_lub_closure call per family vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import product
+from math import comb
 from operator import le
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_points
 from .errors import BadBox
-from .gaps import GapTable, _ints, build_gap_report, gaps_via_complement
+from .gaps import GapTable, _ints, _rank, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -129,8 +131,9 @@ def lub_closure(vectors, box: Box) -> set[tuple[int, ...]]:
 
 
 def in_lub_closure(gens_index: dict, alpha: tuple[int, ...]) -> bool:
-    """Membership in the lub closure, decided pointwise: alpha is a lub of
-    generators iff every coordinate r is attained by a generator below alpha."""
+    """Membership in the lub closure, decided pointwise for the families
+    check: alpha is a lub of generators iff every coordinate r is attained
+    by a generator below alpha."""
     n = len(alpha)
     for r in range(n):
         hits = gens_index.get((r, alpha[r]), ())
@@ -139,69 +142,68 @@ def in_lub_closure(gens_index: dict, alpha: tuple[int, ...]) -> bool:
     return True
 
 
-def _minimal(vectors: list) -> list:
-    """The componentwise minimal elements of sorted, distinct vectors, in order.
-
-    Sorted, a vector can lie above earlier ones only, whose coordinate 0 is
-    not above its own.  Each further coordinate t keeps, as bits, the
-    candidates whose coordinate t is not above its own either, so a vector
-    is minimal iff no candidate survives: O(dim * n log n) steps on n-bit
-    integers, where a scan of the antichain found so far is quadratic.
-    """
-    below = [(1 << i) - 1 for i in range(len(vectors))]
-    for t in range(1, len(vectors[0])):
-        col = [v[t] for v in vectors]
-        reached = 0
-        for _, group in groupby(sorted(range(len(col)), key=col.__getitem__), key=col.__getitem__):
-            group = list(group)
-            for i in group:
-                reached |= 1 << i
-            for i in group:
-                below[i] &= reached
-    return [v for v, b in zip(vectors, below) if not b]
-
-
 def index_generators(gens) -> dict:
-    """Index a generator set by (coordinate, value) for in_lub_closure and
-    closure_table.  Each bucket is cut to its minimal antichain (maxima of
-    vectors, Kung-Luccio-Preparata 1975), sorted, once each: a generator of a
-    bucket lies below alpha iff a minimal one does."""
+    """Bucket a generator set by (coordinate, value) for in_lub_closure."""
     buckets: dict = {}
     for g in gens:
         for r, x in enumerate(g):
-            buckets.setdefault((r, x), set()).add(g)
-    return {key: _minimal(sorted(bucket)) for key, bucket in buckets.items()}
+            buckets.setdefault((r, x), []).append(g)
+    return buckets
 
 
-def closure_table(index: dict, e: int, m: int, bound: int) -> GapTable:
+def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
     """The points of the simplex sum(alpha) <= bound outside the lub closure
-    of the generators behind index (built by index_generators), as a GapTable
-    with e classes of alpha_0, one tail (alpha_1..alpha_m) at a time.
+    of gens, as a GapTable with e classes of alpha_0, one tail t =
+    (alpha_1..alpha_m) at a time.
 
-    Each r >= 1 gives L_r, the least g_0 of the (r, alpha_r) entries below
-    the tail (g <= (bound,) + tail, as g_r is fixed and g_0 <= bound), or
-    top + 1 with top = bound - sum(tail).  Every alpha_0 < max L_r is a
-    non-member: the caps of the classes are set there at once.  Each alpha_0
-    from there to top probes the (0, alpha_0) antichain; a non-member that
-    does not extend its class prefix becomes the table's stray, as in the
-    Lambda route.  Cost: O(#tails * (e + m * antichain) + probes).
+    As t >= 0, g lies below (alpha_0, t) iff g_0 <= alpha_0 and its cell,
+    g_1..g_m with negative coordinates raised to 0, lies below t; a g with
+    max(g_0, 0) + sum(cell) > bound lies below no simplex point.  Each cell
+    seeds held with the bits g_0 >= 0 of its generators, and low[r] with
+    their least g_0 over g_r >= 0 (a negative g_r attains nothing).  One pass
+    in simplex_points order, where t - e_j comes first, ORs held[t - e_j]
+    into held[t] and takes the least low[r][t - e_j] over j != r: a zeta
+    transform over the product order (Bjorklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007).  Then held[t] holds the alpha_0 attained at 0, and
+    no alpha_0 < max_r low[r][t] attains every r >= 1, so the class caps are
+    set there at once.  Each zero bit of held[t] from there to top = bound -
+    sum(t) is a non-member; one that does not extend its class prefix
+    becomes the table's stray, as in the Lambda route.
     """
-    hi = _ints()
-    stray = None
-    for tail in simplex_points(m, bound):
+    n = comb(bound + m, m)
+    held = [0] * n
+    low = [[bound + 1] * n for _ in range(m)]
+    for g in gens:
+        cell = tuple([x if x > 0 else 0 for x in g[1:]])
+        if max(g[0], 0) + sum(cell) > bound:
+            continue
+        i = _rank(cell, bound)
+        if g[0] >= 0:
+            held[i] |= 1 << g[0]
+        for r, x in enumerate(g[1:]):
+            if x >= 0 and g[0] < low[r][i]:
+                low[r][i] = g[0]
+    hi, stray = _ints(), None
+    for i, tail in enumerate(simplex_points(m, bound)):
+        for j, x in enumerate(tail):
+            if x:
+                p = _rank(tail[:j] + (x - 1,) + tail[j + 1:], bound)
+                held[i] |= held[p]
+                for r, col in enumerate(low):
+                    if r != j and col[p] < col[i]:
+                        col[i] = col[p]
         top = bound - sum(tail)
-        ceil = (bound,) + tail
-        lo = max(min((g[0] for g in index.get((r, x), ()) if all(map(le, g, ceil))), default=top + 1)
-                 for r, x in enumerate(tail, start=1))
-        end = min(max(lo, 0), top + 1)
+        end = min(max(max(col[i] for col in low), 0), top + 1)
         caps = [c if end <= c else end + (c - end) % e for c in range(e)]
-        for a0 in range(end, top + 1):
-            if not any(all(map(le, g, ceil)) for g in index.get((0, a0), ())):
-                c = a0 % e
-                if caps[c] == a0:
-                    caps[c] += e
-                elif stray is None or (a0, *tail) < stray:
-                    stray = (a0, *tail)
+        miss = ~held[i] & ((1 << (top + 1)) - (1 << end))  # the non-members, as bits
+        while miss:
+            a0 = (miss & -miss).bit_length() - 1
+            miss ^= 1 << a0
+            c = a0 % e
+            if caps[c] == a0:
+                caps[c] += e
+            elif stray is None or (a0, *tail) < stray:
+                stray = (a0, *tail)
         hi.extend(caps)
     return GapTable(e, m, bound, hi, stray)
 
@@ -210,26 +212,23 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -
     """Run the full cross-validation suite on the simplex sum(alpha) <= bound
     (2g by default); all verdicts True means pass.
 
-    gaps_via_complement runs once.  The closure_table of the monomials below
-    the simplex (positive parts summing to at most bound) must equal it, the
-    closed-form families must lie in the monomial lub closure, and
-    build_gap_report checks the other routes and formulas against the same
-    table, on the same region."""
+    gaps_via_complement runs once.  The closure_table of the monomials must
+    equal it, the closed-form families must lie in the monomial lub closure,
+    and build_gap_report checks the other routes and formulas against the
+    same table, on the same region."""
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
     mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
     complement = gaps_via_complement(dc, m, bound)
 
-    below = index_generators(g for g in mono if sum([x for x in g if x > 0]) <= bound)
-    checks = {"closure_matches_membership": closure_table(below, dc.e, m, bound) == complement}
-    del below  # released before the next index and the gap-side tables
+    checks = {"closure_matches_membership": closure_table(mono, dc.e, m, bound) == complement}
 
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
     families.update(enumerate_classical_Gamma(dc, m), enumerate_classical_Lambda(dc, m))
     corner = tuple(map(max, zip(*families)))  # a generator not below it is below no family vector
     idx = index_generators(g for g in mono if all(map(le, g, corner)))
     checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)
-    del mono, idx, families  # likewise
+    del mono, idx, families  # released before the gap-side tables
 
     checks.update(build_gap_report(dc, m, complement))
     return checks

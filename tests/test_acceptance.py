@@ -211,8 +211,7 @@ def test_08_oracle_equivalence():
     # test one by one: its closure table, per tail, must equal the scan's.
     dc, m = curve("Y", q=3, n=3, s=1), 2
     bound = 2 * dc.genus
-    idx = index_generators(monomial_vectors_in_box(dc, m, default_box(dc, m, bound)))
-    table = closure_table(idx, dc.e, m, bound)
+    table = closure_table(monomial_vectors_in_box(dc, m, default_box(dc, m, bound)), dc.e, m, bound)
     ok &= table.stray is None and table == gaps_via_complement(dc, m, bound)
     _verdict(8, f"monomial lub-closure equals membership on the simplex, "
                 f"{len(instances)} instances, m in {{1,2,3}}, Y(2,5,1) at m = 2 "
