@@ -41,13 +41,22 @@ _JSON_SAFE = 2**53
 WORK_LIMIT = 10**8
 # Peak resident bytes of `gaps` per entry of its caps table (comb(bound + m,
 # m) tails, e classes each): both routes' tables, the emitter's per-class
-# copies and the interpreter.  Measured 20.2 on Y(4,5,1) at m = 1, 17.5 on
-# Y(3,3,1) at m = 2 up to degree 1000 and 23.3 on Y(2,3,3) at m = 1 up to
-# degree 3*10^6, where e = 3 leaves the per-tail arrays the most weight.
+# copies and the interpreter.  Measured 20.19 on Y(4,5,1) at m = 1, 17.52
+# on Y(3,3,1) at m = 2 up to degree 1000 and 23.25 (23.26 pure) on Y(2,3,3)
+# at m = 1 up to degree 3*10^6, where e = 3 leaves the per-tail arrays the
+# most weight; the residue-tail scan keeps one row per residue tail besides.
 BYTES_PER_ENTRY = 24
-# Largest memory estimate `gaps` runs, a quarter of an 8 GB desk machine;
-# above it the command exits 2 at once instead of crowding out the rest of
-# the machine.  Near WORK_LIMIT a table would take about 2.4 GB.
+# Peak resident bytes of `verify` per monomial of the oracle's box
+# (count_monomials_in_box): the set of their valuation vectors, the gap
+# tables and the interpreter.  Measured 187-202 on Y(2,3,1) at m = 2 up to
+# degree 300-460 (202 just past a doubling of the set's hash table) and
+# 200-218 on Y(4,3,13) at m = 4 up to degree 40 and 30.  Below m = max_m
+# monomials share vectors and the figure is loose: 120 at m = 3 on
+# Y(4,3,13), 12-24 at m = 1 on Y(2,3,1).
+BYTES_PER_MONOMIAL = 224
+# Largest memory estimate `gaps` and `verify` run, a quarter of an 8 GB desk
+# machine; above it the command exits 2 at once instead of crowding out the
+# rest of the machine.  Near WORK_LIMIT a table would take about 2.4 GB.
 BYTE_LIMIT = 2 * 10**9
 
 
@@ -179,15 +188,18 @@ def _emit_fields(record: dict, fmt: str) -> None:
             print(f"{k}\t{_tsv_field(rows[k])}")
 
 
+def _needs(command: str, m: int, bound: int) -> str:
+    return f"{command} at m = {m} up to degree {exact_str(bound)} needs at least"
+
+
 def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> int:
     """Raise TooMuchWork when closed_form plus the Lambda-box volume exceeds
     WORK_LIMIT, else return the volume (gap_count_upper_bound).  The volume
     is a convolution whose length grows with the instance, so it runs only
     when closed_form is under the limit."""
-    what = f"{command} at m = {m} up to degree {exact_str(bound)} needs at least"
-    _refuse(what, closed_form)
+    _refuse(_needs(command, m, bound), closed_form)
     volume = gaps_mod.gap_count_upper_bound(dc, m)
-    _refuse(what, closed_form + volume)
+    _refuse(_needs(command, m, bound), closed_form + volume)
     return volume
 
 
@@ -200,6 +212,21 @@ def _refuse_gaps(dc, m: int, bound: int) -> None:
     if entries * BYTES_PER_ENTRY > BYTE_LIMIT:
         raise TooMuchWork(f"gaps at m = {m} keeps {exact_str(entries)} table entries, about "
                           f"{exact_str(entries * BYTES_PER_ENTRY)} bytes, above the limit {BYTE_LIMIT}")
+
+
+def _refuse_verify(dc, m: int, bound: int) -> None:
+    """`verify` by steps (five tables as in `gaps`: closure, complement,
+    nabla and both Lambda routes; at most one closure bit test per point;
+    the volume; the monomials of the oracle's box, counted without
+    building them) and by bytes (the monomial vectors, held at once).  The
+    monomials are counted only when the rest is under the limit."""
+    work = 5 * comb(bound + m, m) * dc.e + comb(bound + m + 1, m + 1)
+    work += _refuse_above_limit(dc, "verify", m, bound, work)
+    monomials = oracle.count_monomials_in_box(dc, m, oracle.default_box(dc, m, bound))
+    _refuse(_needs("verify", m, bound), work + monomials)
+    if monomials * BYTES_PER_MONOMIAL > BYTE_LIMIT:
+        raise TooMuchWork(f"verify at m = {m} builds {exact_str(monomials)} monomial vectors, about "
+                          f"{exact_str(monomials * BYTES_PER_MONOMIAL)} bytes, above the limit {BYTE_LIMIT}")
 
 
 def _refuse(what: str, work: int) -> None:
@@ -370,10 +397,7 @@ def run(argv) -> int:
 
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
-            # Five tables as in `gaps` (closure, complement, nabla and both Lambda
-            # routes), plus at most one closure bit test per point.
-            work = 5 * comb(bound + args.m, args.m) * dc.e + comb(bound + args.m + 1, args.m + 1)
-            _refuse_above_limit(dc, "verify", args.m, bound, work)
+            _refuse_verify(dc, args.m, bound)
             checks = oracle.consistency_report(dc, args.m, bound=bound)
             _emit(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
             return 0 if all(checks.values()) else 1

@@ -23,15 +23,28 @@ Each r >= 1 fixes rho by alpha_r, so its threshold does not depend on
 alpha_0; r = 0 gives one threshold U_c per class c = alpha_0 mod e.  The
 cap of class c is min(max(L, U_c), top + 1) with L the largest r >= 1
 threshold; the pure gaps use the smallest and min.  A missing table entry
-means no witness at any alpha_0 and counts as top + 1.  Cost:
-O(#tails * e * m), against O(#points * m^2) for a per-point membership test.
+means no witness at any alpha_0 and counts as top + 1.
+
+The scan evaluates that formula only on the residue tails k, sorted with
+every coordinate below e.  It reads a tail t only through sum(t), the
+multiset of its residues mod e and Q = sum_s alpha_s//e, so t has the row
+of k = sorted(t mod e) shifted by e*Q = sum(t) - sum(k): going from k to t
+lowers every threshold, L (or its min) and top + 1 by e*Q and leaves the
+residues alone, so each class end drops by e*Q, and rounding an end up to
+class c commutes with that shift (an end at or below c gives the cap c).
+Hence cap_t[c] = max(c, cap_k[c] - e*Q), and when the largest cap_k[c] - c
+is at most e*Q the row of t is range(e).  k lies in the simplex and comes
+no later than t in simplex_points order, so one pass serves.  Cost: the
+formula, O(e + m) per row, runs on at most min(comb(e + m - 1, m), #tails)
+rows; every other entry costs one comparison, against O(#points * m^2) for
+a per-point membership test.
 """
 
 from __future__ import annotations
 
 from itertools import compress, islice, product, repeat
 from math import comb
-from operator import lt
+from operator import lt, sub
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import SelfCheckError
@@ -239,7 +252,8 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
 
 def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> GapTable:
     """The non-members (pure: the vectors with no witness at any coordinate)
-    of the simplex sum(alpha) <= bound, one tail at a time."""
+    of the simplex sum(alpha) <= bound: the threshold formula on each
+    residue tail, every other row shifted from its residue tail's."""
     e = dc.e
     by_rho, by_class = _residue_tables(dc, m)
     # A missing table entry (no witness at any alpha_0) gets a first
@@ -248,25 +262,33 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
     a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
     by_class = [by_class.get(c, (0, past)) for c in range(e)]
     pick = min if pure else max
+    classes = _ints(range(e))
+    rows = {}  # residue tail -> (its row, the largest cap - c in the row)
     hi = _ints()
     for tail in simplex_points(m, bound):
+        key = tuple(sorted([x % e for x in tail]))
+        if key != tail:
+            row, reach = rows[key]
+            s = sum(tail) - sum(key)  # e*Q
+            hi.extend(classes if reach <= s else [c if h - s < c else h - s for c, h in enumerate(row)])
+            continue
         cap = bound - sum(tail) + 1  # top + 1
-        # The threshold of (rho, a0) is a0 + shift[rho]: with x = e*(x//e) + x % e,
-        # -e * sum_t (x_t - rho)//e = e * (#{t : x_t % e < rho} - sum_t x_t//e).
-        q = sum([x // e for x in tail])
-        residues = [x % e for x in tail]
+        # The threshold of (rho, a0) is a0 + shift[rho]: with every x < e,
+        # -e * sum_t (x_t - rho)//e = e * #{t : x_t < rho}, and tail is sorted.
         shift, start = [], 0
-        for k, r in enumerate(sorted(residues)):
-            shift += [e * (k - q)] * (r + 1 - start)
+        for k, r in enumerate(tail):
+            shift += [e * k] * (r + 1 - start)
             start = r + 1
-        shift += [e * (m - q)] * (e - start)
-        lim = pick([a0_by_rho[r] + shift[r] for r in residues])
+        shift += [e * m] * (e - start)
+        lim = pick([a0_by_rho[r] + shift[r] for r in tail])
         # A pure gap lies below every r >= 1 threshold, so no class >= lim has one.
         held = max(0, min(e, cap, lim)) if pure else min(e, cap)
         ends = [min(pick(lim, a0 + shift[rho]), cap) for rho, a0 in by_class[:held]]
         # The cap of class c: the first c + e*k at or past the end of its gaps.
-        hi.extend([c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
-        hi.extend(range(held, e))
+        row = _ints([c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
+        row.extend(range(held, e))
+        rows[key] = row, max(map(sub, row, classes))
+        hi.extend(row)
     return GapTable(e, m, bound, hi)
 
 

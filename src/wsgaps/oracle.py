@@ -66,9 +66,10 @@ def default_box(dc: DerivedConstants, m: int, bound: int) -> Box:
     return Box(lower=tuple(u - sum(upper) for u in upper), upper=upper)
 
 
-def monomial_vectors_in_box(dc: DerivedConstants, m: int, box: Box) -> set[tuple[int, ...]]:
-    """Valuation vectors of all regular monomials in the box, each monomial
-    built once and none discarded.
+def _monomial_runs(dc: DerivedConstants, m: int, box: Box):
+    """The regular monomials with valuation vectors in the box: yields
+    (a_z, b_y, ranges, lo, hi), one monomial (a_z, b_y, c) for each c in
+    product(*ranges) with lo <= sum(c) <= hi.
 
     With w = a_z + b_y*M, coords[l] = -(w + c_l*e) and coords[0] =
     base + e*sum(c), base = a_z*q^3/p^b + b_y*(q/p^b)*M, so the coordinates
@@ -84,7 +85,6 @@ def monomial_vectors_in_box(dc: DerivedConstants, m: int, box: Box) -> set[tuple
     q, pb, M, e = dc.q, dc.pb, dc.M, dc.e
     s_hi = sum(box.upper)
     az_coeff = (q**3 - q) // pb
-    out = set()
     for a_z in range(s_hi // az_coeff + 1):
         b_lo = _ceil_div(-a_z, M)
         if m < dc.max_m:
@@ -96,16 +96,44 @@ def monomial_vectors_in_box(dc: DerivedConstants, m: int, box: Box) -> set[tuple
             w = a_z + b_y * M
             base = a_z * (q**3 // pb) + b_y * (q // pb) * M
             sum_lo, sum_hi = _ceil_div(box.lower[0] - base, e), (box.upper[0] - base) // e
-            *heads, last = [
-                range(_ceil_div(-box.upper[ell] - w, e), (-box.lower[ell] - w) // e + 1)
-                for ell in range(1, m + 1)
-            ]
-            for head in product(*heads):
-                part = sum(head)
-                for c_m in range(max(last.start, sum_lo - part), min(last.stop, sum_hi - part + 1)):
-                    exps = MonomialExponents(a_z, b_y, head + (c_m,))
-                    out.add(monomial_valuation(dc, m, exps)[0])
+            ranges = [range(_ceil_div(-box.upper[ell] - w, e), (-box.lower[ell] - w) // e + 1)
+                      for ell in range(1, m + 1)]
+            yield a_z, b_y, ranges, sum_lo, sum_hi
+
+
+def monomial_vectors_in_box(dc: DerivedConstants, m: int, box: Box) -> set[tuple[int, ...]]:
+    """Valuation vectors of all regular monomials in the box, each monomial
+    built once and none discarded (_monomial_runs)."""
+    out = set()
+    for a_z, b_y, (*heads, last), lo, hi in _monomial_runs(dc, m, box):
+        for head in product(*heads):
+            part = sum(head)
+            for c_m in range(max(last.start, lo - part), min(last.stop, hi - part + 1)):
+                out.add(monomial_valuation(dc, m, MonomialExponents(a_z, b_y, head + (c_m,)))[0])
     return out
+
+
+def _points_up_to(ranges, total: int) -> int:
+    """#{c in prod(ranges) : sum(c) <= total}, in O(2^k) for k ranges.
+    Shifted to start at 0, the points of the orthant with coordinate sum at
+    most n number comb(n + k, k); inclusion-exclusion over the coordinates
+    pushed past the end of their range leaves the box."""
+    k, n = len(ranges), total - sum(r.start for r in ranges)
+    count = 0
+    for passed in product((0, 1), repeat=k):
+        rest = n - sum([len(r) for r, p in zip(ranges, passed) if p])
+        if rest >= 0:
+            count += (-1) ** sum(passed) * comb(rest + k, k)
+    return count
+
+
+def count_monomials_in_box(dc: DerivedConstants, m: int, box: Box) -> int:
+    """The number of monomials monomial_vectors_in_box builds, at least the
+    number of vectors it returns (below m = max_m two monomials can share a
+    vector), without building them: for each (a_z, b_y), the points c of
+    the box of the c ranges with lo <= sum(c) <= hi, in closed form."""
+    return sum(_points_up_to(ranges, hi) - _points_up_to(ranges, lo - 1)
+               for *_, ranges, lo, hi in _monomial_runs(dc, m, box))
 
 
 def lub_closure(vectors, box: Box) -> set[tuple[int, ...]]:

@@ -27,6 +27,7 @@ from wsgaps.cli import (
     _listing_work,
     _record,
     _refuse_gaps,
+    _refuse_verify,
     run,
 )
 from wsgaps.curves import curve, simplex_points
@@ -339,6 +340,34 @@ def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
     assert by_bytes == {("Y", 2, 3, 1, 1, 10**7)}
     assert {("Y", 4, 5, 1, 1, 15311), ("Y", 3, 5, 1, 1, 1925), ("Y", 4, 5, 5, 1, 3011),
             ("Y", 4, 3, 1, 1, 911), ("Y", 2, 3, 1, 1, 5 * 10**6)} <= admitted
+
+
+def test_verify_refuses_what_memory_cannot_hold(capsys):
+    """Y(2,3,1) at m = 2 up to degree 700 passes the step estimate
+    (78,320,796 steps) but builds 9,589,320 monomial vectors, about 2.1 GB."""
+    argv = ["verify", *Y231, "--m", "2", "--box-sum", "700"]
+    _assert_refused_at_once(argv)
+    assert run(argv) == 2
+    assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
+
+
+def test_verify_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
+    """Pricing the monomials keeps every outcome of
+    scripts/verify_small_instances.py (each sweep case with g <= 100 at
+    every m runs, but Y(3,3,1) at m = 3, refused by steps), `verify-m2` and
+    test_08 included.  Of Y(2,3,1) at m = 2 widened to degree 500 and 700,
+    only the second is refused, by bytes."""
+    cases = [(dc, m, 2 * dc.genus) for dc in sweep if dc.genus <= 100 for m in range(1, dc.max_m + 1)]
+    cases += [(y231, 2, 500), (y231, 2, 700)]
+    refused = {}
+    for dc, m, bound in cases:
+        try:
+            _refuse_verify(dc, m, bound)
+        except TooMuchWork as err:
+            by = "bytes" if f"bytes, above the limit {BYTE_LIMIT}" in str(err) else "steps"
+            refused[(dc.params.family, dc.params.q, dc.params.n, dc.params.s, m, bound)] = by
+    assert len(cases) == 44
+    assert refused == {("Y", 3, 3, 1, 3, 198): "steps", ("Y", 2, 3, 1, 2, 700): "bytes"}
 
 
 @pytest.mark.parametrize("pure", [False, True])

@@ -1,12 +1,13 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
+from array import array
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps import gaps
+from wsgaps import gaps, membership
 from wsgaps.curves import curve
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
@@ -26,6 +27,7 @@ from wsgaps.gaps import (
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
 from wsgaps.membership import witness_test
 from wsgaps.semigroup import from_generators
+from wsgaps.sweep import sweep_instances
 
 
 def test_simplex_points():
@@ -274,6 +276,107 @@ def test_drop_theta_is_the_witness_mutant(sweep, request):
                 pairs += 1
         _assert_scan_matches_per_point(dc, m, {2 * dc.genus - 1})
     assert pairs == 449_846
+
+
+def _reference_scan(dc, m, bound, pure):
+    """The caps array of the threshold scan with the formula evaluated on
+    every tail: the scan before residue tails.  Reads the residue tables
+    through the module attribute, so drop_theta reaches it."""
+    e = dc.e
+    by_rho, by_class = membership._residue_tables(dc, m)
+    past = 2 * bound + 2
+    a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
+    by_class = [by_class.get(c, (0, past)) for c in range(e)]
+    pick = min if pure else max
+    hi = array("q")
+    for tail in simplex_points(m, bound):
+        cap = bound - sum(tail) + 1
+        q = sum([x // e for x in tail])
+        residues = [x % e for x in tail]
+        shift, start = [], 0
+        for k, r in enumerate(sorted(residues)):
+            shift += [e * (k - q)] * (r + 1 - start)
+            start = r + 1
+        shift += [e * (m - q)] * (e - start)
+        lim = pick([a0_by_rho[r] + shift[r] for r in residues])
+        held = max(0, min(e, cap, lim)) if pure else min(e, cap)
+        ends = [min(pick(lim, a0 + shift[rho]), cap) for rho, a0 in by_class[:held]]
+        hi.extend([c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
+        hi.extend(range(held, e))
+    return hi
+
+
+def _scan(dc, m, bound, pure):
+    return (pure_gaps_via_nabla if pure else gaps_via_complement)(dc, m, bound)
+
+
+# Sweep instances with g <= 100 at every m whose widest reference table
+# (bound 2g + e) stays under 10^6 entries, and X(2,2,2,5,5), where p^b = 4
+# and e = 205 exceeds every bound below 2g - 1 = 599.
+_SCAN_CASES = [
+    (dc, m)
+    for dc in sweep_instances()
+    if dc.genus <= 100
+    for m in range(1, dc.max_m + 1)
+    if comb(2 * dc.genus + dc.e + m, m) * dc.e <= 10**6
+] + [(curve("X", p=2, a=2, b=2, n=5, s=5), 1)]
+
+
+def _special_bounds(dc):
+    return sorted({0, dc.e - 1, dc.e, 2 * dc.genus - 1, 2 * dc.genus + dc.e})
+
+
+def test_threshold_scan_is_the_per_tail_reference_on_sweep():
+    """Caps array for caps array, both routes, at every special bound."""
+    assert len(_SCAN_CASES) >= 25
+    for dc, m in _SCAN_CASES:
+        for bound in _special_bounds(dc):
+            for pure in (False, True):
+                table = _scan(dc, m, bound, pure)
+                assert table.hi == _reference_scan(dc, m, bound, pure), (dc.params, m, bound, pure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_threshold_scan_is_the_per_tail_reference(data):
+    dc, m = data.draw(st.sampled_from(_SCAN_CASES))
+    top = 2 * dc.genus + dc.e
+    bound = data.draw(st.one_of(st.sampled_from(_special_bounds(dc)), st.integers(0, top)))
+    pure = data.draw(st.booleans())
+    assert _scan(dc, m, bound, pure).hi == _reference_scan(dc, m, bound, pure)
+
+
+def test_threshold_scan_is_the_per_tail_reference_under_drop_theta(y231, x21131, request):
+    """The mutant tables reach both sides, and change the tables."""
+    cases = [(dc, m, bound, pure) for dc, m in ((y231, 1), (y231, 2), (x21131, 1))
+             for bound in (2 * dc.genus - 1, 2 * dc.genus + dc.e) for pure in (False, True)]
+    real = [_scan(*case).hi for case in cases]
+    request.getfixturevalue("drop_theta")
+    for case, table in zip(cases, real):
+        mutant = _scan(*case).hi
+        assert mutant == _reference_scan(*case), case
+        assert mutant != table, case
+
+
+@pytest.mark.parametrize("family, params, m", [
+    pytest.param("Y", dict(q=2, n=3, s=1), 1, id="Y231-1"),
+    pytest.param("Y", dict(q=2, n=3, s=1), 2, id="Y231-2"),
+    pytest.param("X", dict(p=2, a=2, b=1, n=5, s=41), 1, id="X221541-1"),
+])
+def test_gaps_are_invariant_under_moving_e_to_coordinate_0(family, params, m):
+    """Per point, from witness_test alone: (alpha_0, t) is a gap (a pure
+    gap) iff (alpha_0 + e, t - e*u_j) is one, for every t_j >= e."""
+    dc = curve(family, **params)
+    e, bound = dc.e, 2 * dc.genus + dc.e
+    gaps, pure = _per_point_routes(dc, m, bound)
+    pairs = 0
+    for a in simplex_points(m + 1, bound):
+        for j in range(1, m + 1):
+            if a[j] >= e:
+                b = (a[0] + e, *a[1:j], a[j] - e, *a[j + 1:])
+                assert (a in gaps, a in pure) == (b in gaps, b in pure), (a, b)
+                pairs += 1
+    assert pairs and any(max(a[1:]) >= e for a in gaps)
 
 
 def test_rank_is_the_simplex_order():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps import gaps
+from wsgaps import gaps, oracle
 from wsgaps.curves import MonomialExponents, monomial_valuation, simplex_points
 from wsgaps.errors import BadBox
 from wsgaps.maximal import (
@@ -20,6 +20,7 @@ from wsgaps.oracle import (
     Box,
     closure_table,
     consistency_report,
+    count_monomials_in_box,
     default_box,
     in_lub_closure,
     index_generators,
@@ -85,6 +86,34 @@ def test_monomial_vectors_are_exact(y231, y233, x21131, x22313):
                 got = monomial_vectors_in_box(dc, m, box)
                 assert got == _brute_force_monomials(dc, m, box), (dc.params, m, box)
     assert monomial_vectors_in_box(y231, 1, hand[1][2]) == set()
+
+
+def test_monomial_count_is_the_monomials_built(sweep, monkeypatch):
+    """count_monomials_in_box equals the number of monomial_valuation calls
+    of monomial_vectors_in_box, and at m = max_m the number of vectors, on
+    the sweep instances with g <= 30 at every m, at bounds 0, 2g and 2g + 7,
+    where the box holds at most 20,000 monomials."""
+    calls = []
+    real = oracle.monomial_valuation
+    monkeypatch.setattr(oracle, "monomial_valuation", lambda *a: calls.append(1) or real(*a))
+    checked = []  # per case: at m = max_m >= 2, where vectors and monomials correspond
+    for dc in sweep:
+        if dc.genus > 30:
+            continue
+        for m in range(1, dc.max_m + 1):
+            for bound in (0, 2 * dc.genus, 2 * dc.genus + 7):
+                box = default_box(dc, m, bound)
+                count = count_monomials_in_box(dc, m, box)
+                if count > 20_000:
+                    continue
+                calls.clear()
+                vectors = monomial_vectors_in_box(dc, m, box)
+                assert count == len(calls) >= len(vectors), (dc.params, m, bound)
+                assert count == len(vectors) or m < dc.max_m, (dc.params, m, bound)
+                checked.append(m == dc.max_m >= 2)
+    assert len(checked) >= 60 and any(checked)
+    empty = Box((-30, -30), (-5, -5))
+    assert count_monomials_in_box(sweep[0], 1, empty) == len(monomial_vectors_in_box(sweep[0], 1, empty)) == 0
 
 
 def test_lub_closure_examples():
