@@ -325,11 +325,6 @@ def run(argv) -> int:
         ap.error("'--' is not a flag value")
     try:
         dc = _curve_from_args(args)
-    except WsgapsError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "params":
             _emit(_record(dc, {}), args.format)
             return 0

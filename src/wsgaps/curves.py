@@ -11,6 +11,7 @@ distinguished points matter, never coordinates over a finite field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import (
     BadM,
@@ -25,31 +26,15 @@ from .errors import (
 )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_power_base(n: int) -> int | None:
-    """Return p if n = p^k for a prime p, else None."""
+    """Return p if n = p^k for a prime p, else None.  p is the smallest
+    factor of n up to isqrt(n), else n itself, so n is prime iff it returns n."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n if _is_prime(n) else None
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-    return None
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
 
 
 @dataclass(frozen=True)
@@ -125,7 +110,7 @@ def validate_params(
             raise ParameterError("family X takes no q; it is p^a")
         if p < 2 or a < 1 or b < 1:
             raise ParameterError("p, a, b must be positive")
-        if not _is_prime(p):
+        if _prime_power_base(p) != p:
             raise NonPrimeP(f"p = {p} is not prime")
         if a % b != 0:
             raise BNotDividingA(f"b = {b} does not divide a = {a}")

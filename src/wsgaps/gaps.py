@@ -42,7 +42,7 @@ a per-point membership test.
 
 from __future__ import annotations
 
-from itertools import compress, islice, product, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 from math import comb
 from operator import lt, sub
 
@@ -64,24 +64,21 @@ def _ints(values=()):
     return array("q", values)
 
 
-def _rank(tail, bound: int) -> int:
-    """Position of tail in simplex_points(len(tail), bound).  Coordinate i
-    passes over the tails that share the coordinates before it and are
-    smaller at it, a hockey-stick sum of simplex sizes."""
-    rank, room, k = 0, bound, len(tail)
-    for x in tail:
-        k -= 1
-        rank += comb(room + k + 1, k + 1) - comb(room - x + k + 1, k + 1)
-        room -= x
-    return rank
+def _runs(m: int, bound: int) -> dict:
+    """The layout of simplex_points(m, bound): each head (a tail without its
+    last coordinate) to the start of its run, the tails head + (x,) for x in
+    range(bound - sum(head) + 1), which sit at runs[head] + x."""
+    heads = list(simplex_points(m - 1, bound)) if m > 1 else [()]
+    return dict(zip(heads, accumulate([bound + 1 - sum(head) for head in heads], initial=0)))
 
 
 class GapTable:
     """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as caps.
 
     hi holds e caps per tail t = (alpha_1..alpha_m), the tails in
-    simplex_points order: hi[_rank(t, bound)*e + c] = c + e*k when the gaps
-    (alpha_0, t) with alpha_0 = c mod e are range(c, c + e*k, e).
+    simplex_points order, laid out by runs = _runs(m, bound):
+    hi[(runs[t[:-1]] + t[-1])*e + c] = c + e*k when the gaps (alpha_0, t)
+    with alpha_0 = c mod e are range(c, c + e*k, e).
 
     stray is the lexicographically smallest point a route produced above its
     class prefix, else None.  Such a set is not a union of class prefixes:
@@ -89,7 +86,6 @@ class GapTable:
     """
 
     __slots__ = ("e", "m", "bound", "hi", "stray")
-    __hash__ = None
 
     def __init__(self, e: int, m: int, bound: int, hi, stray: tuple[int, ...] | None = None):
         self.e, self.m, self.bound, self.hi, self.stray = e, m, bound, hi, stray
@@ -97,12 +93,6 @@ class GapTable:
     def __len__(self) -> int:
         e = self.e
         return (sum(self.hi) - len(self.hi) // e * (e * (e - 1) // 2)) // e
-
-    def __contains__(self, alpha) -> bool:
-        a0, *tail = alpha
-        if len(tail) != self.m or a0 < 0 or min(tail) < 0 or a0 + sum(tail) > self.bound:
-            return False
-        return a0 < self.hi[_rank(tail, self.bound) * self.e + a0 % self.e]
 
     def __iter__(self):
         for a0, tails in self.walk(tuple):
@@ -165,15 +155,15 @@ class GapTable:
         return min(found, key=lambda f: f[0], default=None)
 
 
-def _box_runs(ranges, bound: int, budget: int):
+def _box_runs(ranges, runs: dict, budget: int):
     """The tails of the box prod(ranges) with sum <= budget, grouped by
-    head (every coordinate but the last): yields (head, xs, base), the tails
-    head + (x,) for x in xs sitting at base + x in simplex_points(len(ranges), bound)."""
+    head: yields (head, xs, runs[head]), the tails head + (x,) for x in xs
+    sitting at runs[head] + x, runs the _runs of their simplex."""
     *heads, last = ranges
     for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
         xs = range(last.start, min(last.stop, budget - sum(head) + 1))
         if xs:
-            yield head, xs, _rank((*head, 0), bound)
+            yield head, xs, runs[head]
 
 
 def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
@@ -189,13 +179,14 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
     prefix; the smallest that does not becomes the table's stray.
     """
     size = comb(bound + m, m)
+    runs = _runs(m, bound)
 
     def reach(r):
         """Per tail, the largest beta_0 of the boxes at r that hold it."""
         out = _ints([0]) * size
         for beta in lam:
             ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
-            for _, xs, base in _box_runs(ranges, bound, bound):
+            for _, xs, base in _box_runs(ranges, runs, bound):
                 cells = slice(base + xs.start, base + xs.stop)
                 out[cells] = _ints(map(max, out[cells], repeat(beta[0])))
         return out
@@ -203,7 +194,7 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
     prefix = reach(1)
     for r in range(2, m + 1):
         prefix = _ints(map(min if pure else max, prefix, reach(r)))
-    tops = (bound - sum(tail) + 1 for tail in simplex_points(m, bound))
+    tops = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
     caps = _ints(map(min, prefix, tops))
     del prefix
     if pure:
@@ -219,7 +210,7 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
         b0, c = beta[0], beta[0] % e
         if b0 > bound:
             break
-        for head, xs, base in _box_runs([range(b) for b in beta[1:]], bound, bound - b0):
+        for head, xs, base in _box_runs([range(b) for b in beta[1:]], runs, bound - b0):
             first, stop = base + xs.start, base + xs.stop
             cells = slice(first * e + c, stop * e, e)
             old = hi[cells]

@@ -23,9 +23,9 @@ from itertools import product
 from math import comb
 from operator import le
 
-from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_points
+from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
 from .errors import BadBox
-from .gaps import GapTable, _ints, _rank, build_gap_report, gaps_via_complement
+from .gaps import GapTable, _ints, _runs, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -192,47 +192,56 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
     in simplex_points order, where t - e_j comes first, ORs held[t - e_j]
     into held[t] and takes the least low[r][t - e_j] over j != r: a zeta
     transform over the product order (Bjorklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007).  Then held[t] holds the alpha_0 attained at 0, and
-    no alpha_0 < max_r low[r][t] attains every r >= 1, so the class caps are
-    set there at once.  Each zero bit of held[t] from there to top = bound -
-    sum(t) is a non-member; one that does not extend its class prefix
-    becomes the table's stray, as in the Lambda route.
+    Koivisto, STOC 2007).  The pass goes run by run of gaps._runs: t - e_j
+    sits at i - 1 for the last coordinate, and for every other j at the
+    same x in the run of head - e_j, looked up once per run.  Then held[t]
+    holds the alpha_0 attained at 0, and no alpha_0 < max_r low[r][t]
+    attains every r >= 1, so the class caps are set there at once.  Each
+    zero bit of held[t] from there to top = bound - sum(t) is a non-member;
+    one that does not extend its class prefix becomes the table's stray, as
+    in the Lambda route.
     """
     n = comb(bound + m, m)
+    runs = _runs(m, bound)
     held = [0] * n
     low = [[bound + 1] * n for _ in range(m)]
     for g in gens:
         cell = tuple([x if x > 0 else 0 for x in g[1:]])
         if max(g[0], 0) + sum(cell) > bound:
             continue
-        i = _rank(cell, bound)
+        i = runs[cell[:-1]] + cell[-1]
         if g[0] >= 0:
             held[i] |= 1 << g[0]
         for r, x in enumerate(g[1:]):
             if x >= 0 and g[0] < low[r][i]:
                 low[r][i] = g[0]
     hi, stray = _ints(), None
-    for i, tail in enumerate(simplex_points(m, bound)):
-        for j, x in enumerate(tail):
-            if x:
-                p = _rank(tail[:j] + (x - 1,) + tail[j + 1:], bound)
+    for head, start in runs.items():
+        # (j, the start of the run of head - e_j) for each j that head can lower
+        lower = [(j, runs[head[:j] + (y - 1,) + head[j + 1:]]) for j, y in enumerate(head) if y]
+        steps = lower + [(m - 1, start - 1)]
+        room = bound - sum(head)
+        for x in range(room + 1):
+            i = start + x
+            for j, base in steps if x else lower:
+                p = base + x
                 held[i] |= held[p]
                 for r, col in enumerate(low):
                     if r != j and col[p] < col[i]:
                         col[i] = col[p]
-        top = bound - sum(tail)
-        end = min(max(max(col[i] for col in low), 0), top + 1)
-        caps = [c if end <= c else end + (c - end) % e for c in range(e)]
-        miss = ~held[i] & ((1 << (top + 1)) - (1 << end))  # the non-members, as bits
-        while miss:
-            a0 = (miss & -miss).bit_length() - 1
-            miss ^= 1 << a0
-            c = a0 % e
-            if caps[c] == a0:
-                caps[c] += e
-            elif stray is None or (a0, *tail) < stray:
-                stray = (a0, *tail)
-        hi.extend(caps)
+            top = room - x
+            end = min(max(max(col[i] for col in low), 0), top + 1)
+            caps = [c if end <= c else end + (c - end) % e for c in range(e)]
+            miss = ~held[i] & ((1 << (top + 1)) - (1 << end))  # the non-members, as bits
+            while miss:
+                a0 = (miss & -miss).bit_length() - 1
+                miss ^= 1 << a0
+                c = a0 % e
+                if caps[c] == a0:
+                    caps[c] += e
+                elif stray is None or (a0, *head, x) < stray:
+                    stray = (a0, *head, x)
+            hi.extend(caps)
     return GapTable(e, m, bound, hi, stray)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wsgaps.curves import (
     MonomialExponents,
+    _prime_power_base,
     check_m,
     curve,
     derive,
@@ -39,6 +40,25 @@ def test_validate_s_not_dividing():
 def test_validate_genus_not_positive():
     with pytest.raises(GenusNotPositive):
         validate_params("X", p=2, a=1, b=1, n=3, s=3)
+
+
+def test_prime_power_base_is_the_sieve_reference():
+    """Below 20,000, _prime_power_base(n) is p exactly when n is a power of
+    the prime p, the primes taken from a sieve of Eratosthenes."""
+    limit = 20_000
+    composite = bytearray(limit)
+    base = [None] * limit
+    for p in range(2, limit):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, limit, p))
+            power = p
+            while power < limit:
+                base[power] = p
+                power *= p
+    assert [_prime_power_base(n) for n in range(limit)] == base
+    for p in (4, 9, 12, 19_999):
+        with pytest.raises(NonPrimeP, match=f"^p = {p} is not prime$"):
+            validate_params("X", p=p, a=1, b=1, n=3, s=1)
 
 
 def test_validate_other_rejections():

@@ -14,7 +14,7 @@ from wsgaps.gaps import (
     GapTable,
     _inversions,
     _lambda_table,
-    _rank,
+    _runs,
     build_gap_report,
     count_gaps_two_points,
     gap_count_upper_bound,
@@ -379,24 +379,24 @@ def test_gaps_are_invariant_under_moving_e_to_coordinate_0(family, params, m):
     assert pairs and any(max(a[1:]) >= e for a in gaps)
 
 
-def test_rank_is_the_simplex_order():
-    for m in range(1, 5):
-        for bound in (0, 1, 4, 7):
-            tails = list(simplex_points(m, bound))
-            assert [_rank(t, bound) for t in tails] == list(range(comb(bound + m, m)))
-            assert tails == sorted(tails)
+def test_runs_place_every_tail_at_its_simplex_position(y231):
+    """runs[t[:-1]] + t[-1] is the position of t in simplex_points, at
+    m = 1..4 on small bounds and at m = 2 past 2g."""
+    cases = [(m, bound) for m in range(1, 5) for bound in (0, 1, 4, 7)]
+    for m, bound in cases + [(2, 2 * y231.genus + y231.e)]:
+        runs = _runs(m, bound)
+        tails = list(simplex_points(m, bound))
+        assert [runs[t[:-1]] + t[-1] for t in tails] == list(range(len(tails)))
+        assert len(tails) == comb(bound + m, m) and tails == sorted(tails)
+        assert list(runs) == sorted({t[:-1] for t in tails})
 
 
 def _assert_table_is(table, reference):
     """A table against a per-point reference set: iteration is the sorted
-    set, len its size, and `in` agrees on every simplex point and off it."""
-    bound, m = table.bound, table.m
+    set and len its size."""
     assert table.stray is None
     assert list(table) == sorted(reference)
     assert len(table) == len(reference)
-    assert all((a in table) == (a in reference) for a in simplex_points(m + 1, bound))
-    outside = [(bound + 1,) + (0,) * m, (0,) * m + (bound + 1,), (-1,) + (0,) * m, (0,) * m + (-1,)]
-    assert not any(a in table for a in outside)
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,12 +444,13 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     assert table.first_difference(table) is None
     e, bound = table.e, table.bound
     other = GapTable(e, 2, bound, table.hi[:])
+    runs = _runs(2, bound)
     # The tail (0, 1) loses the largest gap of its first class with one;
     # (0, 0) gains the next member of its first class whose next member
     # lies in the simplex.
-    lose = _rank((0, 1), bound) * e
+    lose = (runs[(0,)] + 1) * e
     lose += next(c for c in range(e) if table.hi[lose + c] > c)
-    gain = _rank((0, 0), bound) * e
+    gain = runs[(0,)] * e
     gain += next(c for c in range(e) if table.hi[gain + c] <= bound)
     other.hi[lose] -= e
     other.hi[gain] += e
