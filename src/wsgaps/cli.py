@@ -17,8 +17,10 @@ str.join of its rendering and the renderings of its tails, each tail
 rendered once, so neither a row list nor the gap set is ever built.  The
 bytes equal json.dumps(indent=1) of the encoded record, and the per-row
 prints of TSV.  No coordinate is scanned for the 2^53 test: it runs on a
-closed-form bound on |x| (_listing_bound, or a gap table's degree bound),
-and coordinates go through _encode only when that bound exceeds 2^53.
+closed-form bound on |x| (_listing_bound), and coordinates go through
+_encode only when that bound exceeds 2^53.  A gap table needs no test: its
+coordinates lie in [0, bound], and a table with bound past 2^53 would hold
+more than 2^53*e caps, far above what `gaps` admits.
 """
 
 from __future__ import annotations
@@ -54,9 +56,15 @@ BYTES_PER_ENTRY = 24
 # monomials share vectors and the figure is loose: 120 at m = 3 on
 # Y(4,3,13), 12-24 at m = 1 on Y(2,3,1).
 BYTES_PER_MONOMIAL = 224
-# Largest memory estimate `gaps` and `verify` run, a quarter of an 8 GB desk
-# machine; above it the command exits 2 at once instead of crowding out the
-# rest of the machine.  Near WORK_LIMIT a table would take about 2.4 GB.
+# Peak resident bytes of `counts` at m = 1 per unit of e*(q^2/p^b + 1), the
+# bound on the relative maximals the two-point count holds and sorts (about
+# half that many at large q^2/p^b, some 300 bytes each).  Measured 116 on
+# Y(2,17,1), 94 on Y(2,19,1), 132 on Y(8,5,1) and 150 on Y(16,3,1).
+BYTES_PER_MAXIMAL = 160
+# Largest memory estimate `gaps`, `verify` and `counts` run, a quarter of an
+# 8 GB desk machine; above it the command exits 2 at once instead of crowding
+# out the rest of the machine.  Near WORK_LIMIT a table would take about
+# 2.4 GB.
 BYTE_LIMIT = 2 * 10**9
 
 
@@ -131,19 +139,18 @@ def _list_blocks(vectors: list, fmt: str, bound: int):
 
 def _table_blocks(table, fmt: str):
     """The rows of a gap table, one block per alpha_0 in table.walk order.
-    Every coordinate lies in [0, table.bound], so only the bound needs the
-    2^53 test."""
-    cell = str if table.bound <= _JSON_SAFE else _cell(fmt)
+    Every coordinate lies in [0, table.bound], far below 2^53, so str
+    renders each."""
     lead, sep, end = ("", "\t", "") if fmt == "tsv" else ("   [\n    ", ",\n    ", "\n   ]")
     between = _ROW_SEP[fmt]
-    for a0, rests in table.walk(lambda tail: "".join([sep + cell(x) for x in tail]) + end):
-        first = lead + cell(a0)
+    for a0, rests in table.walk(lambda tail: "".join([sep + str(x) for x in tail]) + end):
+        first = lead + str(a0)
         yield first + (between + first).join(rests)
 
 
 def _emit(record: dict, fmt: str, bound: int | None = None) -> None:
     """Write record; a list of vectors needs bound, a bound on |x| over its
-    coordinates (a gap table carries its own)."""
+    coordinates (a gap table needs none)."""
     payload = record["payload"]
     vectors = payload.get("vectors")
     if vectors is None:
@@ -195,8 +202,9 @@ def _needs(command: str, m: int, bound: int) -> str:
 def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> int:
     """Raise TooMuchWork when closed_form plus the Lambda-box volume exceeds
     WORK_LIMIT, else return the volume (gap_count_upper_bound).  The volume
-    is a convolution whose length grows with the instance, so it runs only
-    when closed_form is under the limit."""
+    is a few binomial terms per residue, but it loops over e residues, so it
+    runs only when closed_form, whose binomial terms are O(1), is under the
+    limit."""
     _refuse(_needs(command, m, bound), closed_form)
     volume = gaps_mod.gap_count_upper_bound(dc, m)
     _refuse(_needs(command, m, bound), closed_form + volume)
@@ -209,9 +217,8 @@ def _refuse_gaps(dc, m: int, bound: int) -> None:
     per tail and class)."""
     entries = comb(bound + m, m) * dc.e
     _refuse_above_limit(dc, "gaps", m, bound, entries)
-    if entries * BYTES_PER_ENTRY > BYTE_LIMIT:
-        raise TooMuchWork(f"gaps at m = {m} keeps {exact_str(entries)} table entries, about "
-                          f"{exact_str(entries * BYTES_PER_ENTRY)} bytes, above the limit {BYTE_LIMIT}")
+    _refuse(f"gaps at m = {m} keeps {exact_str(entries)} table entries, about", entries * BYTES_PER_ENTRY,
+            "bytes", BYTE_LIMIT)
 
 
 def _refuse_verify(dc, m: int, bound: int) -> None:
@@ -224,22 +231,22 @@ def _refuse_verify(dc, m: int, bound: int) -> None:
     work += _refuse_above_limit(dc, "verify", m, bound, work)
     monomials = oracle.count_monomials_in_box(dc, m, oracle.default_box(dc, m, bound))
     _refuse(_needs("verify", m, bound), work + monomials)
-    if monomials * BYTES_PER_MONOMIAL > BYTE_LIMIT:
-        raise TooMuchWork(f"verify at m = {m} builds {exact_str(monomials)} monomial vectors, about "
-                          f"{exact_str(monomials * BYTES_PER_MONOMIAL)} bytes, above the limit {BYTE_LIMIT}")
+    _refuse(f"verify at m = {m} builds {exact_str(monomials)} monomial vectors, about",
+            monomials * BYTES_PER_MONOMIAL, "bytes", BYTE_LIMIT)
 
 
-def _refuse(what: str, work: int) -> None:
-    if work > WORK_LIMIT:
-        raise TooMuchWork(f"{what} {exact_str(work)} steps, above the limit {WORK_LIMIT}")
+def _refuse(what: str, amount: int, unit: str = "steps", limit: int = WORK_LIMIT) -> None:
+    if amount > limit:
+        raise TooMuchWork(f"{what} {exact_str(amount)} {unit}, above the limit {limit}")
 
 
 def _counts_work(dc, m: int) -> int:
-    """Steps of `counts`, in O(1): gap_count_upper_bound convolves, for each
-    of e residues, m sequences of length T + 1 <= q^2/p^b; at m = 1 the
-    two-point count sorts up to e*T relative maximals."""
-    t = dc.q**2 // dc.pb
-    return dc.e * m * t * t + (dc.e * t if m == 1 else 0)
+    """Steps of `counts`, in O(1): gap_count_upper_bound sums, for each of
+    e residues, 3m + 1 binomials of O(m) multiplications, priced (m + 1)^2
+    steps; at m = 1 the two-point count builds and sorts up to
+    e*(q^2/p^b + 1) relative maximals, priced two steps each."""
+    two_point = 2 * (dc.q**2 // dc.pb + 1) if m == 1 else 0
+    return dc.e * ((m + 1) ** 2 + two_point)
 
 
 def _listing_bound(dc, m: int, shift: int) -> int:
@@ -380,6 +387,9 @@ def run(argv) -> int:
 
         if args.command == "counts":
             _refuse(f"counts at m = {args.m} needs about", _counts_work(dc, args.m))
+            maximals = dc.e * (dc.q**2 // dc.pb + 1) if args.m == 1 else 0
+            _refuse(f"counts at m = 1 holds up to {exact_str(maximals)} relative maximals, about",
+                    maximals * BYTES_PER_MAXIMAL, "bytes", BYTE_LIMIT)
             payload = {
                 "m": args.m,
                 "lambda_count": maximal.count_Lambda(dc, args.m),

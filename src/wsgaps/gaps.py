@@ -42,6 +42,7 @@ a per-point membership test.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import comb
 from operator import lt, sub
@@ -54,14 +55,6 @@ from .membership import _residue_tables
 
 def _default_bound(dc: DerivedConstants, bound: int | None) -> int:
     return 2 * dc.genus - 1 if bound is None else bound
-
-
-def _ints(values=()):
-    """array('q', values).  array loads on first use, so the commands that
-    build no table do not pay for it at start-up."""
-    from array import array
-
-    return array("q", values)
 
 
 def _runs(m: int, bound: int) -> dict:
@@ -115,7 +108,7 @@ class GapTable:
         cost is O(#gaps + #entries).
         """
         e, hi = self.e, self.hi
-        empty = _ints(range(e))
+        empty = array("q", range(e))
         labels = [
             None if hi[i:i + e] == empty else label(tail)
             for i, tail in zip(range(0, len(hi), e), simplex_points(self.m, self.bound))
@@ -124,7 +117,7 @@ class GapTable:
         for c in range(e):
             caps = hi[c::e]
             keep = list(map(c.__lt__, caps))
-            held.append([_ints(compress(caps, keep)), list(compress(labels, keep))])
+            held.append([array("q", compress(caps, keep)), list(compress(labels, keep))])
         del labels
         for a0 in range(self.bound + 1):
             entry = held[a0 % e]
@@ -133,7 +126,7 @@ class GapTable:
                 continue
             if min(caps) <= a0:
                 keep = list(map(a0.__lt__, caps))
-                caps, tails = _ints(compress(caps, keep)), list(compress(tails, keep))
+                caps, tails = array("q", compress(caps, keep)), list(compress(tails, keep))
                 entry[:] = caps, tails
             if tails:
                 yield a0, tails
@@ -183,24 +176,24 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
 
     def reach(r):
         """Per tail, the largest beta_0 of the boxes at r that hold it."""
-        out = _ints([0]) * size
+        out = array("q", [0]) * size
         for beta in lam:
             ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
             for _, xs, base in _box_runs(ranges, runs, bound):
                 cells = slice(base + xs.start, base + xs.stop)
-                out[cells] = _ints(map(max, out[cells], repeat(beta[0])))
+                out[cells] = array("q", map(max, out[cells], repeat(beta[0])))
         return out
 
     prefix = reach(1)
     for r in range(2, m + 1):
-        prefix = _ints(map(min if pure else max, prefix, reach(r)))
+        prefix = array("q", map(min if pure else max, prefix, reach(r)))
     tops = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
-    caps = _ints(map(min, prefix, tops))
+    caps = array("q", map(min, prefix, tops))
     del prefix
     if pure:
-        hi = _ints(range(e)) * size
+        hi = array("q", range(e)) * size
     else:
-        hi = _ints()
+        hi = array("q")
         for cap in caps:  # class c holds c + e*k for c + e*k < cap
             q = cap - cap % e
             hi.extend(range(q + e, cap + e))
@@ -216,7 +209,7 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
             old = hi[cells]
             # b0 <= top on every tail of the run, so only pure gaps need the prefix.
             live = caps[first:stop] if pure else repeat(b0 + 1)
-            hi[cells] = _ints([h + e if h == b0 < cap else h for h, cap in zip(old, live)])
+            hi[cells] = array("q", [h + e if h == b0 < cap else h for h, cap in zip(old, live)])
             if min(old) < b0:
                 above = [(b0, *head, x) for x, h, cap in zip(xs, old, live) if h < b0 < cap]
                 if above and (stray is None or above[0] < stray):
@@ -253,9 +246,9 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
     a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
     by_class = [by_class.get(c, (0, past)) for c in range(e)]
     pick = min if pure else max
-    classes = _ints(range(e))
+    classes = array("q", range(e))
     rows = {}  # residue tail -> (its row, the largest cap - c in the row)
-    hi = _ints()
+    hi = array("q")
     for tail in simplex_points(m, bound):
         key = tuple(sorted([x % e for x in tail]))
         if key != tail:
@@ -276,7 +269,7 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         held = max(0, min(e, cap, lim)) if pure else min(e, cap)
         ends = [min(pick(lim, a0 + shift[rho]), cap) for rho, a0 in by_class[:held]]
         # The cap of class c: the first c + e*k at or past the end of its gaps.
-        row = _ints([c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
+        row = array("q", [c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
         row.extend(range(held, e))
         rows[key] = row, max(map(sub, row, classes))
         hi.extend(row)
@@ -327,19 +320,23 @@ def _box_volume_sum(c: int, rho: int, e: int, m: int) -> int:
     """Sum over r of prod_{s != r} beta_s, over the vectors
     beta = (c - eK, k1*e + rho, ..., km*e + rho) with k >= 0, K = sum(k) <= T = c // e.
 
-    p[K] sums prod(k*e + rho) over the tuples of sum K (m convolutions).  r = 0
-    gives sum(p_m); each r >= 1 fixes k_r and gives, over the other tuples of
-    sum K', p_{m-1}[K'] * sum_{K=K'}^{T} (c - eK), an arithmetic series.
+    The shift coordinates have generating function A(x) = sum_k (k*e + rho)*x^k
+    = (rho + (e - rho)*x)/(1 - x)^2, so A^j = sum_i w_j(i)*x^i/(1 - x)^(2j) with
+    w_j(i) = C(j, i)*rho^(j - i)*(e - rho)^i.  r = 0 gives [x^T] A^m/(1 - x).
+    Each r >= 1 fixes k_r; the other tuples of sum K' contribute
+    sum_{K=K'}^{T} (c - eK) = d*(n + 1) + e*C(n + 1, 2), n = T - K', d = c mod e,
+    so the term is [x^T] A^(m-1)*(d/(1 - x)^2 + e*x/(1 - x)^3).  O(m) binomials.
     """
-    T = c // e
+    T, d = divmod(c, e)
     if T < 0:
         return 0
-    p1 = [k * e + rho for k in range(T + 1)]
-    p = [1] + [0] * T
-    for _ in range(m):
-        p_prev, p = p, [sum(p[a] * p1[K - a] for a in range(K + 1)) for K in range(T + 1)]
-    return sum(p) + m * sum(
-        x * ((T - K + 1) * c - e * (K + T) * (T - K + 1) // 2) for K, x in enumerate(p_prev)
+
+    def w(j, i):
+        return comb(j, i) * rho ** (j - i) * (e - rho) ** i
+
+    n = T + 2 * m
+    return sum(w(m, i) * comb(n - i, 2 * m) for i in range(m + 1)) + m * sum(
+        w(m - 1, i) * (d * comb(n - 1 - i, 2 * m - 1) + e * comb(n - 1 - i, 2 * m)) for i in range(m)
     )
 
 

@@ -18,6 +18,7 @@ index_generators, one in_lub_closure call per family vector.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -25,7 +26,7 @@ from operator import le
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
 from .errors import BadBox
-from .gaps import GapTable, _ints, _runs, build_gap_report, gaps_via_complement
+from .gaps import GapTable, _runs, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -215,7 +216,7 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
         for r, x in enumerate(g[1:]):
             if x >= 0 and g[0] < low[r][i]:
                 low[r][i] = g[0]
-    hi, stray = _ints(), None
+    hi, stray = array("q"), None
     for head, start in runs.items():
         # (j, the start of the run of head - e_j) for each j that head can lower
         lower = [(j, runs[head[:j] + (y - 1,) + head[j + 1:]]) for j, y in enumerate(head) if y]

@@ -295,11 +295,24 @@ def _assert_refused_at_once(argv):
 
 
 @pytest.mark.parametrize("command", ["gaps", "verify", "counts"])
-def test_refusal_skips_the_volume_convolution(command):
+def test_refusal_comes_before_the_volume(command):
     """Y(101,3,1) at m = 1: the threshold scan alone is about 1.1e16 steps
-    and the counts estimate about 1.1e14, so the command refuses before
-    summing the Lambda-box volume, whose convolution would run for minutes."""
+    and the counts estimate, through its two-point term, about 2.1e10, so
+    the command refuses before summing the Lambda-box volume over its
+    1,030,302 residues, which takes seconds."""
     _assert_refused_at_once([command, "--family", "Y", "--q", "101", "--n", "3", "--s", "1", "--m", "1"])
+
+
+def test_counts_runs_what_a_convolution_price_refused():
+    """Y(8,5,1) at m = 8: a volume convolution priced e*m*(q^2/p^b)^2, about
+    1.07e9 steps; its binomial terms are priced e*(m + 1)^2 and run in well
+    under a second."""
+    dc = curve("Y", q=8, n=5, s=1)
+    assert dc.e * 8 * (dc.q**2 // dc.pb) ** 2 > WORK_LIMIT >= _counts_work(dc, 8)
+    proc, seconds = _cli_subprocess(["counts", "--family", "Y", "--q", "8", "--n", "5", "--s", "1", "--m", "8"])
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 5
+    assert json.loads(proc.stdout)["payload"]["lambda_count"] == maximal.count_Lambda(dc, 8)
 
 
 @pytest.mark.parametrize("flags", [["member", "--vector", "1,1"], ["gamma"], ["lambda"],
@@ -319,6 +332,20 @@ def test_gaps_refuses_what_memory_cannot_hold(capsys):
     for flags in ([], ["--pure"]):
         assert run([*argv, *flags]) == 2
         assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
+
+
+def test_counts_refuses_what_memory_cannot_hold(capsys):
+    """Y(32,3,1) at m = 1 passes the step estimate (about 6.7e7) but its
+    two-point count would hold up to 33,588,225 relative maximals, about
+    5.4 GB; at m = 2 there is no two-point count, and the command runs."""
+    argv = ["counts", "--family", "Y", "--q", "32", "--n", "3", "--s", "1", "--m"]
+    dc = curve("Y", q=32, n=3, s=1)
+    assert _counts_work(dc, 1) <= WORK_LIMIT
+    _assert_refused_at_once([*argv, "1"])
+    assert run([*argv, "1"]) == 2
+    assert f"33588225 relative maximals, about 5374116000 bytes, above the limit {BYTE_LIMIT}" in (
+        capsys.readouterr().err)
+    assert run([*argv, "2"]) == 0
 
 
 def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):

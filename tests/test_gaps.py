@@ -12,6 +12,7 @@ from wsgaps.curves import curve
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
+    _box_volume_sum,
     _inversions,
     _lambda_table,
     _runs,
@@ -168,6 +169,35 @@ def test_gap_count_upper_bound_matches_enumeration(sweep):
     cases.append((curve("Y", q=4, n=5, s=5), 4))
     for dc, m in cases:
         assert gap_count_upper_bound(dc, m) == _enumerated_upper_bound(dc, m), (dc.params, m)
+
+
+def _reference_box_volume_sum(c, rho, e, m):
+    """_box_volume_sum by convolution: p[K] sums prod(k*e + rho) over the
+    shift tuples of sum K (m convolutions).  r = 0 gives sum(p_m); each
+    r >= 1 fixes k_r and gives, over the other tuples of sum K',
+    p_{m-1}[K'] * sum_{K=K'}^{T} (c - eK), an arithmetic series."""
+    T = c // e
+    if T < 0:
+        return 0
+    p1 = [k * e + rho for k in range(T + 1)]
+    p = [1] + [0] * T
+    for _ in range(m):
+        p_prev, p = p, [sum(p[a] * p1[K - a] for a in range(K + 1)) for K in range(T + 1)]
+    return sum(p) + m * sum(
+        x * ((T - K + 1) * c - e * (K + T) * (T - K + 1) // 2) for K, x in enumerate(p_prev)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_box_volume_closed_form_is_the_convolution(data):
+    """Below the first class (c < 0), inside it (0 <= c < e), rho = 0 and
+    m up to 6, besides general draws."""
+    e = data.draw(st.integers(1, 40))
+    c = data.draw(st.one_of(st.integers(-3 * e, -1), st.integers(0, e - 1), st.integers(-e, 60 * e)))
+    rho = data.draw(st.one_of(st.just(0), st.integers(0, e - 1)))
+    m = data.draw(st.integers(1, 6))
+    assert _box_volume_sum(c, rho, e, m) == _reference_box_volume_sum(c, rho, e, m)
 
 
 def test_gap_count_upper_bound(y231, x21131):
