@@ -8,19 +8,25 @@ serialized as decimal strings so JSON consumers keep them exact.
 A record's `vectors` skip the generic encoder.  json.dumps renders the rest
 of the record around a placeholder, and the vectors are written in its
 place at the indents json.dumps(indent=1) uses at that depth (or as TSV
-rows).  A list of vectors (`gamma`, `lambda`) fills one %-template per
-vector and goes out as one str.join.  The classical listings come from
-maximal already in lexicographic order, so nothing sorts them; the e
-vectors of a fundamental-region listing are sorted here.  A gap table
-(`gaps`) is streamed: walking alpha_0 upwards, each alpha_0's rows are one
-str.join of its rendering and the renderings of its tails, each tail
+rows).  A classical listing (`gamma --classical`, `lambda --classical`) is
+streamed from maximal.walk_classical, which walks the first coordinate x
+upwards: each shift tail is rendered once, and each x's rows are one
+str.join of its rendering and those of its rests, so no vector is built
+(at m = 1, where each x has one row, a %-template fills each row).  The
+e vectors of a fundamental-region listing are sorted here and fill one
+%-template per vector, joined by one str.join.  A gap table (`gaps`) is
+streamed the same way: walking alpha_0 upwards, each alpha_0's rows are
+one str.join of its rendering and the renderings of its tails, each tail
 rendered once, so neither a row list nor the gap set is ever built.  The
 bytes equal json.dumps(indent=1) of the encoded record, and the per-row
-prints of TSV.  No coordinate is scanned for the 2^53 test: it runs on a
-closed-form bound on |x| (_listing_bound), and coordinates go through
-_encode only when that bound exceeds 2^53.  A gap table needs no test: its
-coordinates lie in [0, bound], and a table with bound past 2^53 would hold
-more than 2^53*e caps, far above what `gaps` admits.
+prints of TSV.  No coordinate is scanned for the 2^53 test.  A
+fundamental-region listing runs it on a closed-form bound on |x|
+(_listing_bound), and its coordinates go through _encode only when that
+bound exceeds 2^53.  The streamed outputs need no test: every coordinate
+of an admitted classical listing is at most its step estimate, below
+WORK_LIMIT (_listing_work), and a gap table's lie in [0, bound], where a
+bound past 2^53 would mean more than 2^53*e caps, far above what `gaps`
+admits.
 """
 
 from __future__ import annotations
@@ -61,10 +67,17 @@ BYTES_PER_MONOMIAL = 224
 # half that many at large q^2/p^b, some 300 bytes each).  Measured 116 on
 # Y(2,17,1), 94 on Y(2,19,1), 132 on Y(8,5,1) and 150 on Y(16,3,1).
 BYTES_PER_MAXIMAL = 160
-# Largest memory estimate `gaps`, `verify` and `counts` run, a quarter of an
-# 8 GB desk machine; above it the command exits 2 at once instead of crowding
-# out the rest of the machine.  Near WORK_LIMIT a table would take about
-# 2.4 GB.
+# Peak resident bytes of `gamma --classical` and `lambda --classical` per
+# vector listed, stdout to /dev/null: the interpreter, the shift tails of
+# every residue and one x's block (one i's at m = 1).  Measured 33.5 on
+# Y(8,5,1) at m = 1 (1,031,969 vectors, where the interpreter weighs most),
+# 7.1 on Y(13,5,1) at m = 1, 25.7 on Y(5,9,7) at m = 2, 20.1 on Y(7,3,1)
+# and 27.4 on Y(5,5,1) at m = 3 and 21.1 on Y(5,5,1) at m = 4.
+BYTES_PER_VECTOR = 36
+# Largest memory estimate `gaps`, `verify`, `counts` and the classical
+# listings run, a quarter of an 8 GB desk machine; above it the command exits
+# 2 at once instead of crowding out the rest of the machine.  Near WORK_LIMIT
+# a table would take about 2.4 GB.
 BYTE_LIMIT = 2 * 10**9
 
 
@@ -109,6 +122,9 @@ def _dumps(record: dict) -> str:
 _SLOT = "\0"
 # Between two rendered vectors.
 _ROW_SEP = {"json": ",\n", "tsv": "\n"}
+# What a rendered vector writes before its first coordinate, between two
+# coordinates and after its last.
+_ROW_PARTS = {"json": ("   [\n    ", ",\n    ", "\n   ]"), "tsv": ("", "\t", "")}
 
 
 def _cell(fmt: str):
@@ -119,12 +135,13 @@ def _cell(fmt: str):
 
 
 def _vector_rows(vectors: list, fmt: str, bound: int) -> list[str]:
-    """Each vector as a TSV row, or as the JSON list _dumps writes at the
-    depth of payload.vectors.  bound bounds |x| over every coordinate:
-    coordinates are rendered by str when bound <= 2^53, else each goes
-    through _encode."""
-    slots = ["%s"] * len(vectors[0])
-    row = "\t".join(slots) if fmt == "tsv" else "   [\n    " + ",\n    ".join(slots) + "\n   ]"
+    """Each vector of a list (the e sorted vectors of a fundamental-region
+    listing) as a TSV row, or as the JSON list _dumps writes at the depth
+    of payload.vectors, one %-template per vector.  bound bounds |x| over
+    every coordinate: coordinates are rendered by str when bound <= 2^53,
+    else each goes through _encode."""
+    lead, sep, end = _ROW_PARTS[fmt]
+    row = lead + sep.join(["%s"] * len(vectors[0])) + end
     if bound <= _JSON_SAFE:
         return list(map(row.__mod__, vectors))
     cell = _cell(fmt)
@@ -141,23 +158,50 @@ def _table_blocks(table, fmt: str):
     """The rows of a gap table, one block per alpha_0 in table.walk order.
     Every coordinate lies in [0, table.bound], far below 2^53, so str
     renders each."""
-    lead, sep, end = ("", "\t", "") if fmt == "tsv" else ("   [\n    ", ",\n    ", "\n   ]")
+    lead, sep, end = _ROW_PARTS[fmt]
     between = _ROW_SEP[fmt]
     for a0, rests in table.walk(lambda tail: "".join([sep + str(x) for x in tail]) + end):
         first = lead + str(a0)
         yield first + (between + first).join(rests)
 
 
+def _classical_blocks(dc, m: int, shift: int, fmt: str):
+    """The rows of a classical listing, streamed from maximal.walk_classical:
+    each shift of a residue is rendered once, into the tails that share it.
+    At m = 1 every x has one row: one block per i, a %-template per row.
+    Above, one block per x: one str.join of the renderings of x and of its
+    rests, the rests of one k_1 joined first.  _listing_work bounds every
+    coordinate, so str renders each."""
+    lead, sep, end = _ROW_PARTS[fmt]
+    between, e = _ROW_SEP[fmt], dc.e
+    row = lead + "%d" + sep + "%d" + end
+    for i, live in maximal.walk_classical(dc, m, shift, lambda y: sep + str(y)):
+        if m == 1:
+            yield between.join([row % (c + e * i, (top - i) * e + rho) for c, rho, top, _ in live])
+            continue
+        for c, _, top, (heads, tails) in live:
+            first = lead + str(c + e * i)
+            glue = end + between + first
+            groups = [head + (glue + head).join(rests) for head, rests in zip(heads, tails[top - i::-1])]
+            yield first + glue.join(groups) + end
+
+
 def _emit(record: dict, fmt: str, bound: int | None = None) -> None:
     """Write record; a list of vectors needs bound, a bound on |x| over its
     coordinates (a gap table needs none)."""
-    payload = record["payload"]
-    vectors = payload.get("vectors")
+    vectors = record["payload"].get("vectors")
     if vectors is None:
         _emit_fields(record, fmt)
-        return
-    is_table = isinstance(vectors, gaps_mod.GapTable)
-    blocks = _table_blocks(vectors, fmt) if is_table else _list_blocks(vectors, fmt, bound)
+    elif isinstance(vectors, gaps_mod.GapTable):
+        _emit_blocks(record, fmt, _table_blocks(vectors, fmt))
+    else:
+        _emit_blocks(record, fmt, _list_blocks(vectors, fmt, bound))
+
+
+def _emit_blocks(record: dict, fmt: str, blocks) -> None:
+    """Write record with blocks, the rendered rows of its vectors in order,
+    as payload.vectors."""
+    payload = record["payload"]
     write = sys.stdout.write
     if fmt == "tsv":
         for block in blocks:
@@ -259,8 +303,29 @@ def _listing_bound(dc, m: int, shift: int) -> int:
 
 def _listing_work(dc, m: int, classical: bool) -> int:
     """Steps of `member`, `gamma` and `lambda`, in O(1): e residues, each with
-    m + 1 coordinates or (classical) shift vectors of sum T < q^2/p^b."""
+    m + 1 coordinates or (classical) shift vectors of sum T < q^2/p^b.
+
+    A classical estimate also bounds _listing_bound, so every coordinate of
+    an admitted classical listing is at most WORK_LIMIT < 2^53, and str
+    renders it.  Write Q = q^2/p^b (exact, as p^b | q), so m <= q/p^b <= Q,
+    and e = (q + 1)M.  For rho >= 1, coord0 = ((q^2 - m*p^b)e - i*q*M -
+    j*q^3)/p^b, floored, with i <= q and j <= M, lies in [-m*e, (Q - m)e]:
+    at i = q, j = M the numerator is (q^2 - m*p^b)(q + 1)M - q^2*M - q^3*M =
+    -m*p^b*e.  coord0 = 0 at rho = 0, and shift <= (m - 1)e, so
+    _listing_bound <= max((Q - m)e, m*e) + (m - 1)e + e = e*max(Q, 2m)
+    <= e*(Q + m) <= e*comb(Q + m, m), the last as comb(n + m, m) >= n + m
+    for n, m >= 1."""
     return dc.e * (comb(dc.q**2 // dc.pb + m, m) if classical else m)
+
+
+def _refuse_classical(dc, command: str, m: int, shift: int) -> int:
+    """Refuse a classical listing by bytes, once its steps passed: its
+    vectors, counted in O(e) (maximal.count_classical), at
+    BYTES_PER_VECTOR.  Returns the count."""
+    count = maximal.count_classical(dc, m, shift)
+    _refuse(f"{command} --classical at m = {m} lists {exact_str(count)} vectors, about",
+            count * BYTES_PER_VECTOR, "bytes", BYTE_LIMIT)
+    return count
 
 
 def _add_param_flags(sub):
@@ -341,13 +406,14 @@ def run(argv) -> int:
 
         if args.command in ("gamma", "lambda"):
             _refuse(f"{args.command} at m = {args.m} needs about", _listing_work(dc, args.m, args.classical))
-            classical, in_C, shift = {
-                "gamma": (maximal.enumerate_classical_Gamma, maximal.gamma_hat_in_C, 0),
-                "lambda": (maximal.enumerate_classical_Lambda, maximal.lambda_hat_in_C,
-                           maximal.relative_shift(dc, args.m)),
-            }[args.command]
-            # The classical listings come in lexicographic order; in_C is a set of e vectors.
-            vecs = classical(dc, args.m) if args.classical else sorted(in_C(dc, args.m))
+            shift = maximal.relative_shift(dc, args.m) if args.command == "lambda" else 0
+            if args.classical:
+                count = _refuse_classical(dc, args.command, args.m, shift)
+                _emit_blocks(_record(dc, {"m": args.m, "count": count}), args.format,
+                             _classical_blocks(dc, args.m, shift, args.format))
+                return 0
+            in_C = maximal.lambda_hat_in_C if args.command == "lambda" else maximal.gamma_hat_in_C
+            vecs = sorted(in_C(dc, args.m))
             _emit(_record(dc, {"m": args.m, "vectors": vecs, "count": len(vecs)}), args.format,
                   _listing_bound(dc, args.m, shift))
             return 0

@@ -17,10 +17,14 @@ relative_shift(dc, m) = (m-1)e at P_inf, so the relative side needs no
 family of its own: realize gives the absolute vector, and the relative
 side adds the shift to its first coordinate.
 
-The classical listings (every coordinate >= 0) are lists built in
-lexicographic order, one vector per (rho, ks): distinct parameters realize
-distinct vectors, so no set removes repeats, and the order follows from the
-closed form, so nothing sorts them.
+The classical listings (every coordinate >= 0) come from one walk,
+walk_classical, in lexicographic order, one vector per (rho, ks): distinct
+parameters realize distinct vectors, so no set removes repeats, and the
+order follows from the closed form, so nothing sorts them.  The walk shares
+the shift tails among the vectors that end in them and is generic in the
+piece it joins per shift: _enumerate_classical joins 1-tuples into the
+vectors, and the command line joins rendered cells into rows without
+building a vector.
 """
 
 from __future__ import annotations
@@ -81,12 +85,14 @@ def lambda_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     return {(v[0] + shift,) + v[1:] for v in gamma_hat_in_C(dc, m)}
 
 
-def _tails(rho: int, e: int, parts: int, top: int) -> list[list[tuple[int, ...]]]:
-    """For each R in [0, top], the vectors (k_1*e + rho, ..., k_parts*e + rho)
-    with k >= 0 and sum(k) = R, in lexicographic order: for k_1 ascending,
-    (k_1*e + rho,) followed by each vector of parts - 1 shifts with sum
-    R - k_1."""
-    heads = [(k * e + rho,) for k in range(top + 1)]
+def _tails(heads: list, parts: int) -> list[list]:
+    """For each R in [0, len(heads) - 1], the shift vectors (k_1, ..., k_parts)
+    with k >= 0 and sum(k) = R, in lexicographic order, each as the
+    concatenation heads[k_1] + ... + heads[k_parts].  heads[k] is the piece of
+    one shift k*e + rho: a 1-tuple for a listing of vectors, a rendered cell
+    for the emitter.  For k_1 ascending, heads[k_1] is followed by each
+    vector of parts - 1 shifts with sum R - k_1."""
+    top = len(heads) - 1
     level = [[head] for head in heads]
     for _ in range(parts - 1):
         rows = []
@@ -99,17 +105,26 @@ def _tails(rho: int, e: int, parts: int, top: int) -> list[list[tuple[int, ...]]
     return level
 
 
-def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple[int, ...]]:
-    """Realizations translated by shift at P_inf with every coordinate >= 0,
-    in lexicographic order, one per (rho, ks).
+def walk_classical(dc: DerivedConstants, m: int, shift: int, piece):
+    """The realizations translated by shift at P_inf with every coordinate
+    >= 0, one per (rho, ks), walked by first coordinate x ascending.
+
+    Yields (i, live) for i = 0, 1, ...: live holds (c, rho, top, shared)
+    for each residue with top >= i, c ascending, and stands for the first
+    coordinates x = c + e*i.  The vectors at x have shift sum s = top - i.
+    At m = 1 their one rest (coordinate 1) is the shift k_1 = s, and shared
+    is None.  Above, shared is (heads, tails), heads[k] = piece(k*e + rho)
+    and tails = _tails(heads, m - 1), and the rests of x (coordinates 1..m)
+    run in lexicographic order as heads[k_1] + t for k_1 ascending in
+    [0, s] and t in tails[s - k_1].
 
     Coordinates 1..m are nonnegative iff every k is.  Write coord0 + shift
     = c + e*T with c in [0, e - 1]: the first coordinate c + e*(T - sum(ks))
     is >= 0 iff sum(ks) <= T, and x = c + e*i belongs to the shifts of sum
     S = T - i.  So the walk takes x upwards, i outer and c inner.  At one x,
-    coordinate 1 is k_1*e + rho, so the rows run k_1 ascending, each
+    coordinate 1 is k_1*e + rho, so the rests run k_1 ascending, each
     followed by the shifts k_2..k_m of sum S - k_1 in lexicographic order
-    (_tails).  Rows differ in rho (coordinate 1 mod e) or in some k, so
+    (_tails).  Rests differ in rho (coordinate 1 mod e) or in some k, so
     none repeats, and nothing is sorted.
 
     No two residues share a class c, so each x has one rho: at m = 1 both
@@ -130,15 +145,28 @@ def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple
             raise SelfCheckError(f"residues {classes[c][0]} and {rho} of {dc.params} at m = {m} share "
                                  f"the class {c} of the first coordinate mod e")
         classes[c] = (rho, top)
-    live = sorted((c, rho, top, _tails(rho, e, m - 1, top) if m > 1 else None)
-                  for c, (rho, top) in classes.items())
-    out = []
+    live = []
+    for c, (rho, top) in sorted(classes.items()):
+        shared = None
+        if m > 1:
+            heads = [piece(k * e + rho) for k in range(top + 1)]
+            shared = heads, _tails(heads, m - 1)
+        live.append((c, rho, top, shared))
     for i in range(max([top for _, _, top, _ in live], default=-1) + 1):
         live = [entry for entry in live if entry[2] >= i]
-        if m == 1:  # no tail, so k_1 = S: one row per residue
+        yield i, live
+
+
+def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple[int, ...]]:
+    """The vectors of walk_classical in its order, lexicographic: one
+    concatenation (x, k_1*e + rho) + tail per vector."""
+    e = dc.e
+    out = []
+    for i, live in walk_classical(dc, m, shift, lambda y: (y,)):
+        if m == 1:
             out += [(c + e * i, (top - i) * e + rho) for c, rho, top, _ in live]
             continue
-        for c, rho, top, tails in live:
+        for c, rho, top, (_, tails) in live:
             x, s = c + e * i, top - i
             for k1 in range(s + 1):
                 out += map((x, k1 * e + rho).__add__, tails[s - k1])
@@ -156,13 +184,18 @@ def enumerate_classical_Lambda(dc: DerivedConstants, m: int) -> list[tuple[int, 
     return _enumerate_classical(dc, m, relative_shift(dc, m))
 
 
-def count_Lambda(dc: DerivedConstants, m: int) -> int:
-    """Closed-form cardinality of the classical relative-maximal set: the
-    shift sums of the member for rho run over [0, T] with
-    T = (coord0 + relative_shift)//e (floored, so T < 0 excludes rho), and
-    comb(T + m, m) shift vectors have sum <= T.  T is the same at every m,
-    since the relative shift cancels the m-dependence of coord0."""
+def count_classical(dc: DerivedConstants, m: int, shift: int) -> int:
+    """Closed-form length of the classical listing translated by shift, in
+    O(e): the shift sums of the member for rho run over [0, T] with
+    T = (coord0 + shift)//e (floored, so T < 0 excludes rho), and
+    comb(T + m, m) shift vectors have sum <= T."""
     check_m(dc, m)
-    shift = relative_shift(dc, m)
     ts = [(coord0(dc, m, rho) + shift) // dc.e for rho in range(dc.e)]
     return sum(comb(t + m, m) for t in ts if t >= 0)
+
+
+def count_Lambda(dc: DerivedConstants, m: int) -> int:
+    """Closed-form cardinality of the classical relative-maximal set
+    (count_classical at the relative shift).  Its T is the same at every m,
+    since the relative shift cancels the m-dependence of coord0."""
+    return count_classical(dc, m, relative_shift(dc, m))

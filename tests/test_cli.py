@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from wsgaps import gaps, maximal, oracle
 from wsgaps.cli import (
     BYTE_LIMIT,
+    BYTES_PER_VECTOR,
     WORK_LIMIT,
     _counts_work,
     _emit,
@@ -26,6 +27,7 @@ from wsgaps.cli import (
     _listing_bound,
     _listing_work,
     _record,
+    _refuse_classical,
     _refuse_gaps,
     _refuse_verify,
     run,
@@ -442,6 +444,64 @@ def test_listing_bound_holds_every_coordinate(sweep):
                                      (maximal.lambda_hat_in_C, maximal.enumerate_classical_Lambda))):
                 largest = max(abs(x) for listing in listings for v in listing(dc, m) for x in v)
                 assert largest <= _listing_bound(dc, m, shift), (dc.params, m, shift)
+
+
+def test_classical_listing_bound_is_within_its_step_estimate(sweep):
+    """The inequality _listing_work proves, on every sweep case at every m:
+    the coordinate bound of a classical listing is at most its step
+    estimate, so an admitted one renders every coordinate by str."""
+    for dc in sweep:
+        for m in range(1, dc.max_m + 1):
+            for shift in (0, maximal.relative_shift(dc, m)):
+                assert _listing_bound(dc, m, shift) <= _listing_work(dc, m, True), (dc.params, m, shift)
+
+
+def test_classical_listings_refuse_by_bytes_only_what_cannot_fit(capsys):
+    """Y(5,9,7) at m = 2 passes the step estimate (97,935,318 steps), and
+    the streamed `lambda --classical` (27,101,250 vectors) peaks at about
+    664 MiB, so its byte estimate is admitted.  At m = 3 the listing would
+    hold 170,958,196 vectors, above the byte limit, but the command is
+    refused on its steps first, before the O(e) count."""
+    dc = curve("Y", q=5, n=9, s=7)
+    assert _listing_work(dc, 2, True) == 97_935_318
+    assert _refuse_classical(dc, "lambda", 2, maximal.relative_shift(dc, 2)) == 27_101_250
+    assert 27_101_250 * BYTES_PER_VECTOR <= BYTE_LIMIT
+    with pytest.raises(TooMuchWork, match=f"lists 170958196 vectors, about {170958196 * BYTES_PER_VECTOR} bytes"):
+        _refuse_classical(dc, "lambda", 3, maximal.relative_shift(dc, 3))
+    argv = ["lambda", "--family", "Y", "--q", "5", "--n", "9", "--s", "7", "--m", "3", "--classical"]
+    _assert_refused_at_once(argv)
+    assert run(argv) == 2
+    assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
+
+
+def _flags(dc) -> list[str]:
+    """The curve flags of dc."""
+    names = ("p", "a", "b", "n", "s") if dc.params.family == "X" else ("q", "n", "s")
+    return ["--family", dc.params.family, *(f for k in names for f in (f"--{k}", str(getattr(dc.params, k))))]
+
+
+def test_streamed_classical_listings_are_the_encoder_output(sweep):
+    """`gamma --classical` and `lambda --classical`, streamed from
+    maximal.walk_classical, against the reference renderings of the tuple
+    listings: every sweep case with g <= 600, at every m, in JSON and TSV."""
+    checked = 0
+    for dc in sweep:
+        if dc.genus > 600:
+            continue
+        for m in range(1, dc.max_m + 1):
+            for command, listing in (("gamma", maximal.enumerate_classical_Gamma),
+                                     ("lambda", maximal.enumerate_classical_Lambda)):
+                vectors = listing(dc, m)
+                record = _record(dc, {"m": m, "vectors": vectors, "count": len(vectors)})
+                for fmt in ("json", "tsv"):
+                    fast, reference = io.StringIO(), io.StringIO()
+                    with redirect_stdout(fast):
+                        assert run([command, *_flags(dc), "--m", str(m), "--classical", "--format", fmt]) == 0
+                    with redirect_stdout(reference):
+                        _reference_emit(record, fmt)
+                    assert fast.getvalue() == reference.getvalue(), (dc.params, command, m, fmt)
+                    checked += 1
+    assert checked >= 200
 
 
 def test_integers_past_the_str_limit_print_exactly():
