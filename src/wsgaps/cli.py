@@ -17,16 +17,18 @@ e vectors of a fundamental-region listing are sorted here and fill one
 %-template per vector, joined by one str.join.  A gap table (`gaps`) is
 streamed the same way: walking alpha_0 upwards, each alpha_0's rows are
 one str.join of its rendering and the renderings of its tails, each tail
-rendered once, so neither a row list nor the gap set is ever built.  The
-bytes equal json.dumps(indent=1) of the encoded record, and the per-row
-prints of TSV.  No coordinate is scanned for the 2^53 test.  A
-fundamental-region listing runs it on a closed-form bound on |x|
-(_listing_bound), and its coordinates go through _encode only when that
-bound exceeds 2^53.  The streamed outputs need no test: every coordinate
-of an admitted classical listing is at most its step estimate, below
-WORK_LIMIT (_listing_work), and a gap table's lie in [0, bound], where a
-bound past 2^53 would mean more than 2^53*e caps, far above what `gaps`
-admits.
+rendered once, so neither a row list nor the gap set is ever built.
+GapTable.walk hands over each alpha_0's renderings as a list it filters
+from the class's previous one with a byte mask of the tails' gap counts,
+so the walk runs no Python code per tail.  The bytes equal
+json.dumps(indent=1) of the encoded record, and the per-row prints of TSV.
+No coordinate is scanned for the 2^53 test.  A fundamental-region listing
+runs it on a closed-form bound on |x| (_listing_bound), and its
+coordinates go through _encode only when that bound exceeds 2^53.  The
+streamed outputs need no test: every coordinate of an admitted classical
+listing is at most its step estimate, below WORK_LIMIT (_listing_work),
+and a gap table's lie in [0, bound], where a bound past 2^53 would mean
+more than 2^53*e caps, far above what `gaps` admits.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from math import comb
 
 from . import gaps as gaps_mod
@@ -49,10 +52,11 @@ _JSON_SAFE = 2**53
 WORK_LIMIT = 10**8
 # Peak resident bytes of `gaps` per entry of its caps table (comb(bound + m,
 # m) tails, e classes each): both routes' tables, the emitter's per-class
-# copies and the interpreter.  Measured 20.19 on Y(4,5,1) at m = 1, 17.52
-# on Y(3,3,1) at m = 2 up to degree 1000 and 23.25 (23.26 pure) on Y(2,3,3)
-# at m = 1 up to degree 3*10^6, where e = 3 leaves the per-tail arrays the
-# most weight; the residue-tail scan keeps one row per residue tail besides.
+# gap counts and labels, and the interpreter.  Measured 17.70 on Y(4,5,1)
+# at m = 1, 17.71-17.77 on Y(3,3,1) at m = 2 up to degree 1000 and 22.72
+# (20.53 pure) on Y(2,3,3) at m = 1 up to degree 3*10^6, where e = 3 leaves
+# the per-tail arrays the most weight; the residue-tail scan keeps one row
+# per residue tail besides.
 BYTES_PER_ENTRY = 24
 # Peak resident bytes of `verify` per monomial of the oracle's box
 # (count_monomials_in_box): the set of their valuation vectors, the gap
@@ -362,7 +366,9 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `wsgaps` parser, built once per process: parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="wsgaps",
         description="Weierstrass semigroups, gaps and pure gaps at several "

@@ -10,7 +10,10 @@ t = (alpha_1..alpha_m) the gaps of each class c = alpha_0 mod e form a
 prefix range(c, hi, e) of the class: the table keeps one cap hi per (tail,
 class), comb(bound + m, m)*e integers, and never a tuple per gap.  Tables
 are compared cap by cap, and walk() lists their gaps in lexicographic order
-(alpha_0 first), which `wsgaps gaps` streams as it renders.
+(alpha_0 first), which `wsgaps gaps` streams as it renders.  The cap
+c + e*k says that the tail leaves class c at alpha_0 = c + e*k, so walk
+keeps each class's gap counts k as bytes and drops the tails whose count
+alpha_0 // e reaches with a few C-level passes, not a Python call per tail.
 
 The Lambda route converts the shifted open boxes of the relative maximals
 into caps, checking that every point it adds extends its class prefix.
@@ -45,7 +48,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import comb
-from operator import lt, sub
+from operator import floordiv, lt, sub
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import SelfCheckError
@@ -103,31 +106,55 @@ class GapTable:
         for alpha_0 ascending, the tails in lexicographic order, skipping an
         alpha_0 without gaps.  label runs once per tail that has a gap.
 
-        Each class keeps the tails it still holds with their caps; at each
-        alpha_0 of the class the tails whose cap it reaches drop out, so the
-        cost is O(#gaps + #entries).
+        The cap c + e*k of a (tail, class c) holds k gaps, so the tail
+        leaves the class at the level j = alpha_0 // e = k.  Each class
+        keeps the labels of the tails it still holds and, as bytes, their
+        counts k - base (base = 0 until a recount), saturated at 255.  At
+        level j a class changes only when j - base is among its counts: one
+        translate gives the keep-mask, compress filters the labels and
+        replace drops the count, so no Python code runs per tail.  The last
+        gap of a class lies in the simplex, so a cap is at most bound + e and
+        a count passes 254 only when bound >= 254*e; such a table's classes
+        also keep their caps and recount their tails from them at
+        j - base = 255, with base = j.  Cost: one label and one row of counts
+        per tail with a gap, then C-level passes over the tails a class
+        still holds at each level where one leaves it, O(#entries + #gaps).
         """
         e, hi = self.e, self.hi
-        empty = array("q", range(e))
-        labels = [
-            None if hi[i:i + e] == empty else label(tail)
-            for i, tail in zip(range(0, len(hi), e), simplex_points(self.m, self.bound))
-        ]
-        held = []
-        for c in range(e):
-            caps = hi[c::e]
-            keep = list(map(c.__lt__, caps))
-            held.append([array("q", compress(caps, keep)), list(compress(labels, keep))])
-        del labels
+        empty, es = array("q", range(e)), [e] * e
+        wide = self.bound >= 254 * e
+        labels, rows = [], []
+        for i, tail in zip(range(0, len(hi), e), simplex_points(self.m, self.bound)):
+            row = hi[i:i + e]
+            if row != empty:
+                labels.append(label(tail))
+                rows.append(row if wide else bytes(map(floordiv, row, es)))
+        caps = None
+        if wide:
+            caps = array("q", chain.from_iterable(rows))
+            counts = bytes(map(min, map(floordiv, caps, repeat(e)), repeat(255)))
+        else:
+            counts = b"".join(rows)
+        del rows
+        # Per class: [counts, labels, caps (wide tables only), base].
+        held = [[counts[c::e], labels, None if caps is None else caps[c::e], 0] for c in range(e)]
+        del counts, labels, caps
         for a0 in range(self.bound + 1):
-            entry = held[a0 % e]
-            caps, tails = entry
-            if not caps:
+            j, c = divmod(a0, e)
+            entry = held[c]
+            ks, tails, caps, base = entry
+            if not tails:
                 continue
-            if min(caps) <= a0:
-                keep = list(map(a0.__lt__, caps))
-                caps, tails = array("q", compress(caps, keep)), list(compress(tails, keep))
-                entry[:] = caps, tails
+            level = j - base
+            if level == 255:  # counts saturated: recount the tails left from their caps
+                ks = bytes(map(min, map(floordiv, map(sub, caps, repeat(a0)), repeat(e)), repeat(255)))
+                entry[0], entry[3], level = ks, j, 0
+            if level in ks:  # every count below level has left already
+                keep = ks.translate(b"\1" * level + b"\0" + b"\1" * (255 - level))
+                tails = list(compress(tails, keep))
+                if caps is not None:
+                    entry[2] = array("q", compress(caps, keep))
+                entry[:2] = ks.replace(bytes((level,)), b""), tails
             if tails:
                 yield a0, tails
 
@@ -267,7 +294,12 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         lim = pick([a0_by_rho[r] + shift[r] for r in tail])
         # A pure gap lies below every r >= 1 threshold, so no class >= lim has one.
         held = max(0, min(e, cap, lim)) if pure else min(e, cap)
-        ends = [min(pick(lim, a0 + shift[rho]), cap) for rho, a0 in by_class[:held]]
+        # The end of class c's gaps is min(pick(lim, t), cap), t its r = 0 threshold.
+        lo = min(lim, cap)
+        if pure:
+            ends = [t if (t := a0 + shift[rho]) < lo else lo for rho, a0 in by_class[:held]]
+        else:
+            ends = [lo if (t := a0 + shift[rho]) < lo else t if t < cap else cap for rho, a0 in by_class[:held]]
         # The cap of class c: the first c + e*k at or past the end of its gaps.
         row = array("q", [c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
         row.extend(range(held, e))

@@ -1,6 +1,8 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
+import random
 from array import array
+from itertools import cycle
 from math import comb
 
 import pytest
@@ -490,6 +492,49 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     assert other.first_difference(table) == expected
     assert len(other) == len(table)
     assert set(table) ^ set(other) == {(other.hi[lose], 0, 1), (table.hi[gain], 0, 0)}
+
+
+def _hand_built_caps(rng, e: int, m: int, bound: int) -> array:
+    """Caps c + e*k on the simplex sum(alpha) <= bound, row by row: no gap,
+    up to two gaps per class, a random count per class or every member of
+    each class up to top = bound - sum(tail), the most a row holds."""
+    hi = array("q")
+    for tail in simplex_points(m, bound):
+        top, kind = bound - sum(tail), rng.random()
+        for c in range(e):
+            most = (top - c) // e + 1 if c <= top else 0
+            k = (0 if kind < 0.6 else min(most, rng.randint(0, 2)) if kind < 0.9
+                 else rng.randint(0, most) if kind < 0.96 else most)
+            hi.append(c + e * k)
+    return hi
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_walk_is_the_sorted_per_point_set_past_255_gaps_a_class(e, m):
+    """walk on hand-built tables against the sorted set of the points their
+    caps hold, with label run once for each tail that holds a gap and never
+    for one that holds none.  At m = 1 up to degree 1,100-1,300 every e
+    reaches counts past 255, and e = 1 past 1,020, and at m = 2 up to degree
+    255-290 e = 1 does, so walk recounts classes from their caps, up to four
+    times each; the table with no gap is walked too."""
+    rng = random.Random(1000 * e + m)
+    bound = rng.randint(1100, 1300) if m == 1 else rng.randint(255, 290)
+    hi = _hand_built_caps(rng, e, m, bound)
+    tails = list(simplex_points(m, bound))
+    counts = [(cap - c) // e for c, cap in zip(cycle(range(e)), hi)]
+    if m == 1 or e == 1:
+        assert sum(k > 255 for k in counts) >= 10
+    assert 0 < sum(map(any, zip(*[iter(counts)] * e))) < len(tails)  # rows with and without gaps
+    empty = array("q", range(e)) * len(tails)
+    for table_hi in (hi, empty):
+        points = sorted((c + e * i, *tail) for tail, row in zip(tails, zip(*[iter(table_hi)] * e))
+                        for c, cap in enumerate(row) for i in range((cap - c) // e))
+        labelled = []
+        walked = list(GapTable(e, m, bound, table_hi).walk(lambda tail: labelled.append(tail) or tail))
+        assert [(a0, *tail) for a0, rests in walked for tail in rests] == points
+        assert all(rests for _, rests in walked)
+        assert labelled == sorted({point[1:] for point in points})
 
 
 def test_routes_read_disjoint_inputs(y231, monkeypatch, request):
