@@ -5,30 +5,35 @@ All configuration comes from flags; no environment variables are read.
 Vectors are emitted in lexicographic order and integers beyond 2^53 are
 serialized as decimal strings so JSON consumers keep them exact.
 
-A record's `vectors` skip the generic encoder.  json.dumps renders the rest
-of the record around a placeholder, and the vectors are written in its
-place at the indents json.dumps(indent=1) uses at that depth (or as TSV
-rows).  A classical listing (`gamma --classical`, `lambda --classical`) is
-streamed from maximal.walk_classical, which walks the first coordinate x
-upwards: each shift tail is rendered once, and each x's rows are one
-str.join of its rendering and those of its rests, so no vector is built
-(at m = 1, where each x has one row, a %-template fills each row).  The
-e vectors of a fundamental-region listing are sorted here and fill one
-%-template per vector, joined by one str.join.  A gap table (`gaps`) is
-streamed the same way: walking alpha_0 upwards, each alpha_0's rows are
-one str.join of its rendering and the renderings of its tails, each tail
-rendered once, so neither a row list nor the gap set is ever built.
+A record's vectors skip the generic encoder.  Each command knows what it
+lists and hands _emit_blocks its rows as blocks of rendered text
+(_table_blocks, _classical_blocks or _list_blocks); a record without
+vectors goes to _emit_fields.  json.dumps renders the rest of the record
+around a placeholder, and the blocks are written in its place at the
+indents json.dumps(indent=1) uses at that depth (or as TSV rows).  A
+classical listing (`gamma --classical`, `lambda --classical`) takes one
+pass over the e residues (maximal.classical_residues), which gives its
+count, its byte refusal and its walk: maximal.walk_classical walks the
+first coordinate x upwards, each shift tail is rendered once, and each x's
+rows are one str.join of its rendering and those of its rests, so no
+vector is built (at m = 1, where each x has one row, a %-template fills
+each row).  The e vectors of a fundamental-region listing are sorted here
+and fill one %-template per vector, joined by one str.join.  A gap table
+(`gaps`) is streamed the same way: walking alpha_0 upwards, each alpha_0's
+rows are one str.join of its rendering and the renderings of its tails,
+each tail rendered once, so neither a row list nor the gap set is ever
+built.
 GapTable.walk hands over each alpha_0's renderings as a list it filters
 from the class's previous one with a byte mask of the tails' gap counts,
 so the walk runs no Python code per tail.  The bytes equal
 json.dumps(indent=1) of the encoded record, and the per-row prints of TSV.
-No coordinate is scanned for the 2^53 test.  A fundamental-region listing
-runs it on a closed-form bound on |x| (_listing_bound), and its
-coordinates go through _encode only when that bound exceeds 2^53.  The
-streamed outputs need no test: every coordinate of an admitted classical
-listing is at most its step estimate, below WORK_LIMIT (_listing_work),
-and a gap table's lie in [0, bound], where a bound past 2^53 would mean
-more than 2^53*e caps, far above what `gaps` admits.
+Only the e-vector listing measures its coordinates for the 2^53 test: one
+C-level max over its e*(m + 1) coordinates, and they go through _encode
+only when it exceeds 2^53.  The streamed outputs scan no coordinate and
+need no test: every coordinate of an admitted classical listing is at
+most its step estimate, below WORK_LIMIT (_listing_work), and a gap
+table's lie in [0, bound], where a bound past 2^53 would mean more than
+2^53*e caps, far above what `gaps` admits.
 """
 
 from __future__ import annotations
@@ -38,18 +43,16 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
+from itertools import chain
 from math import comb
 
 from . import gaps as gaps_mod
 from . import maximal, membership, oracle
 from .curves import check_m, curve
-from .errors import TooMuchWork, WsgapsError, exact_str
+from .errors import WORK_LIMIT, TooMuchWork, WsgapsError, amount_str, exact_str
 
 SCHEMA_VERSION = "1"
 _JSON_SAFE = 2**53
-# Largest work estimate `gaps` and `verify` run; above it the command exits 2
-# at once instead of running for hours or exhausting memory.
-WORK_LIMIT = 10**8
 # Peak resident bytes of `gaps` per entry of its caps table (comb(bound + m,
 # m) tails, e classes each): both routes' tables, the emitter's per-class
 # gap counts and labels, and the interpreter.  Measured 17.70 on Y(4,5,1)
@@ -99,15 +102,14 @@ def _encode(obj):
 
 
 def _record(dc, payload) -> dict:
-    """The record of one command; payload["vectors"], a list of equal-length
-    tuples or a gap table, stays as it is for _emit to render."""
+    """The record of one command, every field through _encode."""
     derived = asdict(dc)
     params = {k: v for k, v in derived.pop("params").items() if v is not None}
     return {
         "schema_version": SCHEMA_VERSION,
         "params": _encode(params),
         "derived": _encode(derived),
-        "payload": {k: v if k == "vectors" else _encode(v) for k, v in payload.items()},
+        "payload": _encode(payload),
     }
 
 
@@ -131,31 +133,19 @@ _ROW_SEP = {"json": ",\n", "tsv": "\n"}
 _ROW_PARTS = {"json": ("   [\n    ", ",\n    ", "\n   ]"), "tsv": ("", "\t", "")}
 
 
-def _cell(fmt: str):
-    """Render one coordinate through _encode: a JSON string or a bare TSV
-    cell when |x| > 2^53."""
-    dumps = str if fmt == "tsv" else json.dumps
-    return lambda x: dumps(_encode(x))
-
-
-def _vector_rows(vectors: list, fmt: str, bound: int) -> list[str]:
-    """Each vector of a list (the e sorted vectors of a fundamental-region
-    listing) as a TSV row, or as the JSON list _dumps writes at the depth
-    of payload.vectors, one %-template per vector.  bound bounds |x| over
-    every coordinate: coordinates are rendered by str when bound <= 2^53,
-    else each goes through _encode."""
+def _list_blocks(vectors: list, fmt: str):
+    """The e sorted vectors of a fundamental-region listing as one block: each
+    a TSV row, or the JSON list _dumps writes at the depth of
+    payload.vectors, one %-template per vector.  Coordinates are rendered
+    by str, or each through _encode when one of them exceeds 2^53."""
+    if not vectors:
+        return
     lead, sep, end = _ROW_PARTS[fmt]
     row = lead + sep.join(["%s"] * len(vectors[0])) + end
-    if bound <= _JSON_SAFE:
-        return list(map(row.__mod__, vectors))
-    cell = _cell(fmt)
-    return [row % tuple(map(cell, v)) for v in vectors]
-
-
-def _list_blocks(vectors: list, fmt: str, bound: int):
-    """A list of vectors as one block of rows."""
-    if vectors:
-        yield _ROW_SEP[fmt].join(_vector_rows(vectors, fmt, bound))
+    if max(map(abs, chain.from_iterable(vectors))) > _JSON_SAFE:
+        dumps = str if fmt == "tsv" else json.dumps
+        vectors = [tuple([dumps(_encode(x)) for x in v]) for v in vectors]
+    yield _ROW_SEP[fmt].join(map(row.__mod__, vectors))
 
 
 def _table_blocks(table, fmt: str):
@@ -169,17 +159,18 @@ def _table_blocks(table, fmt: str):
         yield first + (between + first).join(rests)
 
 
-def _classical_blocks(dc, m: int, shift: int, fmt: str):
-    """The rows of a classical listing, streamed from maximal.walk_classical:
+def _classical_blocks(e: int, m: int, residues: list, fmt: str):
+    """The rows of the classical listing of residues
+    (maximal.classical_residues), streamed from maximal.walk_classical:
     each shift of a residue is rendered once, into the tails that share it.
     At m = 1 every x has one row: one block per i, a %-template per row.
     Above, one block per x: one str.join of the renderings of x and of its
     rests, the rests of one k_1 joined first.  _listing_work bounds every
     coordinate, so str renders each."""
     lead, sep, end = _ROW_PARTS[fmt]
-    between, e = _ROW_SEP[fmt], dc.e
+    between = _ROW_SEP[fmt]
     row = lead + "%d" + sep + "%d" + end
-    for i, live in maximal.walk_classical(dc, m, shift, lambda y: sep + str(y)):
+    for i, live in maximal.walk_classical(e, m, residues, lambda y: sep + str(y)):
         if m == 1:
             yield between.join([row % (c + e * i, (top - i) * e + rho) for c, rho, top, _ in live])
             continue
@@ -188,18 +179,6 @@ def _classical_blocks(dc, m: int, shift: int, fmt: str):
             glue = end + between + first
             groups = [head + (glue + head).join(rests) for head, rests in zip(heads, tails[top - i::-1])]
             yield first + glue.join(groups) + end
-
-
-def _emit(record: dict, fmt: str, bound: int | None = None) -> None:
-    """Write record; a list of vectors needs bound, a bound on |x| over its
-    coordinates (a gap table needs none)."""
-    vectors = record["payload"].get("vectors")
-    if vectors is None:
-        _emit_fields(record, fmt)
-    elif isinstance(vectors, gaps_mod.GapTable):
-        _emit_blocks(record, fmt, _table_blocks(vectors, fmt))
-    else:
-        _emit_blocks(record, fmt, _list_blocks(vectors, fmt, bound))
 
 
 def _emit_blocks(record: dict, fmt: str, blocks) -> None:
@@ -244,7 +223,7 @@ def _emit_fields(record: dict, fmt: str) -> None:
 
 
 def _needs(command: str, m: int, bound: int) -> str:
-    return f"{command} at m = {m} up to degree {exact_str(bound)} needs at least"
+    return f"{command} at m = {m} up to degree {amount_str(bound)} needs at least"
 
 
 def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) -> int:
@@ -265,7 +244,7 @@ def _refuse_gaps(dc, m: int, bound: int) -> None:
     per tail and class)."""
     entries = comb(bound + m, m) * dc.e
     _refuse_above_limit(dc, "gaps", m, bound, entries)
-    _refuse(f"gaps at m = {m} keeps {exact_str(entries)} table entries, about", entries * BYTES_PER_ENTRY,
+    _refuse(f"gaps at m = {m} keeps {amount_str(entries)} table entries, about", entries * BYTES_PER_ENTRY,
             "bytes", BYTE_LIMIT)
 
 
@@ -279,13 +258,13 @@ def _refuse_verify(dc, m: int, bound: int) -> None:
     work += _refuse_above_limit(dc, "verify", m, bound, work)
     monomials = oracle.count_monomials_in_box(dc, m, oracle.default_box(dc, m, bound))
     _refuse(_needs("verify", m, bound), work + monomials)
-    _refuse(f"verify at m = {m} builds {exact_str(monomials)} monomial vectors, about",
+    _refuse(f"verify at m = {m} builds {amount_str(monomials)} monomial vectors, about",
             monomials * BYTES_PER_MONOMIAL, "bytes", BYTE_LIMIT)
 
 
 def _refuse(what: str, amount: int, unit: str = "steps", limit: int = WORK_LIMIT) -> None:
     if amount > limit:
-        raise TooMuchWork(f"{what} {exact_str(amount)} {unit}, above the limit {limit}")
+        raise TooMuchWork(f"{what} {amount_str(amount)} {unit}, above the limit {limit}")
 
 
 def _counts_work(dc, m: int) -> int:
@@ -297,37 +276,30 @@ def _counts_work(dc, m: int) -> int:
     return dc.e * ((m + 1) ** 2 + two_point)
 
 
-def _listing_bound(dc, m: int, shift: int) -> int:
-    """A bound on |x| over the coordinates of the `gamma` (shift 0) and
-    `lambda` (shift relative_shift) listings, in O(e).  A first coordinate
-    is coord0 + shift, or (classical) lies in [0, coord0 + shift]; every
-    other is rho < e, or (classical) k*e + rho with k*e <= coord0 + shift."""
-    return max(abs(maximal.coord0(dc, m, rho)) for rho in range(dc.e)) + shift + dc.e
-
-
 def _listing_work(dc, m: int, classical: bool) -> int:
     """Steps of `member`, `gamma` and `lambda`, in O(1): e residues, each with
-    m + 1 coordinates or (classical) shift vectors of sum T < q^2/p^b.
+    m + 1 coordinates or (classical) shift vectors of sum at most top < q^2/p^b.
 
-    A classical estimate also bounds _listing_bound, so every coordinate of
-    an admitted classical listing is at most WORK_LIMIT < 2^53, and str
-    renders it.  Write Q = q^2/p^b (exact, as p^b | q), so m <= q/p^b <= Q,
-    and e = (q + 1)M.  For rho >= 1, coord0 = ((q^2 - m*p^b)e - i*q*M -
-    j*q^3)/p^b, floored, with i <= q and j <= M, lies in [-m*e, (Q - m)e]:
-    at i = q, j = M the numerator is (q^2 - m*p^b)(q + 1)M - q^2*M - q^3*M =
-    -m*p^b*e.  coord0 = 0 at rho = 0, and shift <= (m - 1)e, so
-    _listing_bound <= max((Q - m)e, m*e) + (m - 1)e + e = e*max(Q, 2m)
-    <= e*(Q + m) <= e*comb(Q + m, m), the last as comb(n + m, m) >= n + m
-    for n, m >= 1."""
+    A classical estimate also bounds every coordinate of its listing, so an
+    admitted classical listing has every coordinate at most WORK_LIMIT <
+    2^53, and str renders it.  Write coord0 + shift = c + e*top as in
+    maximal.classical_residues: a first coordinate c + e*i, i <= top, is at
+    most coord0 + shift, and every other, k*e + rho with k <= top and rho <
+    e, is below coord0 + shift + e.  Write Q = q^2/p^b (exact, as p^b | q),
+    so m <= q/p^b <= Q, and e = (q + 1)M.  For rho >= 1, coord0 = ((q^2 -
+    m*p^b)e - i*q*M - j*q^3)/p^b, floored, with i >= 0 and j >= 1, is at
+    most (Q - m)e, and coord0 = 0 at rho = 0.  With shift <= (m - 1)e, every
+    coordinate is at most (Q - m)e + (m - 1)e + e = Q*e <= e*comb(Q + m, m),
+    as comb(Q + m, m) >= Q + m for Q, m >= 1."""
     return dc.e * (comb(dc.q**2 // dc.pb + m, m) if classical else m)
 
 
-def _refuse_classical(dc, command: str, m: int, shift: int) -> int:
+def _refuse_classical(command: str, m: int, residues: list) -> int:
     """Refuse a classical listing by bytes, once its steps passed: its
-    vectors, counted in O(e) (maximal.count_classical), at
+    vectors, counted from its residues (maximal.count_classical), at
     BYTES_PER_VECTOR.  Returns the count."""
-    count = maximal.count_classical(dc, m, shift)
-    _refuse(f"{command} --classical at m = {m} lists {exact_str(count)} vectors, about",
+    count = maximal.count_classical(residues, m)
+    _refuse(f"{command} --classical at m = {m} lists {amount_str(count)} vectors, about",
             count * BYTES_PER_VECTOR, "bytes", BYTE_LIMIT)
     return count
 
@@ -404,7 +376,7 @@ def run(argv) -> int:
     try:
         dc = _curve_from_args(args)
         if args.command == "params":
-            _emit(_record(dc, {}), args.format)
+            _emit_fields(_record(dc, {}), args.format)
             return 0
 
         # Every other command takes --m; the work estimates need it in range.
@@ -414,14 +386,14 @@ def run(argv) -> int:
             _refuse(f"{args.command} at m = {args.m} needs about", _listing_work(dc, args.m, args.classical))
             shift = maximal.relative_shift(dc, args.m) if args.command == "lambda" else 0
             if args.classical:
-                count = _refuse_classical(dc, args.command, args.m, shift)
-                _emit_blocks(_record(dc, {"m": args.m, "count": count}), args.format,
-                             _classical_blocks(dc, args.m, shift, args.format))
-                return 0
-            in_C = maximal.lambda_hat_in_C if args.command == "lambda" else maximal.gamma_hat_in_C
-            vecs = sorted(in_C(dc, args.m))
-            _emit(_record(dc, {"m": args.m, "vectors": vecs, "count": len(vecs)}), args.format,
-                  _listing_bound(dc, args.m, shift))
+                residues = maximal.classical_residues(dc, args.m, shift)
+                count = _refuse_classical(args.command, args.m, residues)
+                blocks = _classical_blocks(dc.e, args.m, residues, args.format)
+            else:
+                in_C = maximal.lambda_hat_in_C if args.command == "lambda" else maximal.gamma_hat_in_C
+                vecs = sorted(in_C(dc, args.m))
+                count, blocks = len(vecs), _list_blocks(vecs, args.format)
+            _emit_blocks(_record(dc, {"m": args.m, "count": count}), args.format, blocks)
             return 0
 
         if args.command == "gaps":
@@ -440,7 +412,8 @@ def run(argv) -> int:
                 print(f"route disagreement between {name} and {check_name}: smallest differing vector "
                       f"{vector}, {held}", file=sys.stderr)
                 return 1
-            _emit(_record(dc, {"m": args.m, "vectors": table, "count": len(table)}), args.format)
+            _emit_blocks(_record(dc, {"m": args.m, "count": len(table)}), args.format,
+                         _table_blocks(table, args.format))
             return 0
 
         if args.command == "member":
@@ -454,13 +427,13 @@ def run(argv) -> int:
                 "classical_member": verdict.member and min(vec) >= 0,
                 "failing_coordinate": verdict.failing_coordinate,
             }
-            _emit(_record(dc, payload), args.format)
+            _emit_fields(_record(dc, payload), args.format)
             return 0
 
         if args.command == "counts":
             _refuse(f"counts at m = {args.m} needs about", _counts_work(dc, args.m))
             maximals = dc.e * (dc.q**2 // dc.pb + 1) if args.m == 1 else 0
-            _refuse(f"counts at m = 1 holds up to {exact_str(maximals)} relative maximals, about",
+            _refuse(f"counts at m = 1 holds up to {amount_str(maximals)} relative maximals, about",
                     maximals * BYTES_PER_MAXIMAL, "bytes", BYTE_LIMIT)
             payload = {
                 "m": args.m,
@@ -469,14 +442,14 @@ def run(argv) -> int:
             }
             if args.m == 1:
                 payload["two_point_gap_count"] = gaps_mod.count_gaps_two_points(dc)
-            _emit(_record(dc, payload), args.format)
+            _emit_fields(_record(dc, payload), args.format)
             return 0
 
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
             _refuse_verify(dc, args.m, bound)
             checks = oracle.consistency_report(dc, args.m, bound=bound)
-            _emit(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
+            _emit_fields(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
             return 0 if all(checks.values()) else 1
     except WsgapsError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

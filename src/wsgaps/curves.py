@@ -11,9 +11,10 @@ distinguished points matter, never coordinates over a finite field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log2
 
 from .errors import (
+    WORK_LIMIT,
     BadM,
     BNotDividingA,
     GenusNotPositive,
@@ -22,19 +23,41 @@ from .errors import (
     NonPrimeP,
     ParameterError,
     SNotDividing,
-    exact_str,
+    TooMuchWork,
+    amount_str,
 )
+
+# Largest bit length of q^(n + 2), the largest power validation builds (the
+# genus numerator's), and about that of the largest derived constant.
+# `params` on Y(2, 262141, 1), just under it, takes 1.0 s end to end and
+# prints 552,671 bytes (Python 3.11.7, 2-core VM), most of it converting
+# the derived constants to decimal.
+POWER_BITS = 2**18
 
 
 def _prime_power_base(n: int) -> int | None:
     """Return p if n = p^k for a prime p, else None.  p is the smallest
-    factor of n up to isqrt(n), else n itself, so n is prime iff it returns n."""
+    factor of n up to isqrt(n), else n itself, so n is prime iff it returns n.
+    Up to isqrt(n) trial divisions, refused (TooMuchWork) above WORK_LIMIT."""
     if n < 2:
         return None
-    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    root = isqrt(n)
+    if root > WORK_LIMIT:
+        raise TooMuchWork(f"testing {amount_str(n)} for a prime power needs up to {amount_str(root)} "
+                          f"trial divisions, above the limit {WORK_LIMIT}")
+    p = next((d for d in range(2, root + 1) if n % d == 0), n)
     while n % p == 0:
         n //= p
     return p if n == 1 else None
+
+
+def _refuse_power(base: int, k: int) -> None:
+    """Refuse (TooMuchWork) a q^(n + 2) = base^k of more than POWER_BITS
+    bits, in O(1), before it is built: it has at least k bits (base >= 2),
+    so k is tested first and the float k*log2(base) stays finite."""
+    if k > POWER_BITS or k * log2(base) > POWER_BITS:
+        raise TooMuchWork(f"q^(n + 2) = {amount_str(base)}^{amount_str(k)} has more bits than the limit "
+                          f"{POWER_BITS}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +137,7 @@ def validate_params(
             raise NonPrimeP(f"p = {p} is not prime")
         if a % b != 0:
             raise BNotDividingA(f"b = {b} does not divide a = {a}")
+        _refuse_power(p, a * (n + 2))
         q = p**a
         pb = p**b
     else:
@@ -123,13 +147,14 @@ def validate_params(
             raise ParameterError("family Y takes no p, a, b")
         if _prime_power_base(q) is None:
             raise NonPrimeP(f"q = {q} is not a prime power")
+        _refuse_power(q, n + 2)
         pb = 1
 
     num = q**n + 1
     if num % (q + 1) != 0:
         raise SNotDividing(f"q + 1 does not divide q^n + 1 (n = {n})")
     if (num // (q + 1)) % s != 0:
-        raise SNotDividing(f"s = {s} does not divide (q^n + 1)/(q + 1) = {exact_str(num // (q + 1))}")
+        raise SNotDividing(f"s = {s} does not divide (q^n + 1)/(q + 1) = {amount_str(num // (q + 1))}")
 
     gnum = _genus_numerator(q, pb, n, s)
     if gnum % (2 * s * pb) != 0:
@@ -182,7 +207,7 @@ def simplex_points(dim: int, bound: int):
 
 def check_m(dc: DerivedConstants, m: int) -> None:
     if not 1 <= m <= dc.max_m:
-        raise BadM(f"m = {m} out of range [1, {dc.max_m}]")
+        raise BadM(f"m = {m} out of range [1, {amount_str(dc.max_m)}]")
 
 
 def monomial_valuation(

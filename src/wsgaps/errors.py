@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all wsgaps modules, and exact_str for output."""
+"""Exception hierarchy shared by all wsgaps modules, the work limit that
+TooMuchWork enforces, and exact_str and amount_str for output."""
+
+# Largest work estimate a command runs, and the most trial divisions
+# validation makes; above it the command exits 2 at once (TooMuchWork)
+# instead of running for hours or exhausting memory.
+WORK_LIMIT = 10**8
+# Past this many bits a message names an integer by its size, not its
+# digits: a 2*10^6-bit amount would write 602,060 digits, 7 s of decimal
+# conversion.  2^14 bits is 4,932 digits, past str()'s 4,300, so a message
+# with an integer just past that limit still prints it in full.
+SHOWN_BITS = 2**14
 
 
 def exact_str(n: int) -> str:
@@ -8,6 +19,13 @@ def exact_str(n: int) -> str:
     except ValueError:
         from decimal import Decimal
         return str(Decimal(n))
+
+
+def amount_str(n: int) -> str:
+    """An integer in a message: exact_str(n), or past SHOWN_BITS bits its
+    size, read off its bit length without converting it."""
+    bits = abs(n).bit_length()
+    return exact_str(n) if bits <= SHOWN_BITS else f"<a {bits}-bit integer>"
 
 
 class WsgapsError(Exception):

@@ -68,6 +68,16 @@ def _runs(m: int, bound: int) -> dict:
     return dict(zip(heads, accumulate([bound + 1 - sum(head) for head in heads], initial=0)))
 
 
+def _add_prefix_row(hi, end: int, e: int) -> None:
+    """Append to hi the caps of the gaps range(end), end >= 0, in each class
+    c in [0, e - 1]: the least c + e*k >= end, k >= 0.  With q = end -
+    end % e that is q + e + c for c < end % e and q + c above, two C-level
+    ranges."""
+    q = end - end % e
+    hi.extend(range(q + e, end + e))
+    hi.extend(range(end, q + e))
+
+
 class GapTable:
     """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as caps.
 
@@ -221,10 +231,8 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
         hi = array("q", range(e)) * size
     else:
         hi = array("q")
-        for cap in caps:  # class c holds c + e*k for c + e*k < cap
-            q = cap - cap % e
-            hi.extend(range(q + e, cap + e))
-            hi.extend(range(cap, q + e))
+        for cap in caps:
+            _add_prefix_row(hi, cap, e)
     stray = None
     for beta in sorted(lam):
         b0, c = beta[0], beta[0] % e

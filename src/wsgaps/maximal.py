@@ -17,14 +17,17 @@ relative_shift(dc, m) = (m-1)e at P_inf, so the relative side needs no
 family of its own: realize gives the absolute vector, and the relative
 side adds the shift to its first coordinate.
 
-The classical listings (every coordinate >= 0) come from one walk,
-walk_classical, in lexicographic order, one vector per (rho, ks): distinct
+The classical listings (every coordinate >= 0) take one pass over the e
+residues, classical_residues, which keeps each residue's class and largest
+shift sum; count_classical sums over that list, and walk_classical lists
+from it in lexicographic order, one vector per (rho, ks): distinct
 parameters realize distinct vectors, so no set removes repeats, and the
 order follows from the closed form, so nothing sorts them.  The walk shares
 the shift tails among the vectors that end in them and is generic in the
 piece it joins per shift: _enumerate_classical joins 1-tuples into the
 vectors, and the command line joins rendered cells into rows without
-building a vector.
+building a vector, after counting and pricing the listing from the same
+residues.
 """
 
 from __future__ import annotations
@@ -105,9 +108,37 @@ def _tails(heads: list, parts: int) -> list[list]:
     return level
 
 
-def walk_classical(dc: DerivedConstants, m: int, shift: int, piece):
-    """The realizations translated by shift at P_inf with every coordinate
-    >= 0, one per (rho, ks), walked by first coordinate x ascending.
+def classical_residues(dc: DerivedConstants, m: int, shift: int) -> list[tuple[int, int, int]]:
+    """The residues of the classical listing translated by shift at P_inf,
+    in O(e): (c, rho, top) for each residue with top >= 0, c ascending,
+    where coord0 + shift = c + e*top with c in [0, e - 1].
+
+    The first coordinate c + e*(top - sum(ks)) is >= 0 iff sum(ks) <= top,
+    so a residue with top < 0 lists nothing.  No two residues share a class
+    c: at m = 1 both would have first coordinate c with zero shifts, and the
+    m = 1 first coordinates are 0 and the gaps at P_inf, each once.  The
+    class of a residue is the same at every m and for both shifts, and a
+    residue listed at m > 1 is listed at m = 1.  A shared class is a defect,
+    as in gaps.count_gaps_two_points, and raises SelfCheckError.  As the
+    classes are distinct residues mod e, they are placed by index, unsorted.
+    """
+    check_m(dc, m)
+    e = dc.e
+    by_class: list = [None] * e
+    for rho in range(e):
+        top, c = divmod(coord0(dc, m, rho) + shift, e)
+        if top < 0:
+            continue
+        if by_class[c] is not None:
+            raise SelfCheckError(f"residues {by_class[c][1]} and {rho} of {dc.params} at m = {m} share "
+                                 f"the class {c} of the first coordinate mod e")
+        by_class[c] = (c, rho, top)
+    return [entry for entry in by_class if entry is not None]
+
+
+def walk_classical(e: int, m: int, residues: list, piece):
+    """The vectors of the classical listing of residues (classical_residues),
+    one per (rho, ks), walked by first coordinate x ascending.
 
     Yields (i, live) for i = 0, 1, ...: live holds (c, rho, top, shared)
     for each residue with top >= i, c ascending, and stands for the first
@@ -118,41 +149,22 @@ def walk_classical(dc: DerivedConstants, m: int, shift: int, piece):
     run in lexicographic order as heads[k_1] + t for k_1 ascending in
     [0, s] and t in tails[s - k_1].
 
-    Coordinates 1..m are nonnegative iff every k is.  Write coord0 + shift
-    = c + e*T with c in [0, e - 1]: the first coordinate c + e*(T - sum(ks))
-    is >= 0 iff sum(ks) <= T, and x = c + e*i belongs to the shifts of sum
-    S = T - i.  So the walk takes x upwards, i outer and c inner.  At one x,
-    coordinate 1 is k_1*e + rho, so the rests run k_1 ascending, each
-    followed by the shifts k_2..k_m of sum S - k_1 in lexicographic order
-    (_tails).  Rests differ in rho (coordinate 1 mod e) or in some k, so
-    none repeats, and nothing is sorted.
-
-    No two residues share a class c, so each x has one rho: at m = 1 both
-    would have first coordinate c at i = 0, and the m = 1 first coordinates
-    are 0 and the gaps at P_inf, each once.  The class of a residue is the
-    same at every m and for both shifts, and a residue listed at m > 1 is
-    listed at m = 1.  A shared class is a defect, as in
-    gaps.count_gaps_two_points, and raises SelfCheckError.
+    Coordinates 1..m are nonnegative iff every k is, and x = c + e*i
+    belongs to the shifts of sum top - i.  So the walk takes x upwards, i
+    outer and c inner; each x has one rho, as no two residues share a
+    class.  At one x, coordinate 1 is k_1*e + rho, so the rests run k_1
+    ascending, each followed by the shifts k_2..k_m of sum S - k_1 in
+    lexicographic order (_tails).  Rests differ in rho (coordinate 1 mod e)
+    or in some k, so none repeats, and nothing is sorted.
     """
-    check_m(dc, m)
-    e = dc.e
-    classes: dict[int, tuple[int, int]] = {}
-    for rho in range(e):
-        top, c = divmod(coord0(dc, m, rho) + shift, e)
-        if top < 0:
-            continue
-        if c in classes:
-            raise SelfCheckError(f"residues {classes[c][0]} and {rho} of {dc.params} at m = {m} share "
-                                 f"the class {c} of the first coordinate mod e")
-        classes[c] = (rho, top)
     live = []
-    for c, (rho, top) in sorted(classes.items()):
+    for c, rho, top in residues:
         shared = None
         if m > 1:
             heads = [piece(k * e + rho) for k in range(top + 1)]
             shared = heads, _tails(heads, m - 1)
         live.append((c, rho, top, shared))
-    for i in range(max([top for _, _, top, _ in live], default=-1) + 1):
+    for i in range(max([top for _, _, top in residues], default=-1) + 1):
         live = [entry for entry in live if entry[2] >= i]
         yield i, live
 
@@ -162,7 +174,7 @@ def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple
     concatenation (x, k_1*e + rho) + tail per vector."""
     e = dc.e
     out = []
-    for i, live in walk_classical(dc, m, shift, lambda y: (y,)):
+    for i, live in walk_classical(e, m, classical_residues(dc, m, shift), lambda y: (y,)):
         if m == 1:
             out += [(c + e * i, (top - i) * e + rho) for c, rho, top, _ in live]
             continue
@@ -184,18 +196,15 @@ def enumerate_classical_Lambda(dc: DerivedConstants, m: int) -> list[tuple[int, 
     return _enumerate_classical(dc, m, relative_shift(dc, m))
 
 
-def count_classical(dc: DerivedConstants, m: int, shift: int) -> int:
-    """Closed-form length of the classical listing translated by shift, in
-    O(e): the shift sums of the member for rho run over [0, T] with
-    T = (coord0 + shift)//e (floored, so T < 0 excludes rho), and
-    comb(T + m, m) shift vectors have sum <= T."""
-    check_m(dc, m)
-    ts = [(coord0(dc, m, rho) + shift) // dc.e for rho in range(dc.e)]
-    return sum(comb(t + m, m) for t in ts if t >= 0)
+def count_classical(residues: list, m: int) -> int:
+    """Closed-form length of the classical listing of residues
+    (classical_residues): the shift sums of the member for rho run over
+    [0, top], and comb(top + m, m) shift vectors have sum <= top."""
+    return sum(comb(top + m, m) for _, _, top in residues)
 
 
 def count_Lambda(dc: DerivedConstants, m: int) -> int:
     """Closed-form cardinality of the classical relative-maximal set
-    (count_classical at the relative shift).  Its T is the same at every m,
-    since the relative shift cancels the m-dependence of coord0."""
-    return count_classical(dc, m, relative_shift(dc, m))
+    (count_classical at the relative shift), in O(e).  Each top is the same
+    at every m, since the relative shift cancels the m-dependence of coord0."""
+    return count_classical(classical_residues(dc, m, relative_shift(dc, m)), m)

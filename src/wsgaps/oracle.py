@@ -26,7 +26,7 @@ from operator import le
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
 from .errors import BadBox
-from .gaps import GapTable, _runs, build_gap_report, gaps_via_complement
+from .gaps import GapTable, _add_prefix_row, _runs, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -197,10 +197,10 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
     sits at i - 1 for the last coordinate, and for every other j at the
     same x in the run of head - e_j, looked up once per run.  Then held[t]
     holds the alpha_0 attained at 0, and no alpha_0 < max_r low[r][t]
-    attains every r >= 1, so the class caps are set there at once.  Each
-    zero bit of held[t] from there to top = bound - sum(t) is a non-member;
-    one that does not extend its class prefix becomes the table's stray, as
-    in the Lambda route.
+    attains every r >= 1, so the row of t starts as the caps of that range
+    in every class (gaps._add_prefix_row).  Each zero bit of held[t] from
+    there to top = bound - sum(t) is a non-member; one that does not extend
+    its class prefix becomes the table's stray, as in the Lambda route.
     """
     n = comb(bound + m, m)
     runs = _runs(m, bound)
@@ -232,17 +232,17 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
                         col[i] = col[p]
             top = room - x
             end = min(max(max(col[i] for col in low), 0), top + 1)
-            caps = [c if end <= c else end + (c - end) % e for c in range(e)]
+            row = len(hi)
+            _add_prefix_row(hi, end, e)
             miss = ~held[i] & ((1 << (top + 1)) - (1 << end))  # the non-members, as bits
             while miss:
                 a0 = (miss & -miss).bit_length() - 1
                 miss ^= 1 << a0
-                c = a0 % e
-                if caps[c] == a0:
-                    caps[c] += e
+                c = row + a0 % e
+                if hi[c] == a0:
+                    hi[c] += e
                 elif stray is None or (a0, *head, x) < stray:
                     stray = (a0, *head, x)
-            hi.extend(caps)
     return GapTable(e, m, bound, hi, stray)
 
 

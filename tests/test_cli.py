@@ -22,18 +22,19 @@ from wsgaps.cli import (
     BYTES_PER_VECTOR,
     WORK_LIMIT,
     _counts_work,
-    _emit,
+    _emit_blocks,
     _encode,
-    _listing_bound,
+    _list_blocks,
     _listing_work,
     _record,
     _refuse_classical,
     _refuse_gaps,
     _refuse_verify,
+    _table_blocks,
     run,
 )
 from wsgaps.curves import curve, simplex_points
-from wsgaps.errors import TooMuchWork
+from wsgaps.errors import SHOWN_BITS, TooMuchWork, amount_str, exact_str
 from wsgaps.membership import witness_test
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -431,29 +432,22 @@ def test_listings_admit_every_sweep_case(sweep):
                for dc in sweep for m in range(1, dc.max_m + 1) for classical in (False, True))
 
 
-def test_listing_bound_holds_every_coordinate(sweep):
-    """The closed-form bound the listings hand the emitter covers |x| of
-    every coordinate of all four listings: every sweep case with g <= 600,
-    at every m."""
-    for dc in sweep:
-        if dc.genus > 600:
-            continue
-        for m in range(1, dc.max_m + 1):
-            for shift, listings in ((0, (maximal.gamma_hat_in_C, maximal.enumerate_classical_Gamma)),
-                                    (maximal.relative_shift(dc, m),
-                                     (maximal.lambda_hat_in_C, maximal.enumerate_classical_Lambda))):
-                largest = max(abs(x) for listing in listings for v in listing(dc, m) for x in v)
-                assert largest <= _listing_bound(dc, m, shift), (dc.params, m, shift)
-
-
 def test_classical_listing_bound_is_within_its_step_estimate(sweep):
     """The inequality _listing_work proves, on every sweep case at every m:
-    the coordinate bound of a classical listing is at most its step
-    estimate, so an admitted one renders every coordinate by str."""
+    the largest coordinate of a classical listing, read off its residues,
+    is at most its step estimate, so an admitted one renders every
+    coordinate by str.  With every sweep case of g <= 600, that largest
+    coordinate is the largest |x| over the listing itself."""
     for dc in sweep:
         for m in range(1, dc.max_m + 1):
-            for shift in (0, maximal.relative_shift(dc, m)):
-                assert _listing_bound(dc, m, shift) <= _listing_work(dc, m, True), (dc.params, m, shift)
+            for shift, listing in ((0, maximal.enumerate_classical_Gamma),
+                                   (maximal.relative_shift(dc, m), maximal.enumerate_classical_Lambda)):
+                residues = maximal.classical_residues(dc, m, shift)
+                # x = c + e*top at zero shifts; coordinate 1 = top*e + rho at k_1 = top
+                largest = max(max(c, rho) + top * dc.e for c, rho, top in residues)
+                assert largest <= _listing_work(dc, m, True), (dc.params, m, shift)
+                if dc.genus <= 600:
+                    assert largest == max(abs(x) for v in listing(dc, m) for x in v), (dc.params, m, shift)
 
 
 def test_classical_listings_refuse_by_bytes_only_what_cannot_fit(capsys):
@@ -464,10 +458,11 @@ def test_classical_listings_refuse_by_bytes_only_what_cannot_fit(capsys):
     refused on its steps first, before the O(e) count."""
     dc = curve("Y", q=5, n=9, s=7)
     assert _listing_work(dc, 2, True) == 97_935_318
-    assert _refuse_classical(dc, "lambda", 2, maximal.relative_shift(dc, 2)) == 27_101_250
+    residues = {m: maximal.classical_residues(dc, m, maximal.relative_shift(dc, m)) for m in (2, 3)}
+    assert _refuse_classical("lambda", 2, residues[2]) == 27_101_250
     assert 27_101_250 * BYTES_PER_VECTOR <= BYTE_LIMIT
     with pytest.raises(TooMuchWork, match=f"lists 170958196 vectors, about {170958196 * BYTES_PER_VECTOR} bytes"):
-        _refuse_classical(dc, "lambda", 3, maximal.relative_shift(dc, 3))
+        _refuse_classical("lambda", 3, residues[3])
     argv = ["lambda", "--family", "Y", "--q", "5", "--n", "9", "--s", "7", "--m", "3", "--classical"]
     _assert_refused_at_once(argv)
     assert run(argv) == 2
@@ -521,6 +516,42 @@ def test_integers_past_the_str_limit_print_exactly():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("SNotDividing: s = 2 does not divide") and "Traceback" not in proc.stderr
     assert Decimal(proc.stderr.split()[-1]) == Decimal((2**14301 + 1) // 3)
+
+
+@pytest.mark.parametrize("argv", [
+    "params --family Y --q 1000000000000000003 --n 3 --s 1",
+    "params --family X --p 1000000000000000003 --a 1 --b 1 --n 3 --s 1",
+    "params --family Y --q 2 --n 2000001 --s 1",
+    "gamma --family Y --q 2 --n 200001 --s 1",
+])
+def test_huge_inputs_are_refused_at_once_in_a_short_message(argv):
+    """The prime tests (by trial division) and `params` on Y(2,2000001,1)
+    (building and printing its constants) each ran past 40 s, and the
+    `gamma` refusal printed its 60,207-digit amount."""
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(argv.split()) == 2
+    assert time.perf_counter() - t0 < 1
+    assert out.getvalue() == "" and err.getvalue().startswith("TooMuchWork: ") and len(err.getvalue()) < 1024
+
+
+def test_messages_give_a_huge_integer_by_its_size(capsys):
+    """Past SHOWN_BITS bits a message gives an integer's bit length: a
+    refusal's amount, SNotDividing's (q^n + 1)/(q + 1) and BadM's max_m,
+    whose 6,021 digits were a ValueError traceback from str()."""
+    assert amount_str(2**SHOWN_BITS - 1) == exact_str(2**SHOWN_BITS - 1)
+    assert amount_str(-(2**SHOWN_BITS)) == f"<a {SHOWN_BITS + 1}-bit integer>"
+    for argv, message in [
+        ("gamma --family Y --q 2 --n 200001 --s 1",
+         "TooMuchWork: gamma at m = 1 needs about <a 200002-bit integer> steps, above the limit 100000000"),
+        ("params --family Y --q 2 --n 30001 --s 2",
+         "SNotDividing: s = 2 does not divide (q^n + 1)/(q + 1) = <a 30000-bit integer>"),
+        ("gamma --family X --p 2 --a 20000 --b 1 --n 3 --s 1 --m 0",
+         "BadM: m = 0 out of range [1, <a 20000-bit integer>]"),
+    ]:
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err == message + "\n"
 
 
 # stdout SHA-256 of small commands, pinned at the commit before vectors were
@@ -583,8 +614,8 @@ def test_output_bytes_pinned(command, fmt, capsys):
 
 
 def _reference_emit(record, fmt):
-    """What _emit printed while every record went through _encode and
-    json.dumps and every TSV vector row had its own print."""
+    """What the command line printed while every record went through
+    _encode and json.dumps and every TSV vector row had its own print."""
     if fmt == "json":
         print(json.dumps(_encode(record), sort_keys=True, separators=(",", ": "), indent=1))
     else:
@@ -607,29 +638,34 @@ def _vector_payload(draw):
     return {"m": m, "vectors": vectors, "count": len(vectors)}
 
 
+def _emit_list(dc, payload, fmt):
+    """Write a listing's record as the command line does: its vectors
+    through _list_blocks, the rest of the payload through _record."""
+    fields = {k: v for k, v in payload.items() if k != "vectors"}
+    _emit_blocks(_record(dc, fields), fmt, _list_blocks(payload["vectors"], fmt))
+
+
 @settings(max_examples=400, deadline=None)
-@given(_vector_payload(), st.sampled_from([0, 1, 2**53]), st.sampled_from(["json", "tsv"]))
-def test_emit_matches_the_encoder(y231, payload, slack, fmt):
-    """The bound handed to _emit is the largest |x|, or looser by slack."""
-    record = _record(y231, payload)
-    bound = max([abs(x) for v in payload["vectors"] for x in v], default=0) + slack
+@given(_vector_payload(), st.sampled_from(["json", "tsv"]))
+def test_emit_matches_the_encoder(y231, payload, fmt):
+    """_list_blocks measures its own coordinates: every one at or past 2^53
+    comes out as the encoder writes it, in a list of any length."""
     fast, reference = io.StringIO(), io.StringIO()
     with redirect_stdout(fast):
-        _emit(record, fmt, bound)
+        _emit_list(y231, payload, fmt)
     with redirect_stdout(reference):
-        _reference_emit(record, fmt)
+        _reference_emit(_record(y231, payload), fmt)
     assert fast.getvalue() == reference.getvalue()
 
 
-def test_emit_encodes_past_2_53_under_a_loose_bound(y231, capsys):
-    """A bound past 2^53 sends every coordinate through _encode: the one
-    past 2^53 comes out as a decimal string, the others as numbers."""
-    vectors = [(0, 2**53 + 1), (5, -(2**53) - 7)]
-    record = _record(y231, {"m": 1, "vectors": vectors, "count": 2})
-    _emit(record, "json", 2**60)
+def test_emit_encodes_past_2_53(y231, capsys):
+    """One coordinate past 2^53 sends every coordinate through _encode: the
+    ones past 2^53 come out as decimal strings, the others as numbers."""
+    payload = {"m": 1, "vectors": [(0, 2**53 + 1), (5, -(2**53) - 7)], "count": 2}
+    _emit_list(y231, payload, "json")
     assert json.loads(capsys.readouterr().out)["payload"]["vectors"] == [
         [0, "9007199254740993"], [5, "-9007199254740999"]]
-    _emit(record, "tsv", 2**60)
+    _emit_list(y231, payload, "tsv")
     assert capsys.readouterr().out == "0\t9007199254740993\n5\t-9007199254740999\n"
 
 
@@ -641,9 +677,8 @@ TABLE_CURVES = {"Y231": curve("Y", q=2, n=3, s=1), "Y233": curve("Y", q=2, n=3, 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 @pytest.mark.parametrize("name", sorted(TABLE_CURVES))
 def test_listings_are_the_encoder_output(name, fmt, capsys):
-    """`gamma` and `lambda`, classical or not, at every m, emitted under
-    their closed-form coordinate bound, against the reference renderings
-    of the same vectors deduplicated and sorted."""
+    """`gamma` and `lambda`, classical or not, at every m, against the
+    reference renderings of the same vectors deduplicated and sorted."""
     dc, params = TABLE_CURVES[name], {"Y231": Y231, "Y233": Y233, "X21131": X21131}[name]
     listings = {
         ("gamma", False): maximal.gamma_hat_in_C, ("gamma", True): maximal.enumerate_classical_Gamma,
@@ -671,7 +706,7 @@ def test_streamed_gap_table_matches_the_encoder(name, m, pure, bound, fmt):
     table = (gaps.pure_gaps_via_nabla if pure else gaps.gaps_via_complement)(dc, m, bound)
     fast, reference = io.StringIO(), io.StringIO()
     with redirect_stdout(fast):
-        _emit(_record(dc, {"m": m, "vectors": table, "count": len(table)}), fmt)
+        _emit_blocks(_record(dc, {"m": m, "count": len(table)}), fmt, _table_blocks(table, fmt))
     with redirect_stdout(reference):
         _reference_emit(_record(dc, {"m": m, "vectors": sorted(table), "count": len(table)}), fmt)
     assert fast.getvalue() == reference.getvalue()

@@ -1,10 +1,13 @@
 """Parameter validation, derived constants and monomial valuations."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsgaps.curves import (
+    POWER_BITS,
     MonomialExponents,
     _prime_power_base,
     check_m,
@@ -14,6 +17,7 @@ from wsgaps.curves import (
     validate_params,
 )
 from wsgaps.errors import (
+    WORK_LIMIT,
     BadM,
     BNotDividingA,
     GenusNotPositive,
@@ -22,6 +26,7 @@ from wsgaps.errors import (
     NonPrimeP,
     ParameterError,
     SNotDividing,
+    TooMuchWork,
 )
 from wsgaps.maximal import MaximalElement, pair_from_residue, realize
 
@@ -59,6 +64,45 @@ def test_prime_power_base_is_the_sieve_reference():
     for p in (4, 9, 12, 19_999):
         with pytest.raises(NonPrimeP, match=f"^p = {p} is not prime$"):
             validate_params("X", p=p, a=1, b=1, n=3, s=1)
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("Y", {"q": 10**18 + 3}),
+    ("X", {"p": 10**18 + 3, "a": 1, "b": 1}),
+    ("Y", {"q": (WORK_LIMIT + 1) ** 2}),  # isqrt one past the limit
+], ids=["Y-q", "X-p", "Y-first-past"])
+def test_validation_refuses_trial_division_past_the_work_limit(family, flags):
+    """A prime test of more than WORK_LIMIT trial divisions (isqrt of the
+    number) is refused before the first one; 10^18 + 3 took over 40 s."""
+    t0 = time.perf_counter()
+    with pytest.raises(TooMuchWork, match=f"trial divisions, above the limit {WORK_LIMIT}$"):
+        validate_params(family, n=3, s=1, **flags)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("family, flags, n", [
+    ("Y", {"q": 2}, 2_000_001),
+    ("Y", {"q": 2}, POWER_BITS - 1),  # q^(n + 2) has POWER_BITS + 2 bits
+    ("Y", {"q": 3}, 10**400 + 1),  # n*log2(q) past a float
+    ("X", {"p": 2, "a": 52_429, "b": 1}, 3),
+], ids=["Y-2-2000001", "Y-2-first-past", "Y-3-huge-n", "X-2-52429-1-3"])
+def test_validation_refuses_powers_past_the_bit_limit(family, flags, n):
+    """q^(n + 2) is priced by its bit length before it is built; Y(2,
+    2000001, 1) took over 40 s, most of it printing 600,000-digit
+    constants."""
+    t0 = time.perf_counter()
+    with pytest.raises(TooMuchWork, match=f"has more bits than the limit {POWER_BITS}$"):
+        validate_params(family, n=n, s=1, **flags)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_validation_admits_work_up_to_its_limits():
+    """A prime test with isqrt at WORK_LIMIT runs (2 divides 10^16 at
+    once), and the largest admitted q^(n + 2) are 2^(POWER_BITS - 1) at
+    q = 2 and 2^(52428*5) = 2^262140 in family X at n = 3."""
+    assert _prime_power_base(WORK_LIMIT**2) is None
+    assert validate_params("Y", q=2, n=POWER_BITS - 3, s=1).n == POWER_BITS - 3
+    assert validate_params("X", p=2, a=52_428, b=1, n=3, s=1).q == 2**52_428
 
 
 def test_validate_other_rejections():
