@@ -7,33 +7,36 @@ serialized as decimal strings so JSON consumers keep them exact.
 
 A record's vectors skip the generic encoder.  Each command knows what it
 lists and hands _emit_blocks its rows as blocks of rendered text
-(_table_blocks, _classical_blocks or _list_blocks); a record without
+(_table_blocks, _classical_blocks or _region_blocks); a record without
 vectors goes to _emit_fields.  json.dumps renders the rest of the record
 around a placeholder, and the blocks are written in its place at the
-indents json.dumps(indent=1) uses at that depth (or as TSV rows).  A
-classical listing (`gamma --classical`, `lambda --classical`) takes one
-pass over the e residues (maximal.classical_residues), which gives its
-count, its byte refusal and its walk: maximal.walk_classical walks the
-first coordinate x upwards, each shift tail is rendered once, and each x's
-rows are one str.join of its rendering and those of its rests, so no
-vector is built (at m = 1, where each x has one row, a %-template fills
-each row).  The e vectors of a fundamental-region listing are sorted here
-and fill one %-template per vector, joined by one str.join.  A gap table
-(`gaps`) is streamed the same way: walking alpha_0 upwards, each alpha_0's
-rows are one str.join of its rendering and the renderings of its tails,
-each tail rendered once, so neither a row list nor the gap set is ever
-built.
+indents json.dumps(indent=1) uses at that depth (or as TSV rows).  Both
+kinds of `gamma` and `lambda` listing take one pass over the e residues
+(maximal.residues: a rho and a top per class of the first coordinate mod
+e).  A classical listing (`gamma --classical`, `lambda --classical`) gets
+its count, its byte refusal and its walk from them:
+maximal.walk_classical walks the first coordinate x upwards, each shift
+tail is rendered once, and each x's rows are one str.join of its
+rendering and those of its rests, so no vector is built (at m = 1, where
+each x has one row, a %-template fills each row).  A fundamental-region
+listing sorts the classes by top, which puts its e vectors in order, and
+writes one row per residue in blocks of _REGION_ROWS rows, so neither a
+vector set nor its sort is built.  A gap table (`gaps`) is streamed the
+same way: walking alpha_0 upwards, each alpha_0's rows are one str.join of
+its rendering and the renderings of its tails, each tail rendered once,
+so neither a row list nor the gap set is ever built.
 GapTable.walk hands over each alpha_0's renderings as a list it filters
 from the class's previous one with a byte mask of the tails' gap counts,
 so the walk runs no Python code per tail.  The bytes equal
 json.dumps(indent=1) of the encoded record, and the per-row prints of TSV.
-Only the e-vector listing measures its coordinates for the 2^53 test: one
-C-level max over its e*(m + 1) coordinates, and they go through _encode
-only when it exceeds 2^53.  The streamed outputs scan no coordinate and
-need no test: every coordinate of an admitted classical listing is at
-most its step estimate, below WORK_LIMIT (_listing_work), and a gap
-table's lie in [0, bound], where a bound past 2^53 would mean more than
-2^53*e caps, far above what `gaps` admits.
+Only the fundamental-region listing tests coordinates against 2^53: its
+rho are below e, within its step estimate, so it reads the first
+coordinates at the two ends of its sorted classes, and they go through
+_encode only when one exceeds 2^53.  The streamed outputs scan no
+coordinate and need no test: every coordinate of an admitted classical
+listing is at most its step estimate, below WORK_LIMIT (_listing_work),
+and a gap table's lie in [0, bound], where a bound past 2^53 would mean
+more than 2^53*e caps, far above what `gaps` admits.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
-from itertools import chain
 from math import comb
 
 from . import gaps as gaps_mod
@@ -81,7 +83,24 @@ BYTES_PER_MAXIMAL = 160
 # 7.1 on Y(13,5,1) at m = 1, 25.7 on Y(5,9,7) at m = 2, 20.1 on Y(7,3,1)
 # and 27.4 on Y(5,5,1) at m = 3 and 21.1 on Y(5,5,1) at m = 4.
 BYTES_PER_VECTOR = 36
-# Largest memory estimate `gaps`, `verify`, `counts` and the classical
+# Peak resident bytes per residue (e of them, whatever m is), stdout to
+# /dev/null and the interpreter included, of:
+# - `gamma --classical` and `lambda --classical`, on top of BYTES_PER_VECTOR:
+#   the residue arrays and each live residue's entry, shift renderings and
+#   tails in the walk.  Measured, as (peak - 36 per vector)/e, 152 on
+#   X(2,1,1,21,1) at m = 1, 214 on Y(2,21,1) at m = 1, 299 and 505 there at
+#   m = 2 (shifts 0 and (m - 1)e), 195 on Y(3,13,1) at m = 1 and 596 at m = 2.
+BYTES_PER_CLASSICAL_RESIDUE = 640
+# - the fundamental-region `gamma` and `lambda`: the residue arrays and the
+#   classes sorted by top.  Measured 78-80 on Y(2,21,1) and X(2,1,1,21,1) at
+#   m = 1 and 2, 83 on Y(3,13,1) at m = 3.
+BYTES_PER_REGION_RESIDUE = 88
+# - `member`: the residue tables of membership (a tuple per residue and a
+#   dict by class).  Measured 226 on Y(2,21,1) at m = 1 and 2 and on
+#   X(2,1,1,21,1), 254 on Y(3,13,1) at m = 1 and 3; just past a doubling of
+#   the dict's table an entry takes about 8 more.
+BYTES_PER_MEMBER_RESIDUE = 272
+# Largest memory estimate `gaps`, `verify`, `counts`, `member` and the
 # listings run, a quarter of an 8 GB desk machine; above it the command exits
 # 2 at once instead of crowding out the rest of the machine.  Near WORK_LIMIT
 # a table would take about 2.4 GB.
@@ -131,21 +150,28 @@ _ROW_SEP = {"json": ",\n", "tsv": "\n"}
 # What a rendered vector writes before its first coordinate, between two
 # coordinates and after its last.
 _ROW_PARTS = {"json": ("   [\n    ", ",\n    ", "\n   ]"), "tsv": ("", "\t", "")}
+# Rows per block of a fundamental-region listing, which bounds the text held at once.
+_REGION_ROWS = 4096
 
 
-def _list_blocks(vectors: list, fmt: str):
-    """The e sorted vectors of a fundamental-region listing as one block: each
+def _region_blocks(e: int, m: int, residues, fmt: str):
+    """The e vectors (x, rho, ..., rho) of a fundamental-region listing
+    (maximal.residues), x = c + e*top, as blocks of _REGION_ROWS rows: each
     a TSV row, or the JSON list _dumps writes at the depth of
-    payload.vectors, one %-template per vector.  Coordinates are rendered
-    by str, or each through _encode when one of them exceeds 2^53."""
-    if not vectors:
-        return
+    payload.vectors.  A stable sort of the classes c by top puts x
+    ascending, as c lies in [0, e - 1], and the x are distinct, so the rows
+    are in lexicographic order.  Every rho is below e <= WORK_LIMIT, so
+    only an x can pass 2^53, and the ends of the sorted list hold the
+    largest |x|; past 2^53 every JSON x goes through _encode (str renders
+    the TSV cell either way)."""
+    rhos, tops = residues
     lead, sep, end = _ROW_PARTS[fmt]
-    row = lead + sep.join(["%s"] * len(vectors[0])) + end
-    if max(map(abs, chain.from_iterable(vectors))) > _JSON_SAFE:
-        dumps = str if fmt == "tsv" else json.dumps
-        vectors = [tuple([dumps(_encode(x)) for x in v]) for v in vectors]
-    yield _ROW_SEP[fmt].join(map(row.__mod__, vectors))
+    order = sorted(range(e), key=tops.__getitem__)
+    past = fmt == "json" and max(abs(c + e * tops[c]) for c in (order[0], order[-1])) > _JSON_SAFE
+    render = (lambda x: json.dumps(_encode(x))) if past else str
+    for start in range(0, e, _REGION_ROWS):
+        yield _ROW_SEP[fmt].join([lead + render(c + e * tops[c]) + (sep + str(rhos[c])) * m + end
+                                  for c in order[start:start + _REGION_ROWS]])
 
 
 def _table_blocks(table, fmt: str):
@@ -159,10 +185,10 @@ def _table_blocks(table, fmt: str):
         yield first + (between + first).join(rests)
 
 
-def _classical_blocks(e: int, m: int, residues: list, fmt: str):
-    """The rows of the classical listing of residues
-    (maximal.classical_residues), streamed from maximal.walk_classical:
-    each shift of a residue is rendered once, into the tails that share it.
+def _classical_blocks(e: int, m: int, residues, fmt: str):
+    """The rows of the classical listing of residues (maximal.residues),
+    streamed from maximal.walk_classical: each shift of a residue is
+    rendered once, into the tails that share it.
     At m = 1 every x has one row: one block per i, a %-template per row.
     Above, one block per x: one str.join of the renderings of x and of its
     rests, the rests of one k_1 joined first.  _listing_work bounds every
@@ -280,27 +306,39 @@ def _listing_work(dc, m: int, classical: bool) -> int:
     """Steps of `member`, `gamma` and `lambda`, in O(1): e residues, each with
     m + 1 coordinates or (classical) shift vectors of sum at most top < q^2/p^b.
 
-    A classical estimate also bounds every coordinate of its listing, so an
-    admitted classical listing has every coordinate at most WORK_LIMIT <
+    A fundamental-region estimate e*m bounds every rho < e of its listing,
+    so only a first coordinate can pass 2^53 there (_region_blocks tests
+    them).  A classical estimate bounds every coordinate of its listing, so
+    an admitted classical listing has every coordinate at most WORK_LIMIT <
     2^53, and str renders it.  Write coord0 + shift = c + e*top as in
-    maximal.classical_residues: a first coordinate c + e*i, i <= top, is at
-    most coord0 + shift, and every other, k*e + rho with k <= top and rho <
-    e, is below coord0 + shift + e.  Write Q = q^2/p^b (exact, as p^b | q),
-    so m <= q/p^b <= Q, and e = (q + 1)M.  For rho >= 1, coord0 = ((q^2 -
-    m*p^b)e - i*q*M - j*q^3)/p^b, floored, with i >= 0 and j >= 1, is at
-    most (Q - m)e, and coord0 = 0 at rho = 0.  With shift <= (m - 1)e, every
-    coordinate is at most (Q - m)e + (m - 1)e + e = Q*e <= e*comb(Q + m, m),
-    as comb(Q + m, m) >= Q + m for Q, m >= 1."""
+    maximal.residues: a listed residue has top >= 0, a first coordinate
+    c + e*i, i <= top, is at most coord0 + shift, and every other,
+    k*e + rho with k <= top and rho < e, is below coord0 + shift + e.
+    Write Q = q^2/p^b (exact, as p^b | q), so m <= q/p^b <= Q, and
+    e = (q + 1)M.  For rho >= 1, coord0 = ((q^2 - m*p^b)e - i*q*M -
+    j*q^3)/p^b, floored, with i >= 0 and j >= 1, is at most (Q - m)e, and
+    coord0 = 0 at rho = 0.  With shift <= (m - 1)e, every coordinate is at
+    most (Q - m)e + (m - 1)e + e = Q*e <= e*comb(Q + m, m), as
+    comb(Q + m, m) >= Q + m for Q, m >= 1."""
     return dc.e * (comb(dc.q**2 // dc.pb + m, m) if classical else m)
 
 
-def _refuse_classical(command: str, m: int, residues: list) -> int:
+def _refuse_listing(dc, command: str, m: int, classical: bool, per_residue: int) -> None:
+    """Refuse `member`, `gamma` or `lambda` by steps (_listing_work) and
+    by the per_residue bytes it holds for each of e residues, in O(1)."""
+    _refuse(f"{command} at m = {m} needs about", _listing_work(dc, m, classical))
+    _refuse(f"{command} at m = {m} keeps {amount_str(dc.e)} residues, about", dc.e * per_residue, "bytes",
+            BYTE_LIMIT)
+
+
+def _refuse_classical(command: str, m: int, residues) -> int:
     """Refuse a classical listing by bytes, once its steps passed: its
     vectors, counted from its residues (maximal.count_classical), at
-    BYTES_PER_VECTOR.  Returns the count."""
+    BYTES_PER_VECTOR, plus its e residues at BYTES_PER_CLASSICAL_RESIDUE.
+    Returns the count."""
     count = maximal.count_classical(residues, m)
     _refuse(f"{command} --classical at m = {m} lists {amount_str(count)} vectors, about",
-            count * BYTES_PER_VECTOR, "bytes", BYTE_LIMIT)
+            count * BYTES_PER_VECTOR + len(residues[1]) * BYTES_PER_CLASSICAL_RESIDUE, "bytes", BYTE_LIMIT)
     return count
 
 
@@ -383,16 +421,15 @@ def run(argv) -> int:
         check_m(dc, args.m)
 
         if args.command in ("gamma", "lambda"):
-            _refuse(f"{args.command} at m = {args.m} needs about", _listing_work(dc, args.m, args.classical))
+            per_residue = BYTES_PER_CLASSICAL_RESIDUE if args.classical else BYTES_PER_REGION_RESIDUE
+            _refuse_listing(dc, args.command, args.m, args.classical, per_residue)
             shift = maximal.relative_shift(dc, args.m) if args.command == "lambda" else 0
+            residues = maximal.residues(dc, args.m, shift)
             if args.classical:
-                residues = maximal.classical_residues(dc, args.m, shift)
                 count = _refuse_classical(args.command, args.m, residues)
                 blocks = _classical_blocks(dc.e, args.m, residues, args.format)
             else:
-                in_C = maximal.lambda_hat_in_C if args.command == "lambda" else maximal.gamma_hat_in_C
-                vecs = sorted(in_C(dc, args.m))
-                count, blocks = len(vecs), _list_blocks(vecs, args.format)
+                count, blocks = dc.e, _region_blocks(dc.e, args.m, residues, args.format)
             _emit_blocks(_record(dc, {"m": args.m, "count": count}), args.format, blocks)
             return 0
 
@@ -418,7 +455,7 @@ def run(argv) -> int:
 
         if args.command == "member":
             vec = _parse_vector(args.vector, args.m + 1)
-            _refuse(f"member at m = {args.m} needs about", _listing_work(dc, args.m, False))
+            _refuse_listing(dc, "member", args.m, False, BYTES_PER_MEMBER_RESIDUE)
             verdict = membership.in_generalized_H(dc, args.m, vec)
             payload = {
                 "m": args.m,

@@ -22,6 +22,7 @@ from .errors import (
     NEven,
     NonPrimeP,
     ParameterError,
+    SelfCheckError,
     SNotDividing,
     TooMuchWork,
     amount_str,
@@ -150,15 +151,16 @@ def validate_params(
         _refuse_power(q, n + 2)
         pb = 1
 
-    num = q**n + 1
-    if num % (q + 1) != 0:
-        raise SNotDividing(f"q + 1 does not divide q^n + 1 (n = {n})")
-    if (num // (q + 1)) % s != 0:
-        raise SNotDividing(f"s = {s} does not divide (q^n + 1)/(q + 1) = {amount_str(num // (q + 1))}")
+    # n is odd, so q + 1 divides q^n + 1 = (q + 1)(q^(n-1) - q^(n-2) + ... + 1).
+    cofactor = (q**n + 1) // (q + 1)
+    if cofactor % s != 0:
+        raise SNotDividing(f"s = {s} does not divide (q^n + 1)/(q + 1) = {amount_str(cofactor)}")
 
     gnum = _genus_numerator(q, pb, n, s)
     if gnum % (2 * s * pb) != 0:
-        raise ParameterError("genus formula is not an exact integer")  # unreachable for valid input
+        # Unreachable for parameters that passed the checks above: a defect, not bad input.
+        raise SelfCheckError(f"genus numerator {amount_str(gnum)} is not divisible by 2*s*p^b = "
+                             f"{amount_str(2 * s * pb)}")
     if gnum // (2 * s * pb) <= 0:
         raise GenusNotPositive(f"genus evaluates to {gnum // (2 * s * pb)}")
 

@@ -52,7 +52,7 @@ from operator import floordiv, lt, sub
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import SelfCheckError
-from .maximal import coord0, count_Lambda, enumerate_classical_Lambda, relative_shift
+from .maximal import count_Lambda, enumerate_classical_Lambda, relative_shift, residues
 from .membership import _residue_tables
 
 
@@ -328,9 +328,12 @@ def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) 
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
 
 
-def _inversions(xs: list[int]) -> int:
-    """Pairs s < t with xs[s] > xs[t] (xs distinct), by a Fenwick tree over ranks."""
+def _inversions(xs: list[int]) -> int | None:
+    """Pairs s < t with xs[s] > xs[t], by a Fenwick tree over ranks; None
+    when xs repeats a value, as two values then share a rank."""
     rank = {x: r for r, x in enumerate(sorted(xs), start=1)}
+    if len(rank) != len(xs):
+        return None
     tree = [0] * (len(xs) + 1)
     total = 0
     for seen, x in enumerate(xs):
@@ -348,28 +351,28 @@ def _inversions(xs: list[int]) -> int:
 def count_gaps_two_points(dc: DerivedConstants) -> int:
     """Exact two-point gap count sum_t (b0 + b1 - z_t) over the relative
     maximals in ascending b1, where z_t counts the earlier ones whose b0
-    exceeds that of the t-th; sum_t z_t counts the inversions of the b0."""
-    lam = sorted(enumerate_classical_Lambda(dc, 1), key=lambda b: b[1])
+    exceeds that of the t-th; sum_t z_t counts the inversions of the b0 in
+    b1 order, which are those of the b1 in b0 order, the listing's."""
+    lam = enumerate_classical_Lambda(dc, 1)
+    inversions = _inversions([b[1] for b in lam])
     # The formula needs all first and all second coordinates pairwise distinct.
-    if len({b[0] for b in lam}) != len(lam) or len({b[1] for b in lam}) != len(lam):
+    if inversions is None or not all(a[0] < b[0] for a, b in zip(lam, islice(lam, 1, None))):
         raise SelfCheckError(f"relative maximals of {dc.params} at m = 1 have repeated coordinates")
-    return sum(b[0] + b[1] for b in lam) - _inversions([b[0] for b in lam])
+    return sum(map(sum, lam)) - inversions
 
 
-def _box_volume_sum(c: int, rho: int, e: int, m: int) -> int:
+def _box_volume_sum(T: int, d: int, rho: int, e: int, m: int) -> int:
     """Sum over r of prod_{s != r} beta_s, over the vectors
-    beta = (c - eK, k1*e + rho, ..., km*e + rho) with k >= 0, K = sum(k) <= T = c // e.
+    beta = (c - eK, k1*e + rho, ..., km*e + rho) with k >= 0, K = sum(k) <= T,
+    for c = d + e*T, T >= 0 and d in [0, e - 1].
 
     The shift coordinates have generating function A(x) = sum_k (k*e + rho)*x^k
     = (rho + (e - rho)*x)/(1 - x)^2, so A^j = sum_i w_j(i)*x^i/(1 - x)^(2j) with
     w_j(i) = C(j, i)*rho^(j - i)*(e - rho)^i.  r = 0 gives [x^T] A^m/(1 - x).
     Each r >= 1 fixes k_r; the other tuples of sum K' contribute
-    sum_{K=K'}^{T} (c - eK) = d*(n + 1) + e*C(n + 1, 2), n = T - K', d = c mod e,
+    sum_{K=K'}^{T} (c - eK) = d*(n + 1) + e*C(n + 1, 2), n = T - K',
     so the term is [x^T] A^(m-1)*(d/(1 - x)^2 + e*x/(1 - x)^3).  O(m) binomials.
     """
-    T, d = divmod(c, e)
-    if T < 0:
-        return 0
 
     def w(j, i):
         return comb(j, i) * rho ** (j - i) * (e - rho) ** i
@@ -382,10 +385,10 @@ def _box_volume_sum(c: int, rho: int, e: int, m: int) -> int:
 
 def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
     """Sum over the classical relative maximals of the shifted-box volumes,
-    in closed form per residue rho."""
-    check_m(dc, m)
-    shift = relative_shift(dc, m)
-    return sum(_box_volume_sum(coord0(dc, m, rho) + shift, rho, dc.e, m) for rho in range(dc.e))
+    in closed form per residue with top >= 0 (maximal.residues at the
+    relative shift)."""
+    rhos, tops = residues(dc, m, relative_shift(dc, m))
+    return sum(_box_volume_sum(top, c, rho, dc.e, m) for c, (rho, top) in enumerate(zip(rhos, tops)) if top >= 0)
 
 
 def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable) -> dict[str, bool]:

@@ -17,21 +17,27 @@ relative_shift(dc, m) = (m-1)e at P_inf, so the relative side needs no
 family of its own: realize gives the absolute vector, and the relative
 side adds the shift to its first coordinate.
 
-The classical listings (every coordinate >= 0) take one pass over the e
-residues, classical_residues, which keeps each residue's class and largest
-shift sum; count_classical sums over that list, and walk_classical lists
-from it in lexicographic order, one vector per (rho, ks): distinct
-parameters realize distinct vectors, so no set removes repeats, and the
-order follows from the closed form, so nothing sorts them.  The walk shares
-the shift tails among the vectors that end in them and is generic in the
-piece it joins per shift: _enumerate_classical joins 1-tuples into the
-vectors, and the command line joins rendered cells into rows without
-building a vector, after counting and pricing the listing from the same
-residues.
+Every consumer on the formula side reads the e residues from one O(e)
+pass, residues(dc, m, shift): per class c of the first coordinate mod e,
+the rho and the top with coord0 + shift = c + e*top.  The fundamental-
+region sets (gamma_hat_in_C, lambda_hat_in_C) are the vectors
+(c + e*top, rho, ..., rho); the classical listings (every coordinate
+>= 0) take the residues with top >= 0, whose shift sums run over
+[0, top]; count_classical sums over them, gaps.gap_count_upper_bound sums
+their box volumes, and walk_classical lists them in lexicographic order,
+one vector per (rho, ks): distinct parameters realize distinct vectors,
+so no set removes repeats, and the order follows from the closed form,
+so nothing sorts them.  The walk shares the shift tails among the
+vectors that end in them and is generic in the piece it joins per shift:
+_enumerate_classical joins 1-tuples into the vectors, and the command
+line joins rendered cells into rows without building a vector, after
+counting and pricing the listing from the same residues.  The command
+line's fundamental-region listing streams from the residues too.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -76,16 +82,20 @@ def realize(dc: DerivedConstants, m: int, elem: MaximalElement) -> tuple[int, ..
     return (coord0(dc, m, rho) - sum(ks) * dc.e,) + tuple(k * dc.e + rho for k in ks)
 
 
+def _hat_in_C(dc: DerivedConstants, m: int, shift: int) -> set[tuple[int, ...]]:
+    """The e maximals translated by shift inside the fundamental region,
+    read off residues: (c + e*top, rho, ..., rho) for each class c."""
+    return {(c + dc.e * top,) + (rho,) * m for c, (rho, top) in enumerate(zip(*residues(dc, m, shift)))}
+
+
 def gamma_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     """Absolute maximals inside the fundamental region: e vectors incl. 0."""
-    check_m(dc, m)
-    return {(coord0(dc, m, rho),) + (rho,) * m for rho in range(dc.e)}
+    return _hat_in_C(dc, m, 0)
 
 
 def lambda_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     """Relative maximals inside the fundamental region: e vectors."""
-    shift = relative_shift(dc, m)
-    return {(v[0] + shift,) + v[1:] for v in gamma_hat_in_C(dc, m)}
+    return _hat_in_C(dc, m, relative_shift(dc, m))
 
 
 def _tails(heads: list, parts: int) -> list[list]:
@@ -108,37 +118,39 @@ def _tails(heads: list, parts: int) -> list[list]:
     return level
 
 
-def classical_residues(dc: DerivedConstants, m: int, shift: int) -> list[tuple[int, int, int]]:
-    """The residues of the classical listing translated by shift at P_inf,
-    in O(e): (c, rho, top) for each residue with top >= 0, c ascending,
-    where coord0 + shift = c + e*top with c in [0, e - 1].
+def residues(dc: DerivedConstants, m: int, shift: int) -> tuple[array, array]:
+    """The e residues translated by shift at P_inf, in O(e), as two arrays
+    indexed by class: rhos[c] and tops[c] for the residue rho with
+    coord0 + shift = c + e*top, c in [0, e - 1].
 
-    The first coordinate c + e*(top - sum(ks)) is >= 0 iff sum(ks) <= top,
-    so a residue with top < 0 lists nothing.  No two residues share a class
-    c: at m = 1 both would have first coordinate c with zero shifts, and the
-    m = 1 first coordinates are 0 and the gaps at P_inf, each once.  The
-    class of a residue is the same at every m and for both shifts, and a
-    residue listed at m > 1 is listed at m = 1.  A shared class is a defect,
-    as in gaps.count_gaps_two_points, and raises SelfCheckError.  As the
-    classes are distinct residues mod e, they are placed by index, unsorted.
+    The e first coordinates coord0 fall in distinct classes mod e (as
+    membership._residue_tables also checks), so each class holds exactly
+    one residue: two live residues of one class would list its first
+    coordinate twice at m = 1.  coord0 drops by e per unit of m, so the
+    class of a residue is the same at every m and for both shifts.  A
+    shared class is a defect, as in gaps.count_gaps_two_points, and raises
+    SelfCheckError.
+
+    The classical listing (every coordinate >= 0) of a residue takes the
+    shift vectors ks with sum(ks) <= top: its first coordinate is
+    c + e*(top - sum(ks)).  So a residue with top < 0 lists nothing, and a
+    residue listed at m > 1 is listed at m = 1.
     """
     check_m(dc, m)
     e = dc.e
-    by_class: list = [None] * e
+    rhos, tops = array("q", [-1]) * e, array("q", bytes(8 * e))
     for rho in range(e):
         top, c = divmod(coord0(dc, m, rho) + shift, e)
-        if top < 0:
-            continue
-        if by_class[c] is not None:
-            raise SelfCheckError(f"residues {by_class[c][1]} and {rho} of {dc.params} at m = {m} share "
+        if rhos[c] >= 0:
+            raise SelfCheckError(f"residues {rhos[c]} and {rho} of {dc.params} at m = {m} share "
                                  f"the class {c} of the first coordinate mod e")
-        by_class[c] = (c, rho, top)
-    return [entry for entry in by_class if entry is not None]
+        rhos[c], tops[c] = rho, top
+    return rhos, tops
 
 
-def walk_classical(e: int, m: int, residues: list, piece):
-    """The vectors of the classical listing of residues (classical_residues),
-    one per (rho, ks), walked by first coordinate x ascending.
+def walk_classical(e: int, m: int, residues: tuple[array, array], piece):
+    """The vectors of the classical listing of residues (the residues
+    arrays), one per (rho, ks), walked by first coordinate x ascending.
 
     Yields (i, live) for i = 0, 1, ...: live holds (c, rho, top, shared)
     for each residue with top >= i, c ascending, and stands for the first
@@ -158,13 +170,11 @@ def walk_classical(e: int, m: int, residues: list, piece):
     or in some k, so none repeats, and nothing is sorted.
     """
     live = []
-    for c, rho, top in residues:
-        shared = None
-        if m > 1:
-            heads = [piece(k * e + rho) for k in range(top + 1)]
-            shared = heads, _tails(heads, m - 1)
-        live.append((c, rho, top, shared))
-    for i in range(max([top for _, _, top in residues], default=-1) + 1):
+    for c, (rho, top) in enumerate(zip(*residues)):
+        if top >= 0:
+            heads = [piece(k * e + rho) for k in range(top + 1)] if m > 1 else None
+            live.append((c, rho, top, (heads, _tails(heads, m - 1)) if heads else None))
+    for i in range(max(residues[1]) + 1):
         live = [entry for entry in live if entry[2] >= i]
         yield i, live
 
@@ -174,7 +184,7 @@ def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple
     concatenation (x, k_1*e + rho) + tail per vector."""
     e = dc.e
     out = []
-    for i, live in walk_classical(e, m, classical_residues(dc, m, shift), lambda y: (y,)):
+    for i, live in walk_classical(e, m, residues(dc, m, shift), lambda y: (y,)):
         if m == 1:
             out += [(c + e * i, (top - i) * e + rho) for c, rho, top, _ in live]
             continue
@@ -196,15 +206,15 @@ def enumerate_classical_Lambda(dc: DerivedConstants, m: int) -> list[tuple[int, 
     return _enumerate_classical(dc, m, relative_shift(dc, m))
 
 
-def count_classical(residues: list, m: int) -> int:
-    """Closed-form length of the classical listing of residues
-    (classical_residues): the shift sums of the member for rho run over
+def count_classical(residues: tuple[array, array], m: int) -> int:
+    """Closed-form length of the classical listing of residues (the
+    residues arrays): the shift sums of a residue with top >= 0 run over
     [0, top], and comb(top + m, m) shift vectors have sum <= top."""
-    return sum(comb(top + m, m) for _, _, top in residues)
+    return sum(comb(top + m, m) for top in residues[1] if top >= 0)
 
 
 def count_Lambda(dc: DerivedConstants, m: int) -> int:
     """Closed-form cardinality of the classical relative-maximal set
     (count_classical at the relative shift), in O(e).  Each top is the same
     at every m, since the relative shift cancels the m-dependence of coord0."""
-    return count_classical(classical_residues(dc, m, relative_shift(dc, m)), m)
+    return count_classical(residues(dc, m, relative_shift(dc, m)), m)

@@ -8,28 +8,34 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps import gaps, maximal, oracle
+from wsgaps import cli, gaps, maximal, oracle
 from wsgaps.cli import (
     BYTE_LIMIT,
+    BYTES_PER_CLASSICAL_RESIDUE,
+    BYTES_PER_MEMBER_RESIDUE,
+    BYTES_PER_REGION_RESIDUE,
     BYTES_PER_VECTOR,
     WORK_LIMIT,
     _counts_work,
     _emit_blocks,
     _encode,
-    _list_blocks,
     _listing_work,
     _record,
     _refuse_classical,
     _refuse_gaps,
+    _refuse_listing,
     _refuse_verify,
+    _region_blocks,
     _table_blocks,
     run,
 )
@@ -434,9 +440,10 @@ def test_listings_admit_every_sweep_case(sweep):
 
 def _largest_classical_coordinate(dc, m: int, shift: int) -> int:
     """The largest coordinate of the classical listing translated by shift,
-    read off its residues: x = c + e*top at zero shifts, and coordinate 1
-    is top*e + rho at k_1 = top."""
-    return max(max(c, rho) + top * dc.e for c, rho, top in maximal.classical_residues(dc, m, shift))
+    read off its residues with top >= 0: x = c + e*top at zero shifts, and
+    coordinate 1 is top*e + rho at k_1 = top."""
+    rhos, tops = maximal.residues(dc, m, shift)
+    return max(max(c, rho) + top * dc.e for c, (rho, top) in enumerate(zip(rhos, tops)) if top >= 0)
 
 
 def test_listing_bound_holds_every_coordinate(sweep):
@@ -444,7 +451,7 @@ def test_listing_bound_holds_every_coordinate(sweep):
     is the largest |x| over every coordinate of the `gamma --classical`
     (shift 0) and `lambda --classical` (shift relative_shift) listings:
     every sweep case with g <= 600, at every m.  The e-vector listings have
-    no such bound; _list_blocks measures their coordinates."""
+    no such bound; _region_blocks measures their first coordinates."""
     for dc in sweep:
         if dc.genus > 600:
             continue
@@ -469,21 +476,54 @@ def test_classical_listing_bound_is_within_its_step_estimate(sweep):
 
 def test_classical_listings_refuse_by_bytes_only_what_cannot_fit(capsys):
     """Y(5,9,7) at m = 2 passes the step estimate (97,935,318 steps), and
-    the streamed `lambda --classical` (27,101,250 vectors) peaks at about
-    664 MiB, so its byte estimate is admitted.  At m = 3 the listing would
-    hold 170,958,196 vectors, above the byte limit, but the command is
-    refused on its steps first, before the O(e) count."""
+    the streamed `lambda --classical` (27,101,250 vectors from 279,018
+    residues) peaks at about 664 MiB, so its byte estimate is admitted.  At
+    m = 3 the listing would hold 170,958,196 vectors, above the byte limit,
+    but the command is refused on its steps first, before the O(e) count."""
     dc = curve("Y", q=5, n=9, s=7)
     assert _listing_work(dc, 2, True) == 97_935_318
-    residues = {m: maximal.classical_residues(dc, m, maximal.relative_shift(dc, m)) for m in (2, 3)}
+    residues = {m: maximal.residues(dc, m, maximal.relative_shift(dc, m)) for m in (2, 3)}
     assert _refuse_classical("lambda", 2, residues[2]) == 27_101_250
-    assert 27_101_250 * BYTES_PER_VECTOR <= BYTE_LIMIT
-    with pytest.raises(TooMuchWork, match=f"lists 170958196 vectors, about {170958196 * BYTES_PER_VECTOR} bytes"):
+    assert dc.e == 279_018 and 27_101_250 * BYTES_PER_VECTOR + dc.e * BYTES_PER_CLASSICAL_RESIDUE <= BYTE_LIMIT
+    estimate = 170958196 * BYTES_PER_VECTOR + dc.e * BYTES_PER_CLASSICAL_RESIDUE
+    with pytest.raises(TooMuchWork, match=f"lists 170958196 vectors, about {estimate} bytes"):
         _refuse_classical("lambda", 3, residues[3])
     argv = ["lambda", "--family", "Y", "--q", "5", "--n", "9", "--s", "7", "--m", "3", "--classical"]
     _assert_refused_at_once(argv)
     assert run(argv) == 2
     assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["member", "--vector", "1,1,1"], ["gamma"]])
+def test_listings_refuse_what_their_residues_cannot_hold(flags, capsys):
+    """Y(2,25,1) at m = 2 passes the step estimate (e*m = 67,108,866), but
+    `member` would build its residue tables for e = 33,554,433 residues
+    (about 9.1 GB at BYTES_PER_MEMBER_RESIDUE) and `gamma` would sort them
+    (about 3.0 GB at BYTES_PER_REGION_RESIDUE): both exit 2 at once."""
+    argv = [flags[0], "--family", "Y", "--q", "2", "--n", "25", "--s", "1", "--m", "2", *flags[1:]]
+    dc = curve("Y", q=2, n=25, s=1)
+    assert _listing_work(dc, 2, False) == 67_108_866 <= WORK_LIMIT
+    _assert_refused_at_once(argv)
+    assert run(argv) == 2
+    per_residue = BYTES_PER_MEMBER_RESIDUE if flags[0] == "member" else BYTES_PER_REGION_RESIDUE
+    assert (f"keeps 33554433 residues, about {33554433 * per_residue} bytes, above the limit {BYTE_LIMIT}"
+            in capsys.readouterr().err)
+
+
+def test_listings_admit_what_their_residues_can_hold():
+    """The per-residue prices admit the listings measured at e = 2,097,153:
+    `member` on Y(2,21,1) at m = 1 and 2 (452 MiB), the fundamental-region
+    `gamma` and `lambda` there at m = 1 and 2 (159 MiB), `lambda --classical`
+    there at m = 2 (4,893,354 vectors, 1,178 MiB) and `gamma --classical` on
+    X(2,1,1,21,1) at m = 1 (1,048,576 vectors, 339 MiB)."""
+    y, x = curve("Y", q=2, n=21, s=1), curve("X", p=2, a=1, b=1, n=21, s=1)
+    for m in (1, 2):
+        _refuse_listing(y, "member", m, False, BYTES_PER_MEMBER_RESIDUE)
+        for command in ("gamma", "lambda"):
+            _refuse_listing(y, command, m, False, BYTES_PER_REGION_RESIDUE)
+    for dc, command, m, shift in ((y, "lambda", 2, y.e), (x, "gamma", 1, 0)):
+        _refuse_listing(dc, command, m, True, BYTES_PER_CLASSICAL_RESIDUE)
+        _refuse_classical(command, m, maximal.residues(dc, m, shift))
 
 
 def _flags(dc) -> list[str]:
@@ -494,26 +534,31 @@ def _flags(dc) -> list[str]:
 
 def test_streamed_classical_listings_are_the_encoder_output(sweep):
     """`gamma --classical` and `lambda --classical`, streamed from
-    maximal.walk_classical, against the reference renderings of the tuple
-    listings: every sweep case with g <= 600, at every m, in JSON and TSV."""
+    maximal.walk_classical, and the fundamental-region `gamma` and
+    `lambda`, streamed from the sorted residues, against the reference
+    renderings of the tuple listings (the fundamental-region sets sorted):
+    every sweep case with g <= 600, at every m, in JSON and TSV."""
     checked = 0
     for dc in sweep:
         if dc.genus > 600:
             continue
         for m in range(1, dc.max_m + 1):
-            for command, listing in (("gamma", maximal.enumerate_classical_Gamma),
-                                     ("lambda", maximal.enumerate_classical_Lambda)):
+            for command, flags, listing in (
+                    ("gamma", ["--classical"], maximal.enumerate_classical_Gamma),
+                    ("lambda", ["--classical"], maximal.enumerate_classical_Lambda),
+                    ("gamma", [], lambda dc, m: sorted(maximal.gamma_hat_in_C(dc, m))),
+                    ("lambda", [], lambda dc, m: sorted(maximal.lambda_hat_in_C(dc, m)))):
                 vectors = listing(dc, m)
                 record = _record(dc, {"m": m, "vectors": vectors, "count": len(vectors)})
                 for fmt in ("json", "tsv"):
                     fast, reference = io.StringIO(), io.StringIO()
                     with redirect_stdout(fast):
-                        assert run([command, *_flags(dc), "--m", str(m), "--classical", "--format", fmt]) == 0
+                        assert run([command, *_flags(dc), "--m", str(m), *flags, "--format", fmt]) == 0
                     with redirect_stdout(reference):
                         _reference_emit(record, fmt)
-                    assert fast.getvalue() == reference.getvalue(), (dc.params, command, m, fmt)
+                    assert fast.getvalue() == reference.getvalue(), (dc.params, command, flags, m, fmt)
                     checked += 1
-    assert checked >= 200
+    assert checked >= 400
 
 
 def test_integers_past_the_str_limit_print_exactly():
@@ -640,50 +685,55 @@ def _reference_emit(record, fmt):
             print("\t".join(str(x) for x in v))
 
 
-# JSON-safe coordinates, up to +-2**53 itself, and ones past it.
-_SAFE = st.one_of(st.integers(-300, 10**6), st.sampled_from([2**53 - 1, 2**53, -(2**53) + 1, -(2**53)]))
-_PAST = st.one_of(st.sampled_from([2**53 + 1, -(2**53) - 1, 2**64, -(2**64)]), st.integers(-2**60, 2**60))
+# First coordinates at and around +-2**53, and ones far past it.
+_EDGES = [2**53 - 1, 2**53, 2**53 + 1, -(2**53) + 1, -(2**53), -(2**53) - 1, 2**60, -(2**60)]
 
 
 @st.composite
-def _vector_payload(draw):
-    m = draw(st.integers(1, 4))
-    vectors = draw(st.lists(st.lists(_SAFE, min_size=m + 1, max_size=m + 1), max_size=8))
-    if vectors and draw(st.booleans()):
-        vectors[draw(st.integers(0, len(vectors) - 1))][draw(st.integers(0, m))] = draw(_PAST)
-    vectors = sorted(map(tuple, vectors))
-    return {"m": m, "vectors": vectors, "count": len(vectors)}
+def _residue_listing(draw):
+    """Hand-built residues of a fundamental-region listing: e, m and the
+    arrays (rhos, tops) by class, rhos a permutation of range(e), with up
+    to three first coordinates x = c + e*top at or past +-2^53."""
+    e, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rhos = draw(st.permutations(range(e)))
+    tops = draw(st.lists(st.integers(-40, 40), min_size=e, max_size=e))
+    for x in draw(st.lists(st.sampled_from(_EDGES), max_size=3)):
+        tops[x % e] = x // e
+    return e, m, (array("q", rhos), array("q", tops))
 
 
-def _emit_list(dc, payload, fmt):
-    """Write a listing's record as the command line does: its vectors
-    through _list_blocks, the rest of the payload through _record."""
-    fields = {k: v for k, v in payload.items() if k != "vectors"}
-    _emit_blocks(_record(dc, fields), fmt, _list_blocks(payload["vectors"], fmt))
+def _emit_region(dc, e, m, residues, fmt):
+    """Write a fundamental-region listing as the command line does: its
+    rows through _region_blocks, the rest of the record through _record."""
+    _emit_blocks(_record(dc, {"m": m, "count": e}), fmt, _region_blocks(e, m, residues, fmt))
 
 
 @settings(max_examples=400, deadline=None)
-@given(_vector_payload(), st.sampled_from(["json", "tsv"]))
-def test_emit_matches_the_encoder(y231, payload, fmt):
-    """_list_blocks measures its own coordinates: every one at or past 2^53
-    comes out as the encoder writes it, in a list of any length."""
+@given(_residue_listing(), st.sampled_from(["json", "tsv"]), st.integers(1, 3))
+def test_emit_matches_the_encoder(y231, listing, fmt, rows):
+    """_region_blocks sorts the residues and measures the ends of its list:
+    every first coordinate at or past 2^53 comes out as the encoder writes
+    it, in blocks of any size."""
+    e, m, (rhos, tops) = listing
+    vectors = sorted((c + e * top,) + (rho,) * m for c, (rho, top) in enumerate(zip(rhos, tops)))
     fast, reference = io.StringIO(), io.StringIO()
-    with redirect_stdout(fast):
-        _emit_list(y231, payload, fmt)
+    with redirect_stdout(fast), patch.object(cli, "_REGION_ROWS", rows):
+        _emit_region(y231, e, m, (rhos, tops), fmt)
     with redirect_stdout(reference):
-        _reference_emit(_record(y231, payload), fmt)
+        _reference_emit(_record(y231, {"m": m, "vectors": vectors, "count": e}), fmt)
     assert fast.getvalue() == reference.getvalue()
 
 
 def test_emit_encodes_past_2_53(y231, capsys):
-    """One coordinate past 2^53 sends every coordinate through _encode: the
-    ones past 2^53 come out as decimal strings, the others as numbers."""
-    payload = {"m": 1, "vectors": [(0, 2**53 + 1), (5, -(2**53) - 7)], "count": 2}
-    _emit_list(y231, payload, "json")
+    """A first coordinate past 2^53 at either end of the sorted list sends
+    every first coordinate through _encode: the ones past 2^53 come out as
+    decimal strings, the others as numbers."""
+    residues = (array("q", [1, 0, 2]), array("q", [-(2**52), 2**52, 1]))  # x = -3*2^52, 1 + 3*2^52, 5
+    _emit_region(y231, 3, 1, residues, "json")
     assert json.loads(capsys.readouterr().out)["payload"]["vectors"] == [
-        [0, "9007199254740993"], [5, "-9007199254740999"]]
-    _emit_list(y231, payload, "tsv")
-    assert capsys.readouterr().out == "0\t9007199254740993\n5\t-9007199254740999\n"
+        ["-13510798882111488", 1], [5, 2], ["13510798882111489", 0]]
+    _emit_region(y231, 3, 1, residues, "tsv")
+    assert capsys.readouterr().out == "-13510798882111488\t1\n5\t2\n13510798882111489\t0\n"
 
 
 # The curves the streamed-emitter test draws from.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsgaps import curves
 from wsgaps.curves import (
     POWER_BITS,
     MonomialExponents,
@@ -25,6 +26,7 @@ from wsgaps.errors import (
     NEven,
     NonPrimeP,
     ParameterError,
+    SelfCheckError,
     SNotDividing,
     TooMuchWork,
 )
@@ -40,6 +42,22 @@ def test_validate_y_231_ok():
 def test_validate_s_not_dividing():
     with pytest.raises(SNotDividing):
         validate_params("Y", q=2, n=3, s=2)
+
+
+def test_odd_n_gives_an_integral_cofactor_and_genus():
+    """n is odd, so q + 1 divides q^n + 1, and validation has no check for
+    it; an inexact genus numerator would be a defect of this package, not
+    bad input, and raises SelfCheckError (exit 1 at the command line, not
+    the exit 2 of ParameterError)."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for n in (3, 5, 7, 9, 11):
+            assert (q**n + 1) % (q + 1) == 0
+    assert not issubclass(SelfCheckError, ParameterError)
+    real = curves._genus_numerator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "_genus_numerator", lambda q, pb, n, s: real(q, pb, n, s) + 1)
+        with pytest.raises(SelfCheckError, match="genus numerator 21 is not divisible by 2\\*s\\*p\\^b = 2"):
+            validate_params("Y", q=2, n=3, s=1)
 
 
 def test_validate_genus_not_positive():

@@ -179,8 +179,6 @@ def _reference_box_volume_sum(c, rho, e, m):
     r >= 1 fixes k_r and gives, over the other tuples of sum K',
     p_{m-1}[K'] * sum_{K=K'}^{T} (c - eK), an arithmetic series."""
     T = c // e
-    if T < 0:
-        return 0
     p1 = [k * e + rho for k in range(T + 1)]
     p = [1] + [0] * T
     for _ in range(m):
@@ -193,13 +191,14 @@ def _reference_box_volume_sum(c, rho, e, m):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_box_volume_closed_form_is_the_convolution(data):
-    """Below the first class (c < 0), inside it (0 <= c < e), rho = 0 and
-    m up to 6, besides general draws."""
+    """The volume of the residue with top T and class d, c = d + e*T: in
+    the first class (T = 0), rho = 0 and m up to 6, besides general draws."""
     e = data.draw(st.integers(1, 40))
-    c = data.draw(st.one_of(st.integers(-3 * e, -1), st.integers(0, e - 1), st.integers(-e, 60 * e)))
+    T = data.draw(st.one_of(st.just(0), st.integers(0, 60)))
+    d = data.draw(st.integers(0, e - 1))
     rho = data.draw(st.one_of(st.just(0), st.integers(0, e - 1)))
     m = data.draw(st.integers(1, 6))
-    assert _box_volume_sum(c, rho, e, m) == _reference_box_volume_sum(c, rho, e, m)
+    assert _box_volume_sum(T, d, rho, e, m) == _reference_box_volume_sum(d + e * T, rho, e, m)
 
 
 def test_gap_count_upper_bound(y231, x21131):

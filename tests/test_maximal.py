@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from wsgaps import maximal
 from wsgaps.curves import curve, simplex_points
 from wsgaps.errors import BadIndexPair, LengthMismatch, SelfCheckError
+from wsgaps.gaps import gap_count_upper_bound
 from wsgaps.maximal import (
     MaximalElement,
-    classical_residues,
     coord0,
     count_classical,
     count_Lambda,
@@ -20,6 +20,7 @@ from wsgaps.maximal import (
     pair_from_residue,
     realize,
     relative_shift,
+    residues,
 )
 
 Y231_GAMMA_HAT = {
@@ -228,38 +229,44 @@ def test_tails_join_tuple_and_string_pieces_alike(parts):
                       for r in range(top + 1)]
 
 
-def test_classical_residues_are_the_live_residues_in_class_order(sweep):
-    """classical_residues holds (c, rho, top) with coord0 + shift = c + e*top
-    for exactly the residues with top >= 0, c strictly ascending in
-    [0, e - 1]; count_classical of it is the length of the listing.  Every
+def test_residues_hold_one_residue_per_class(sweep):
+    """residues holds, for every class c in [0, e - 1], exactly one residue
+    rho and its top, with coord0 + shift = c + e*top; count_classical of it
+    is the length of the classical listing, and the vectors
+    (c + e*top, rho, ..., rho) are the fundamental-region set.  Every
     sweep case at every m and both shifts; listings up to g <= 600."""
     for dc in sweep:
         for m in range(1, dc.max_m + 1):
-            for shift, listing in ((0, enumerate_classical_Gamma),
-                                   (relative_shift(dc, m), enumerate_classical_Lambda)):
-                residues = classical_residues(dc, m, shift)
-                classes = [c for c, _, _ in residues]
-                assert classes == sorted(set(classes)) and 0 <= classes[0] and classes[-1] < dc.e
-                assert all(top >= 0 and c + dc.e * top == coord0(dc, m, rho) + shift for c, rho, top in residues)
-                assert {rho for _, rho, _ in residues} == {
-                    rho for rho in range(dc.e) if coord0(dc, m, rho) + shift >= 0}, (dc.params, m, shift)
+            for shift, listing, in_C in ((0, enumerate_classical_Gamma, gamma_hat_in_C),
+                                         (relative_shift(dc, m), enumerate_classical_Lambda, lambda_hat_in_C)):
+                rhos, tops = residues(dc, m, shift)
+                assert len(rhos) == len(tops) == dc.e
+                assert sorted(rhos) == list(range(dc.e)), (dc.params, m, shift)
+                assert all(c + dc.e * top == coord0(dc, m, rho) + shift
+                           for c, (rho, top) in enumerate(zip(rhos, tops))), (dc.params, m, shift)
+                assert in_C(dc, m) == {(c + dc.e * top,) + (rho,) * m for c, (rho, top) in enumerate(zip(rhos, tops))}
                 if dc.genus <= 600:
-                    assert count_classical(residues, m) == len(listing(dc, m)), (dc.params, m, shift)
+                    assert count_classical((rhos, tops), m) == len(listing(dc, m)), (dc.params, m, shift)
 
 
 def test_shared_first_coordinate_class_is_a_defect(y231, monkeypatch):
     """Two residues whose first coordinates agree mod e would list the same
-    first coordinate twice at m = 1; classical_residues, and with it every
-    classical listing and count, refuses, as for any self-check, instead of
-    emitting them out of order."""
+    first coordinate twice at m = 1; residues, and with it every listing,
+    count and box-volume sum of the formula side, refuses, as for any
+    self-check, instead of emitting them out of order.  The check runs
+    over all e residues, also those with no classical vector: rho = 6 of
+    Y(2,3,1) has coord0 = -3, top = -1 and class 6."""
     real = maximal.coord0
     monkeypatch.setattr(maximal, "coord0", lambda dc, m, rho: real(dc, m, 1) if rho == 2 else real(dc, m, rho))
     with pytest.raises(SelfCheckError, match="residues 1 and 2 of .* share the class 1 "):
-        classical_residues(y231, 1, 0)
-    with pytest.raises(SelfCheckError, match="share the class"):
-        enumerate_classical_Gamma(y231, 1)
-    with pytest.raises(SelfCheckError, match="share the class"):
-        count_Lambda(y231, 1)
+        residues(y231, 1, 0)
+    for formula in (enumerate_classical_Gamma, count_Lambda, gamma_hat_in_C, lambda_hat_in_C,
+                    gap_count_upper_bound):
+        with pytest.raises(SelfCheckError, match="share the class"):
+            formula(y231, 1)
+    monkeypatch.setattr(maximal, "coord0", lambda dc, m, rho: real(dc, m, 6) if rho == 7 else real(dc, m, rho))
+    with pytest.raises(SelfCheckError, match="residues 6 and 7 of .* share the class 6 "):
+        residues(y231, 1, 0)
 
 
 def test_delta_lambda_zero_injective(y231):
