@@ -25,9 +25,11 @@ vector set nor its sort is built.  A gap table (`gaps`) is streamed the
 same way: walking alpha_0 upwards, each alpha_0's rows are one str.join of
 its rendering and the renderings of its tails, each tail rendered once,
 so neither a row list nor the gap set is ever built.
-GapTable.walk hands over each alpha_0's renderings as a list it filters
-from the class's previous one with a byte mask of the tails' gap counts,
-so the walk runs no Python code per tail.  The bytes equal
+A table stores one gap count per (tail, class of alpha_0), as a byte, and
+GapTable.walk reads those counts as stored: it hands over each alpha_0's
+renderings as a list it filters from the class's previous one with a
+byte mask of the counts, so the walk runs no Python code per tail and
+converts nothing.  The bytes equal
 json.dumps(indent=1) of the encoded record, and the per-row prints of TSV.
 Only the fundamental-region listing tests coordinates against 2^53: its
 rho are below e, within its step estimate, so it reads the first
@@ -36,7 +38,7 @@ _encode only when one exceeds 2^53.  The streamed outputs scan no
 coordinate and need no test: every coordinate of an admitted classical
 listing is at most its step estimate, below WORK_LIMIT (_listing_work),
 and a gap table's lie in [0, bound], where a bound past 2^53 would mean
-more than 2^53*e caps, far above what `gaps` admits.
+more than 2^53*e table entries, far above what `gaps` admits.
 """
 
 from __future__ import annotations
@@ -55,14 +57,17 @@ from .errors import WORK_LIMIT, TooMuchWork, WsgapsError, amount_str, exact_str
 
 SCHEMA_VERSION = "1"
 _JSON_SAFE = 2**53
-# Peak resident bytes of `gaps` per entry of its caps table (comb(bound + m,
-# m) tails, e classes each): both routes' tables, the emitter's per-class
-# gap counts and labels, and the interpreter.  Measured 17.70 on Y(4,5,1)
-# at m = 1, 17.71-17.77 on Y(3,3,1) at m = 2 up to degree 1000 and 22.72
-# (20.53 pure) on Y(2,3,3) at m = 1 up to degree 3*10^6, where e = 3 leaves
-# the per-tail arrays the most weight; the residue-tail scan keeps one row
-# per residue tail besides.
-BYTES_PER_ENTRY = 24
+# Peak resident bytes of `gaps` per entry of its table (comb(bound + m, m)
+# tails, E classes each): both routes' tables of one-byte gap counts, the
+# emitter's per-class copy of the rows with a gap and its tail renderings,
+# the Lambda route's per-tail arrays and the interpreter.  Measured with
+# scripts/peak_rss.py, stdout to /dev/null: 8.3 on Y(4,5,1) at m = 1, 4.4 on
+# Y(3,3,1) at m = 2 up to degree 1000 and 7.2 (7.3 pure) on Y(2,3,3) at
+# m = 1 up to degree 3*10^6, where e = 3 leaves the per-tail arrays the most
+# weight.  The step estimate counts every entry, so an admitted table has at
+# most WORK_LIMIT entries, about 0.9 GB at this price, under BYTE_LIMIT:
+# `gaps` needs no byte refusal of its own.
+BYTES_PER_ENTRY = 9
 # Peak resident bytes of `verify` per monomial of the oracle's box
 # (count_monomials_in_box): the set of their valuation vectors, the gap
 # tables and the interpreter.  Measured 187-202 on Y(2,3,1) at m = 2 up to
@@ -100,10 +105,10 @@ BYTES_PER_REGION_RESIDUE = 88
 #   X(2,1,1,21,1), 254 on Y(3,13,1) at m = 1 and 3; just past a doubling of
 #   the dict's table an entry takes about 8 more.
 BYTES_PER_MEMBER_RESIDUE = 272
-# Largest memory estimate `gaps`, `verify`, `counts`, `member` and the
-# listings run, a quarter of an 8 GB desk machine; above it the command exits
-# 2 at once instead of crowding out the rest of the machine.  Near WORK_LIMIT
-# a table would take about 2.4 GB.
+# Largest memory estimate `verify`, `counts`, `member` and the listings run,
+# a quarter of an 8 GB desk machine; above it the command exits 2 at once
+# instead of crowding out the rest of the machine.  Near WORK_LIMIT a `gaps`
+# table takes about 0.9 GB.
 BYTE_LIMIT = 2 * 10**9
 
 
@@ -265,27 +270,26 @@ def _refuse_above_limit(dc, command: str, m: int, bound: int, closed_form: int) 
 
 
 def _refuse_gaps(dc, m: int, bound: int) -> None:
-    """`gaps` by steps (comb(bound + m, m) threshold-scan tails with e
-    classes each, plus the volume) and by bytes (the caps table, one entry
-    per tail and class)."""
-    entries = comb(bound + m, m) * dc.e
-    _refuse_above_limit(dc, "gaps", m, bound, entries)
-    _refuse(f"gaps at m = {m} keeps {amount_str(entries)} table entries, about", entries * BYTES_PER_ENTRY,
-            "bytes", BYTE_LIMIT)
+    """`gaps` by steps: comb(bound + m, m) threshold-scan tails with E
+    classes each, one table entry per tail and class, plus the volume.  An
+    admitted table fits in memory (BYTES_PER_ENTRY)."""
+    _refuse_above_limit(dc, "gaps", m, bound, comb(bound + m, m) * gaps_mod.table_classes(dc, bound))
 
 
-def _refuse_verify(dc, m: int, bound: int) -> None:
+def _refuse_verify(dc, m: int, bound: int) -> int:
     """`verify` by steps (five tables as in `gaps`: closure, complement,
     nabla and both Lambda routes; at most one closure bit test per point;
     the volume; the monomials of the oracle's box, counted without
     building them) and by bytes (the monomial vectors, held at once).  The
-    monomials are counted only when the rest is under the limit."""
-    work = 5 * comb(bound + m, m) * dc.e + comb(bound + m + 1, m + 1)
-    work += _refuse_above_limit(dc, "verify", m, bound, work)
+    monomials are counted only when the rest is under the limit.  Returns
+    the volume, for the report's gap-count check."""
+    work = 5 * comb(bound + m, m) * gaps_mod.table_classes(dc, bound) + comb(bound + m + 1, m + 1)
+    volume = _refuse_above_limit(dc, "verify", m, bound, work)
     monomials = oracle.count_monomials_in_box(dc, m, oracle.default_box(dc, m, bound))
-    _refuse(_needs("verify", m, bound), work + monomials)
+    _refuse(_needs("verify", m, bound), work + volume + monomials)
     _refuse(f"verify at m = {m} builds {amount_str(monomials)} monomial vectors, about",
             monomials * BYTES_PER_MONOMIAL, "bytes", BYTE_LIMIT)
+    return volume
 
 
 def _refuse(what: str, amount: int, unit: str = "steps", limit: int = WORK_LIMIT) -> None:
@@ -484,8 +488,8 @@ def run(argv) -> int:
 
         if args.command == "verify":
             bound = max(args.box_sum, 2 * dc.genus)
-            _refuse_verify(dc, args.m, bound)
-            checks = oracle.consistency_report(dc, args.m, bound=bound)
+            volume = _refuse_verify(dc, args.m, bound)
+            checks = oracle.consistency_report(dc, args.m, bound=bound, volume=volume)
             _emit_fields(_record(dc, {"m": args.m, "checks": checks, "pass": all(checks.values())}), args.format)
             return 0 if all(checks.values()) else 1
     except WsgapsError as err:

@@ -5,18 +5,22 @@ All searches are confined to the simplex sum(alpha) <= 2g - 1: any
 nonnegative vector of total degree at least 2g is a semigroup member
 (nonspeciality of divisors of degree >= 2g), so no gap lies outside.
 
-A gap set is a GapTable.  (e, 0, ..., 0) lies in H, so for a fixed tail
-t = (alpha_1..alpha_m) the gaps of each class c = alpha_0 mod e form a
-prefix range(c, hi, e) of the class: the table keeps one cap hi per (tail,
-class), comb(bound + m, m)*e integers, and never a tuple per gap.  Tables
-are compared cap by cap, and walk() lists their gaps in lexicographic order
-(alpha_0 first), which `wsgaps gaps` streams as it renders.  The cap
-c + e*k says that the tail leaves class c at alpha_0 = c + e*k, so walk
-keeps each class's gap counts k as bytes and drops the tails whose count
-alpha_0 // e reaches with a few C-level passes, not a Python call per tail.
+A gap set is a GapTable of gap counts.  (e, 0, ..., 0) lies in H, and so
+does (E, 0, ..., 0) for every multiple E = K*e, so for a fixed tail
+t = (alpha_1..alpha_m) the gaps of each class C = alpha_0 mod E form a
+prefix range(C, C + E*k, E) of the class: the table keeps the one count k
+per (tail, class) as a byte, comb(bound + m, m)*E bytes, and never a tuple
+per gap.  K is the least with CEILING*K*e >= min(bound + 1, 2g): no gap has
+alpha_0 >= 2g, so no class of a correct table holds more than CEILING = 255
+gaps, and K = 1 on every sweep instance.  A route that would store a larger
+count claims a gap past the ceiling instead, the table's stray.  Tables are
+compared byte by byte, and walk() lists their gaps in lexicographic order
+(alpha_0 first), which `wsgaps gaps` streams as it renders: it keeps each
+class's counts as stored and drops the tails whose count alpha_0 // E
+reaches with a few C-level passes, not a Python call per tail.
 
 The Lambda route converts the shifted open boxes of the relative maximals
-into caps, checking that every point it adds extends its class prefix.
+into counts, checking that every point it adds extends its class prefix.
 The complement and nabla routes never read Lambda: they run one threshold
 scan over the residue tables of membership.  Fix a tail t with
 top = bound - sum(t).  A witness at coordinate r exists iff
@@ -24,40 +28,56 @@ alpha_0 >= a0 - e*S(t), with (rho, a0) the forced table entry and
 S(t) = sum_s (alpha_s - rho)//e (the slack inequality, solved for alpha_0).
 Each r >= 1 fixes rho by alpha_r, so its threshold does not depend on
 alpha_0; r = 0 gives one threshold U_c per class c = alpha_0 mod e.  The
-cap of class c is min(max(L, U_c), top + 1) with L the largest r >= 1
+gaps of class c end at min(max(L, U_c), top + 1) with L the largest r >= 1
 threshold; the pure gaps use the smallest and min.  A missing table entry
 means no witness at any alpha_0 and counts as top + 1.
 
 The scan evaluates that formula only on the residue tails k, sorted with
 every coordinate below e.  It reads a tail t only through sum(t), the
-multiset of its residues mod e and Q = sum_s alpha_s//e, so t has the row
-of k = sorted(t mod e) shifted by e*Q = sum(t) - sum(k): going from k to t
-lowers every threshold, L (or its min) and top + 1 by e*Q and leaves the
-residues alone, so each class end drops by e*Q, and rounding an end up to
-class c commutes with that shift (an end at or below c gives the cap c).
-Hence cap_t[c] = max(c, cap_k[c] - e*Q), and when the largest cap_k[c] - c
-is at most e*Q the row of t is range(e).  k lies in the simplex and comes
-no later than t in simplex_points order, so one pass serves.  Cost: the
-formula, O(e + m) per row, runs on at most min(comb(e + m - 1, m), #tails)
-rows; every other entry costs one comparison, against O(#points * m^2) for
-a per-point membership test.
+multiset of its residues mod e and Q = sum_s alpha_s//e, so t has the gaps
+of k = sorted(t mod e) moved down by e*Q = sum(t) - sum(k): going from k to
+t lowers every threshold, L (or its min) and top + 1 by e*Q and leaves the
+residues alone.  With e*Q = a*E + r, the gap C + E*i of k becomes
+(C - r) + E*(i - a) when C >= r and (C - r + E) + E*(i - a - 1) below, so
+the row of t is row_k[r:] with every count lowered by a, then row_k[:r]
+lowered by a + 1 (floored at 0): two C-level translates.  k lies in the
+simplex and comes no later than t in simplex_points order, so one pass
+serves.  Cost: the formula, O(E + m) per row, runs on at most
+min(comb(e + m - 1, m), #tails) rows; every other row costs two translates,
+against O(#points * m^2) for a per-point membership test.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import comb
-from operator import floordiv, lt, sub
+from operator import lt, ne
 
 from .curves import DerivedConstants, check_m, simplex_points
 from .errors import SelfCheckError
 from .maximal import count_Lambda, enumerate_classical_Lambda, relative_shift, residues
 from .membership import _residue_tables
 
+# The most gaps a table stores for one (tail, class): each count is a byte.
+CEILING = 255
+# Rows sliced or joined at a time: bytes.join takes a buffer of some 80 bytes
+# per item, so a table of few classes on many tails is built in blocks.
+_BLOCK_ROWS = 4096
+
 
 def _default_bound(dc: DerivedConstants, bound: int | None) -> int:
     return 2 * dc.genus - 1 if bound is None else bound
+
+
+def table_classes(dc: DerivedConstants, bound: int) -> int:
+    """E = K*e, the classes of alpha_0 in a gap table of dc on the simplex
+    sum(alpha) <= bound: K is the least with CEILING*K*e >= min(bound + 1,
+    2g).  A class C then holds at most CEILING points C + E*i below
+    min(bound + 1, 2g), and no gap lies at or past either."""
+    reach = min(bound + 1, 2 * dc.genus)
+    return dc.e * max(1, -(-reach // (CEILING * dc.e)))
 
 
 def _runs(m: int, bound: int) -> dict:
@@ -68,37 +88,46 @@ def _runs(m: int, bound: int) -> dict:
     return dict(zip(heads, accumulate([bound + 1 - sum(head) for head in heads], initial=0)))
 
 
-def _add_prefix_row(hi, end: int, e: int) -> None:
-    """Append to hi the caps of the gaps range(end), end >= 0, in each class
-    c in [0, e - 1]: the least c + e*k >= end, k >= 0.  With q = end -
-    end % e that is q + e + c for c < end % e and q + c above, two C-level
-    ranges."""
-    q = end - end % e
-    hi.extend(range(q + e, end + e))
-    hi.extend(range(end, q + e))
+def _prefix_row(end: int, E: int) -> bytes:
+    """The counts of the gaps range(end), end >= 0, in each class C in
+    [0, E - 1], at most CEILING each: with K, d = divmod(end, E), K + 1
+    below d and K from d on."""
+    k, d = divmod(end, E)
+    return bytes((min(k + 1, CEILING),)) * d + bytes((min(k, CEILING),)) * (E - d)
+
+
+@cache
+def _lowered(a: int) -> bytes:
+    """The translate table of the counts i -> max(0, i - a)."""
+    return bytes([max(0, i - a) for i in range(256)])
+
+
+def _first(*vectors):
+    """The lexicographically smallest of vectors that is not None, else None."""
+    return min(filter(None, vectors), default=None)
 
 
 class GapTable:
-    """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as caps.
+    """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as counts.
 
-    hi holds e caps per tail t = (alpha_1..alpha_m), the tails in
+    counts holds E bytes per tail t = (alpha_1..alpha_m), the tails in
     simplex_points order, laid out by runs = _runs(m, bound):
-    hi[(runs[t[:-1]] + t[-1])*e + c] = c + e*k when the gaps (alpha_0, t)
-    with alpha_0 = c mod e are range(c, c + e*k, e).
+    counts[(runs[t[:-1]] + t[-1])*E + C] = k when the gaps (alpha_0, t)
+    with alpha_0 = C mod E are range(C, C + E*k, E).
 
     stray is the lexicographically smallest point a route produced above its
-    class prefix, else None.  Such a set is not a union of class prefixes:
-    the caps hold the prefixes only, and a table with a stray equals none.
+    class prefix, or past the CEILING gaps a class can store, else None.
+    Such a set is not a union of stored class prefixes: the counts hold the
+    prefixes only, and a table with a stray equals none.
     """
 
-    __slots__ = ("e", "m", "bound", "hi", "stray")
+    __slots__ = ("E", "m", "bound", "counts", "stray")
 
-    def __init__(self, e: int, m: int, bound: int, hi, stray: tuple[int, ...] | None = None):
-        self.e, self.m, self.bound, self.hi, self.stray = e, m, bound, hi, stray
+    def __init__(self, E: int, m: int, bound: int, counts: bytes, stray: tuple[int, ...] | None = None):
+        self.E, self.m, self.bound, self.counts, self.stray = E, m, bound, counts, stray
 
     def __len__(self) -> int:
-        e = self.e
-        return (sum(self.hi) - len(self.hi) // e * (e * (e - 1) // 2)) // e
+        return sum(self.counts)
 
     def __iter__(self):
         for a0, tails in self.walk(tuple):
@@ -108,80 +137,58 @@ class GapTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GapTable):
             return NotImplemented
-        shape = (self.e, self.m, self.bound)
-        return shape == (other.e, other.m, other.bound) and self.first_difference(other) is None
+        shape = (self.E, self.m, self.bound)
+        return shape == (other.E, other.m, other.bound) and self.first_difference(other) is None
 
     def walk(self, label):
         """Yield (alpha_0, [label(t) for each tail t with a gap (alpha_0, t)])
         for alpha_0 ascending, the tails in lexicographic order, skipping an
         alpha_0 without gaps.  label runs once per tail that has a gap.
 
-        The cap c + e*k of a (tail, class c) holds k gaps, so the tail
-        leaves the class at the level j = alpha_0 // e = k.  Each class
-        keeps the labels of the tails it still holds and, as bytes, their
-        counts k - base (base = 0 until a recount), saturated at 255.  At
-        level j a class changes only when j - base is among its counts: one
-        translate gives the keep-mask, compress filters the labels and
-        replace drops the count, so no Python code runs per tail.  The last
-        gap of a class lies in the simplex, so a cap is at most bound + e and
-        a count passes 254 only when bound >= 254*e; such a table's classes
-        also keep their caps and recount their tails from them at
-        j - base = 255, with base = j.  Cost: one label and one row of counts
-        per tail with a gap, then C-level passes over the tails a class
-        still holds at each level where one leaves it, O(#entries + #gaps).
+        A tail with k gaps in class C leaves the class at the level
+        j = alpha_0 // E = k.  Each class keeps the labels of the tails it
+        still holds and their counts, as stored.  At level j a class
+        changes only when j is among its counts: one translate gives the
+        keep-mask, compress filters the labels and replace drops the count,
+        so no Python code runs per tail.  Cost: one label per tail with a
+        gap, then C-level passes over the tails a class still holds at each
+        level where one leaves it, O(#entries + #gaps).
         """
-        e, hi = self.e, self.hi
-        empty, es = array("q", range(e)), [e] * e
-        wide = self.bound >= 254 * e
-        labels, rows = [], []
-        for i, tail in zip(range(0, len(hi), e), simplex_points(self.m, self.bound)):
-            row = hi[i:i + e]
-            if row != empty:
-                labels.append(label(tail))
-                rows.append(row if wide else bytes(map(floordiv, row, es)))
-        caps = None
-        if wide:
-            caps = array("q", chain.from_iterable(rows))
-            counts = bytes(map(min, map(floordiv, caps, repeat(e)), repeat(255)))
-        else:
-            counts = b"".join(rows)
-        del rows
-        # Per class: [counts, labels, caps (wide tables only), base].
-        held = [[counts[c::e], labels, None if caps is None else caps[c::e], 0] for c in range(e)]
-        del counts, labels, caps
+        E, counts = self.E, self.counts
+        tails, none, step = simplex_points(self.m, self.bound), bytes(E), E * _BLOCK_ROWS
+        labels, joined = [], bytearray()
+        for start in range(0, len(counts), step):
+            rows = [counts[i:i + E] for i in range(start, min(start + step, len(counts)), E)]
+            live = list(map(ne, rows, repeat(none)))
+            labels += map(label, compress(islice(tails, len(rows)), live))
+            joined += b"".join(compress(rows, live))
+        held = [[joined[C::E], labels] for C in range(E)]  # per class: [counts, labels]
+        del joined, labels
         for a0 in range(self.bound + 1):
-            j, c = divmod(a0, e)
-            entry = held[c]
-            ks, tails, caps, base = entry
-            if not tails:
-                continue
-            level = j - base
-            if level == 255:  # counts saturated: recount the tails left from their caps
-                ks = bytes(map(min, map(floordiv, map(sub, caps, repeat(a0)), repeat(e)), repeat(255)))
-                entry[0], entry[3], level = ks, j, 0
-            if level in ks:  # every count below level has left already
+            level, C = divmod(a0, E)
+            entry = held[C]
+            ks, tails = entry
+            # A count is at most 255, so a class is empty before level 256.
+            if tails and level in ks:  # every count below level has left already
                 keep = ks.translate(b"\1" * level + b"\0" + b"\1" * (255 - level))
-                tails = list(compress(tails, keep))
-                if caps is not None:
-                    entry[2] = array("q", compress(caps, keep))
-                entry[:2] = ks.replace(bytes((level,)), b""), tails
+                tails = entry[1] = list(compress(tails, keep))
+                entry[0] = ks.replace(bytes((level,)), b"")
             if tails:
                 yield a0, tails
 
     def first_difference(self, other: GapTable):
         """(vector, table) for the lexicographically smallest vector that one
-        table's caps hold and the other's do not, or that is a table's stray,
-        with the table holding it; None when the tables hold the same set.
-        Both tables must cover the same simplex."""
+        table's counts hold and the other's do not, or that is a table's
+        stray, with the table holding it; None when the tables hold the same
+        set.  Both tables must cover the same simplex with the same E."""
         found = [(t.stray, t) for t in (self, other) if t.stray is not None]
-        if self.hi != other.hi:
-            e = self.e
-            rows = range(0, len(self.hi), e)
-            for i, tail in zip(rows, simplex_points(self.m, self.bound)):
-                mine, theirs = self.hi[i:i + e], other.hi[i:i + e]
+        if self.counts != other.counts:
+            E = self.E
+            for i, tail in zip(range(0, len(self.counts), E), simplex_points(self.m, self.bound)):
+                mine, theirs = self.counts[i:i + E], other.counts[i:i + E]
                 if mine != theirs:
-                    found += [((min(a, b), *tail), self if a > b else other)
-                              for a, b in zip(mine, theirs) if a != b]
+                    found += [((C + E * min(a, b), *tail), self if a > b else other)
+                              for C, (a, b) in enumerate(zip(mine, theirs)) if a != b]
         return min(found, key=lambda f: f[0], default=None)
 
 
@@ -196,8 +203,9 @@ def _box_runs(ranges, runs: dict, budget: int):
             yield head, xs, runs[head]
 
 
-def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
-    """The gaps (pure: the pure gaps) of the simplex from the relative maximals lam.
+def _lambda_table(lam, E: int, m: int, bound: int, pure: bool) -> GapTable:
+    """The gaps (pure: the pure gaps) of the simplex from the relative maximals
+    lam, with E classes of alpha_0.
 
     Each beta in lam gives an open box per coordinate i, shifted to pass
     through beta there: alpha_i = beta_i and 0 <= alpha_j < beta_j elsewhere.
@@ -206,10 +214,12 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
     of its tails, a prefix of every class.  A box at 0 holds one point
     (beta_0, t) per tail t.  Taken in ascending beta_0 after every prefix is
     set, each such point (pure: each below the prefix) must extend its class
-    prefix; the smallest that does not becomes the table's stray.
+    prefix; the smallest that does not, or that would pass CEILING, becomes
+    the table's stray.
     """
     size = comb(bound + m, m)
     runs = _runs(m, bound)
+    ceiling = CEILING
 
     def reach(r):
         """Per tail, the largest beta_0 of the boxes at r that hold it."""
@@ -225,37 +235,46 @@ def _lambda_table(lam, e: int, m: int, bound: int, pure: bool) -> GapTable:
     for r in range(2, m + 1):
         prefix = array("q", map(min if pure else max, prefix, reach(r)))
     tops = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
-    caps = array("q", map(min, prefix, tops))
+    ends = array("q", map(min, prefix, tops))  # per tail, where its prefix of gaps ends
     del prefix
-    if pure:
-        hi = array("q", range(e)) * size
-    else:
-        hi = array("q")
-        for cap in caps:
-            _add_prefix_row(hi, cap, e)
     stray = None
+    if pure:
+        counts = bytearray(size * E)
+    else:
+        rows, counts = {end: _prefix_row(end, E) for end in set(ends)}, bytearray()
+        for start in range(0, size, _BLOCK_ROWS):
+            counts += b"".join(map(rows.__getitem__, ends[start:start + _BLOCK_ROWS]))
+        if max(ends) > E * ceiling:  # the first such tail's class 0 passes the ceiling
+            i = next(i for i, end in enumerate(ends) if end > E * ceiling)
+            stray = (E * ceiling, *next(islice(simplex_points(m, bound), i, None)))
     for beta in sorted(lam):
-        b0, c = beta[0], beta[0] % e
+        b0 = beta[0]
         if b0 > bound:
             break
+        k0, c = divmod(b0, E)
+        # No count can take a point past the ceiling: each is a stray.
+        bar = k0 if k0 < ceiling else 256
         for head, xs, base in _box_runs([range(b) for b in beta[1:]], runs, bound - b0):
             first, stop = base + xs.start, base + xs.stop
-            cells = slice(first * e + c, stop * e, e)
-            old = hi[cells]
+            cells = slice(first * E + c, stop * E, E)
+            old = counts[cells]
             # b0 <= top on every tail of the run, so only pure gaps need the prefix.
-            live = caps[first:stop] if pure else repeat(b0 + 1)
-            hi[cells] = array("q", [h + e if h == b0 < cap else h for h, cap in zip(old, live)])
-            if min(old) < b0:
-                above = [(b0, *head, x) for x, h, cap in zip(xs, old, live) if h < b0 < cap]
-                if above and (stray is None or above[0] < stray):
-                    stray = above[0]
-    return GapTable(e, m, bound, hi, stray)
+            live = ends[first:stop] if pure else repeat(b0 + 1)
+            if bar == k0:
+                counts[cells] = (bytes([k + 1 if k == k0 and b0 < end else k for k, end in zip(old, live)]) if pure
+                                 else old.replace(bytes((k0,)), bytes((k0 + 1,))))
+            if min(old) < bar:
+                above = [x for x, k, end in zip(xs, old, live) if k < bar and b0 < end]
+                if above:
+                    stray = _first(stray, (b0, *head, above[0]))
+    return GapTable(E, m, bound, bytes(counts), stray)
 
 
 def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
     """Gap table from the relative maximals: union of the shifted open boxes."""
     check_m(dc, m)
-    return _lambda_table(enumerate_classical_Lambda(dc, m), dc.e, m, _default_bound(dc, bound), pure=False)
+    bound = _default_bound(dc, bound)
+    return _lambda_table(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, pure=False)
 
 
 def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
@@ -266,14 +285,15 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     avoids the |Lambda|^(m+1) blowup.
     """
     check_m(dc, m)
-    return _lambda_table(enumerate_classical_Lambda(dc, m), dc.e, m, _default_bound(dc, bound), pure=True)
+    bound = _default_bound(dc, bound)
+    return _lambda_table(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, pure=True)
 
 
 def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> GapTable:
     """The non-members (pure: the vectors with no witness at any coordinate)
     of the simplex sum(alpha) <= bound: the threshold formula on each
-    residue tail, every other row shifted from its residue tail's."""
-    e = dc.e
+    residue tail, every other row moved down from its residue tail's."""
+    e, E, ceiling = dc.e, table_classes(dc, bound), CEILING
     by_rho, by_class = _residue_tables(dc, m)
     # A missing table entry (no witness at any alpha_0) gets a first
     # coordinate whose threshold lies past every top.
@@ -281,15 +301,30 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
     a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
     by_class = [by_class.get(c, (0, past)) for c in range(e)]
     pick = min if pure else max
-    classes = array("q", range(e))
-    rows = {}  # residue tail -> (its row, the largest cap - c in the row)
-    hi = array("q")
+    rows = {}  # residue tail -> (its row, its largest count, its counts past the ceiling or None)
+    counts, none, stray = bytearray(), bytes(E), None
+
+    def pack(ns, tail):
+        """The counts ns of tail as bytes; one past the ceiling makes the
+        tail's first point past it a stray."""
+        nonlocal stray
+        if max(ns) <= ceiling:
+            return bytes(ns)
+        stray = _first(stray, (E * ceiling + next(C for C, n in enumerate(ns) if n > ceiling), *tail))
+        return bytes([min(n, ceiling) for n in ns])
+
     for tail in simplex_points(m, bound):
         key = tuple(sorted([x % e for x in tail]))
         if key != tail:
-            row, reach = rows[key]
-            s = sum(tail) - sum(key)  # e*Q
-            hi.extend(classes if reach <= s else [c if h - s < c else h - s for c, h in enumerate(row)])
+            row, most, over = rows[key]
+            a, r = divmod(sum(tail) - sum(key), E)  # e*Q = a*E + r
+            if most <= a:
+                counts += none
+            elif over is None:
+                counts += row[r:].translate(_lowered(a))
+                counts += row[:r].translate(_lowered(a + 1))
+            else:
+                counts += pack([max(0, n - a) for n in over[r:]] + [max(0, n - a - 1) for n in over[:r]], tail)
             continue
         cap = bound - sum(tail) + 1  # top + 1
         # The threshold of (rho, a0) is a0 + shift[rho]: with every x < e,
@@ -308,12 +343,13 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
             ends = [t if (t := a0 + shift[rho]) < lo else lo for rho, a0 in by_class[:held]]
         else:
             ends = [lo if (t := a0 + shift[rho]) < lo else t if t < cap else cap for rho, a0 in by_class[:held]]
-        # The cap of class c: the first c + e*k at or past the end of its gaps.
-        row = array("q", [c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
-        row.extend(range(held, e))
-        rows[key] = row, max(map(sub, row, classes))
-        hi.extend(row)
-    return GapTable(e, m, bound, hi)
+        ends += range(held, e)  # no gap: the end at the class itself
+        # The count of class C: the points C + E*i below the end of class C mod e.
+        ns = [-((C - end) // E) if end > C else 0 for C, end in enumerate(ends * (E // e))]
+        row, most = pack(ns, tail), max(ns)
+        rows[key] = row, most, ns if most > ceiling else None
+        counts += row
+    return GapTable(E, m, bound, bytes(counts), stray)
 
 
 def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
@@ -348,12 +384,13 @@ def _inversions(xs: list[int]) -> int | None:
     return total
 
 
-def count_gaps_two_points(dc: DerivedConstants) -> int:
+def count_gaps_two_points(dc: DerivedConstants, lam=None) -> int:
     """Exact two-point gap count sum_t (b0 + b1 - z_t) over the relative
     maximals in ascending b1, where z_t counts the earlier ones whose b0
     exceeds that of the t-th; sum_t z_t counts the inversions of the b0 in
-    b1 order, which are those of the b1 in b0 order, the listing's."""
-    lam = enumerate_classical_Lambda(dc, 1)
+    b1 order, which are those of the b1 in b0 order, the listing's.  lam,
+    when the caller has it, is enumerate_classical_Lambda(dc, 1)."""
+    lam = enumerate_classical_Lambda(dc, 1) if lam is None else lam
     inversions = _inversions([b[1] for b in lam])
     # The formula needs all first and all second coordinates pairwise distinct.
     if inversions is None or not all(a[0] < b[0] for a, b in zip(lam, islice(lam, 1, None))):
@@ -391,21 +428,24 @@ def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
     return sum(_box_volume_sum(top, c, rho, dc.e, m) for c, (rho, top) in enumerate(zip(rhos, tops)) if top >= 0)
 
 
-def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable) -> dict[str, bool]:
+def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable, lam=None,
+                     volume: int | None = None) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
     independent one, on the region of complement, the complement route's
     gap table (gaps_via_complement), which must hold the gap region
-    sum(alpha) <= 2g - 1."""
-    bound = complement.bound
-    lam = enumerate_classical_Lambda(dc, m)
+    sum(alpha) <= 2g - 1.  lam and volume, when the caller has them, are
+    enumerate_classical_Lambda(dc, m) and gap_count_upper_bound(dc, m)."""
+    bound, E = complement.bound, complement.E
+    lam = enumerate_classical_Lambda(dc, m) if lam is None else lam
+    volume = gap_count_upper_bound(dc, m) if volume is None else volume
     checks = {
-        "gap_routes_agree": _lambda_table(lam, dc.e, m, bound, pure=False) == complement,
-        "pure_gap_routes_agree": (_lambda_table(lam, dc.e, m, bound, pure=True)
+        "gap_routes_agree": _lambda_table(lam, E, m, bound, pure=False) == complement,
+        "pure_gap_routes_agree": (_lambda_table(lam, E, m, bound, pure=True)
                                   == pure_gaps_via_nabla(dc, m, bound)),
         # Strictly increasing: no vector listed twice, and the order the listings rely on.
         "lambda_count_formula": count_Lambda(dc, m) == len(lam) and all(map(lt, lam, islice(lam, 1, None))),
-        "gap_count_bound": len(complement) <= gap_count_upper_bound(dc, m),
+        "gap_count_bound": len(complement) <= volume,
     }
     if m == 1:
-        checks["two_point_count_formula"] = count_gaps_two_points(dc) == len(complement)
+        checks["two_point_count_formula"] = count_gaps_two_points(dc, lam) == len(complement)
     return checks

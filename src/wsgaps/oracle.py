@@ -9,16 +9,15 @@ equations.
 
 The closure is never built.  closure_table takes the generators in one
 dominance (zeta) transform over the tails and returns the closure's
-non-members on the simplex sum(alpha) <= bound as a GapTable, so
-consistency_report compares it with the complement route's table cap by
-cap, and every other check of the report runs on that same region.  The
-families check alone reads the (coordinate, value) buckets of
+non-members on the simplex sum(alpha) <= bound as a GapTable of gap
+counts, so consistency_report compares it with the complement route's
+table byte by byte, and every other check of the report runs on that same
+region.  The families check alone reads the (coordinate, value) buckets of
 index_generators, one in_lub_closure call per family vector.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -26,7 +25,8 @@ from operator import le
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
 from .errors import BadBox
-from .gaps import GapTable, _add_prefix_row, _runs, build_gap_report, gaps_via_complement
+from . import gaps
+from .gaps import GapTable, _first, _prefix_row, _runs, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -180,10 +180,10 @@ def index_generators(gens) -> dict:
     return buckets
 
 
-def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
+def closure_table(gens, E: int, m: int, bound: int) -> GapTable:
     """The points of the simplex sum(alpha) <= bound outside the lub closure
-    of gens, as a GapTable with e classes of alpha_0, one tail t =
-    (alpha_1..alpha_m) at a time.
+    of gens, as a GapTable of counts with E classes of alpha_0, one tail
+    t = (alpha_1..alpha_m) at a time.
 
     As t >= 0, g lies below (alpha_0, t) iff g_0 <= alpha_0 and its cell,
     g_1..g_m with negative coordinates raised to 0, lies below t; a g with
@@ -197,13 +197,15 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
     sits at i - 1 for the last coordinate, and for every other j at the
     same x in the run of head - e_j, looked up once per run.  Then held[t]
     holds the alpha_0 attained at 0, and no alpha_0 < max_r low[r][t]
-    attains every r >= 1, so the row of t starts as the caps of that range
-    in every class (gaps._add_prefix_row).  Each zero bit of held[t] from
-    there to top = bound - sum(t) is a non-member; one that does not extend
-    its class prefix becomes the table's stray, as in the Lambda route.
+    attains every r >= 1, so the row of t starts as the counts of that range
+    in every class (gaps._prefix_row).  Each zero bit of held[t] from there
+    to top = bound - sum(t) is a non-member; one that does not extend its
+    class prefix, or would pass gaps.CEILING, becomes the table's stray, as
+    in the Lambda route.
     """
     n = comb(bound + m, m)
     runs = _runs(m, bound)
+    past = E * gaps.CEILING  # the first alpha_0 no class count reaches
     held = [0] * n
     low = [[bound + 1] * n for _ in range(m)]
     for g in gens:
@@ -216,7 +218,7 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
         for r, x in enumerate(g[1:]):
             if x >= 0 and g[0] < low[r][i]:
                 low[r][i] = g[0]
-    hi, stray = array("q"), None
+    counts, stray = bytearray(), None
     for head, start in runs.items():
         # (j, the start of the run of head - e_j) for each j that head can lower
         lower = [(j, runs[head[:j] + (y - 1,) + head[j + 1:]]) for j, y in enumerate(head) if y]
@@ -232,41 +234,47 @@ def closure_table(gens, e: int, m: int, bound: int) -> GapTable:
                         col[i] = col[p]
             top = room - x
             end = min(max(max(col[i] for col in low), 0), top + 1)
-            row = len(hi)
-            _add_prefix_row(hi, end, e)
+            if end > past:
+                stray = _first(stray, (past, *head, x))
+            row = len(counts)
+            counts += _prefix_row(end, E)
             miss = ~held[i] & ((1 << (top + 1)) - (1 << end))  # the non-members, as bits
             while miss:
                 a0 = (miss & -miss).bit_length() - 1
                 miss ^= 1 << a0
-                c = row + a0 % e
-                if hi[c] == a0:
-                    hi[c] += e
-                elif stray is None or (a0, *head, x) < stray:
-                    stray = (a0, *head, x)
-    return GapTable(e, m, bound, hi, stray)
+                k, c = divmod(a0, E)
+                if counts[row + c] == k and a0 < past:
+                    counts[row + c] = k + 1
+                else:
+                    stray = _first(stray, (a0, *head, x))
+    return GapTable(E, m, bound, bytes(counts), stray)
 
 
-def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None) -> dict[str, bool]:
+def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
+                       volume: int | None = None) -> dict[str, bool]:
     """Run the full cross-validation suite on the simplex sum(alpha) <= bound
     (2g by default); all verdicts True means pass.
 
     gaps_via_complement runs once.  The closure_table of the monomials must
     equal it, the closed-form families must lie in the monomial lub closure,
     and build_gap_report checks the other routes and formulas against the
-    same table, on the same region."""
+    same table, on the same region.  Lambda is enumerated once, for the
+    families and the report; volume, when the caller has it, is
+    gap_count_upper_bound(dc, m)."""
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
     mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
     complement = gaps_via_complement(dc, m, bound)
 
-    checks = {"closure_matches_membership": closure_table(mono, dc.e, m, bound) == complement}
+    checks = {"closure_matches_membership": closure_table(mono, complement.E, m, bound) == complement}
 
+    lam = enumerate_classical_Lambda(dc, m)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
-    families.update(enumerate_classical_Gamma(dc, m), enumerate_classical_Lambda(dc, m))
+    families.update(enumerate_classical_Gamma(dc, m), lam)
     corner = tuple(map(max, zip(*families)))  # a generator not below it is below no family vector
     idx = index_generators(g for g in mono if all(map(le, g, corner)))
     checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)
     del mono, idx, families  # released before the gap-side tables
 
-    checks.update(build_gap_report(dc, m, complement))
+    checks.update(build_gap_report(dc, m, complement, lam, volume))
     return checks

@@ -11,6 +11,7 @@ import time
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from math import comb
 from pathlib import Path
 from unittest.mock import patch
 
@@ -22,6 +23,7 @@ from wsgaps import cli, gaps, maximal, oracle
 from wsgaps.cli import (
     BYTE_LIMIT,
     BYTES_PER_CLASSICAL_RESIDUE,
+    BYTES_PER_ENTRY,
     BYTES_PER_MEMBER_RESIDUE,
     BYTES_PER_REGION_RESIDUE,
     BYTES_PER_VECTOR,
@@ -167,7 +169,7 @@ def test_verify_negative_box_sum_keeps_default_region(capsys, monkeypatch):
     bounds = []
     report = oracle.consistency_report
     monkeypatch.setattr(oracle, "consistency_report",
-                        lambda dc, m, bound: bounds.append(bound) or report(dc, m, bound))
+                        lambda dc, m, bound, volume: bounds.append(bound) or report(dc, m, bound, volume))
     for box_sum in ("-5", "25"):
         run(["verify", *Y231, "--m", "1", "--box-sum", box_sum])
     capsys.readouterr()
@@ -193,6 +195,28 @@ def test_verify_scans_the_complement_once(capsys, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert run(["verify", *Y231, *argv]) == 0
         assert calls == {"gaps_via_complement": 1, "_threshold_scan": 2}, argv
+    capsys.readouterr()
+
+
+def test_verify_computes_the_volume_and_lambda_once(capsys, monkeypatch):
+    """`verify` sums the Lambda-box volume once, for its price and its
+    gap-count check, and enumerates Lambda once, for the families check,
+    both Lambda routes, the Lambda count and (m = 1) the two-point count."""
+    calls = {"gap_count_upper_bound": 0, "enumerate_classical_Lambda": 0}
+    for name in calls:
+        real = getattr(gaps, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (gaps, oracle, maximal):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    for argv in (["--m", "1"], ["--m", "2", "--box-sum", "30"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(["verify", *Y231, *argv]) == 0
+        assert calls == {"gap_count_upper_bound": 1, "enumerate_classical_Lambda": 1}, argv
     capsys.readouterr()
 
 
@@ -334,13 +358,16 @@ def test_listings_refuse_work_that_cannot_finish(flags):
 
 
 def test_gaps_refuses_what_memory_cannot_hold(capsys):
-    """Y(2,3,1) at m = 1 up to degree 10^7 passes the step estimate
-    (90,000,159) but keeps 90,000,009 table entries, about 2.2 GB."""
-    argv = ["gaps", *Y231, "--m", "1", "--box-sum", str(10**7)]
+    """The step estimate counts every table entry, and WORK_LIMIT entries
+    at BYTES_PER_ENTRY fit under BYTE_LIMIT, so the step limit alone keeps
+    `gaps` in memory.  Y(2,3,1) at m = 1 up to degree 3*10^8 would keep
+    2,700,000,009 entries, about 24 GB, and is refused at once."""
+    assert WORK_LIMIT * BYTES_PER_ENTRY <= BYTE_LIMIT
+    argv = ["gaps", *Y231, "--m", "1", "--box-sum", str(3 * 10**8)]
     _assert_refused_at_once(argv)
     for flags in ([], ["--pure"]):
         assert run([*argv, *flags]) == 2
-        assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
+        assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
 
 
 def test_counts_refuses_what_memory_cannot_hold(capsys):
@@ -359,23 +386,22 @@ def test_counts_refuses_what_memory_cannot_hold(capsys):
 
 def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
     """Every sweep case under the step limit fits, the largest table among
-    them, Y(4,5,1) at m = 1 (15,694,800 entries, about 0.4 GB), included.
-    Of Y(2,3,1) at m = 1 widened to degree 5*10^6 and 10^7, which both pass
-    the step estimate, only the second is refused by bytes."""
+    them, Y(4,5,1) at m = 1 (15,694,800 entries, about 0.14 GB), included,
+    and so do Y(2,3,1) at m = 1 widened to degree 5*10^6 and 10^7, which
+    both pass the step estimate: no admitted table passes BYTE_LIMIT at
+    BYTES_PER_ENTRY."""
     cases = [(dc, m, 2 * dc.genus - 1) for dc in sweep for m in range(1, dc.max_m + 1)]
     cases += [(y231, 1, 5 * 10**6), (y231, 1, 10**7)]
-    admitted, by_bytes = set(), set()
+    admitted = set()
     for dc, m, bound in cases:
-        case = (dc.params.family, dc.params.q, dc.params.n, dc.params.s, m, bound)
         try:
             _refuse_gaps(dc, m, bound)
-            admitted.add(case)
-        except TooMuchWork as err:
-            if f"above the limit {BYTE_LIMIT}" in str(err):
-                by_bytes.add(case)
-    assert by_bytes == {("Y", 2, 3, 1, 1, 10**7)}
+        except TooMuchWork:
+            continue
+        assert comb(bound + m, m) * gaps.table_classes(dc, bound) * BYTES_PER_ENTRY <= BYTE_LIMIT
+        admitted.add((dc.params.family, dc.params.q, dc.params.n, dc.params.s, m, bound))
     assert {("Y", 4, 5, 1, 1, 15311), ("Y", 3, 5, 1, 1, 1925), ("Y", 4, 5, 5, 1, 3011),
-            ("Y", 4, 3, 1, 1, 911), ("Y", 2, 3, 1, 1, 5 * 10**6)} <= admitted
+            ("Y", 4, 3, 1, 1, 911), ("Y", 2, 3, 1, 1, 5 * 10**6), ("Y", 2, 3, 1, 1, 10**7)} <= admitted
 
 
 def test_verify_refuses_what_memory_cannot_hold(capsys):
@@ -807,6 +833,66 @@ def test_gaps_names_a_point_above_its_class_prefix(y231, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"smallest differing vector {(b0, 0)}, a gap by the formula route above its class prefix" in err
     assert gaps.gaps_via_lambda(y231, 1).stray == (b0, 0)
+
+
+Y4313 = ["--family", "Y", "--q", "4", "--n", "3", "--s", "13"]
+
+
+def _per_point_gaps(dc, m, bound, pure):
+    """The gaps (pure gaps) of the simplex sum(alpha) <= bound, sorted, one
+    witness_test call per point and coordinate."""
+    has_witness = witness_test(dc, m)
+    quantifier = all if pure else any
+    return [a for a in simplex_points(m + 1, bound) if quantifier(not has_witness(a, r) for r in range(m + 1))]
+
+
+@pytest.mark.parametrize("ceiling", [1, 2])
+def test_gaps_with_more_classes_than_e_is_the_encoder_output(monkeypatch, capsys, ceiling):
+    """With CEILING patched down, Y(2,3,1) (e = 9, g = 10) and Y(4,3,13)
+    (e = 5, g = 6) keep E = K*e classes with K = 2 or 3: `gaps`, with and
+    without --pure, at m = 1, 2, in the proven region and past it, against
+    the reference renderings of the per-point gaps."""
+    monkeypatch.setattr(gaps, "CEILING", ceiling)
+    for dc, params in ((curve("Y", q=2, n=3, s=1), Y231), (curve("Y", q=4, n=3, s=13), Y4313)):
+        for m in (1, 2):
+            for box_sum in (0, 2 * dc.genus + dc.e):
+                bound = max(box_sum, 2 * dc.genus - 1)
+                assert gaps.table_classes(dc, bound) > dc.e
+                for pure in (False, True):
+                    vectors = _per_point_gaps(dc, m, bound, pure)
+                    flags = ["--m", str(m), "--box-sum", str(box_sum), *(["--pure"] if pure else [])]
+                    for fmt in ("json", "tsv"):
+                        assert run(["gaps", *params, *flags, "--format", fmt]) == 0
+                        got = capsys.readouterr().out
+                        _reference_emit(_record(dc, {"m": m, "vectors": vectors, "count": len(vectors)}), fmt)
+                        assert got == capsys.readouterr().out, (params, flags, fmt)
+
+
+def test_gaps_names_a_gap_past_the_ceiling(y231, monkeypatch, capsys):
+    """With CEILING patched to 2, Y(2,3,1) up to degree 40 keeps E = 18
+    classes, and some class C of the tail (0,) holds exactly two gaps.  A
+    relative maximal (b0, 41), b0 = C + 2E, whose box at coordinate 1 lies
+    past the simplex, gives the formula route the points (b0, t), t <= 40 -
+    b0, which no count can take: (b0, 0) extends its class prefix past the
+    ceiling.  It is the table's stray and the first vector past the ceiling,
+    and `gaps` exits 1 naming it."""
+    monkeypatch.setattr(gaps, "CEILING", 2)
+    bound = 40
+    E = gaps.table_classes(y231, bound)
+    real = set(_per_point_gaps(y231, 1, bound, False))
+    C = next(C for C in range(E) if sum((a0, 0) in real for a0 in range(C, bound + 1, E)) == 2)
+    b0 = C + 2 * E
+    lam = sorted({*gaps.enumerate_classical_Lambda(y231, 1), (b0, bound + 1)})
+    monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: lam)
+    mutant = real | {(b0, t) for t in range(bound - b0 + 1)}
+    # (b0, 0) is the third point of class C on the tail (0,); every other
+    # added point has the same alpha_0 on a later tail.
+    assert [a0 for a0 in range(C, bound + 1, E) if (a0, 0) in mutant] == [C, C + E, b0]
+    assert gaps.gaps_via_lambda(y231, 1, bound).stray == (b0, 0)
+    assert run(["gaps", *Y231, "--m", "1", "--box-sum", str(bound)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"smallest differing vector {(b0, 0)}, a gap by the formula route above its class prefix" in out.err
 
 
 def test_output_stability(capsys):

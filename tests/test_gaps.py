@@ -1,8 +1,6 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
 import random
-from array import array
-from itertools import cycle
 from math import comb
 
 import pytest
@@ -26,9 +24,11 @@ from wsgaps.gaps import (
     pure_gaps_via_lambda,
     pure_gaps_via_nabla,
     simplex_points,
+    table_classes,
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
 from wsgaps.membership import witness_test
+from wsgaps.oracle import closure_table, default_box, monomial_vectors_in_box
 from wsgaps.semigroup import from_generators
 from wsgaps.sweep import sweep_instances
 
@@ -310,16 +310,17 @@ def test_drop_theta_is_the_witness_mutant(sweep, request):
 
 
 def _reference_scan(dc, m, bound, pure):
-    """The caps array of the threshold scan with the formula evaluated on
-    every tail: the scan before residue tails.  Reads the residue tables
+    """The counts of the threshold scan with the formula evaluated on every
+    tail: the scan before residue tails, with the E = table_classes(dc,
+    bound) classes of alpha_0 counted as ranges.  Reads the residue tables
     through the module attribute, so drop_theta reaches it."""
-    e = dc.e
+    e, E = dc.e, table_classes(dc, bound)
     by_rho, by_class = membership._residue_tables(dc, m)
     past = 2 * bound + 2
     a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
     by_class = [by_class.get(c, (0, past)) for c in range(e)]
     pick = min if pure else max
-    hi = array("q")
+    counts = []
     for tail in simplex_points(m, bound):
         cap = bound - sum(tail) + 1
         q = sum([x // e for x in tail])
@@ -332,9 +333,8 @@ def _reference_scan(dc, m, bound, pure):
         lim = pick([a0_by_rho[r] + shift[r] for r in residues])
         held = max(0, min(e, cap, lim)) if pure else min(e, cap)
         ends = [min(pick(lim, a0 + shift[rho]), cap) for rho, a0 in by_class[:held]]
-        hi.extend([c if end <= c else end + (c - end) % e for c, end in enumerate(ends)])
-        hi.extend(range(held, e))
-    return hi
+        counts += [len(range(C, ends[C % e], E)) if C % e < held else 0 for C in range(E)]
+    return bytes(counts)
 
 
 def _scan(dc, m, bound, pure):
@@ -358,13 +358,13 @@ def _special_bounds(dc):
 
 
 def test_threshold_scan_is_the_per_tail_reference_on_sweep():
-    """Caps array for caps array, both routes, at every special bound."""
+    """Counts for counts, both routes, at every special bound."""
     assert len(_SCAN_CASES) >= 25
     for dc, m in _SCAN_CASES:
         for bound in _special_bounds(dc):
             for pure in (False, True):
                 table = _scan(dc, m, bound, pure)
-                assert table.hi == _reference_scan(dc, m, bound, pure), (dc.params, m, bound, pure)
+                assert table.counts == _reference_scan(dc, m, bound, pure), (dc.params, m, bound, pure)
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,17 +374,17 @@ def test_threshold_scan_is_the_per_tail_reference(data):
     top = 2 * dc.genus + dc.e
     bound = data.draw(st.one_of(st.sampled_from(_special_bounds(dc)), st.integers(0, top)))
     pure = data.draw(st.booleans())
-    assert _scan(dc, m, bound, pure).hi == _reference_scan(dc, m, bound, pure)
+    assert _scan(dc, m, bound, pure).counts == _reference_scan(dc, m, bound, pure)
 
 
 def test_threshold_scan_is_the_per_tail_reference_under_drop_theta(y231, x21131, request):
     """The mutant tables reach both sides, and change the tables."""
     cases = [(dc, m, bound, pure) for dc, m in ((y231, 1), (y231, 2), (x21131, 1))
              for bound in (2 * dc.genus - 1, 2 * dc.genus + dc.e) for pure in (False, True)]
-    real = [_scan(*case).hi for case in cases]
+    real = [_scan(*case).counts for case in cases]
     request.getfixturevalue("drop_theta")
     for case, table in zip(cases, real):
-        mutant = _scan(*case).hi
+        mutant = _scan(*case).counts
         assert mutant == _reference_scan(*case), case
         assert mutant != table, case
 
@@ -473,67 +473,131 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     table = gaps_via_complement(y231, 2)
     assert table == gaps_via_complement(y231, 2)
     assert table.first_difference(table) is None
-    e, bound = table.e, table.bound
-    other = GapTable(e, 2, bound, table.hi[:])
+    E, bound = table.E, table.bound
+    counts = bytearray(table.counts)
     runs = _runs(2, bound)
     # The tail (0, 1) loses the largest gap of its first class with one;
     # (0, 0) gains the next member of its first class whose next member
-    # lies in the simplex.
-    lose = (runs[(0,)] + 1) * e
-    lose += next(c for c in range(e) if table.hi[lose + c] > c)
-    gain = runs[(0,)] * e
-    gain += next(c for c in range(e) if table.hi[gain + c] <= bound)
-    other.hi[lose] -= e
-    other.hi[gain] += e
-    expected = min([((other.hi[lose], 0, 1), table), ((table.hi[gain], 0, 0), other)], key=lambda f: f[0])
+    # lies in the simplex.  Rows start at multiples of E, so an index mod E
+    # is its class.
+    lose = (runs[(0,)] + 1) * E
+    lose += next(C for C in range(E) if counts[lose + C])
+    gain = runs[(0,)] * E
+    gain += next(C for C in range(E) if C + E * counts[gain + C] <= bound)
+    counts[lose] -= 1
+    counts[gain] += 1
+    other = GapTable(E, 2, bound, bytes(counts))
+    lost, gained = (lose % E + E * counts[lose], 0, 1), (gain % E + E * table.counts[gain], 0, 0)
+    expected = min([(lost, table), (gained, other)], key=lambda f: f[0])
     assert table != other
     assert table.first_difference(other) == expected
     assert other.first_difference(table) == expected
     assert len(other) == len(table)
-    assert set(table) ^ set(other) == {(other.hi[lose], 0, 1), (table.hi[gain], 0, 0)}
+    assert set(table) ^ set(other) == {lost, gained}
 
 
-def _hand_built_caps(rng, e: int, m: int, bound: int) -> array:
-    """Caps c + e*k on the simplex sum(alpha) <= bound, row by row: no gap,
-    up to two gaps per class, a random count per class or every member of
-    each class up to top = bound - sum(tail), the most a row holds."""
-    hi = array("q")
+def _hand_built_counts(rng, E: int, m: int, bound: int) -> bytes:
+    """Counts k on the simplex sum(alpha) <= bound with E classes, row by
+    row: no gap, up to two gaps per class, a random count per class or every
+    member of each class up to top = bound - sum(tail), the most a row holds."""
+    counts = []
     for tail in simplex_points(m, bound):
         top, kind = bound - sum(tail), rng.random()
-        for c in range(e):
-            most = (top - c) // e + 1 if c <= top else 0
-            k = (0 if kind < 0.6 else min(most, rng.randint(0, 2)) if kind < 0.9
-                 else rng.randint(0, most) if kind < 0.96 else most)
-            hi.append(c + e * k)
-    return hi
+        for C in range(E):
+            most = (top - C) // E + 1 if C <= top else 0
+            counts.append(0 if kind < 0.6 else min(most, rng.randint(0, 2)) if kind < 0.9
+                          else rng.randint(0, most) if kind < 0.96 else most)
+    return bytes(counts)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 def test_walk_is_the_sorted_per_point_set_past_255_gaps_a_class(e, m):
-    """walk on hand-built tables against the sorted set of the points their
-    caps hold, with label run once for each tail that holds a gap and never
-    for one that holds none.  At m = 1 up to degree 1,100-1,300 every e
-    reaches counts past 255, and e = 1 past 1,020, and at m = 2 up to degree
-    255-290 e = 1 does, so walk recounts classes from their caps, up to four
-    times each; the table with no gap is walked too."""
+    """walk on hand-built count tables with E = K*e classes, K > 1, against
+    the sorted set of the points their counts hold, with label run once for
+    each tail that holds a gap and never for one that holds none.  At m = 1
+    up to degree 1,100-1,300 with K = 5 every e holds more than 255 gaps in
+    a class mod e, each class mod E at most 255, and at m = 2 up to degree
+    255-290 with K = 2 e = 1 does; the table with no gap is walked too."""
     rng = random.Random(1000 * e + m)
     bound = rng.randint(1100, 1300) if m == 1 else rng.randint(255, 290)
-    hi = _hand_built_caps(rng, e, m, bound)
+    E = e * (5 if m == 1 else 2)
+    counts = _hand_built_counts(rng, E, m, bound)
     tails = list(simplex_points(m, bound))
-    counts = [(cap - c) // e for c, cap in zip(cycle(range(e)), hi)]
+    # Gaps per (tail, class mod e): the K classes mod E over it add up.
+    per_class = [sum(row[c::e]) for row in zip(*[iter(counts)] * E) for c in range(e)]
     if m == 1 or e == 1:
-        assert sum(k > 255 for k in counts) >= 10
-    assert 0 < sum(map(any, zip(*[iter(counts)] * e))) < len(tails)  # rows with and without gaps
-    empty = array("q", range(e)) * len(tails)
-    for table_hi in (hi, empty):
-        points = sorted((c + e * i, *tail) for tail, row in zip(tails, zip(*[iter(table_hi)] * e))
-                        for c, cap in enumerate(row) for i in range((cap - c) // e))
+        assert sum(k > 255 for k in per_class) >= 10
+    assert 0 < sum(map(any, zip(*[iter(counts)] * E))) < len(tails)  # rows with and without gaps
+    for table_counts in (counts, bytes(len(counts))):
+        points = sorted((C + E * i, *tail) for tail, row in zip(tails, zip(*[iter(table_counts)] * E))
+                        for C, k in enumerate(row) for i in range(k))
         labelled = []
-        walked = list(GapTable(e, m, bound, table_hi).walk(lambda tail: labelled.append(tail) or tail))
+        walked = list(GapTable(E, m, bound, table_counts).walk(lambda tail: labelled.append(tail) or tail))
         assert [(a0, *tail) for a0, rests in walked for tail in rests] == points
         assert all(rests for _, rests in walked)
         assert labelled == sorted({point[1:] for point in points})
+
+
+@pytest.mark.parametrize("ceiling", [1, 2])
+def test_tables_with_more_classes_than_e_match_per_point_reference(sweep, monkeypatch, ceiling):
+    """With CEILING patched down, small sweep instances keep E = K*e
+    classes with K > 1: all four routes and closure_table on the oracle's
+    monomials against the per-point references, m <= 2, at the proven
+    region and past it."""
+    monkeypatch.setattr(gaps, "CEILING", ceiling)
+    widened = 0
+    for dc in sweep:
+        if dc.genus > 30:
+            continue
+        for m in range(1, min(2, dc.max_m) + 1):
+            for bound in (2 * dc.genus - 1, 2 * dc.genus + dc.e):
+                E = table_classes(dc, bound)
+                widened += E > dc.e
+                gap_set, pure = _per_point_routes(dc, m, bound)
+                for route, reference in ((gaps_via_complement, gap_set), (gaps_via_lambda, gap_set),
+                                         (pure_gaps_via_nabla, pure), (pure_gaps_via_lambda, pure)):
+                    table = route(dc, m, bound)
+                    assert table.E == E
+                    _assert_table_is(table, reference)
+                mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
+                _assert_table_is(closure_table(mono, E, m, bound), gap_set)
+    assert widened >= 12
+
+
+def _all_missing(dc, m):
+    """Residue tables with no entry: no witness anywhere, every point a gap."""
+    return [None] * dc.e, {}
+
+
+@pytest.mark.parametrize("route", ["complement", "lambda", "closure", "closure-bits"])
+def test_a_count_past_the_ceiling_is_the_stray(y231, monkeypatch, route):
+    """Y(2,3,1) at m = 1 up to degree 255*9 + 30 keeps E = e = 9 classes,
+    so class 0 of a tail can count at most 255 gaps, below alpha_0 = 2295.
+    Mutants that claim more, instead of wrapping, make the first vector
+    past the ceiling the table's stray: the scan with no witness (every
+    point a gap) and closure_table with no generator at (2295, 0), the
+    Lambda route with a relative maximal (2300, 3) at (2295, 3), where its
+    box at coordinate 1 holds alpha_0 < 2300, and closure_table with the
+    generator (-1, 0) at (2295, 0): it attains coordinate 1 on the tail
+    (0,) at every alpha_0 and coordinate 0 at none, so that tail's
+    non-members come one bit at a time."""
+    bound = 255 * 9 + 30
+    E = table_classes(y231, bound)
+    assert E == y231.e == 9
+    if route == "complement":
+        monkeypatch.setattr(gaps, "_residue_tables", _all_missing)
+        table, first = gaps_via_complement(y231, 1, bound), (255 * E, 0)
+    elif route == "lambda":
+        lam = sorted({*enumerate_classical_Lambda(y231, 1), (2300, 3)})
+        monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: lam)
+        table, first = gaps_via_lambda(y231, 1, bound), (255 * E, 3)
+    else:
+        gens = [] if route == "closure" else [(-1, 0)]
+        table, first = closure_table(gens, E, 1, bound), (255 * E, 0)
+    assert table.stray == first
+    assert max(table.counts) == 255
+    assert table != table
 
 
 def test_routes_read_disjoint_inputs(y231, monkeypatch, request):

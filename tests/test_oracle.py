@@ -179,21 +179,28 @@ def test_default_box_holds_every_family_vector(sweep):
 
 def _held_classes(table):
     """The classes of the tail (0, ..., 0) that hold a gap and whose next
-    member, at their cap, lies in the simplex; for a tail of zeros the index
-    of a class in table.hi is the class."""
-    return [c for c in range(table.e) if c < table.hi[c] <= table.bound]
+    member, at C + E*k, lies in the simplex; for a tail of zeros the index
+    of a class in table.counts is the class."""
+    E, counts = table.E, table.counts
+    return [C for C in range(E) if counts[C] and C + E * counts[C] <= table.bound]
+
+
+def _moved(table, steps):
+    """table with steps[C] added to the count of class C of the tail of zeros."""
+    counts = bytearray(table.counts)
+    for C, step in steps.items():
+        counts[C] += step
+    return gaps.GapTable(table.E, table.m, table.bound, bytes(counts), table.stray)
 
 
 def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
-    """A gap scan that loses a gap must fail the closure check: one cap
-    lowered by e drops the largest gap of its class."""
+    """A gap scan that loses a gap must fail the closure check: one count
+    lowered by one drops the largest gap of its class."""
     real = gaps._threshold_scan
 
     def lossy(dc, m, bound, pure):
         out = real(dc, m, bound, pure)
-        if not pure:
-            out.hi[_held_classes(out)[0]] -= dc.e
-        return out
+        return out if pure else _moved(out, {_held_classes(out)[0]: -1})
 
     monkeypatch.setattr(gaps, "_threshold_scan", lossy)
     assert consistency_report(y231, 1)["closure_matches_membership"] is False
@@ -202,19 +209,17 @@ def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
 @pytest.mark.parametrize("also_lose", [False, True])
 def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, also_lose):
     """A gap scan that gains a member must fail the closure check too: one
-    cap raised by e adds the next member of its class.  With a gap of
-    another class lost as well the gap count agrees, so only the cap by cap
-    comparison shows it."""
+    count raised by one adds the next member of its class.  With a gap of
+    another class lost as well the gap count agrees, so only the count by
+    count comparison shows it."""
     real = gaps._threshold_scan
 
     def gaining(dc, m, bound, pure):
         out = real(dc, m, bound, pure)
-        if not pure:
-            gain, lose = _held_classes(out)[:2]
-            out.hi[gain] += dc.e
-            if also_lose:
-                out.hi[lose] -= dc.e
-        return out
+        if pure:
+            return out
+        gain, lose = _held_classes(out)[:2]
+        return _moved(out, {gain: 1, lose: -1} if also_lose else {gain: 1})
 
     monkeypatch.setattr(gaps, "_threshold_scan", gaining)
     assert consistency_report(y231, 1)["closure_matches_membership"] is False
@@ -289,14 +294,14 @@ def test_closure_table_names_a_non_member_above_its_class_prefix():
     """With e = 2 the non-members of the closure of (0, 0) and (1, 1) are no
     union of class prefixes: (2, 0) lies above the member (0, 0) of its
     class, and (3, 1) above (1, 1).  The smallest such point is the stray,
-    and the table equals no stray-free table, not even one with its caps."""
+    and the table equals no stray-free table, not even one with its counts."""
     gens, e, bound = [(0, 0), (1, 1)], 2, 4
     table = closure_table(gens, e, 1, bound)
     outside = _per_point_non_members(gens, 2, bound)
     above = [a for a in outside
              if any((b0, *a[1:]) not in outside for b0 in range(a[0] % e, a[0], e))]
     assert table.stray == min(above) == (2, 0)
-    stray_free = gaps.GapTable(e, 1, bound, table.hi)
+    stray_free = gaps.GapTable(e, 1, bound, table.counts)
     assert table != stray_free
     assert table.first_difference(stray_free) == ((2, 0), table)
 
