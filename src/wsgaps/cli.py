@@ -99,12 +99,10 @@ BYTES_PER_CLASSICAL_RESIDUE = 640
 # - the fundamental-region `gamma` and `lambda`: the residue arrays and the
 #   classes sorted by top.  Measured 78-80 on Y(2,21,1) and X(2,1,1,21,1) at
 #   m = 1 and 2, 83 on Y(3,13,1) at m = 3.
+# - `member`: the residue table of membership (the residue arrays and their
+#   inverse).  Measured 32 on Y(2,21,1) at m = 1 and 2 and on X(2,1,1,21,1)
+#   at m = 1, 35 on Y(3,13,1) at m = 1 and 3 and 26 on Y(2,23,1) at m = 1.
 BYTES_PER_REGION_RESIDUE = 88
-# - `member`: the residue tables of membership (a tuple per residue and a
-#   dict by class).  Measured 226 on Y(2,21,1) at m = 1 and 2 and on
-#   X(2,1,1,21,1), 254 on Y(3,13,1) at m = 1 and 3; just past a doubling of
-#   the dict's table an entry takes about 8 more.
-BYTES_PER_MEMBER_RESIDUE = 272
 # Largest memory estimate `verify`, `counts`, `member` and the listings run,
 # a quarter of an 8 GB desk machine; above it the command exits 2 at once
 # instead of crowding out the rest of the machine.  Near WORK_LIMIT a `gaps`
@@ -327,9 +325,11 @@ def _listing_work(dc, m: int, classical: bool) -> int:
     return dc.e * (comb(dc.q**2 // dc.pb + m, m) if classical else m)
 
 
-def _refuse_listing(dc, command: str, m: int, classical: bool, per_residue: int) -> None:
+def _refuse_listing(dc, command: str, m: int, classical: bool) -> None:
     """Refuse `member`, `gamma` or `lambda` by steps (_listing_work) and
-    by the per_residue bytes it holds for each of e residues, in O(1)."""
+    by the bytes it holds for each of e residues, in O(1): a classical
+    listing's BYTES_PER_CLASSICAL_RESIDUE, else BYTES_PER_REGION_RESIDUE."""
+    per_residue = BYTES_PER_CLASSICAL_RESIDUE if classical else BYTES_PER_REGION_RESIDUE
     _refuse(f"{command} at m = {m} needs about", _listing_work(dc, m, classical))
     _refuse(f"{command} at m = {m} keeps {amount_str(dc.e)} residues, about", dc.e * per_residue, "bytes",
             BYTE_LIMIT)
@@ -425,8 +425,7 @@ def run(argv) -> int:
         check_m(dc, args.m)
 
         if args.command in ("gamma", "lambda"):
-            per_residue = BYTES_PER_CLASSICAL_RESIDUE if args.classical else BYTES_PER_REGION_RESIDUE
-            _refuse_listing(dc, args.command, args.m, args.classical, per_residue)
+            _refuse_listing(dc, args.command, args.m, args.classical)
             shift = maximal.relative_shift(dc, args.m) if args.command == "lambda" else 0
             residues = maximal.residues(dc, args.m, shift)
             if args.classical:
@@ -459,7 +458,7 @@ def run(argv) -> int:
 
         if args.command == "member":
             vec = _parse_vector(args.vector, args.m + 1)
-            _refuse_listing(dc, "member", args.m, False, BYTES_PER_MEMBER_RESIDUE)
+            _refuse_listing(dc, "member", args.m, False)
             verdict = membership.in_generalized_H(dc, args.m, vec)
             payload = {
                 "m": args.m,

@@ -22,15 +22,17 @@ reaches with a few C-level passes, not a Python call per tail.
 The Lambda route converts the shifted open boxes of the relative maximals
 into counts, checking that every point it adds extends its class prefix.
 The complement and nabla routes never read Lambda: they run one threshold
-scan over the residue tables of membership.  Fix a tail t with
-top = bound - sum(t).  A witness at coordinate r exists iff
-alpha_0 >= a0 - e*S(t), with (rho, a0) the forced table entry and
+scan over membership's residue table, its own instance of the arrays of
+maximal.residues (rhos and tops by class) with the inverse classes[rho].
+Fix a tail t with top = bound - sum(t).  A witness at coordinate r exists
+iff alpha_0 >= a0 - e*S(t), with rho the forced member, c its class,
+a0 = c + e*tops[c] its zero-shift first coordinate and
 S(t) = sum_s (alpha_s - rho)//e (the slack inequality, solved for alpha_0).
 Each r >= 1 fixes rho by alpha_r, so its threshold does not depend on
 alpha_0; r = 0 gives one threshold U_c per class c = alpha_0 mod e.  The
 gaps of class c end at min(max(L, U_c), top + 1) with L the largest r >= 1
-threshold; the pure gaps use the smallest and min.  A missing table entry
-means no witness at any alpha_0 and counts as top + 1.
+threshold; the pure gaps use the smallest and min.  A class without a
+member (rho < 0) means no witness at any alpha_0 and counts as top + 1.
 
 The scan evaluates that formula only on the residue tails k, sorted with
 every coordinate below e.  It reads a tail t only through sum(t), the
@@ -152,18 +154,24 @@ class GapTable:
         keep-mask, compress filters the labels and replace drops the count,
         so no Python code runs per tail.  Cost: one label per tail with a
         gap, then C-level passes over the tails a class still holds at each
-        level where one leaves it, O(#entries + #gaps).
+        level where one leaves it, O(#entries + #gaps).  The walk stops at
+        the last tail that holds a gap, and once every class is empty,
+        within E of the last alpha_0 with a gap, not at bound.
         """
         E, counts = self.E, self.counts
         tails, none, step = simplex_points(self.m, self.bound), bytes(E), E * _BLOCK_ROWS
         labels, joined = [], bytearray()
-        for start in range(0, len(counts), step):
-            rows = [counts[i:i + E] for i in range(start, min(start + step, len(counts)), E)]
+        size = len(counts.rstrip(b"\0"))  # no row past the last nonzero count holds a gap
+        for start in range(0, size, step):
+            rows = [counts[i:i + E] for i in range(start, min(start + step, size), E)]
             live = list(map(ne, rows, repeat(none)))
             labels += map(label, compress(islice(tails, len(rows)), live))
             joined += b"".join(compress(rows, live))
+        if not labels:
+            return
         held = [[joined[C::E], labels] for C in range(E)]  # per class: [counts, labels]
         del joined, labels
+        emptied = 0  # classes that no longer hold a tail
         for a0 in range(self.bound + 1):
             level, C = divmod(a0, E)
             entry = held[C]
@@ -173,6 +181,9 @@ class GapTable:
                 keep = ks.translate(b"\1" * level + b"\0" + b"\1" * (255 - level))
                 tails = entry[1] = list(compress(tails, keep))
                 entry[0] = ks.replace(bytes((level,)), b"")
+                emptied += not tails
+                if emptied == E:
+                    return
             if tails:
                 yield a0, tails
 
@@ -294,12 +305,13 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
     of the simplex sum(alpha) <= bound: the threshold formula on each
     residue tail, every other row moved down from its residue tail's."""
     e, E, ceiling = dc.e, table_classes(dc, bound), CEILING
-    by_rho, by_class = _residue_tables(dc, m)
-    # A missing table entry (no witness at any alpha_0) gets a first
-    # coordinate whose threshold lies past every top.
+    rhos, tops, classes = _residue_tables(dc, m)
+    # Per class, (rho, a0) with a0 = c + e*tops[c] the zero-shift first
+    # coordinate; a class without a member (rho < 0: no witness at any
+    # alpha_0) gets a first coordinate whose threshold lies past every top.
     past = 2 * bound + 2
-    a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
-    by_class = [by_class.get(c, (0, past)) for c in range(e)]
+    by_class = [(rho, c + e * top) if rho >= 0 else (0, past) for c, (rho, top) in enumerate(zip(rhos, tops))]
+    a0_by_rho = [by_class[c][1] if c < e else past for c in classes]
     pick = min if pure else max
     rows = {}  # residue tail -> (its row, its largest count, its counts past the ceiling or None)
     counts, none, stray = bytearray(), bytes(E), None

@@ -33,6 +33,9 @@ _enumerate_classical joins 1-tuples into the vectors, and the command
 line joins rendered cells into rows without building a vector, after
 counting and pricing the listing from the same residues.  The command
 line's fundamental-region listing streams from the residues too.
+Membership reads the same arrays at shift 0, from a call of its own
+(membership._residue_tables), so it never shares an instance with this
+side.
 """
 
 from __future__ import annotations
@@ -123,10 +126,11 @@ def residues(dc: DerivedConstants, m: int, shift: int) -> tuple[array, array]:
     indexed by class: rhos[c] and tops[c] for the residue rho with
     coord0 + shift = c + e*top, c in [0, e - 1].
 
-    The e first coordinates coord0 fall in distinct classes mod e (as
-    membership._residue_tables also checks), so each class holds exactly
-    one residue: two live residues of one class would list its first
-    coordinate twice at m = 1.  coord0 drops by e per unit of m, so the
+    The e first coordinates coord0 fall in distinct classes mod e, so each
+    class holds exactly one residue: two live residues of one class would
+    list its first coordinate twice at m = 1, and membership, which builds
+    its own instance of these arrays (membership._residue_tables), could
+    not invert them.  coord0 drops by e per unit of m, so the
     class of a residue is the same at every m and for both shifts.  A
     shared class is a defect, as in gaps.count_gaps_two_points, and raises
     SelfCheckError.

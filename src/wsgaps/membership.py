@@ -8,9 +8,14 @@ every absolute maximal element is MaximalElement(rho, ks) with rho in
 and a witness exists iff one closed-form inequality holds; no box
 enumeration is involved.
 
-Everything reads one cached residue table and one slack formula.  Per
-point, nabla_witness builds the witness (caps, first unpinned shift lowered
-by the slack) for in_generalized_H, in_classical_H and `wsgaps member`;
+Everything reads one cached residue table and one slack formula.  The
+table is membership's own instance of the formula side's residues
+(maximal.residues: per class c of the first coordinate mod e, the rho
+there and its top), with the inverse classes[rho] added; the formula side
+builds its instances separately, so a defect planted in this one reaches
+the membership decisions and never Lambda.  Per point, nabla_witness
+builds the witness (caps, first unpinned shift lowered by the slack) for
+in_generalized_H, in_classical_H and `wsgaps member`;
 witness_test decides the same inequality as a boolean closure, for the
 one-point gaps and the tests.  Gap tables come from the threshold scan
 in gaps.py, which solves the inequality for alpha_0 once per tail.
@@ -18,13 +23,14 @@ in gaps.py, which solves the inequality for alpha_0 once per tail.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import DerivedConstants, check_m
 from .errors import EmptyInput, LengthMismatch, SelfCheckError
-from .maximal import MaximalElement, coord0, realize
+from .maximal import MaximalElement, realize, residues
 
 
 @dataclass(frozen=True)
@@ -46,28 +52,25 @@ def lub(vectors) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _residue_tables(dc: DerivedConstants, m: int):
-    """The maximal element each coordinate residue forces, as (rho, a0) with
-    a0 = coord0(dc, m, rho), its zero-shift first coordinate.
+def _residue_tables(dc: DerivedConstants, m: int) -> tuple[array, array, array]:
+    """The maximal element each coordinate residue forces, as three arrays:
+    rhos[c] and tops[c] are maximal.residues(dc, m, 0), the rho whose
+    zero-shift first coordinate is a0 = coord0(dc, m, rho) = c + e*tops[c],
+    and classes[rho] = c is its inverse.  rhos[e] = -1 is the entry of no
+    member, so a table without the member of some rho sets classes[rho] = e.
 
-    by_rho[rho] serves r != 0 (rho = alpha_r mod e);
-    by_class[c] serves r = 0, keyed by a0 mod e.  The e first coordinates
-    fall in distinct classes mod e on every instance checked, which makes the
-    r = 0 lookup a single entry; a collision raises SelfCheckError.  The
-    result is cached and shared, so callers must not mutate it.
+    Coordinate r >= 1 reads c = classes[alpha_r mod e], coordinate 0 reads
+    c = alpha_0 mod e, and rho = rhos[c] < 0 means no member.
+    maximal.residues raises SelfCheckError when two residues share a class,
+    and returns fresh arrays, so the cached table is membership's own
+    instance; callers share it and must not mutate it.
     """
-    e = dc.e
-    by_rho = [(rho, coord0(dc, m, rho)) for rho in range(e)]
-    by_class: dict[int, tuple[int, int]] = {}
-    for entry in by_rho:
-        cls = entry[1] % e
-        if cls in by_class:
-            raise SelfCheckError(
-                f"residue {cls} mod {e} holds the first coordinates of both "
-                f"rho = {by_class[cls][0]} and rho = {entry[0]}"
-            )
-        by_class[cls] = entry
-    return by_rho, by_class
+    rhos, tops = residues(dc, m, 0)
+    classes = array("q", bytes(8 * dc.e))
+    for c, rho in enumerate(rhos):
+        classes[rho] = c
+    rhos.append(-1)
+    return rhos, tops, classes
 
 
 def nabla_witness(
@@ -79,7 +82,8 @@ def nabla_witness(
     """The absolute maximal gamma with gamma_r = alpha_r and gamma <= alpha
     whose shifts ks are lexicographically smallest; None when none exists.
 
-    The residue tables force the member (rho, a0).  Every shift at its cap
+    The residue tables force the member rho, of class c and zero-shift first
+    coordinate a0 = c + e*tops[c].  Every shift at its cap
     (alpha_t - rho)//e gives the largest shift sum; lowering the first shift
     not pinned by coordinate r by the slack keeps gamma_0 <= alpha_0 (equal
     at r = 0) and is the lexicographically smallest choice.
@@ -88,13 +92,13 @@ def nabla_witness(
     if len(alpha) != m + 1:
         raise LengthMismatch(f"expected a vector of length {m + 1}")
     e = dc.e
-    by_rho, by_class = _residue_tables(dc, m)
-    forced = by_rho[alpha[r] % e] if r else by_class.get(alpha[0] % e)
-    if forced is None:
+    rhos, tops, classes = _residue_tables(dc, m)
+    c = classes[alpha[r] % e] if r else alpha[0] % e
+    rho = rhos[c]
+    if rho < 0:
         return None
-    rho, a0 = forced
     ks = [(x - rho) // e for x in alpha[1:]]
-    slack = (alpha[0] - a0) // e + sum(ks)
+    slack = (alpha[0] - c) // e - tops[c] + sum(ks)
     if slack < 0:
         return None
     free = 1 if r == 1 else 0  # coordinate r >= 1 pins shift r - 1
@@ -125,21 +129,22 @@ def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int
     """has_witness(alpha, r) == (nabla_witness(dc, m, alpha, r) is not None),
     decided without building the witness.
 
-    The residue of the target coordinate forces the maximal element (rho, a0)
-    through _residue_tables.  Its shifts can reach alpha at r and stay below
-    it elsewhere iff the slack (alpha_0 - a0)//e + sum_t (alpha_t - rho)//e
-    is >= 0.
+    The residue of the target coordinate forces the maximal element rho of
+    class c through _residue_tables.  Its shifts can reach alpha at r and
+    stay below it elsewhere iff the slack
+    (alpha_0 - c)//e - tops[c] + sum_t (alpha_t - rho)//e is >= 0: its first
+    term is (alpha_0 - a0)//e exactly, as a0 = c + e*tops[c].  The lookup is
+    inline rather than a helper shared with nabla_witness, whose call per
+    check would cost about a quarter more.
     """
     check_m(dc, m)
     e = dc.e
-    by_rho, by_class = _residue_tables(dc, m)
+    rhos, tops, classes = _residue_tables(dc, m)
 
     def has_witness(alpha: tuple[int, ...], r: int) -> bool:
-        forced = by_rho[alpha[r] % e] if r else by_class.get(alpha[0] % e)
-        if forced is None:
-            return False
-        rho, a0 = forced
-        return (alpha[0] - a0) // e + sum([(x - rho) // e for x in alpha[1:]]) >= 0
+        c = classes[alpha[r] % e] if r else alpha[0] % e
+        rho = rhos[c]
+        return rho >= 0 and (alpha[0] - c) // e - tops[c] + sum([(x - rho) // e for x in alpha[1:]]) >= 0
 
     return has_witness
 

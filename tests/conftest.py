@@ -1,6 +1,7 @@
 """Shared fixtures and the independent coin-problem oracle."""
 
 import sys
+from array import array
 
 import pytest
 
@@ -40,18 +41,23 @@ def drop_theta(monkeypatch):
     """Mutation harness: residue tables without the rho = 0 (Theta) member, i.e.
     no witness at a coordinate divisible by e.
 
-    by_rho[0] becomes None and the by_class entry with rho = 0 is dropped.
-    Every wsgaps module attribute bound to _residue_tables is replaced, so
-    every membership decision sees the mutant: the threshold scans (so the
-    complement table that the oracle's closure table and every gap-side
-    check of consistency_report are compared with, and the nabla table),
-    witness_test, nabla_witness, in_generalized_H and in_classical_H.
+    On copies of the cached arrays, the class of rho = 0 loses its member
+    (rhos[classes[0]] = -1) and rho = 0 points at the entry of no member
+    (classes[0] = e).  Every wsgaps module attribute bound to
+    _residue_tables is replaced, so every membership decision sees the
+    mutant and the formula side's maximal.residues does not.  The decisions
+    are the threshold scans (so the complement table that the oracle's
+    closure table and every gap-side check of consistency_report are
+    compared with, and the nabla table), witness_test, nabla_witness,
+    in_generalized_H and in_classical_H.
     """
     real = membership._residue_tables
 
     def mutant(dc, m):
-        by_rho, by_class = real(dc, m)
-        return [None] + by_rho[1:], {c: f for c, f in by_class.items() if f[0] != 0}
+        rhos, tops, classes = (array("q", table) for table in real(dc, m))
+        rhos[classes[0]] = -1
+        classes[0] = dc.e
+        return rhos, tops, classes
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("wsgaps.") and getattr(mod, "_residue_tables", None) is real:

@@ -24,7 +24,6 @@ from wsgaps.cli import (
     BYTE_LIMIT,
     BYTES_PER_CLASSICAL_RESIDUE,
     BYTES_PER_ENTRY,
-    BYTES_PER_MEMBER_RESIDUE,
     BYTES_PER_REGION_RESIDUE,
     BYTES_PER_VECTOR,
     WORK_LIMIT,
@@ -523,32 +522,36 @@ def test_classical_listings_refuse_by_bytes_only_what_cannot_fit(capsys):
 @pytest.mark.parametrize("flags", [["member", "--vector", "1,1,1"], ["gamma"]])
 def test_listings_refuse_what_their_residues_cannot_hold(flags, capsys):
     """Y(2,25,1) at m = 2 passes the step estimate (e*m = 67,108,866), but
-    `member` would build its residue tables for e = 33,554,433 residues
-    (about 9.1 GB at BYTES_PER_MEMBER_RESIDUE) and `gamma` would sort them
-    (about 3.0 GB at BYTES_PER_REGION_RESIDUE): both exit 2 at once."""
+    `member` would build its residue table for e = 33,554,433 residues and
+    `gamma` would sort them, about 3.0 GB for either at
+    BYTES_PER_REGION_RESIDUE = 88 a residue: both exit 2 at once."""
     argv = [flags[0], "--family", "Y", "--q", "2", "--n", "25", "--s", "1", "--m", "2", *flags[1:]]
     dc = curve("Y", q=2, n=25, s=1)
     assert _listing_work(dc, 2, False) == 67_108_866 <= WORK_LIMIT
     _assert_refused_at_once(argv)
     assert run(argv) == 2
-    per_residue = BYTES_PER_MEMBER_RESIDUE if flags[0] == "member" else BYTES_PER_REGION_RESIDUE
-    assert (f"keeps 33554433 residues, about {33554433 * per_residue} bytes, above the limit {BYTE_LIMIT}"
+    assert BYTES_PER_REGION_RESIDUE == 88
+    assert (f"keeps 33554433 residues, about {33554433 * 88} bytes, above the limit {BYTE_LIMIT}"
             in capsys.readouterr().err)
 
 
 def test_listings_admit_what_their_residues_can_hold():
     """The per-residue prices admit the listings measured at e = 2,097,153:
-    `member` on Y(2,21,1) at m = 1 and 2 (452 MiB), the fundamental-region
+    `member` on Y(2,21,1) at m = 1 and 2 (65 MiB), the fundamental-region
     `gamma` and `lambda` there at m = 1 and 2 (159 MiB), `lambda --classical`
     there at m = 2 (4,893,354 vectors, 1,178 MiB) and `gamma --classical` on
-    X(2,1,1,21,1) at m = 1 (1,048,576 vectors, 339 MiB)."""
+    X(2,1,1,21,1) at m = 1 (1,048,576 vectors, 339 MiB).  `member` on
+    Y(2,23,1) at m = 1 (e = 8,388,609, about 0.74 GB at 88 bytes a
+    residue, measured 209 MiB) is admitted too."""
     y, x = curve("Y", q=2, n=21, s=1), curve("X", p=2, a=1, b=1, n=21, s=1)
     for m in (1, 2):
-        _refuse_listing(y, "member", m, False, BYTES_PER_MEMBER_RESIDUE)
-        for command in ("gamma", "lambda"):
-            _refuse_listing(y, command, m, False, BYTES_PER_REGION_RESIDUE)
+        for command in ("member", "gamma", "lambda"):
+            _refuse_listing(y, command, m, False)
+    y23 = curve("Y", q=2, n=23, s=1)
+    assert y23.e == 8_388_609
+    _refuse_listing(y23, "member", 1, False)
     for dc, command, m, shift in ((y, "lambda", 2, y.e), (x, "gamma", 1, 0)):
-        _refuse_listing(dc, command, m, True, BYTES_PER_CLASSICAL_RESIDUE)
+        _refuse_listing(dc, command, m, True)
         _refuse_classical(command, m, maximal.residues(dc, m, shift))
 
 

@@ -1,6 +1,7 @@
 """Gap/pure-gap routes, the zeta-based exact count and the upper bound."""
 
 import random
+from array import array
 from math import comb
 
 import pytest
@@ -315,10 +316,11 @@ def _reference_scan(dc, m, bound, pure):
     bound) classes of alpha_0 counted as ranges.  Reads the residue tables
     through the module attribute, so drop_theta reaches it."""
     e, E = dc.e, table_classes(dc, bound)
-    by_rho, by_class = membership._residue_tables(dc, m)
+    rhos, tops, classes = membership._residue_tables(dc, m)
     past = 2 * bound + 2
-    a0_by_rho = [past if forced is None else forced[1] for forced in by_rho]
-    by_class = [by_class.get(c, (0, past)) for c in range(e)]
+    a0 = [c + e * tops[c] if rhos[c] >= 0 else past for c in range(e)] + [past]
+    a0_by_rho = [a0[c] for c in classes]
+    by_class = [(max(rhos[c], 0), a0[c]) for c in range(e)]
     pick = min if pure else max
     counts = []
     for tail in simplex_points(m, bound):
@@ -539,6 +541,26 @@ def test_walk_is_the_sorted_per_point_set_past_255_gaps_a_class(e, m):
         assert labelled == sorted({point[1:] for point in points})
 
 
+@pytest.mark.parametrize("E", [1, 3, 7])
+def test_walk_stops_at_the_last_gap_far_below_the_bound(E):
+    """At m = 1 the row of tail (t,) sits at t*E whatever the bound, so a
+    table up to degree 250 padded with rows of no gap is the same set up
+    to degree 3*10^6: walk lists the same gaps and labels the same tails,
+    stopping at the last tail with a gap and once every class is empty
+    instead of running to the bound.  The padded table with no gap walks
+    to nothing."""
+    rng = random.Random(E)
+    small, big = 250, 3 * 10**6
+    counts = _hand_built_counts(rng, E, 1, small)
+    padded = counts + bytes(E * (big - small))
+    expected = list(GapTable(E, 1, small, counts).walk(tuple))
+    assert expected and expected[-1][0] < small
+    labelled = []
+    assert list(GapTable(E, 1, big, padded).walk(lambda tail: labelled.append(tail) or tail)) == expected
+    assert labelled == sorted({tail for _, tails in expected for tail in tails})
+    assert list(GapTable(E, 1, big, bytes(len(padded))).walk(tuple)) == []
+
+
 @pytest.mark.parametrize("ceiling", [1, 2])
 def test_tables_with_more_classes_than_e_match_per_point_reference(sweep, monkeypatch, ceiling):
     """With CEILING patched down, small sweep instances keep E = K*e
@@ -566,8 +588,8 @@ def test_tables_with_more_classes_than_e_match_per_point_reference(sweep, monkey
 
 
 def _all_missing(dc, m):
-    """Residue tables with no entry: no witness anywhere, every point a gap."""
-    return [None] * dc.e, {}
+    """Residue tables with no member: no witness anywhere, every point a gap."""
+    return array("q", [-1]) * (dc.e + 1), array("q", bytes(8 * dc.e)), array("q", [dc.e]) * dc.e
 
 
 @pytest.mark.parametrize("route", ["complement", "lambda", "closure", "closure-bits"])

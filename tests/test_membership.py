@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsgaps import membership, semigroup
+from wsgaps import maximal, membership, semigroup
 from wsgaps.curves import curve
 from wsgaps.errors import EmptyInput, LengthMismatch, SelfCheckError, WsgapsError
 from wsgaps.gaps import simplex_points
@@ -288,7 +288,7 @@ def test_apery_genus_self_check(monkeypatch):
 
 
 def test_residue_collision_self_check(monkeypatch, y231):
-    monkeypatch.setattr(membership, "coord0", lambda dc, m, rho: 0)
+    monkeypatch.setattr(maximal, "coord0", lambda dc, m, rho: 0)
     membership._residue_tables.cache_clear()  # a cached table would hide the patch
-    with pytest.raises(SelfCheckError, match="residue 0"):
+    with pytest.raises(SelfCheckError, match="residues 0 and 1 .* share the class 0 of the first coordinate"):
         witness_test(y231, 1)
