@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Print a TSV of every sweep instance with its derived constants and the
-genus/Frobenius agreement between the formula and the Apery construction."""
+genus/Frobenius agreement between the formula and the Apery construction.
+It imports wsgaps from this checkout's src/."""
 
 import sys
+from pathlib import Path
 
-from wsgaps.semigroup import from_generators
-from wsgaps.sweep import sweep_instances
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from wsgaps.semigroup import from_generators  # noqa: E402
+from wsgaps.sweep import sweep_instances  # noqa: E402
 
 
 def main() -> int:

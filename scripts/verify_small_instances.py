@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Run `wsgaps verify` on every small-genus sweep instance at every m it
 admits.  A case the command refuses as too much work (exit 2) is printed as
-skipped, so the skip rule is the command's own estimate."""
+skipped, so the skip rule is the command's own estimate.  It imports
+wsgaps from this checkout's src/."""
 
 import contextlib
 import io
 import json
 import sys
 import time
+from pathlib import Path
 
-from wsgaps.cli import run
-from wsgaps.sweep import sweep_instances
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from wsgaps.cli import run  # noqa: E402
+from wsgaps.sweep import sweep_instances  # noqa: E402
 
 MAX_GENUS = 100
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 from math import comb
 
@@ -125,8 +124,8 @@ def _encode(obj):
 
 def _record(dc, payload) -> dict:
     """The record of one command, every field through _encode."""
-    derived = asdict(dc)
-    params = {k: v for k, v in derived.pop("params").items() if v is not None}
+    derived = dc._asdict()
+    params = {k: v for k, v in derived.pop("params")._asdict().items() if v is not None}
     return {
         "schema_version": SCHEMA_VERSION,
         "params": _encode(params),

@@ -10,7 +10,7 @@ distinguished points matter, never coordinates over a finite field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt, log2
 
 from .errors import (
@@ -61,46 +61,32 @@ def _refuse_power(base: int, k: int) -> None:
                           f"{POWER_BITS}")
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """Validated parameters of one curve instance."""
+# The records below are named tuples: immutable, compared and hashed as the
+# tuple of their fields and printed as Name(field=value, ...).  The
+# interpreter has loaded collections before any command starts, while
+# dataclasses (and the inspect it imports) would add to every start-up.
+class CurveParams(namedtuple("CurveParams", "family q n s p a b", defaults=(None, None, None))):
+    """Validated parameters of one curve instance: family is "X" or "Y",
+    and p, a and b are set for family X only."""
 
-    family: str  # "X" or "Y"
-    q: int
-    n: int
-    s: int
-    p: int | None = None  # family X only
-    a: int | None = None
-    b: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """All exact integers derived from a CurveParams.
+class DerivedConstants(namedtuple("DerivedConstants",
+                                  "params q pb M e gens genus frobenius canonical_degree max_m")):
+    """All exact integers derived from a CurveParams, with e = (q+1)M.
 
     gens stores the semigroup generator triple ((q/p^b)M, q^3/p^b, (q+1)M)
     verbatim, without minimization.
     """
 
-    params: CurveParams
-    q: int
-    pb: int
-    M: int
-    e: int  # (q+1)M
-    gens: tuple[int, int, int]
-    genus: int
-    frobenius: int
-    canonical_degree: int
-    max_m: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonomialExponents:
+class MonomialExponents(namedtuple("MonomialExponents", "a_z b_y c")):
     """Exponent tuple of z^a_z * y^b_y * prod (x - alpha_l)^c_l."""
 
-    a_z: int
-    b_y: int
-    c: tuple[int, ...]
+    __slots__ = ()
 
 
 def _genus_numerator(q: int, pb: int, n: int, s: int) -> int:

@@ -21,6 +21,10 @@ reaches with a few C-level passes, not a Python call per tail.
 
 The Lambda route converts the shifted open boxes of the relative maximals
 into counts, checking that every point it adds extends its class prefix.
+It takes Lambda in ascending beta_0 and works by box runs (the tails of a
+box that share all but their last coordinate): a run costs O(1) Python
+operations, a slice fill, a translate or a big-integer mask, whatever its
+length, and verify builds both kinds of table from one reach pass.
 The complement and nabla routes never read Lambda: they run one threshold
 scan over membership's residue table, its own instance of the arrays of
 maximal.residues (rhos and tops by class) with the inverse classes[rho].
@@ -52,7 +56,8 @@ against O(#points * m^2) for a per-point membership test.
 from __future__ import annotations
 
 from array import array
-from functools import cache
+from collections import defaultdict
+from functools import cache, partial
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import comb
 from operator import lt, ne
@@ -214,71 +219,137 @@ def _box_runs(ranges, runs: dict, budget: int):
             yield head, xs, runs[head]
 
 
-def _lambda_table(lam, E: int, m: int, bound: int, pure: bool) -> GapTable:
-    """The gaps (pure: the pure gaps) of the simplex from the relative maximals
-    lam, with E classes of alpha_0.
+@cache
+def _equal(k: int) -> bytes:
+    """The translate table of the counts i -> (i == k)."""
+    return bytes([i == k for i in range(256)])
+
+
+@cache
+def _below(bar: int) -> bytes:
+    """The translate table of the counts i -> (i < bar)."""
+    return bytes([i < bar for i in range(256)])
+
+
+def _reach(lam, r: int, runs: dict, bound: int, size: int) -> array:
+    """Per tail of the simplex sum(t) <= bound (size tails laid out by
+    runs), the largest beta_0 of the boxes at r >= 1 that hold it, else 0.
+    lam is in ascending beta_0, so each box run is one slice fill: a later
+    box never lowers a reach.  A box with beta_0 <= 0 is skipped, as its
+    fill would go below the initial 0."""
+    out = array("q", [0]) * size
+    for beta in lam:
+        if beta[0] > 0:
+            fill = array("q", beta[:1])
+            ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
+            for _, xs, base in _box_runs(ranges, runs, bound):
+                out[base + xs.start:base + xs.stop] = fill * len(xs)
+    return out
+
+
+def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
+    """Yield, for each pure in kinds, the gaps (pure: the pure gaps) of the
+    simplex from the relative maximals lam, with E classes of alpha_0.
 
     Each beta in lam gives an open box per coordinate i, shifted to pass
     through beta there: alpha_i = beta_i and 0 <= alpha_j < beta_j elsewhere.
     The gaps are the union of all boxes; the pure gaps intersect over i the
     union of the boxes at i.  A box at r >= 1 holds alpha_0 < beta_0 on each
-    of its tails, a prefix of every class.  A box at 0 holds one point
-    (beta_0, t) per tail t.  Taken in ascending beta_0 after every prefix is
-    set, each such point (pure: each below the prefix) must extend its class
-    prefix; the smallest that does not, or that would pass CEILING, becomes
-    the table's stray.
+    of its tails, a prefix of every class: per tail, the reach of r (_reach)
+    is the largest such beta_0, and the end of the tail's prefix is the max
+    (pure: the min) over r of the reaches, capped at top + 1.  Both kinds
+    read one reach pass, each reach freed once the prefixes have read it.
+    A box at 0 holds one point (beta_0, t) per tail t.  Taken in ascending
+    beta_0 after every prefix is set, each such point (pure: each below its
+    tail's end) must extend its class prefix; the smallest that does not,
+    or that would pass CEILING, becomes the table's stray.
+
+    Every step costs O(1) Python operations per box run, each at C speed
+    over the run's tails.  The class-c counts old of a run move up by one
+    where old == k0 (a translate and a replace).  The pure pass keeps one
+    byte per tail, alive while beta_0 < its end: beta_0 only rises, so each
+    tail is cleared once, from buckets of the tails by end.  It adds the
+    mask (old == k0) & alive as big integers (k0 <= 254: no carry).  A
+    stray is a run's first tail with old < k0 (pure: and alive), a find
+    (pure: the highest set bit of the mask).
     """
     size = comb(bound + m, m)
     runs = _runs(m, bound)
     ceiling = CEILING
-
-    def reach(r):
-        """Per tail, the largest beta_0 of the boxes at r that hold it."""
-        out = array("q", [0]) * size
-        for beta in lam:
-            ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
-            for _, xs, base in _box_runs(ranges, runs, bound):
-                cells = slice(base + xs.start, base + xs.stop)
-                out[cells] = array("q", map(max, out[cells], repeat(beta[0])))
-        return out
-
-    prefix = reach(1)
+    lam = sorted(lam)
+    prefixes = [_reach(lam, 1, runs, bound, size)] * len(kinds)
     for r in range(2, m + 1):
-        prefix = array("q", map(min if pure else max, prefix, reach(r)))
-    tops = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
-    ends = array("q", map(min, prefix, tops))  # per tail, where its prefix of gaps ends
-    del prefix
-    stray = None
-    if pure:
-        counts = bytearray(size * E)
-    else:
-        rows, counts = {end: _prefix_row(end, E) for end in set(ends)}, bytearray()
-        for start in range(0, size, _BLOCK_ROWS):
-            counts += b"".join(map(rows.__getitem__, ends[start:start + _BLOCK_ROWS]))
-        if max(ends) > E * ceiling:  # the first such tail's class 0 passes the ceiling
-            i = next(i for i, end in enumerate(ends) if end > E * ceiling)
-            stray = (E * ceiling, *next(islice(simplex_points(m, bound), i, None)))
-    for beta in sorted(lam):
-        b0 = beta[0]
-        if b0 > bound:
-            break
-        k0, c = divmod(b0, E)
-        # No count can take a point past the ceiling: each is a stray.
-        bar = k0 if k0 < ceiling else 256
-        for head, xs, base in _box_runs([range(b) for b in beta[1:]], runs, bound - b0):
-            first, stop = base + xs.start, base + xs.stop
-            cells = slice(first * E + c, stop * E, E)
-            old = counts[cells]
-            # b0 <= top on every tail of the run, so only pure gaps need the prefix.
-            live = ends[first:stop] if pure else repeat(b0 + 1)
-            if bar == k0:
-                counts[cells] = (bytes([k + 1 if k == k0 and b0 < end else k for k, end in zip(old, live)]) if pure
-                                 else old.replace(bytes((k0,)), bytes((k0 + 1,))))
-            if min(old) < bar:
-                above = [x for x, k, end in zip(xs, old, live) if k < bar and b0 < end]
-                if above:
-                    stray = _first(stray, (b0, *head, above[0]))
-    return GapTable(E, m, bound, bytes(counts), stray)
+        more = _reach(lam, r, runs, bound, size)
+        for i, pure in enumerate(kinds):
+            prefixes[i] = array("q", map(min if pure else max, prefixes[i], more))
+        del more
+    for pure in kinds:
+        tops = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
+        ends = array("q", map(min, prefixes.pop(0), tops))  # per tail, where its prefix of gaps ends
+        stray = None
+        if pure:
+            counts, alive, buckets = bytearray(size * E), bytearray(size), defaultdict(partial(array, "i"))
+            # The tails with a nonzero end, skipping blocks of zero ends by one
+            # C-level comparison: past the gap region a block has none.
+            zeros = array("q", bytes(8 * _BLOCK_ROWS))
+            for start in range(0, size, _BLOCK_ROWS):
+                block = ends[start:start + _BLOCK_ROWS]
+                if block != zeros[:len(block)]:
+                    for t in compress(range(start, start + len(block)), block):
+                        alive[t] = 1
+                        buckets[block[t - start]].append(t)
+            pending = sorted(buckets, reverse=True)  # the ends still to pass, ascending from the end
+        else:
+            rows, counts = {end: _prefix_row(end, E) for end in set(ends)}, bytearray()
+            for start in range(0, size, _BLOCK_ROWS):
+                counts += b"".join(map(rows.__getitem__, ends[start:start + _BLOCK_ROWS]))
+            if max(ends) > E * ceiling:  # the first such tail's class 0 passes the ceiling
+                i = next(i for i, end in enumerate(ends) if end > E * ceiling)
+                stray = (E * ceiling, *next(islice(simplex_points(m, bound), i, None)))
+        del ends
+        for beta in lam:
+            b0 = beta[0]
+            if b0 > bound:
+                break
+            k0, c = divmod(b0, E)
+            if k0 < ceiling:
+                bar, equal, was, now = k0, _equal(k0), bytes((k0,)), bytes((k0 + 1,))
+            else:  # no count can take a point past the ceiling: each is a stray
+                bar = 256
+            below = _below(bar)
+            while pure and pending and pending[-1] <= b0:
+                for t in buckets.pop(pending.pop()):
+                    alive[t] = 0
+            for head, xs, base in _box_runs([range(b) for b in beta[1:]], runs, bound - b0):
+                first, stop = base + xs.start, base + xs.stop
+                cells = slice(first * E + c, stop * E, E)
+                old = counts[cells]
+                # b0 <= top on every tail of the run, so only pure gaps need the prefix.
+                if not pure:
+                    if bar == k0:
+                        counts[cells] = old.replace(was, now)
+                    x = old.translate(below).find(1)
+                    if x >= 0:
+                        stray = _first(stray, (b0, *head, xs.start + x))
+                    continue
+                live = int.from_bytes(alive[first:stop], "big")
+                if not live:
+                    continue
+                if bar == k0:
+                    counts[cells] = (int.from_bytes(old, "big")
+                                     + (int.from_bytes(old.translate(equal), "big") & live)).to_bytes(len(xs), "big")
+                low = int.from_bytes(old.translate(below), "big") & live
+                if low:  # the first tail's byte is the highest
+                    stray = _first(stray, (b0, *head, xs.stop - 1 - (low.bit_length() - 1) // 8))
+        counts = bytes(counts)  # the table's own bytes: no second copy waits in this frame
+        yield GapTable(E, m, bound, counts, stray)
+        del counts  # freed before the next kind's arrays are built
+
+
+def _lambda_table(lam, E: int, m: int, bound: int, pure: bool) -> GapTable:
+    """The gaps (pure: the pure gaps) of the simplex from the relative
+    maximals lam, with E classes of alpha_0 (_lambda_tables)."""
+    return next(_lambda_tables(lam, E, m, bound, (pure,)))
 
 
 def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
@@ -450,10 +521,10 @@ def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable, lam=Non
     bound, E = complement.bound, complement.E
     lam = enumerate_classical_Lambda(dc, m) if lam is None else lam
     volume = gap_count_upper_bound(dc, m) if volume is None else volume
+    tables = _lambda_tables(lam, E, m, bound, (False, True))
     checks = {
-        "gap_routes_agree": _lambda_table(lam, E, m, bound, pure=False) == complement,
-        "pure_gap_routes_agree": (_lambda_table(lam, E, m, bound, pure=True)
-                                  == pure_gaps_via_nabla(dc, m, bound)),
+        "gap_routes_agree": next(tables) == complement,
+        "pure_gap_routes_agree": next(tables) == pure_gaps_via_nabla(dc, m, bound),
         # Strictly increasing: no vector listed twice, and the order the listings rely on.
         "lambda_count_formula": count_Lambda(dc, m) == len(lam) and all(map(lt, lam, islice(lam, 1, None))),
         "gap_count_bound": len(complement) <= volume,

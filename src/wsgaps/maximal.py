@@ -41,17 +41,15 @@ side.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .curves import DerivedConstants, check_m
 from .errors import BadIndexPair, LengthMismatch, SelfCheckError
 
 
-@dataclass(frozen=True)
-class MaximalElement:
-    rho: int
-    ks: tuple[int, ...]
+class MaximalElement(namedtuple("MaximalElement", "rho ks")):
+    __slots__ = ()
 
 
 def pair_from_residue(dc: DerivedConstants, rho: int) -> tuple[int, int]:

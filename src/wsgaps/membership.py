@@ -24,8 +24,8 @@ in gaps.py, which solves the inequality for alpha_0 once per tail.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import DerivedConstants, check_m
@@ -33,11 +33,11 @@ from .errors import EmptyInput, LengthMismatch, SelfCheckError
 from .maximal import MaximalElement, realize, residues
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    member: bool
-    witnesses: tuple[MaximalElement, ...] | None  # one per coordinate when member
-    failing_coordinate: int | None
+class MembershipVerdict(namedtuple("MembershipVerdict", "member witnesses failing_coordinate")):
+    """witnesses holds one MaximalElement per coordinate when member, else
+    None; failing_coordinate is the first coordinate without one, else None."""
+
+    __slots__ = ()
 
 
 def lub(vectors) -> tuple[int, ...]:

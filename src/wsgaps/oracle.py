@@ -18,7 +18,7 @@ index_generators, one in_lub_closure call per family vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import comb
 from operator import le
@@ -35,16 +35,13 @@ from .maximal import (
 )
 
 
-@dataclass(frozen=True)
-class Box:
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
+class Box(namedtuple("Box", "lower upper")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper) or any(
-            lo > hi for lo, hi in zip(self.lower, self.upper)
-        ):
-            raise BadBox(f"lower {self.lower} not <= upper {self.upper}")
+    def __new__(cls, lower: tuple[int, ...], upper: tuple[int, ...]):
+        if len(lower) != len(upper) or any(lo > hi for lo, hi in zip(lower, upper)):
+            raise BadBox(f"lower {lower} not <= upper {upper}")
+        return super().__new__(cls, lower, upper)
 
     def __contains__(self, v) -> bool:
         return all(lo <= x <= hi for lo, x, hi in zip(self.lower, v, self.upper))

@@ -219,6 +219,24 @@ def test_verify_computes_the_volume_and_lambda_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_reaches_each_coordinate_once_for_both_kinds(capsys, monkeypatch):
+    """`verify` builds both Lambda tables from one reach pass: each
+    coordinate r >= 1 has its reach array computed once, not once per kind."""
+    reached = []
+    real = gaps._reach
+
+    def counted(lam, r, *args):
+        reached.append(r)
+        return real(lam, r, *args)
+
+    monkeypatch.setattr(gaps, "_reach", counted)
+    for m in (1, 2):
+        reached.clear()
+        assert run(["verify", *Y231, "--m", str(m)]) == 0
+        assert sorted(reached) == list(range(1, m + 1)), m
+    capsys.readouterr()
+
+
 def test_verify_tsv_one_row_per_check(capsys):
     assert run(["verify", *Y231, "--m", "1", "--format", "tsv"]) == 0
     rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]

@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from itertools import repeat
 from math import comb
 
 import pytest
@@ -13,9 +14,12 @@ from wsgaps.curves import curve
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
+    _box_runs,
     _box_volume_sum,
+    _first,
     _inversions,
     _lambda_table,
+    _prefix_row,
     _runs,
     build_gap_report,
     count_gaps_two_points,
@@ -469,6 +473,107 @@ def test_lambda_conversion_records_a_point_above_its_class_prefix():
     pure = _lambda_table({(10, 0), (6, 1)}, 3, 1, 10, pure=True)
     assert pure.stray == (6, 0)
     assert len(pure) == 0
+
+
+def _reference_lambda_table(lam, E, m, bound, pure):
+    """The Lambda route with a Python step per point: each reach takes the
+    max over every tail of each box run, in any order of lam, and the box-0
+    pass updates and tests each point of a run against its tail's end.
+    Reads gaps.CEILING at call time, so a patched ceiling reaches it."""
+    size = comb(bound + m, m)
+    runs = _runs(m, bound)
+    ceiling = gaps.CEILING
+
+    def reach(r):
+        out = array("q", [0]) * size
+        for beta in lam:
+            ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
+            for _, xs, base in _box_runs(ranges, runs, bound):
+                cells = slice(base + xs.start, base + xs.stop)
+                out[cells] = array("q", map(max, out[cells], repeat(beta[0])))
+        return out
+
+    prefix = reach(1)
+    for r in range(2, m + 1):
+        prefix = array("q", map(min if pure else max, prefix, reach(r)))
+    tops = [bound + 1 - sum(tail) for tail in simplex_points(m, bound)]
+    ends = list(map(min, prefix, tops))
+    stray = None
+    if pure:
+        counts = bytearray(size * E)
+    else:
+        counts = bytearray(b"".join(_prefix_row(end, E) for end in ends))
+        if max(ends) > E * ceiling:
+            i = next(i for i, end in enumerate(ends) if end > E * ceiling)
+            stray = (E * ceiling, *list(simplex_points(m, bound))[i])
+    for beta in sorted(lam):
+        b0 = beta[0]
+        if b0 > bound:
+            break
+        k0, c = divmod(b0, E)
+        bar = k0 if k0 < ceiling else 256
+        for head, xs, base in _box_runs([range(b) for b in beta[1:]], runs, bound - b0):
+            first, stop = base + xs.start, base + xs.stop
+            cells = slice(first * E + c, stop * E, E)
+            old = counts[cells]
+            live = ends[first:stop] if pure else repeat(b0 + 1)
+            if bar == k0:
+                counts[cells] = bytes([k + 1 if k == k0 and b0 < end else k for k, end in zip(old, live)])
+            above = [x for x, k, end in zip(xs, old, live) if k < bar and b0 < end]
+            if above:
+                stray = _first(stray, (b0, *head, above[0]))
+    return GapTable(E, m, bound, bytes(counts), stray)
+
+
+def _assert_lambda_route_is_the_reference(lam, E, m, bound):
+    """Both kinds of the route on lam, given as a set, against the per-point
+    reference: the same counts and the same stray.  Returns the strays."""
+    strays = []
+    for pure in (False, True):
+        table = _lambda_table(set(lam), E, m, bound, pure)
+        reference = _reference_lambda_table(lam, E, m, bound, pure)
+        assert (table.counts, table.stray) == (reference.counts, reference.stray), (lam, m, bound, pure)
+        strays.append(table.stray)
+    return strays
+
+
+def test_lambda_route_is_the_per_point_reference_on_every_one_vector_mutant(y231):
+    """Y(2,3,1) at m = 1 and 2, bound 2g - 1: Lambda without each of its
+    vectors, and with a vector added on the tail of each at every beta_0
+    up to bound + 1.  Both kinds find strays past the first tail of a run
+    (the last coordinate x > 0), where the box-0 pass reads the stray's
+    position off the bits of a run mask."""
+    bound = 2 * y231.genus - 1
+    E = table_classes(y231, bound)
+    past_first = [0, 0]
+    for m in (1, 2):
+        lam = enumerate_classical_Lambda(y231, m)
+        mutants = [lam[:i] + lam[i + 1:] for i in range(len(lam))]
+        mutants += [lam + [(b0, *beta[1:])] for beta in lam for b0 in range(bound + 2)]
+        for mutant in mutants:
+            for kind, stray in enumerate(_assert_lambda_route_is_the_reference(mutant, E, m, bound)):
+                past_first[kind] += stray is not None and stray[-1] > 0
+    assert min(past_first) >= 5, past_first
+
+
+_LAMBDA_CASES = [(dc, m) for dc in sweep_instances() if dc.genus <= 30 for m in range(1, min(3, dc.max_m) + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lambda_route_is_the_per_point_reference_on_mutants(data):
+    """Sweep cases with g <= 30 at m = 1..3 and a drawn bound: Lambda with
+    one vector dropped, or with one added on the tail of another at a drawn
+    beta_0, gives both kinds of table the reference's counts and stray."""
+    dc, m = data.draw(st.sampled_from(_LAMBDA_CASES))
+    bound = data.draw(st.integers(0, 2 * dc.genus + dc.e))
+    lam = list(enumerate_classical_Lambda(dc, m))
+    i = data.draw(st.integers(0, len(lam) - 1))
+    if data.draw(st.booleans()):
+        del lam[i]
+    else:
+        lam.append((data.draw(st.integers(0, bound + 1)), *lam[i][1:]))
+    _assert_lambda_route_is_the_reference(lam, table_classes(dc, bound), m, bound)
 
 
 def test_first_difference_is_the_smallest_vector_in_one_table(y231):
