@@ -104,6 +104,20 @@ def _prefix_row(end: int, E: int) -> bytes:
 
 
 @cache
+def _above(level: int) -> bytes:
+    """The translate table of the counts i -> ASCII '1' if i > level, else '0'."""
+    return bytes([48 + (i > level) for i in range(256)])
+
+
+def _gap_bits(row: bytes) -> int:
+    """The gaps of a row of E counts as the bits alpha_0 of one integer:
+    level i holds bit C + E*i where row[C] > i.  Each level is one translate
+    into ASCII digits, reversed so that int(..., 2) reads them highest
+    first."""
+    return int(b"".join([row.translate(_above(i))[::-1] for i in reversed(range(max(row)))]) or b"0", 2)
+
+
+@cache
 def _lowered(a: int) -> bytes:
     """The translate table of the counts i -> max(0, i - a)."""
     return bytes([max(0, i - a) for i in range(256)])
@@ -196,15 +210,19 @@ class GapTable:
         """(vector, table) for the lexicographically smallest vector that one
         table's counts hold and the other's do not, or that is a table's
         stray, with the table holding it; None when the tables hold the same
-        set.  Both tables must cover the same simplex with the same E."""
+        set.  Both tables must cover the same simplex with the same E.  On a
+        row that differs, the lowest set bit of the XOR of the two rows'
+        _gap_bits is its smallest differing alpha_0."""
         found = [(t.stray, t) for t in (self, other) if t.stray is not None]
         if self.counts != other.counts:
             E = self.E
             for i, tail in zip(range(0, len(self.counts), E), simplex_points(self.m, self.bound)):
                 mine, theirs = self.counts[i:i + E], other.counts[i:i + E]
                 if mine != theirs:
-                    found += [((C + E * min(a, b), *tail), self if a > b else other)
-                              for C, (a, b) in enumerate(zip(mine, theirs)) if a != b]
+                    bits = _gap_bits(mine)
+                    diff = bits ^ _gap_bits(theirs)
+                    a0 = (diff & -diff).bit_length() - 1
+                    found.append(((a0, *tail), self if bits >> a0 & 1 else other))
         return min(found, key=lambda f: f[0], default=None)
 
 

@@ -7,26 +7,27 @@ outcome with the formula-driven modules.  That independence is the whole
 point: every formula is cross-examined against nothing but the curve
 equations.
 
-The closure is never built.  closure_table takes the generators in one
-dominance (zeta) transform over the tails and returns the closure's
-non-members on the simplex sum(alpha) <= bound as a GapTable of gap
-counts, so consistency_report compares it with the complement route's
-table byte by byte, and every other check of the report runs on that same
-region.  The families check alone reads the (coordinate, value) buckets of
-index_generators, one in_lub_closure call per family vector.
+The closure is never built.  closure_difference takes the generators in
+one dominance (zeta) transform over the tails and compares the closure's
+non-members on the simplex sum(alpha) <= bound with the gaps of a table,
+tail by tail, each as the bits of one integer.  consistency_report hands
+it the complement route's table, so only gaps.py writes gap tables, and
+every other check of the report runs on that same region.  The families
+check alone reads the (coordinate, value) buckets of index_generators, one
+in_lub_closure call per family vector.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import product
 from math import comb
 from operator import le
 
 from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
 from .errors import BadBox
-from . import gaps
-from .gaps import GapTable, _first, _prefix_row, _runs, build_gap_report, gaps_via_complement
+from .gaps import GapTable, _gap_bits, _runs, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -177,10 +178,14 @@ def index_generators(gens) -> dict:
     return buckets
 
 
-def closure_table(gens, E: int, m: int, bound: int) -> GapTable:
-    """The points of the simplex sum(alpha) <= bound outside the lub closure
-    of gens, as a GapTable of counts with E classes of alpha_0, one tail
-    t = (alpha_1..alpha_m) at a time.
+def closure_difference(gens, table: GapTable):
+    """The points of table's simplex sum(alpha) <= bound outside the lub
+    closure of gens, compared with the gaps of table one tail
+    t = (alpha_1..alpha_m) at a time: None when they agree, else
+    (vector, holder) for the lexicographically smallest point where they
+    differ.  holder is table when it calls the point a gap (its stray
+    included, named ahead of a closure-side difference at the same vector),
+    and "closure" when the closure alone does.
 
     As t >= 0, g lies below (alpha_0, t) iff g_0 <= alpha_0 and its cell,
     g_1..g_m with negative coordinates raised to 0, lies below t; a g with
@@ -193,16 +198,14 @@ def closure_table(gens, E: int, m: int, bound: int) -> GapTable:
     Koivisto, STOC 2007).  The pass goes run by run of gaps._runs: t - e_j
     sits at i - 1 for the last coordinate, and for every other j at the
     same x in the run of head - e_j, looked up once per run.  Then held[t]
-    holds the alpha_0 attained at 0, and no alpha_0 < max_r low[r][t]
-    attains every r >= 1, so the row of t starts as the counts of that range
-    in every class (gaps._prefix_row).  Each zero bit of held[t] from there
-    to top = bound - sum(t) is a non-member; one that does not extend its
-    class prefix, or would pass gaps.CEILING, becomes the table's stray, as
-    in the Lambda route.
+    holds the alpha_0 attained at 0, and no alpha_0 < end = max_r low[r][t]
+    attains every r >= 1, so the non-members of t up to top = bound - sum(t)
+    are the bits of range(end) and the zero bits of held[t].  They are XORed
+    with the row's gaps as bits (gaps._gap_bits, cached per distinct row):
+    the lowest set bit is the tail's smallest difference.
     """
-    n = comb(bound + m, m)
-    runs = _runs(m, bound)
-    past = E * gaps.CEILING  # the first alpha_0 no class count reaches
+    E, m, bound, counts = table.E, table.m, table.bound, table.counts
+    n, runs = comb(bound + m, m), _runs(m, bound)
     held = [0] * n
     low = [[bound + 1] * n for _ in range(m)]
     for g in gens:
@@ -215,7 +218,8 @@ def closure_table(gens, E: int, m: int, bound: int) -> GapTable:
         for r, x in enumerate(g[1:]):
             if x >= 0 and g[0] < low[r][i]:
                 low[r][i] = g[0]
-    counts, stray = bytearray(), None
+    found = None if table.stray is None else (table.stray, table)
+    gap_bits = cache(_gap_bits)  # per distinct row, for this call only
     for head, start in runs.items():
         # (j, the start of the run of head - e_j) for each j that head can lower
         lower = [(j, runs[head[:j] + (y - 1,) + head[j + 1:]]) for j, y in enumerate(head) if y]
@@ -231,20 +235,13 @@ def closure_table(gens, E: int, m: int, bound: int) -> GapTable:
                         col[i] = col[p]
             top = room - x
             end = min(max(max(col[i] for col in low), 0), top + 1)
-            if end > past:
-                stray = _first(stray, (past, *head, x))
-            row = len(counts)
-            counts += _prefix_row(end, E)
-            miss = ~held[i] & ((1 << (top + 1)) - (1 << end))  # the non-members, as bits
-            while miss:
-                a0 = (miss & -miss).bit_length() - 1
-                miss ^= 1 << a0
-                k, c = divmod(a0, E)
-                if counts[row + c] == k and a0 < past:
-                    counts[row + c] = k + 1
-                else:
-                    stray = _first(stray, (a0, *head, x))
-    return GapTable(E, m, bound, bytes(counts), stray)
+            bits = gap_bits(counts[i * E:(i + 1) * E])
+            diff = bits ^ ((((1 << end) - 1) | ~held[i]) & ((1 << (top + 1)) - 1))
+            if diff:
+                a0 = (diff & -diff).bit_length() - 1
+                if found is None or (a0, *head, x) < found[0]:
+                    found = (a0, *head, x), table if bits >> a0 & 1 else "closure"
+    return found
 
 
 def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
@@ -252,8 +249,9 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
     """Run the full cross-validation suite on the simplex sum(alpha) <= bound
     (2g by default); all verdicts True means pass.
 
-    gaps_via_complement runs once.  The closure_table of the monomials must
-    equal it, the closed-form families must lie in the monomial lub closure,
+    gaps_via_complement runs once.  The non-members of the monomials' lub
+    closure must be its gaps on every point (closure_difference finds none
+    apart), the closed-form families must lie in the monomial lub closure,
     and build_gap_report checks the other routes and formulas against the
     same table, on the same region.  Lambda is enumerated once, for the
     families and the report; volume, when the caller has it, is
@@ -263,7 +261,7 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
     mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
     complement = gaps_via_complement(dc, m, bound)
 
-    checks = {"closure_matches_membership": closure_table(mono, complement.E, m, bound) == complement}
+    checks = {"closure_matches_membership": closure_difference(mono, complement) is None}
 
     lam = enumerate_classical_Lambda(dc, m)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)

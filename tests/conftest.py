@@ -1,12 +1,15 @@
-"""Shared fixtures and the independent coin-problem oracle."""
+"""Shared fixtures, the independent coin-problem oracle and a gap table
+built from a reference set."""
 
 import sys
 from array import array
+from math import comb
 
 import pytest
 
 from wsgaps import membership
 from wsgaps.curves import curve
+from wsgaps.gaps import GapTable, _runs
 from wsgaps.sweep import sweep_instances
 
 
@@ -47,8 +50,8 @@ def drop_theta(monkeypatch):
     _residue_tables is replaced, so every membership decision sees the
     mutant and the formula side's maximal.residues does not.  The decisions
     are the threshold scans (so the complement table that the oracle's
-    closure table and every gap-side check of consistency_report are
-    compared with, and the nabla table), witness_test, nabla_witness,
+    closure check and every gap-side check of consistency_report compare
+    with, and the nabla table), witness_test, nabla_witness,
     in_generalized_H and in_classical_H.
     """
     real = membership._residue_tables
@@ -71,3 +74,17 @@ def dp_members(gens, limit):
     for x in range(1, limit + 1):
         reach[x] = any(x >= g and reach[x - g] for g in gens)
     return {x for x in range(limit + 1) if reach[x]}
+
+
+def table_of(points, E, m, bound):
+    """The GapTable with E classes whose counts hold exactly points, a set
+    on the simplex sum(alpha) <= bound that is a union of class prefixes;
+    with E = bound + 1 any set is, as each class holds one alpha_0.  Every
+    point must lie below its class count: the k points of a class then are
+    its first k."""
+    runs, counts = _runs(m, bound), bytearray(comb(bound + m, m) * E)
+    rows = [((runs[a[1:-1]] + a[-1]) * E + a[0] % E, a[0] // E) for a in points]
+    for i, _ in rows:
+        counts[i] += 1
+    assert all(k < counts[i] for i, k in rows), "not a union of class prefixes"
+    return GapTable(E, m, bound, bytes(counts))

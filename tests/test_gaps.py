@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_of
 from wsgaps import gaps, membership
 from wsgaps.curves import curve
 from wsgaps.errors import SelfCheckError
@@ -33,7 +34,7 @@ from wsgaps.gaps import (
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
 from wsgaps.membership import witness_test
-from wsgaps.oracle import closure_table, default_box, monomial_vectors_in_box
+from wsgaps.oracle import closure_difference, default_box, monomial_vectors_in_box
 from wsgaps.semigroup import from_generators
 from wsgaps.sweep import sweep_instances
 
@@ -669,9 +670,9 @@ def test_walk_stops_at_the_last_gap_far_below_the_bound(E):
 @pytest.mark.parametrize("ceiling", [1, 2])
 def test_tables_with_more_classes_than_e_match_per_point_reference(sweep, monkeypatch, ceiling):
     """With CEILING patched down, small sweep instances keep E = K*e
-    classes with K > 1: all four routes and closure_table on the oracle's
-    monomials against the per-point references, m <= 2, at the proven
-    region and past it."""
+    classes with K > 1: all four routes against the per-point references,
+    and closure_difference of the oracle's monomials against a table of the
+    per-point gaps, m <= 2, at the proven region and past it."""
     monkeypatch.setattr(gaps, "CEILING", ceiling)
     widened = 0
     for dc in sweep:
@@ -688,7 +689,7 @@ def test_tables_with_more_classes_than_e_match_per_point_reference(sweep, monkey
                     assert table.E == E
                     _assert_table_is(table, reference)
                 mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
-                _assert_table_is(closure_table(mono, E, m, bound), gap_set)
+                assert closure_difference(mono, table_of(gap_set, E, m, bound)) is None
     assert widened >= 12
 
 
@@ -703,28 +704,31 @@ def test_a_count_past_the_ceiling_is_the_stray(y231, monkeypatch, route):
     so class 0 of a tail can count at most 255 gaps, below alpha_0 = 2295.
     Mutants that claim more, instead of wrapping, make the first vector
     past the ceiling the table's stray: the scan with no witness (every
-    point a gap) and closure_table with no generator at (2295, 0), the
-    Lambda route with a relative maximal (2300, 3) at (2295, 3), where its
-    box at coordinate 1 holds alpha_0 < 2300, and closure_table with the
-    generator (-1, 0) at (2295, 0): it attains coordinate 1 on the tail
-    (0,) at every alpha_0 and coordinate 0 at none, so that tail's
-    non-members come one bit at a time."""
+    point a gap) at (2295, 0), and the Lambda route with a relative maximal
+    (2300, 3) at (2295, 3), where its box at coordinate 1 holds
+    alpha_0 < 2300.  closure_difference names the scan's stray, held by the
+    scan's table, against no generator and against the generator (-1, 0):
+    it attains coordinate 1 on the tail (0,) at every alpha_0 and
+    coordinate 0 at none, so both closures call (2295, 0) a gap as well.
+    Without its stray the table is named nowhere there: the closure alone
+    holds (2295, 0)."""
     bound = 255 * 9 + 30
     E = table_classes(y231, bound)
     assert E == y231.e == 9
-    if route == "complement":
-        monkeypatch.setattr(gaps, "_residue_tables", _all_missing)
-        table, first = gaps_via_complement(y231, 1, bound), (255 * E, 0)
-    elif route == "lambda":
+    if route == "lambda":
         lam = sorted({*enumerate_classical_Lambda(y231, 1), (2300, 3)})
         monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: lam)
         table, first = gaps_via_lambda(y231, 1, bound), (255 * E, 3)
     else:
-        gens = [] if route == "closure" else [(-1, 0)]
-        table, first = closure_table(gens, E, 1, bound), (255 * E, 0)
+        monkeypatch.setattr(gaps, "_residue_tables", _all_missing)
+        table, first = gaps_via_complement(y231, 1, bound), (255 * E, 0)
     assert table.stray == first
     assert max(table.counts) == 255
     assert table != table
+    if route.startswith("closure"):
+        gens = [] if route == "closure" else [(-1, 0)]
+        assert closure_difference(gens, table) == (first, table)
+        assert closure_difference(gens, GapTable(E, 1, bound, table.counts)) == (first, "closure")
 
 
 def test_routes_read_disjoint_inputs(y231, monkeypatch, request):

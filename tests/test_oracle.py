@@ -1,13 +1,15 @@
 """Brute-force reconstruction from monomial valuations and lub closure."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_of
 from wsgaps import gaps, oracle
-from wsgaps.curves import MonomialExponents, monomial_valuation, simplex_points
+from wsgaps.curves import MonomialExponents, curve, monomial_valuation, simplex_points
 from wsgaps.errors import BadBox
 from wsgaps.maximal import (
     enumerate_classical_Gamma,
@@ -18,7 +20,7 @@ from wsgaps.maximal import (
 from wsgaps.membership import in_classical_H, in_generalized_H
 from wsgaps.oracle import (
     Box,
-    closure_table,
+    closure_difference,
     consistency_report,
     count_monomials_in_box,
     default_box,
@@ -227,7 +229,7 @@ def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, als
 
 def _per_point_non_members(gens, dim, bound):
     """The reference: every simplex point tested by in_lub_closure, on an
-    index of whole buckets built here, independent of closure_table's
+    index of whole buckets built here, independent of closure_difference's
     transform.  A generator with a coordinate above bound is below no
     simplex point, so leaving it out of the index changes no answer and
     keeps the probes short."""
@@ -239,13 +241,19 @@ def _per_point_non_members(gens, dim, bound):
     return {a for a in simplex_points(dim, bound) if not in_lub_closure(idx, a)}
 
 
-def _assert_table_matches(gens, dim, bound, e=None):
-    """closure_table equals the reference, with no stray.  By default
-    e = bound + 1: each class then holds one alpha_0, so any set of points
-    is a union of class prefixes and the table holds it exactly."""
-    table = closure_table(gens, bound + 1 if e is None else e, dim - 1, bound)
-    assert table.stray is None, (gens, bound)
-    assert set(table) == _per_point_non_members(gens, dim, bound), (gens, bound)
+def _assert_closure_matches(gens, dim, bound, e=None):
+    """closure_difference finds no point apart from a table holding exactly
+    the reference.  By default E = bound + 1: each class then holds one
+    alpha_0, so any set of points is a union of class prefixes, and the
+    table with the first or the last simplex point toggled differs there,
+    on the side that holds it."""
+    reference = _per_point_non_members(gens, dim, bound)
+    assert closure_difference(gens, table_of(reference, bound + 1 if e is None else e, dim - 1, bound)) is None
+    if e is None:
+        for point in ((0,) * dim, (bound,) + (0,) * (dim - 1)):
+            toggled = table_of(reference ^ {point}, bound + 1, dim - 1, bound)
+            side = "closure" if point in reference else toggled
+            assert closure_difference(gens, toggled) == (point, side), (gens, bound, point)
 
 
 def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
@@ -263,7 +271,7 @@ def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
             seen.add((dc.q, dc.pb, dc.M, dc.genus, m))
             bound = 2 * dc.genus
             mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
-            _assert_table_matches(mono, m + 1, bound, dc.e)
+            _assert_closure_matches(mono, m + 1, bound, dc.e)
     assert len(seen) >= 19
 
 
@@ -281,29 +289,122 @@ def test_closure_scan_matches_per_point_closure_on_sweep(sweep):
     ],
 )
 def test_closure_scan_matches_per_point_closure_by_hand(gens, dim, bound):
-    _assert_table_matches(gens, dim, bound)
+    _assert_closure_matches(gens, dim, bound)
 
 
 def test_closure_scan_of_no_generators_is_the_whole_simplex():
     for dim, bound in ((2, 5), (3, 4)):
-        assert set(closure_table([], bound + 1, dim - 1, bound)) == set(simplex_points(dim, bound))
-        _assert_table_matches([], dim, bound)
+        whole = table_of(set(simplex_points(dim, bound)), bound + 1, dim - 1, bound)
+        assert closure_difference([], whole) is None
+        _assert_closure_matches([], dim, bound)
 
 
-def test_closure_table_names_a_non_member_above_its_class_prefix():
-    """With e = 2 the non-members of the closure of (0, 0) and (1, 1) are no
+def test_closure_difference_names_a_non_member_above_its_class_prefix():
+    """With E = 2 the non-members of the closure of (0, 0) and (1, 1) are no
     union of class prefixes: (2, 0) lies above the member (0, 0) of its
-    class, and (3, 1) above (1, 1).  The smallest such point is the stray,
-    and the table equals no stray-free table, not even one with its counts."""
-    gens, e, bound = [(0, 0), (1, 1)], 2, 4
-    table = closure_table(gens, e, 1, bound)
+    class, and (3, 1) above (1, 1).  A table of their class prefixes differs
+    from the closure first at (2, 0), a gap of the closure alone; with
+    (2, 0) as the table's stray the table is named there instead.  With
+    E = bound + 1 a table holds them all, and nothing differs."""
+    gens, E, bound = [(0, 0), (1, 1)], 2, 4
     outside = _per_point_non_members(gens, 2, bound)
-    above = [a for a in outside
-             if any((b0, *a[1:]) not in outside for b0 in range(a[0] % e, a[0], e))]
-    assert table.stray == min(above) == (2, 0)
-    stray_free = gaps.GapTable(e, 1, bound, table.counts)
-    assert table != stray_free
-    assert table.first_difference(stray_free) == ((2, 0), table)
+    above = {a for a in outside
+             if any((b0, *a[1:]) not in outside for b0 in range(a[0] % E, a[0], E))}
+    assert min(above) == (2, 0)
+    prefixes = table_of(outside - above, E, 1, bound)
+    assert closure_difference(gens, prefixes) == ((2, 0), "closure")
+    claimed = gaps.GapTable(E, 1, bound, prefixes.counts, (2, 0))
+    assert closure_difference(gens, claimed) == ((2, 0), claimed)
+    assert closure_difference(gens, table_of(outside, bound + 1, 1, bound)) is None
+
+
+def _expected_difference(reference, table):
+    """The smallest point where the reference non-members and the gaps of
+    table, its stray included, disagree, with the side that calls it a gap:
+    table ahead of "closure" at the same point."""
+    held = set(table)
+    found = [(a, "closure") for a in reference - held] + [(a, table) for a in held - reference]
+    found += [(table.stray, table)] if table.stray is not None else []
+    return min(found, key=lambda f: (f[0], f[1] == "closure"), default=None)
+
+
+def _mutants(table, rng):
+    """Mutants of table: one count lowered, one raised with its next member
+    in the simplex, both in two classes (the gap count then agrees), and
+    table's counts with a stray above a class prefix."""
+    E, tails = table.E, list(simplex_points(table.m, table.bound))
+    counts = table.counts
+    lowers = [i for i, k in enumerate(counts) if k]
+    raises = [i for i, k in enumerate(counts) if i % E + E * k <= table.bound - sum(tails[i // E])]
+    lose, gain = rng.choice(lowers), rng.choice(raises)
+    while gain == lose:
+        gain = rng.choice(raises)
+    out = []
+    for steps in ({lose: -1}, {gain: 1}, {gain: 1, lose: -1}):
+        moved = bytearray(counts)
+        for i, step in steps.items():
+            moved[i] += step
+        out.append(gaps.GapTable(E, table.m, table.bound, bytes(moved)))
+    i = rng.choice(raises)
+    above = (i % E + E * (counts[i] + 1), *tails[i // E])
+    if sum(above) <= table.bound:
+        out.append(gaps.GapTable(E, table.m, table.bound, counts, above))
+    return out
+
+
+def test_closure_difference_names_the_vector_and_the_side(sweep, monkeypatch):
+    """Every sweep case with g <= 30 at m <= 2, on the monomials of the
+    default box at bound 2g: for mutants of the complement route's table,
+    with E = e and with CEILING patched to 1 (E = K*e, K > 1),
+    closure_difference names the smallest point where the per-point
+    reference and the table disagree, with the side that calls it a gap."""
+    rng = random.Random(27)
+    seen, sides, widened = set(), set(), 0
+    for dc in sweep:
+        if dc.genus > 30:
+            continue
+        for m in range(1, min(2, dc.max_m) + 1):
+            if (dc.q, dc.pb, dc.M, dc.genus, m) in seen:
+                continue
+            seen.add((dc.q, dc.pb, dc.M, dc.genus, m))
+            bound = 2 * dc.genus
+            mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
+            reference = _per_point_non_members(mono, m + 1, bound)
+            tables = [gaps.gaps_via_complement(dc, m, bound)]
+            with monkeypatch.context() as patch:
+                patch.setattr(gaps, "CEILING", 1)
+                tables.append(gaps.gaps_via_complement(dc, m, bound))
+            widened += tables[-1].E > dc.e
+            for table in tables:
+                assert closure_difference(mono, table) is None
+                for mutant in _mutants(table, rng):
+                    expected = _expected_difference(reference, mutant)
+                    assert expected is not None
+                    assert closure_difference(mono, mutant) == expected, (dc.params, m, mutant.stray)
+                    sides.add(expected[1] == "closure")
+    assert len(seen) >= 15 and widened >= 10 and sides == {False, True}, (len(seen), widened, sides)
+
+
+@pytest.mark.parametrize("family, params, m", [
+    pytest.param("Y", dict(q=2, n=3, s=1), 1, id="Y231-1"),
+    pytest.param("Y", dict(q=2, n=3, s=1), 2, id="Y231-2"),
+    pytest.param("X", dict(p=2, a=2, b=1, n=5, s=41), 1, id="X221541-1"),
+])
+def test_closure_obeys_the_shift_law(family, params, m):
+    """From the monomials alone, per point: (alpha_0, t) lies outside the
+    lub closure iff (alpha_0 + e, t - e*u_j) does, for every t_j >= e, the
+    law the threshold scan's shifted rows rely on."""
+    dc = curve(family, **params)
+    e, bound = dc.e, 2 * dc.genus + dc.e
+    outside = _per_point_non_members(monomial_vectors_in_box(dc, m, default_box(dc, m, bound)), m + 1, bound)
+    pairs = 0
+    for a in simplex_points(m + 1, bound):
+        for j in range(1, m + 1):
+            if a[j] >= e:
+                b = (a[0] + e, *a[1:j], a[j] - e, *a[j + 1:])
+                assert (a in outside) == (b in outside), (a, b)
+                pairs += 1
+    assert pairs and any(max(a[1:]) >= e for a in outside)
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,7 +418,7 @@ def test_closure_table_names_a_non_member_above_its_class_prefix():
     )
 )
 def test_closure_scan_matches_per_point_closure_random(case):
-    _assert_table_matches(*case)
+    _assert_closure_matches(*case)
 
 
 def test_mutant_reaches_every_membership_decision(y231, drop_theta):
