@@ -276,11 +276,13 @@ def _refuse_gaps(dc, m: int, bound: int) -> None:
 def _refuse_verify(dc, m: int, bound: int) -> int:
     """`verify` by steps (five tables' entries as in `gaps`: the closure
     transform, complement, nabla and both Lambda routes; one step per
-    point, an allowance for the closure check, which compares each tail's
-    row as one big integer; the volume; the monomials of the oracle's box,
-    counted without building them) and by bytes (the monomial vectors, held
-    at once).  The monomials are counted only when the rest is under the
-    limit.  Returns the volume, for the report's gap-count check."""
+    simplex point, an allowance for the closure check, which builds each
+    tail's non-members as an integer of top + 1 bits and XORs it with the
+    table's row in GapTable.difference, so the term prices those bits; the
+    volume; the monomials of the oracle's box, counted without building
+    them) and by bytes (the monomial vectors, held at once).  The monomials
+    are counted only when the rest is under the limit.  Returns the volume,
+    for the report's gap-count check."""
     work = 5 * comb(bound + m, m) * gaps_mod.table_classes(dc, bound) + comb(bound + m + 1, m + 1)
     volume = _refuse_above_limit(dc, "verify", m, bound, work)
     monomials = oracle.count_monomials_in_box(dc, m, oracle.default_box(dc, m, bound))

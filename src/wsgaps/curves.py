@@ -11,6 +11,7 @@ distinguished points matter, never coordinates over a finite field.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from math import isqrt, log2
 
 from .errors import (
@@ -191,6 +192,14 @@ def simplex_points(dim: int, bound: int):
     for x in range(bound + 1):
         for rest in simplex_points(dim - 1, bound - x):
             yield (x,) + rest
+
+
+def simplex_runs(dim: int, bound: int) -> dict:
+    """The layout of simplex_points(dim, bound): each head (a point without
+    its last coordinate) to the start of its run, the points head + (x,)
+    for x in range(bound - sum(head) + 1), which sit at runs[head] + x."""
+    heads = list(simplex_points(dim - 1, bound)) if dim > 1 else [()]
+    return dict(zip(heads, accumulate([bound + 1 - sum(head) for head in heads], initial=0)))
 
 
 def check_m(dc: DerivedConstants, m: int) -> None:

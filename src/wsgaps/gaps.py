@@ -58,11 +58,11 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from functools import cache, partial
-from itertools import accumulate, chain, compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import comb
-from operator import lt, ne
+from operator import itemgetter, lt, ne, xor
 
-from .curves import DerivedConstants, check_m, simplex_points
+from .curves import DerivedConstants, check_m, simplex_points, simplex_runs
 from .errors import SelfCheckError
 from .maximal import count_Lambda, enumerate_classical_Lambda, relative_shift, residues
 from .membership import _residue_tables
@@ -85,14 +85,6 @@ def table_classes(dc: DerivedConstants, bound: int) -> int:
     min(bound + 1, 2g), and no gap lies at or past either."""
     reach = min(bound + 1, 2 * dc.genus)
     return dc.e * max(1, -(-reach // (CEILING * dc.e)))
-
-
-def _runs(m: int, bound: int) -> dict:
-    """The layout of simplex_points(m, bound): each head (a tail without its
-    last coordinate) to the start of its run, the tails head + (x,) for x in
-    range(bound - sum(head) + 1), which sit at runs[head] + x."""
-    heads = list(simplex_points(m - 1, bound)) if m > 1 else [()]
-    return dict(zip(heads, accumulate([bound + 1 - sum(head) for head in heads], initial=0)))
 
 
 def _prefix_row(end: int, E: int) -> bytes:
@@ -132,7 +124,7 @@ class GapTable:
     """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as counts.
 
     counts holds E bytes per tail t = (alpha_1..alpha_m), the tails in
-    simplex_points order, laid out by runs = _runs(m, bound):
+    simplex_points order, laid out by runs = simplex_runs(m, bound):
     counts[(runs[t[:-1]] + t[-1])*E + C] = k when the gaps (alpha_0, t)
     with alpha_0 = C mod E are range(C, C + E*k, E).
 
@@ -206,30 +198,49 @@ class GapTable:
             if tails:
                 yield a0, tails
 
+    def rows(self):
+        """The gaps of each tail, in layout order, as the bits alpha_0 of one
+        integer (_gap_bits), each distinct row decoded once."""
+        E, counts = self.E, self.counts
+        return map(cache(_gap_bits), (counts[i:i + E] for i in range(0, len(counts), E)))
+
+    def difference(self, rows, holder, stray=None):
+        """(vector, side) for the lexicographically smallest vector where this
+        table and holder disagree, side the one that calls it a gap; None
+        when they hold the same set.  rows holds holder's gaps per tail, in
+        layout order, as the bits alpha_0 of one integer (as rows() gives
+        them), and stray is holder's stray; an empty rows compares the
+        strays alone.  At a tie this table's stray comes first, then
+        holder's, then a row.  The lowest set bit of the XOR of two rows is
+        the tail's smallest differing alpha_0, and the layout is in
+        lexicographic order, so the least (alpha_0, position) is the
+        smallest row difference."""
+        found = [(v, side) for v, side in ((self.stray, self), (stray, holder)) if v is not None]
+        # rows first: an empty rows stops map before this table decodes a row.
+        diffs = filter(itemgetter(1), enumerate(map(xor, rows, self.rows())))
+        best = min((((diff & -diff).bit_length() - 1, i) for i, diff in diffs), default=None)
+        if best is not None:
+            a0, i = best
+            tail = next(islice(simplex_points(self.m, self.bound), i, None))
+            row = self.counts[i * self.E:(i + 1) * self.E]
+            found.append(((a0, *tail), self if _gap_bits(row) >> a0 & 1 else holder))
+        return min(found, key=itemgetter(0), default=None)
+
     def first_difference(self, other: GapTable):
         """(vector, table) for the lexicographically smallest vector that one
         table's counts hold and the other's do not, or that is a table's
         stray, with the table holding it; None when the tables hold the same
-        set.  Both tables must cover the same simplex with the same E.  On a
-        row that differs, the lowest set bit of the XOR of the two rows'
-        _gap_bits is its smallest differing alpha_0."""
-        found = [(t.stray, t) for t in (self, other) if t.stray is not None]
-        if self.counts != other.counts:
-            E = self.E
-            for i, tail in zip(range(0, len(self.counts), E), simplex_points(self.m, self.bound)):
-                mine, theirs = self.counts[i:i + E], other.counts[i:i + E]
-                if mine != theirs:
-                    bits = _gap_bits(mine)
-                    diff = bits ^ _gap_bits(theirs)
-                    a0 = (diff & -diff).bit_length() - 1
-                    found.append(((a0, *tail), self if bits >> a0 & 1 else other))
-        return min(found, key=lambda f: f[0], default=None)
+        set.  Both tables must cover the same simplex with the same E.  This
+        is difference over other's rows and stray: at a tie self's stray
+        comes first, then other's, then a row.  Equal counts decode no row,
+        as only the strays can then differ."""
+        return self.difference(() if self.counts == other.counts else other.rows(), other, other.stray)
 
 
 def _box_runs(ranges, runs: dict, budget: int):
     """The tails of the box prod(ranges) with sum <= budget, grouped by
     head: yields (head, xs, runs[head]), the tails head + (x,) for x in xs
-    sitting at runs[head] + x, runs the _runs of their simplex."""
+    sitting at runs[head] + x, runs the simplex_runs of their simplex."""
     *heads, last = ranges
     for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
         xs = range(last.start, min(last.stop, budget - sum(head) + 1))
@@ -292,7 +303,7 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
     (pure: the highest set bit of the mask).
     """
     size = comb(bound + m, m)
-    runs = _runs(m, bound)
+    runs = simplex_runs(m, bound)
     ceiling = CEILING
     lam = sorted(lam)
     prefixes = [_reach(lam, 1, runs, bound, size)] * len(kinds)

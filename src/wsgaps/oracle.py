@@ -7,27 +7,29 @@ outcome with the formula-driven modules.  That independence is the whole
 point: every formula is cross-examined against nothing but the curve
 equations.
 
-The closure is never built.  closure_difference takes the generators in
-one dominance (zeta) transform over the tails and compares the closure's
-non-members on the simplex sum(alpha) <= bound with the gaps of a table,
-tail by tail, each as the bits of one integer.  consistency_report hands
-it the complement route's table, so only gaps.py writes gap tables, and
-every other check of the report runs on that same region.  The families
-check alone reads the (coordinate, value) buckets of index_generators, one
-in_lub_closure call per family vector.
+The closure is never built.  _closure_rows takes the generators through
+one dominance (zeta) transform over the tails, a coordinate at a time and
+run by run, and gives the closure's non-members on the simplex
+sum(alpha) <= bound tail by tail, each as the bits of one integer.
+closure_difference hands those rows to GapTable.difference, the one row
+comparison, so the oracle reads a gap table only through its public
+methods.  consistency_report compares with the complement route's table,
+so only gaps.py writes gap tables, and every other check of the report
+runs on that same region.  The families check alone reads the
+(coordinate, value) buckets of index_generators, one in_lub_closure call
+per family vector.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
-from itertools import product
+from itertools import accumulate, chain, product, repeat
 from math import comb
-from operator import le
+from operator import le, or_
 
-from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation
+from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_runs
 from .errors import BadBox
-from .gaps import GapTable, _gap_bits, _runs, build_gap_report, gaps_via_complement
+from .gaps import GapTable, build_gap_report, gaps_via_complement
 from .maximal import (
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
@@ -178,34 +180,28 @@ def index_generators(gens) -> dict:
     return buckets
 
 
-def closure_difference(gens, table: GapTable):
-    """The points of table's simplex sum(alpha) <= bound outside the lub
-    closure of gens, compared with the gaps of table one tail
-    t = (alpha_1..alpha_m) at a time: None when they agree, else
-    (vector, holder) for the lexicographically smallest point where they
-    differ.  holder is table when it calls the point a gap (its stray
-    included, named ahead of a closure-side difference at the same vector),
-    and "closure" when the closure alone does.
+def _closure_rows(gens, m: int, bound: int):
+    """Per tail t = (alpha_1..alpha_m) of the simplex sum(alpha) <= bound,
+    in simplex_points order, the points (alpha_0, t) outside the lub
+    closure of gens, as the bits alpha_0 of one integer.
 
     As t >= 0, g lies below (alpha_0, t) iff g_0 <= alpha_0 and its cell,
     g_1..g_m with negative coordinates raised to 0, lies below t; a g with
     max(g_0, 0) + sum(cell) > bound lies below no simplex point.  Each cell
     seeds held with the bits g_0 >= 0 of its generators, and low[r] with
-    their least g_0 over g_r >= 0 (a negative g_r attains nothing).  One pass
-    in simplex_points order, where t - e_j comes first, ORs held[t - e_j]
-    into held[t] and takes the least low[r][t - e_j] over j != r: a zeta
+    their least g_0 over g_r >= 0 (a negative g_r attains nothing).  A zeta
     transform over the product order (Bjorklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007).  The pass goes run by run of gaps._runs: t - e_j
-    sits at i - 1 for the last coordinate, and for every other j at the
-    same x in the run of head - e_j, looked up once per run.  Then held[t]
+    Koivisto, STOC 2007) then ORs into held[t] the held of every cell below
+    t, and takes into low[r][t] the least low[r] of every cell below t with
+    the same t_r.  It runs one coordinate j at a time, run by run of
+    simplex_runs, each run at C speed: along the last coordinate an
+    accumulate within the run, along any other a map against the run of
+    head - e_j, whose transform along j is already done.  Then held[t]
     holds the alpha_0 attained at 0, and no alpha_0 < end = max_r low[r][t]
     attains every r >= 1, so the non-members of t up to top = bound - sum(t)
-    are the bits of range(end) and the zero bits of held[t].  They are XORed
-    with the row's gaps as bits (gaps._gap_bits, cached per distinct row):
-    the lowest set bit is the tail's smallest difference.
+    are the bits of range(end) and the zero bits of held[t].
     """
-    E, m, bound, counts = table.E, table.m, table.bound, table.counts
-    n, runs = comb(bound + m, m), _runs(m, bound)
+    n, runs = comb(bound + m, m), simplex_runs(m, bound)
     held = [0] * n
     low = [[bound + 1] * n for _ in range(m)]
     for g in gens:
@@ -218,30 +214,32 @@ def closure_difference(gens, table: GapTable):
         for r, x in enumerate(g[1:]):
             if x >= 0 and g[0] < low[r][i]:
                 low[r][i] = g[0]
-    found = None if table.stray is None else (table.stray, table)
-    gap_bits = cache(_gap_bits)  # per distinct row, for this call only
-    for head, start in runs.items():
-        # (j, the start of the run of head - e_j) for each j that head can lower
-        lower = [(j, runs[head[:j] + (y - 1,) + head[j + 1:]]) for j, y in enumerate(head) if y]
-        steps = lower + [(m - 1, start - 1)]
-        room = bound - sum(head)
-        for x in range(room + 1):
-            i = start + x
-            for j, base in steps if x else lower:
-                p = base + x
-                held[i] |= held[p]
-                for r, col in enumerate(low):
-                    if r != j and col[p] < col[i]:
-                        col[i] = col[p]
-            top = room - x
-            end = min(max(max(col[i] for col in low), 0), top + 1)
-            bits = gap_bits(counts[i * E:(i + 1) * E])
-            diff = bits ^ ((((1 << end) - 1) | ~held[i]) & ((1 << (top + 1)) - 1))
-            if diff:
-                a0 = (diff & -diff).bit_length() - 1
-                if found is None or (a0, *head, x) < found[0]:
-                    found = (a0, *head, x), table if bits >> a0 & 1 else "closure"
-    return found
+    for j in range(m):
+        cols = [(held, or_)] + [(col, min) for r, col in enumerate(low) if r != j]
+        for head, start in runs.items():
+            stop = start + bound + 1 - sum(head)
+            if j == m - 1:
+                for col, op in cols:
+                    col[start:stop] = accumulate(col[start:stop], op)
+            elif head[j]:
+                prev = runs[head[:j] + (head[j] - 1,) + head[j + 1:]]
+                for col, op in cols:
+                    col[start:stop] = map(op, col[start:stop], col[prev:prev + stop - start])
+    caps = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
+    return (((1 << min(end, cap)) - 1 | ~bits) & ((1 << cap) - 1)
+            for bits, end, cap in zip(held, map(max, repeat(0), *low), caps))
+
+
+def closure_difference(gens, table: GapTable):
+    """The points of table's simplex sum(alpha) <= bound outside the lub
+    closure of gens, compared with the gaps of table: None when they agree,
+    else (vector, side) for the lexicographically smallest point where they
+    differ, side table when it calls the point a gap (its stray included,
+    named ahead of a closure-side difference at the same vector) and
+    "closure" when the closure alone does.  _closure_rows builds the
+    closure's rows, and GapTable.difference compares them with the table's.
+    """
+    return table.difference(_closure_rows(gens, table.m, table.bound), "closure")
 
 
 def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,

@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from wsgaps import membership
-from wsgaps.curves import curve
-from wsgaps.gaps import GapTable, _runs
+from wsgaps.curves import curve, simplex_runs
+from wsgaps.gaps import GapTable
 from wsgaps.sweep import sweep_instances
 
 
@@ -82,7 +82,7 @@ def table_of(points, E, m, bound):
     with E = bound + 1 any set is, as each class holds one alpha_0.  Every
     point must lie below its class count: the k points of a class then are
     its first k."""
-    runs, counts = _runs(m, bound), bytearray(comb(bound + m, m) * E)
+    runs, counts = simplex_runs(m, bound), bytearray(comb(bound + m, m) * E)
     rows = [((runs[a[1:-1]] + a[-1]) * E + a[0] % E, a[0] // E) for a in points]
     for i, _ in rows:
         counts[i] += 1

@@ -432,8 +432,9 @@ def test_verify_refuses_what_memory_cannot_hold(capsys):
 
 def test_verify_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
     """Pricing the monomials keeps every outcome of
-    scripts/verify_small_instances.py (each sweep case with g <= 100 at
-    every m runs, but Y(3,3,1) at m = 3, refused by steps), `verify-m2` and
+    scripts/verify_small_instances.py on the sweep cases with g <= 100
+    (each at every m runs, but Y(3,3,1) at m = 3, refused by steps, as are
+    the 21 cases past g = 100 that the script skips), `verify-m2` and
     test_08 included.  Of Y(2,3,1) at m = 2 widened to degree 500 and 700,
     only the second is refused, by bytes."""
     cases = [(dc, m, 2 * dc.genus) for dc in sweep if dc.genus <= 100 for m in range(1, dc.max_m + 1)]

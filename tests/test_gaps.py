@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import table_of
 from wsgaps import gaps, membership
-from wsgaps.curves import curve
+from wsgaps.curves import curve, simplex_runs
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
@@ -21,7 +21,6 @@ from wsgaps.gaps import (
     _inversions,
     _lambda_table,
     _prefix_row,
-    _runs,
     build_gap_report,
     count_gaps_two_points,
     gap_count_upper_bound,
@@ -422,7 +421,7 @@ def test_runs_place_every_tail_at_its_simplex_position(y231):
     m = 1..4 on small bounds and at m = 2 past 2g."""
     cases = [(m, bound) for m in range(1, 5) for bound in (0, 1, 4, 7)]
     for m, bound in cases + [(2, 2 * y231.genus + y231.e)]:
-        runs = _runs(m, bound)
+        runs = simplex_runs(m, bound)
         tails = list(simplex_points(m, bound))
         assert [runs[t[:-1]] + t[-1] for t in tails] == list(range(len(tails)))
         assert len(tails) == comb(bound + m, m) and tails == sorted(tails)
@@ -482,7 +481,7 @@ def _reference_lambda_table(lam, E, m, bound, pure):
     pass updates and tests each point of a run against its tail's end.
     Reads gaps.CEILING at call time, so a patched ceiling reaches it."""
     size = comb(bound + m, m)
-    runs = _runs(m, bound)
+    runs = simplex_runs(m, bound)
     ceiling = gaps.CEILING
 
     def reach(r):
@@ -583,7 +582,7 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     assert table.first_difference(table) is None
     E, bound = table.E, table.bound
     counts = bytearray(table.counts)
-    runs = _runs(2, bound)
+    runs = simplex_runs(2, bound)
     # The tail (0, 1) loses the largest gap of its first class with one;
     # (0, 0) gains the next member of its first class whose next member
     # lies in the simplex.  Rows start at multiples of E, so an index mod E
@@ -602,6 +601,43 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     assert other.first_difference(table) == expected
     assert len(other) == len(table)
     assert set(table) ^ set(other) == {lost, gained}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_first_difference_names_strays_ahead_of_rows(y231, m):
+    """Random pairs of the complement table on Y(2,3,1) with one or two
+    counts changed (each a gap lost, or the next member of its class in the
+    simplex gained), with a stray on one side or both, often at the vector
+    of a row difference or of the other stray.  first_difference, both
+    ways, is the per-point reference: the smallest of the strays and the
+    points one table's counts hold alone, at a tie self's stray, then
+    other's, then the row difference."""
+    rng = random.Random(28 + m)
+    base = gaps_via_complement(y231, m)
+    E, bound, counts = base.E, base.bound, base.counts
+    tops = [bound - sum(tail) for tail in simplex_points(m, bound) for _ in range(E)]
+    steps = {i: [-1] * (k > 0) + [1] * (i % E + E * k <= tops[i]) for i, k in enumerate(counts)}
+    changeable = [i for i, step in steps.items() if step]
+    points = list(simplex_points(m + 1, bound))
+    won = set()  # (rank of the answer, whether a lower rank tied with it)
+    for _ in range(300):
+        moved = bytearray(counts)
+        for i in rng.sample(changeable, rng.randint(1, 2)):
+            moved[i] += rng.choice(steps[i])
+        held = set(GapTable(E, m, bound, bytes(moved)))
+        rows = sorted(held ^ set(base))
+        picks = [None, rows[0], rng.choice(rows), rng.choice(points)]
+        first, second = rng.choice(picks), rng.choice(picks)
+        if rng.random() < 0.2:
+            second = first
+        mine, theirs = GapTable(E, m, bound, counts, first), GapTable(E, m, bound, bytes(moved), second)
+        for a, b in ((mine, theirs), (theirs, mine)):
+            ranked = [(a.stray, 0), (b.stray, 1)] + [(v, 2) for v in rows]
+            vector, rank = min(f for f in ranked if f[0] is not None)
+            side = [a, b, a if vector in set(a) else b][rank]
+            assert a.first_difference(b) == (vector, side), (m, a.stray, b.stray, rows[:2])
+            won.add((rank, sum(f[0] == vector for f in ranked) > 1))
+    assert won == {(0, False), (0, True), (1, False), (1, True), (2, False)}, won
 
 
 def _hand_built_counts(rng, E: int, m: int, bound: int) -> bytes:

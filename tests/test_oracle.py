@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from wsgaps.maximal import (
 from wsgaps.membership import in_classical_H, in_generalized_H
 from wsgaps.oracle import (
     Box,
+    _closure_rows,
     closure_difference,
     consistency_report,
     count_monomials_in_box,
@@ -405,6 +407,39 @@ def test_closure_obeys_the_shift_law(family, params, m):
                 assert (a in outside) == (b in outside), (a, b)
                 pairs += 1
     assert pairs and any(max(a[1:]) >= e for a in outside)
+
+
+def test_closure_rows_obey_the_shift_law(sweep):
+    """The shift law by rows, from the monomials alone: on every sweep case
+    with g <= 100 at m <= 3 whose simplex at bound 2g + e has at most 10^5
+    tails (Y(3,3,1) at m = 3, with 1.98M, is left out), the closure's row of
+    t is the row of t - e*u_j moved down by e, for every t_j >= e."""
+    cases = pairs = moving = 0
+    for dc in sweep:
+        e, bound = dc.e, 2 * dc.genus + dc.e
+        for m in range(1, min(3, dc.max_m) + 1):
+            if dc.genus > 100 or comb(bound + m, m) > 10**5:
+                continue
+            mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
+            rows = dict(zip(simplex_points(m, bound), _closure_rows(mono, m, bound)))
+            for t, row in rows.items():
+                for j, x in enumerate(t):
+                    if x >= e:
+                        assert row == rows[(*t[:j], x - e, *t[j + 1:])] >> e, (dc.params, m, t, j)
+                        pairs += 1
+                        moving += row != 0
+            cases += 1
+    assert cases == 39 and pairs > 80_000 and moving, (cases, pairs, moving)
+
+
+def test_oracle_reads_no_private_name_of_gaps():
+    """The closure check hands GapTable its rows: the oracle takes no
+    private name of gaps, under its own name or another."""
+    private = {name: value for name, value in vars(gaps).items()
+               if name.startswith("_") and not name.startswith("__") and callable(value)}
+    taken = [name for name, value in vars(oracle).items()
+             if name in private or any(value is v for v in private.values())]
+    assert not taken, taken
 
 
 @settings(max_examples=200, deadline=None)
