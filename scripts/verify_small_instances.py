@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run `wsgaps verify` on every sweep instance at every m.  A case the
 command refuses as too much work (exit 2) is printed as skipped, so the
-skip rule is the command's own estimate.  It imports wsgaps from this
-checkout's src/."""
+skip rule is the command's own estimate.  It ends with the three slowest
+cases it ran.  It imports wsgaps from this checkout's src/."""
 
 import contextlib
 import io
@@ -18,7 +18,7 @@ from wsgaps.sweep import sweep_instances  # noqa: E402
 
 
 def main() -> int:
-    ok, cases, skipped = True, 0, 0
+    ok, cases, skipped, times = True, 0, 0, []
     t_start = time.time()
     for dc in sweep_instances():
         p = dc.params
@@ -41,10 +41,13 @@ def main() -> int:
                 continue
             cases += 1
             ok &= code == 0
-            print(f"{case}: {'pass' if code == 0 else 'FAIL'} ({time.time() - t0:.2f}s)")
+            times.append((time.time() - t0, case))
+            print(f"{case}: {'pass' if code == 0 else 'FAIL'} ({times[-1][0]:.2f}s)")
             if code != 0:
                 print("  " + str(json.loads(out.getvalue())["payload"]["checks"]))
     print(f"{cases} cases run, {skipped} skipped, {time.time() - t_start:.1f}s")
+    for seconds, case in sorted(times, reverse=True)[:3]:
+        print(f"slowest: {case} ({seconds:.2f}s)")
     return 0 if ok else 1
 
 

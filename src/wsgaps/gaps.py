@@ -38,19 +38,20 @@ gaps of class c end at min(max(L, U_c), top + 1) with L the largest r >= 1
 threshold; the pure gaps use the smallest and min.  A class without a
 member (rho < 0) means no witness at any alpha_0 and counts as top + 1.
 
-The scan evaluates that formula only on the residue tails k, sorted with
-every coordinate below e.  It reads a tail t only through sum(t), the
-multiset of its residues mod e and Q = sum_s alpha_s//e, so t has the gaps
-of k = sorted(t mod e) moved down by e*Q = sum(t) - sum(k): going from k to
-t lowers every threshold, L (or its min) and top + 1 by e*Q and leaves the
-residues alone.  With e*Q = a*E + r, the gap C + E*i of k becomes
-(C - r) + E*(i - a) when C >= r and (C - r + E) + E*(i - a - 1) below, so
-the row of t is row_k[r:] with every count lowered by a, then row_k[:r]
-lowered by a + 1 (floored at 0): two C-level translates.  k lies in the
-simplex and comes no later than t in simplex_points order, so one pass
-serves.  Cost: the formula, O(E + m) per row, runs on at most
-min(comb(e + m - 1, m), #tails) rows; every other row costs two translates,
-against O(#points * m^2) for a per-point membership test.
+The scan evaluates that formula only on the tails in [0, E)^m, the blocks.
+It reads a tail t only through sum(t), the multiset of its residues mod e
+and Q = sum_s alpha_s//e, so a block computes each sorted tail once.
+Moving t_j >= E down by E lowers every threshold, L (or its min) and
+top + 1 by E and leaves the residues alone, so row(t) is row(t - E*u_j)
+with every count lowered by one, floored at 0.  The run of a head h (the
+tails h + (x,)) is then the block of low = h mod E, the rows (low, r) for
+r < E, lowered by (sum(h) - sum(low))/E + j on the rows x in
+[E*j, E*(j + 1)): one C-level translate per E rows, and rows of no gap once
+the lowering reaches the block's largest count.  A count at CEILING may be
+clipped and cannot be lowered, so the runs of such a block take the
+formula tail by tail.  Cost: the formula, O(E + m) per row, runs on at most
+min(comb(E + m - 1, m), #tails) rows; every other row is a share of a
+translate, against O(#points * m^2) for a per-point membership test.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from collections import defaultdict
 from functools import cache, partial
 from itertools import chain, compress, islice, product, repeat
 from math import comb
-from operator import itemgetter, lt, ne, xor
+from operator import itemgetter, lt, ne
 
 from .curves import DerivedConstants, check_m, simplex_points, simplex_runs
 from .errors import SelfCheckError
@@ -198,32 +199,26 @@ class GapTable:
             if tails:
                 yield a0, tails
 
-    def rows(self):
-        """The gaps of each tail, in layout order, as the bits alpha_0 of one
-        integer (_gap_bits), each distinct row decoded once."""
-        E, counts = self.E, self.counts
-        return map(cache(_gap_bits), (counts[i:i + E] for i in range(0, len(counts), E)))
-
     def difference(self, rows, holder, stray=None):
         """(vector, side) for the lexicographically smallest vector where this
         table and holder disagree, side the one that calls it a gap; None
-        when they hold the same set.  rows holds holder's gaps per tail, in
-        layout order, as the bits alpha_0 of one integer (as rows() gives
-        them), and stray is holder's stray; an empty rows compares the
-        strays alone.  At a tie this table's stray comes first, then
+        when they hold the same set.  rows holds (i, bits) for the tails i,
+        ascending in layout order, where holder's gaps may differ, bits the
+        tail's gaps as the bits alpha_0 of one integer; a tail not in rows
+        agrees, so an empty rows compares the strays alone.  stray is
+        holder's stray.  At a tie this table's stray comes first, then
         holder's, then a row.  The lowest set bit of the XOR of two rows is
         the tail's smallest differing alpha_0, and the layout is in
-        lexicographic order, so the least (alpha_0, position) is the
-        smallest row difference."""
+        lexicographic order, so the least (alpha_0, i) is the smallest row
+        difference.  Each distinct row of this table is decoded once."""
         found = [(v, side) for v, side in ((self.stray, self), (stray, holder)) if v is not None]
-        # rows first: an empty rows stops map before this table decodes a row.
-        diffs = filter(itemgetter(1), enumerate(map(xor, rows, self.rows())))
-        best = min((((diff & -diff).bit_length() - 1, i) for i, diff in diffs), default=None)
+        E, counts, decode = self.E, self.counts, cache(_gap_bits)
+        diffs = ((i, bits ^ decode(counts[i * E:(i + 1) * E])) for i, bits in rows)
+        best = min((((diff & -diff).bit_length() - 1, i) for i, diff in diffs if diff), default=None)
         if best is not None:
             a0, i = best
             tail = next(islice(simplex_points(self.m, self.bound), i, None))
-            row = self.counts[i * self.E:(i + 1) * self.E]
-            found.append(((a0, *tail), self if _gap_bits(row) >> a0 & 1 else holder))
+            found.append(((a0, *tail), self if decode(counts[i * E:(i + 1) * E]) >> a0 & 1 else holder))
         return min(found, key=itemgetter(0), default=None)
 
     def first_difference(self, other: GapTable):
@@ -232,9 +227,16 @@ class GapTable:
         stray, with the table holding it; None when the tables hold the same
         set.  Both tables must cover the same simplex with the same E.  This
         is difference over other's rows and stray: at a tie self's stray
-        comes first, then other's, then a row.  Equal counts decode no row,
-        as only the strays can then differ."""
-        return self.difference(() if self.counts == other.counts else other.rows(), other, other.stray)
+        comes first, then other's, then a row.  Only the rows whose bytes
+        differ are decoded: equal counts are one comparison, and otherwise
+        blocks of _BLOCK_ROWS rows are compared first, each at C speed."""
+        E, mine, theirs, step = self.E, self.counts, other.counts, self.E * _BLOCK_ROWS
+        tails = (i for start in range(0, len(mine) if mine != theirs else 0, step)
+                 if mine[start:start + step] != theirs[start:start + step]
+                 for i in range(start // E, min(start + step, len(mine)) // E)
+                 if mine[i * E:(i + 1) * E] != theirs[i * E:(i + 1) * E])
+        decode = cache(_gap_bits)
+        return self.difference(((i, decode(theirs[i * E:(i + 1) * E])) for i in tails), other, other.stray)
 
 
 def _box_runs(ranges, runs: dict, budget: int):
@@ -375,17 +377,11 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
         del counts  # freed before the next kind's arrays are built
 
 
-def _lambda_table(lam, E: int, m: int, bound: int, pure: bool) -> GapTable:
-    """The gaps (pure: the pure gaps) of the simplex from the relative
-    maximals lam, with E classes of alpha_0 (_lambda_tables)."""
-    return next(_lambda_tables(lam, E, m, bound, (pure,)))
-
-
 def gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
     """Gap table from the relative maximals: union of the shifted open boxes."""
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    return _lambda_table(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, pure=False)
+    return next(_lambda_tables(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, (False,)))
 
 
 def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
@@ -397,13 +393,13 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     """
     check_m(dc, m)
     bound = _default_bound(dc, bound)
-    return _lambda_table(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, pure=True)
+    return next(_lambda_tables(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, (True,)))
 
 
 def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> GapTable:
     """The non-members (pure: the vectors with no witness at any coordinate)
-    of the simplex sum(alpha) <= bound: the threshold formula on each
-    residue tail, every other row moved down from its residue tail's."""
+    of the simplex sum(alpha) <= bound: the threshold formula on the tails in
+    [0, E)^m, every other run its block lowered by one count per E."""
     e, E, ceiling = dc.e, table_classes(dc, bound), CEILING
     rhos, tops, classes = _residue_tables(dc, m)
     # Per class, (rho, a0) with a0 = c + e*tops[c] the zero-shift first
@@ -413,40 +409,20 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
     by_class = [(rho, c + e * top) if rho >= 0 else (0, past) for c, (rho, top) in enumerate(zip(rhos, tops))]
     a0_by_rho = [by_class[c][1] if c < e else past for c in classes]
     pick = min if pure else max
-    rows = {}  # residue tail -> (its row, its largest count, its counts past the ceiling or None)
-    counts, none, stray = bytearray(), bytes(E), None
+    counts, blocks, stray = bytearray(), {}, None
 
-    def pack(ns, tail):
-        """The counts ns of tail as bytes; one past the ceiling makes the
-        tail's first point past it a stray."""
+    def row(tail):
+        """The counts of tail, at most CEILING; one past it makes the tail's
+        first point past the ceiling a stray."""
         nonlocal stray
-        if max(ns) <= ceiling:
-            return bytes(ns)
-        stray = _first(stray, (E * ceiling + next(C for C, n in enumerate(ns) if n > ceiling), *tail))
-        return bytes([min(n, ceiling) for n in ns])
-
-    for tail in simplex_points(m, bound):
-        key = tuple(sorted([x % e for x in tail]))
-        if key != tail:
-            row, most, over = rows[key]
-            a, r = divmod(sum(tail) - sum(key), E)  # e*Q = a*E + r
-            if most <= a:
-                counts += none
-            elif over is None:
-                counts += row[r:].translate(_lowered(a))
-                counts += row[:r].translate(_lowered(a + 1))
-            else:
-                counts += pack([max(0, n - a) for n in over[r:]] + [max(0, n - a - 1) for n in over[:r]], tail)
-            continue
-        cap = bound - sum(tail) + 1  # top + 1
-        # The threshold of (rho, a0) is a0 + shift[rho]: with every x < e,
-        # -e * sum_t (x_t - rho)//e = e * #{t : x_t < rho}, and tail is sorted.
+        cap, q = bound - sum(tail) + 1, e * sum([x // e for x in tail])  # top + 1, e*Q
+        # The threshold of (rho, a0) is a0 + shift[rho], shift[rho] = e*#{s : t_s mod e < rho} - e*Q.
         shift, start = [], 0
-        for k, r in enumerate(tail):
-            shift += [e * k] * (r + 1 - start)
+        for k, r in enumerate(sorted([x % e for x in tail])):
+            shift += [e * k - q] * (r + 1 - start)
             start = r + 1
-        shift += [e * m] * (e - start)
-        lim = pick([a0_by_rho[r] + shift[r] for r in tail])
+        shift += [e * m - q] * (e - start)
+        lim = pick([a0_by_rho[x % e] + shift[x % e] for x in tail])
         # A pure gap lies below every r >= 1 threshold, so no class >= lim has one.
         held = max(0, min(e, cap, lim)) if pure else min(e, cap)
         # The end of class c's gaps is min(pick(lim, t), cap), t its r = 0 threshold.
@@ -458,9 +434,25 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         ends += range(held, e)  # no gap: the end at the class itself
         # The count of class C: the points C + E*i below the end of class C mod e.
         ns = [-((C - end) // E) if end > C else 0 for C, end in enumerate(ends * (E // e))]
-        row, most = pack(ns, tail), max(ns)
-        rows[key] = row, most, ns if most > ceiling else None
-        counts += row
+        if max(ns) <= ceiling:
+            return bytes(ns)
+        stray = _first(stray, (E * ceiling + next(C for C, n in enumerate(ns) if n > ceiling), *tail))
+        return bytes([min(n, ceiling) for n in ns])
+
+    by_sorted = cache(row)  # the formula is symmetric in the tail: blocks call it once per sorted tail
+    for head, first in simplex_runs(m, bound).items():
+        size, low = bound - sum(head) + 1, tuple([x % E for x in head])
+        if low not in blocks:
+            rows = b"".join([by_sorted(tuple(sorted((*low, x)))) for x in range(min(E, bound - sum(low) + 1))])
+            blocks[low] = rows, max(rows)
+        rows, most = blocks[low]
+        if most >= ceiling:  # a count at the ceiling may be clipped: no lowering, the formula per tail
+            counts += b"".join([row((*head, x)) for x in range(size)])
+            continue
+        level = (sum(head) - sum(low)) // E
+        for j in range(min(most - level, -(-size // E))):  # row x = E*j + r is block row r lowered by level + j
+            counts += rows[:E * (size - E * j)].translate(_lowered(level + j))
+        counts += bytes(E * (first + size) - len(counts))  # the rest of the run: every count lowered to 0
     return GapTable(E, m, bound, bytes(counts), stray)
 
 
@@ -476,12 +468,10 @@ def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) 
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
 
 
-def _inversions(xs: list[int]) -> int | None:
-    """Pairs s < t with xs[s] > xs[t], by a Fenwick tree over ranks; None
-    when xs repeats a value, as two values then share a rank."""
+def _inversions(xs: list[int]) -> int:
+    """Pairs s < t with xs[s] > xs[t] of distinct values xs, by a Fenwick
+    tree over ranks."""
     rank = {x: r for r, x in enumerate(sorted(xs), start=1)}
-    if len(rank) != len(xs):
-        return None
     tree = [0] * (len(xs) + 1)
     total = 0
     for seen, x in enumerate(xs):
@@ -496,6 +486,13 @@ def _inversions(xs: list[int]) -> int | None:
     return total
 
 
+def _two_point_premise(lam) -> bool:
+    """Whether the two-point count applies to lam, the m = 1 relative
+    maximals as listed: first coordinates strictly increasing, second
+    coordinates pairwise distinct."""
+    return all(a[0] < b[0] for a, b in zip(lam, islice(lam, 1, None))) and len({b[1] for b in lam}) == len(lam)
+
+
 def count_gaps_two_points(dc: DerivedConstants, lam=None) -> int:
     """Exact two-point gap count sum_t (b0 + b1 - z_t) over the relative
     maximals in ascending b1, where z_t counts the earlier ones whose b0
@@ -503,11 +500,9 @@ def count_gaps_two_points(dc: DerivedConstants, lam=None) -> int:
     b1 order, which are those of the b1 in b0 order, the listing's.  lam,
     when the caller has it, is enumerate_classical_Lambda(dc, 1)."""
     lam = enumerate_classical_Lambda(dc, 1) if lam is None else lam
-    inversions = _inversions([b[1] for b in lam])
-    # The formula needs all first and all second coordinates pairwise distinct.
-    if inversions is None or not all(a[0] < b[0] for a, b in zip(lam, islice(lam, 1, None))):
+    if not _two_point_premise(lam):
         raise SelfCheckError(f"relative maximals of {dc.params} at m = 1 have repeated coordinates")
-    return sum(map(sum, lam)) - inversions
+    return sum(map(sum, lam)) - _inversions([b[1] for b in lam])
 
 
 def _box_volume_sum(T: int, d: int, rho: int, e: int, m: int) -> int:
@@ -559,5 +554,7 @@ def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable, lam=Non
         "gap_count_bound": len(complement) <= volume,
     }
     if m == 1:
-        checks["two_point_count_formula"] = count_gaps_two_points(dc, lam) == len(complement)
+        # A Lambda outside the formula's premise fails the check instead of raising.
+        ready = _two_point_premise(lam)
+        checks["two_point_count_formula"] = ready and count_gaps_two_points(dc, lam) == len(complement)
     return checks

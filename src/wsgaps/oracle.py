@@ -239,7 +239,7 @@ def closure_difference(gens, table: GapTable):
     "closure" when the closure alone does.  _closure_rows builds the
     closure's rows, and GapTable.difference compares them with the table's.
     """
-    return table.difference(_closure_rows(gens, table.m, table.bound), "closure")
+    return table.difference(enumerate(_closure_rows(gens, table.m, table.bound)), "closure")
 
 
 def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,

@@ -19,7 +19,7 @@ from wsgaps.gaps import (
     _box_volume_sum,
     _first,
     _inversions,
-    _lambda_table,
+    _lambda_tables,
     _prefix_row,
     build_gap_report,
     count_gaps_two_points,
@@ -227,18 +227,30 @@ def test_build_gap_report(y231):
         assert ("two_point_count_formula" in checks) == (m == 1)
 
 
-@pytest.mark.parametrize("defect", ["duplicate", "swap"])
-def test_lambda_count_formula_needs_strictly_increasing_lambda(y231, monkeypatch, defect):
+@pytest.mark.parametrize("defect, m", [
+    pytest.param("duplicate", 2, id="duplicate"),
+    pytest.param("swap", 2, id="swap"),
+    pytest.param("duplicate", 1, id="duplicate-m1"),
+    pytest.param("swap", 1, id="swap-m1"),
+])
+def test_lambda_count_formula_needs_strictly_increasing_lambda(y231, monkeypatch, defect, m):
     """A repeated vector (in place of its successor, so the count still
-    matches) or two neighbours out of order make the verdict False."""
-    lam = enumerate_classical_Lambda(y231, 2)
+    matches) or two neighbours out of order make the verdict False.  At
+    m = 1 either defect breaks the two-point count's premise too: the report
+    says so instead of raising, while the count itself still raises."""
+    lam = enumerate_classical_Lambda(y231, m)
     if defect == "duplicate":
         bad = lam[:1] + lam[:1] + lam[2:]
     else:
         bad = [lam[1], lam[0]] + lam[2:]
-    assert len(bad) == count_Lambda(y231, 2)
+    assert len(bad) == count_Lambda(y231, m)
     monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: bad)
-    assert build_gap_report(y231, 2, gaps_via_complement(y231, 2))["lambda_count_formula"] is False
+    checks = build_gap_report(y231, m, gaps_via_complement(y231, m))
+    assert checks["lambda_count_formula"] is False
+    if m == 1:
+        assert checks["two_point_count_formula"] is False
+        with pytest.raises(SelfCheckError, match="repeated coordinates"):
+            count_gaps_two_points(y231)
 
 
 def test_build_gap_report_detects_dropped_theta(y231, drop_theta):
@@ -395,6 +407,43 @@ def test_threshold_scan_is_the_per_tail_reference_under_drop_theta(y231, x21131,
         assert mutant != table, case
 
 
+def _far_bound(dc):
+    """A bound far past the gap region sum(alpha) <= 2g - 1."""
+    return 4 * dc.genus + 3 * dc.e
+
+
+# Sweep cases at m <= 2 whose table at the far bound, with CEILING = 1 (so
+# with the most classes), stays under 10^5 entries.
+_FAR_CASES = [(dc, m) for dc in sweep_instances() for m in range(1, min(2, dc.max_m) + 1)
+              if comb(_far_bound(dc) + m, m) * dc.e * -(-2 * dc.genus // dc.e) <= 10**5]
+
+
+@pytest.mark.parametrize("ceiling", [255, 1])
+def test_threshold_scan_is_the_per_tail_reference_far_past_the_gap_region(monkeypatch, ceiling):
+    """At bound 4g + 3e every run of the first tails spans at least two
+    periods E of its last coordinate and ends in rows of no gap, past
+    sum(alpha) = 2g - 1.  With CEILING patched to 1 every count that is not
+    0 is at the ceiling, so each block holding a gap holds the ceiling and
+    its runs take the formula tail by tail."""
+    monkeypatch.setattr(gaps, "CEILING", ceiling)
+    assert len(_FAR_CASES) >= 15
+    at_ceiling = 0
+    for dc, m in _FAR_CASES:
+        bound = _far_bound(dc)
+        E = table_classes(dc, bound)
+        assert bound + 1 > 2 * E
+        first = simplex_runs(m, bound)[(0,) * (m - 1)]  # the run of the tails (0, ..., 0, x)
+        for pure in (False, True):
+            table = _scan(dc, m, bound, pure)
+            assert table.counts == _reference_scan(dc, m, bound, pure), (dc.params, m, pure)
+            assert table.stray is None
+            at_ceiling += max(table.counts) == ceiling
+            # its rows with x >= 2g hold no gap
+            assert not any(table.counts[(first + 2 * dc.genus) * E:(first + bound + 1) * E])
+    if ceiling == 1:  # every gap table, and most pure-gap tables, hold a gap
+        assert at_ceiling >= 1.5 * len(_FAR_CASES)
+
+
 @pytest.mark.parametrize("family, params, m", [
     pytest.param("Y", dict(q=2, n=3, s=1), 1, id="Y231-1"),
     pytest.param("Y", dict(q=2, n=3, s=1), 2, id="Y231-2"),
@@ -454,7 +503,7 @@ def test_lambda_conversion_extends_class_prefixes():
     """e = 3, m = 1: the boxes at 1 give the tail (1,) the prefix 0..5 and
     the boxes at 0 give the points 0, 3, 6 on the tail (0,), each the next
     member of class 0, whatever order lam lists them in."""
-    table = _lambda_table({(6, 1), (0, 1), (3, 1)}, 3, 1, 10, pure=False)
+    table = next(_lambda_tables({(6, 1), (0, 1), (3, 1)}, 3, 1, 10, (False,)))
     _assert_table_is(table, {(0, 0), (3, 0), (6, 0)} | {(a, 1) for a in range(6)})
 
 
@@ -463,14 +512,14 @@ def test_lambda_conversion_records_a_point_above_its_class_prefix():
     stray, and the table equals no table, itself included.  For pure gaps,
     (10, 0) gives the tail (0,) the prefix 0..9 at coordinate 1, so (6, 0)
     counts there too and skips (0, 0) and (3, 0)."""
-    table = _lambda_table({(6, 1), (0, 1)}, 3, 1, 10, pure=False)
+    table = next(_lambda_tables({(6, 1), (0, 1)}, 3, 1, 10, (False,)))
     assert table.stray == (6, 0)
     assert set(table) == {(0, 0)} | {(a, 1) for a in range(6)}
     assert table != table
-    clean = _lambda_table({(6, 1), (0, 1), (3, 1)}, 3, 1, 10, pure=False)
+    clean = next(_lambda_tables({(6, 1), (0, 1), (3, 1)}, 3, 1, 10, (False,)))
     assert table.first_difference(clean) == ((3, 0), clean)
 
-    pure = _lambda_table({(10, 0), (6, 1)}, 3, 1, 10, pure=True)
+    pure = next(_lambda_tables({(10, 0), (6, 1)}, 3, 1, 10, (True,)))
     assert pure.stray == (6, 0)
     assert len(pure) == 0
 
@@ -530,7 +579,7 @@ def _assert_lambda_route_is_the_reference(lam, E, m, bound):
     reference: the same counts and the same stray.  Returns the strays."""
     strays = []
     for pure in (False, True):
-        table = _lambda_table(set(lam), E, m, bound, pure)
+        table = next(_lambda_tables(set(lam), E, m, bound, (pure,)))
         reference = _reference_lambda_table(lam, E, m, bound, pure)
         assert (table.counts, table.stray) == (reference.counts, reference.stray), (lam, m, bound, pure)
         strays.append(table.stray)
@@ -601,6 +650,27 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     assert other.first_difference(table) == expected
     assert len(other) == len(table)
     assert set(table) ^ set(other) == {lost, gained}
+
+
+def test_first_difference_decodes_only_the_rows_that_differ(y231, monkeypatch):
+    """Y(2,3,1) at m = 2 up to degree 200 has 20,301 tails, five blocks of
+    rows.  A gap added on the tail (30, 0), in a later block and past every
+    gap, is the first difference, and finding it decodes that tail's row of
+    each table once and no other row.  Equal tables decode no row."""
+    table = gaps_via_complement(y231, 2, 200)
+    E, bound = table.E, table.bound
+    i = simplex_runs(2, bound)[(30,)]
+    assert i > gaps._BLOCK_ROWS and not any(table.counts[i * E:(i + 1) * E])
+    counts = bytearray(table.counts)
+    counts[i * E] = 1
+    other = GapTable(E, 2, bound, bytes(counts))
+    decoded = []
+    real = gaps._gap_bits
+    monkeypatch.setattr(gaps, "_gap_bits", lambda row: decoded.append(row) or real(row))
+    assert table.first_difference(GapTable(E, 2, bound, table.counts)) is None
+    assert decoded == []
+    assert table.first_difference(other) == ((0, 30, 0), other)
+    assert sorted(decoded) == sorted([table.counts[i * E:(i + 1) * E], other.counts[i * E:(i + 1) * E]])
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -765,6 +835,30 @@ def test_a_count_past_the_ceiling_is_the_stray(y231, monkeypatch, route):
         gens = [] if route == "closure" else [(-1, 0)]
         assert closure_difference(gens, table) == (first, table)
         assert closure_difference(gens, GapTable(E, 1, bound, table.counts)) == (first, "closure")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_counts_past_the_ceiling_are_clipped_on_every_tail(y231, monkeypatch, m):
+    """With no witness anywhere every point is a gap, and with CEILING
+    patched to 2 most counts of Y(2,3,1) at bound 4g + 3e pass it, also on
+    tails past [0, E)^m.  Both scans store each count of the per-tail
+    reference clipped at the ceiling, and name as the stray the smallest
+    first point past the ceiling over all tails.  A clipped count lowered
+    by a run would fall short of the ceiling."""
+    monkeypatch.setattr(gaps, "CEILING", 2)
+    monkeypatch.setattr(gaps, "_residue_tables", _all_missing)
+    monkeypatch.setattr(membership, "_residue_tables", _all_missing)
+    bound = _far_bound(y231)
+    E = table_classes(y231, bound)
+    tails = list(simplex_points(m, bound))
+    for pure in (False, True):
+        reference = _reference_scan(y231, m, bound, pure)
+        rows = list(zip(*[iter(reference)] * E))
+        assert any(max(row) > 2 for tail, row in zip(tails, rows) if max(tail) >= E)
+        past = [(2 * E + C, *tail) for tail, row in zip(tails, rows) for C, k in enumerate(row) if k > 2]
+        table = _scan(y231, m, bound, pure)
+        assert table.counts == bytes(min(k, 2) for k in reference)
+        assert table.stray == min(past)
 
 
 def test_routes_read_disjoint_inputs(y231, monkeypatch, request):
