@@ -2,10 +2,14 @@
 
 The closure side never consults the closed-form families in maximal.py.
 It enumerates exactly the regular monomials whose valuation vectors lie in
-a box, closes those vectors under componentwise maxima, and compares the
-outcome with the formula-driven modules.  That independence is the whole
-point: every formula is cross-examined against nothing but the curve
-equations.
+a box, each from its own exponents, closes those vectors under
+componentwise maxima, and compares the outcome with the formula-driven
+modules.  That independence is the whole point: every formula is
+cross-examined against nothing but the curve equations.  The families size
+the box alone (default_box), so that the families check finds every
+monomial below its vectors; the closure check reads only the monomials
+below the simplex, which every box holds, so its verdict is the same on
+any box.
 
 The closure is never built.  _closure_rows takes the generators through
 one dominance (zeta) transform over the tails, a coordinate at a time and
@@ -25,17 +29,13 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate, chain, product, repeat
 from math import comb
-from operator import le, or_
+from operator import or_
 
-from .curves import DerivedConstants, MonomialExponents, check_m, monomial_valuation, simplex_runs
+from .curves import DerivedConstants, check_m, simplex_runs
 from .errors import BadBox
 from .gaps import GapTable, build_gap_report, gaps_via_complement
-from .maximal import (
-    enumerate_classical_Gamma,
-    enumerate_classical_Lambda,
-    gamma_hat_in_C,
-    lambda_hat_in_C,
-)
+from .maximal import (enumerate_classical_Gamma, enumerate_classical_Lambda, gamma_hat_in_C, lambda_hat_in_C,
+                      relative_shift, residues)
 
 
 class Box(namedtuple("Box", "lower upper")):
@@ -55,30 +55,43 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def default_box(dc: DerivedConstants, m: int, bound: int) -> Box:
-    """The closure check's box for the simplex sum(alpha) <= bound.
+    """The oracle's box for the simplex sum(alpha) <= bound.
 
-    The upper corner U holds the simplex and every closed-form family vector
-    of the sweep instances (a test checks it); bound alone does not.  The
-    coordinates of a regular monomial have a nonnegative sum (see
-    monomial_vectors_in_box), so one below U has coordinate t >= U_t - sum(U):
-    that lower corner holds every regular monomial vector below U.
+    Its upper corner U is (bound, ..., bound) raised to the componentwise
+    maximum of the family vectors that families_in_closure tests: the hat
+    sets (c + e*top, rho, ..., rho) and the classical listings, whose
+    coordinates 1..m are k*e + rho for k in [0, top].  The relative shift
+    (m - 1)e >= 0 dominates shift 0, so the residues at the relative shift
+    give that maximum in O(e): max(c + e*top) first, and
+    max(max(top, 0)*e + rho) at every other coordinate.  The closure check
+    reads only the monomials below the simplex, so the corner changes no
+    verdict of it.  The coordinates of a regular monomial have a
+    nonnegative sum (see _monomial_runs), so one below U has coordinate
+    t >= U_t - sum(U): that lower corner holds every regular monomial
+    vector below U.
     """
-    upper = (max(bound, dc.q**2 * dc.e // dc.pb),) + (max(bound, m * dc.e - 1),) * m
+    e = dc.e
+    rhos, tops = residues(dc, m, relative_shift(dc, m))
+    first = max(c + e * top for c, top in enumerate(tops))
+    rest = max(max(top, 0) * e + rho for rho, top in zip(rhos, tops))
+    upper = (max(bound, first),) + (max(bound, rest),) * m
     return Box(lower=tuple(u - sum(upper) for u in upper), upper=upper)
 
 
 def _monomial_runs(dc: DerivedConstants, m: int, box: Box):
-    """The regular monomials with valuation vectors in the box: yields
-    (a_z, b_y, ranges, lo, hi), one monomial (a_z, b_y, c) for each c in
-    product(*ranges) with lo <= sum(c) <= hi.
+    """The regular monomials z^a_z y^b_y prod (x - alpha_l)^c_l with
+    valuation vectors in the box: yields (base, w, ranges, lo, hi), one
+    monomial for each c in product(*ranges) with lo <= sum(c) <= hi, whose
+    vector is (base + e*sum(c), -(w + c_1*e), ..., -(w + c_m*e)).
 
-    With w = a_z + b_y*M, coords[l] = -(w + c_l*e) and coords[0] =
-    base + e*sum(c), base = a_z*q^3/p^b + b_y*(q/p^b)*M, so the coordinates
-    sum to a_z*(q^3 - q)/p^b + (max_m - m)*w.  Regular means a_z >= 0 and,
-    unless m = max_m, w >= 0, so sum(box.upper) bounds a_z and w.  At
-    m = max_m, (b_y, c) and (b_y + q + 1, c - 1) give one vector, so q + 1
-    values of b_y suffice.  Coordinate l bounds c_l and coordinate 0 bounds
-    sum(c): c_1..c_{m-1} run over their product, c_m over what both leave.
+    Here w = a_z + b_y*M, the valuation at each beta = 0 point, and base =
+    a_z*q^3/p^b + b_y*(q/p^b)*M, the pole order at P_inf of z^a_z y^b_y, so
+    the coordinates sum to a_z*(q^3 - q)/p^b + (max_m - m)*w.  Regular
+    means a_z >= 0 and, unless m = max_m, w >= 0, so sum(box.upper) bounds
+    a_z and w.  At m = max_m, (b_y, c) and (b_y + q + 1, c - 1) give one
+    vector, so q + 1 values of b_y suffice.  Coordinate l bounds c_l and
+    coordinate 0 bounds sum(c): c_1..c_{m-1} run over their product, c_m
+    over what both leave.
     """
     check_m(dc, m)
     if len(box.lower) != m + 1:
@@ -99,19 +112,24 @@ def _monomial_runs(dc: DerivedConstants, m: int, box: Box):
             sum_lo, sum_hi = _ceil_div(box.lower[0] - base, e), (box.upper[0] - base) // e
             ranges = [range(_ceil_div(-box.upper[ell] - w, e), (-box.lower[ell] - w) // e + 1)
                       for ell in range(1, m + 1)]
-            yield a_z, b_y, ranges, sum_lo, sum_hi
+            yield base, w, ranges, sum_lo, sum_hi
+
+
+def _monomial_vectors(dc: DerivedConstants, m: int, box: Box):
+    """The valuation vector of each monomial of _monomial_runs, one per
+    monomial, built from its run's base and w."""
+    e = dc.e
+    for base, w, (*heads, last), lo, hi in _monomial_runs(dc, m, box):
+        for head in product(*heads):
+            part, coords = sum(head), tuple([-(w + c * e) for c in head])
+            for c_m in range(max(last.start, lo - part), min(last.stop, hi - part + 1)):
+                yield (base + e * (part + c_m),) + coords + (-(w + c_m * e),)
 
 
 def monomial_vectors_in_box(dc: DerivedConstants, m: int, box: Box) -> set[tuple[int, ...]]:
     """Valuation vectors of all regular monomials in the box, each monomial
-    built once and none discarded (_monomial_runs)."""
-    out = set()
-    for a_z, b_y, (*heads, last), lo, hi in _monomial_runs(dc, m, box):
-        for head in product(*heads):
-            part = sum(head)
-            for c_m in range(max(last.start, lo - part), min(last.stop, hi - part + 1)):
-                out.add(monomial_valuation(dc, m, MonomialExponents(a_z, b_y, head + (c_m,)))[0])
-    return out
+    built once and none discarded (_monomial_vectors)."""
+    return set(_monomial_vectors(dc, m, box))
 
 
 def _points_up_to(ranges, total: int) -> int:
@@ -264,8 +282,7 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
     lam = enumerate_classical_Lambda(dc, m)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
     families.update(enumerate_classical_Gamma(dc, m), lam)
-    corner = tuple(map(max, zip(*families)))  # a generator not below it is below no family vector
-    idx = index_generators(g for g in mono if all(map(le, g, corner)))
+    idx = index_generators(mono)
     checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)
     del mono, idx, families  # released before the gap-side tables
 

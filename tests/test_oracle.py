@@ -60,7 +60,8 @@ def test_monomial_vectors_are_members(y231):
 
 def _brute_force_monomials(dc, m, box):
     """The regular in-box valuations over a fixed wide (a_z, b_y) window, with
-    each c_l over the range its own coordinate allows and no other bound."""
+    each c_l over the range its own coordinate allows and no other bound,
+    each from curves.monomial_valuation, which the oracle does not call."""
     out = set()
     for a_z in range(-1, 20):
         for b_y in range(-25, 51):
@@ -92,14 +93,13 @@ def test_monomial_vectors_are_exact(y231, y233, x21131, x22313):
     assert monomial_vectors_in_box(y231, 1, hand[1][2]) == set()
 
 
-def test_monomial_count_is_the_monomials_built(sweep, monkeypatch):
-    """count_monomials_in_box equals the number of monomial_valuation calls
-    of monomial_vectors_in_box, and at m = max_m the number of vectors, on
-    the sweep instances with g <= 30 at every m, at bounds 0, 2g and 2g + 7,
-    where the box holds at most 20,000 monomials."""
-    calls = []
-    real = oracle.monomial_valuation
-    monkeypatch.setattr(oracle, "monomial_valuation", lambda *a: calls.append(1) or real(*a))
+def test_monomial_count_is_the_monomials_built(sweep):
+    """count_monomials_in_box equals the number of vectors the enumeration
+    builds (oracle._monomial_vectors yields one per monomial, and
+    monomial_vectors_in_box collects them into its set), and at m = max_m
+    the number of distinct vectors, on the sweep instances with g <= 30 at
+    every m, at bounds 0, 2g and 2g + 7, where the box holds at most 20,000
+    monomials."""
     checked = []  # per case: at m = max_m >= 2, where vectors and monomials correspond
     for dc in sweep:
         if dc.genus > 30:
@@ -110,9 +110,9 @@ def test_monomial_count_is_the_monomials_built(sweep, monkeypatch):
                 count = count_monomials_in_box(dc, m, box)
                 if count > 20_000:
                     continue
-                calls.clear()
+                built = list(oracle._monomial_vectors(dc, m, box))
                 vectors = monomial_vectors_in_box(dc, m, box)
-                assert count == len(calls) >= len(vectors), (dc.params, m, bound)
+                assert count == len(built) >= len(vectors) == len(set(built)), (dc.params, m, bound)
                 assert count == len(vectors) or m < dc.max_m, (dc.params, m, bound)
                 checked.append(m == dc.max_m >= 2)
     assert len(checked) >= 60 and any(checked)
@@ -166,19 +166,46 @@ def test_mutation_dropping_theta_is_detected(y231, drop_theta):
 
 def test_default_box_holds_every_family_vector(sweep):
     """families_in_closure tests every closed-form family vector, so each must
-    lie in the box whose monomials it is tested against: every sweep case
-    with m <= 3 (g <= 2000 at m = 3) and m = 4 with g <= 60."""
+    lie in the box whose monomials it is tested against, and the box reaches
+    no further than the simplex needs: its upper corner is
+    max(bound, the componentwise maximum of the four family listings).  On
+    every sweep case with m <= 3 (g <= 2000 at m = 3) and m = 4 with
+    g <= 60, and on instances outside the sweep at m <= 3."""
+    outside = [curve("Y", q=5, n=3, s=1), curve("Y", q=5, n=3, s=21), curve("Y", q=8, n=3, s=19),
+               curve("Y", q=9, n=3, s=73), curve("X", p=5, a=1, b=1, n=3, s=1)]
     checked = 0
-    for dc in sweep:
-        for m in range(1, min(4, dc.max_m) + 1):
+    for dc, top_m in [(dc, 4) for dc in sweep] + [(dc, 3) for dc in outside]:
+        for m in range(1, min(top_m, dc.max_m) + 1):
             if (m == 3 and dc.genus > 2000) or (m == 4 and dc.genus > 60):
                 continue
-            box = default_box(dc, m, 2 * dc.genus)
+            bound, box = 2 * dc.genus, default_box(dc, m, 2 * dc.genus)
             families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
             families |= set(enumerate_classical_Gamma(dc, m)) | set(enumerate_classical_Lambda(dc, m))
             assert all(v in box for v in families), (dc.params, m)
+            assert box.upper == tuple(max(bound, x) for x in map(max, zip(*families))), (dc.params, m)
             checked += 1
-    assert checked >= 65
+    assert checked == 72 + 13, checked
+
+
+def test_closure_rows_read_no_family(sweep):
+    """The closure check's verdict consults no family: on every sweep case
+    with g <= 30 at m <= 3, _closure_rows gives the same rows over the
+    monomials of the bare cube, upper corner (bound, ..., bound), as over
+    those of default_box, whose corner the families size (past the cube
+    in 10 of the 32 cases)."""
+    cases = wider = 0
+    for dc in sweep:
+        if dc.genus > 30:
+            continue
+        bound = 2 * dc.genus
+        for m in range(1, min(3, dc.max_m) + 1):
+            upper, box = (bound,) * (m + 1), default_box(dc, m, bound)
+            cube = Box(tuple(u - sum(upper) for u in upper), upper)
+            bare = list(_closure_rows(monomial_vectors_in_box(dc, m, cube), m, bound))
+            assert bare == list(_closure_rows(monomial_vectors_in_box(dc, m, box), m, bound)), (dc.params, m)
+            cases += 1
+            wider += box != cube
+    assert cases == 32 and wider == 10, (cases, wider)
 
 
 def _held_classes(table):
