@@ -11,7 +11,7 @@ distinguished points matter, never coordinates over a finite field.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, log2
 
 from .errors import (
@@ -196,10 +196,19 @@ def simplex_points(dim: int, bound: int):
 
 def simplex_runs(dim: int, bound: int) -> dict:
     """The layout of simplex_points(dim, bound): each head (a point without
-    its last coordinate) to the start of its run, the points head + (x,)
-    for x in range(bound - sum(head) + 1), which sit at runs[head] + x."""
+    its last coordinate), in simplex_points order, to the range of positions
+    of its run, the points head + (x,) for x in range(bound - sum(head) + 1).
+    The point head + (x,) sits at runs[head][x]; the run holds
+    len(runs[head]) points and ends at runs[head].stop."""
     heads = list(simplex_points(dim - 1, bound)) if dim > 1 else [()]
-    return dict(zip(heads, accumulate([bound + 1 - sum(head) for head in heads], initial=0)))
+    sizes = [bound + 1 - sum(head) for head in heads]
+    return {head: range(stop - size, stop) for head, size, stop in zip(heads, sizes, accumulate(sizes))}
+
+
+def simplex_caps(runs: dict):
+    """top + 1 = bound + 1 - sum(t) for each point t of the layout runs
+    (simplex_runs), in layout order: each run counts down from its length."""
+    return chain.from_iterable(range(len(run), 0, -1) for run in runs.values())
 
 
 def check_m(dc: DerivedConstants, m: int) -> None:

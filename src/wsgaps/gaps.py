@@ -59,11 +59,11 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from functools import cache, partial
-from itertools import chain, compress, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import comb
 from operator import itemgetter, lt, ne
 
-from .curves import DerivedConstants, check_m, simplex_points, simplex_runs
+from .curves import DerivedConstants, check_m, simplex_caps, simplex_points, simplex_runs
 from .errors import SelfCheckError
 from .maximal import count_Lambda, enumerate_classical_Lambda, relative_shift, residues
 from .membership import _residue_tables
@@ -126,7 +126,7 @@ class GapTable:
 
     counts holds E bytes per tail t = (alpha_1..alpha_m), the tails in
     simplex_points order, laid out by runs = simplex_runs(m, bound):
-    counts[(runs[t[:-1]] + t[-1])*E + C] = k when the gaps (alpha_0, t)
+    counts[runs[t[:-1]][t[-1]]*E + C] = k when the gaps (alpha_0, t)
     with alpha_0 = C mod E are range(C, C + E*k, E).
 
     stray is the lexicographically smallest point a route produced above its
@@ -241,13 +241,16 @@ class GapTable:
 
 def _box_runs(ranges, runs: dict, budget: int):
     """The tails of the box prod(ranges) with sum <= budget, grouped by
-    head: yields (head, xs, runs[head]), the tails head + (x,) for x in xs
-    sitting at runs[head] + x, runs the simplex_runs of their simplex."""
+    head: yields (head, xs, base), the tails head + (x,) for x in xs at the
+    positions base + x, base = runs[head].start, runs the simplex_runs of a
+    simplex sum(t) <= bound with bound >= budget.  xs is clipped to the
+    budget, not to the run's end: a budget below bound ends the box short
+    of it."""
     *heads, last = ranges
     for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
         xs = range(last.start, min(last.stop, budget - sum(head) + 1))
         if xs:
-            yield head, xs, runs[head]
+            yield head, xs, runs[head].start
 
 
 @cache
@@ -303,6 +306,14 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
     mask (old == k0) & alive as big integers (k0 <= 254: no carry).  A
     stray is a run's first tail with old < k0 (pure: and alive), a find
     (pure: the highest set bit of the mask).
+
+    Both tables obey the scan's shift law by construction.  Raising k_j by
+    one moves a vector of the listing by (-e, 0, ..., +e at j, ..., 0), and
+    the moved vector leaves the listing only where its first coordinate
+    turns negative.  The move carries each box of beta onto the same box
+    of the moved vector, so for t_j >= e, (alpha_0, t) lies in a box at i
+    iff (alpha_0 + e, t - e*u_j) does: row(t) is row(t - E*u_j) with every
+    count lowered by one, floored at 0.  The route does not use the law.
     """
     size = comb(bound + m, m)
     runs = simplex_runs(m, bound)
@@ -315,8 +326,7 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
             prefixes[i] = array("q", map(min if pure else max, prefixes[i], more))
         del more
     for pure in kinds:
-        tops = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
-        ends = array("q", map(min, prefixes.pop(0), tops))  # per tail, where its prefix of gaps ends
+        ends = array("q", map(min, prefixes.pop(0), simplex_caps(runs)))  # per tail, where its prefix of gaps ends
         stray = None
         if pure:
             counts, alive, buckets = bytearray(size * E), bytearray(size), defaultdict(partial(array, "i"))
@@ -440,10 +450,11 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         return bytes([min(n, ceiling) for n in ns])
 
     by_sorted = cache(row)  # the formula is symmetric in the tail: blocks call it once per sorted tail
-    for head, first in simplex_runs(m, bound).items():
-        size, low = bound - sum(head) + 1, tuple([x % E for x in head])
+    runs = simplex_runs(m, bound)
+    for head, run in runs.items():
+        size, low = len(run), tuple([x % E for x in head])  # low <= head is a head too
         if low not in blocks:
-            rows = b"".join([by_sorted(tuple(sorted((*low, x)))) for x in range(min(E, bound - sum(low) + 1))])
+            rows = b"".join([by_sorted(tuple(sorted((*low, x)))) for x in range(min(E, len(runs[low])))])
             blocks[low] = rows, max(rows)
         rows, most = blocks[low]
         if most >= ceiling:  # a count at the ceiling may be clipped: no lowering, the formula per tail
@@ -452,7 +463,7 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         level = (sum(head) - sum(low)) // E
         for j in range(min(most - level, -(-size // E))):  # row x = E*j + r is block row r lowered by level + j
             counts += rows[:E * (size - E * j)].translate(_lowered(level + j))
-        counts += bytes(E * (first + size) - len(counts))  # the rest of the run: every count lowered to 0
+        counts += bytes(E * run.stop - len(counts))  # the rest of the run: every count lowered to 0
     return GapTable(E, m, bound, bytes(counts), stray)
 
 

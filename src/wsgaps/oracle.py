@@ -27,11 +27,11 @@ per family vector.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, product, repeat
 from math import comb
 from operator import or_
 
-from .curves import DerivedConstants, check_m, simplex_runs
+from .curves import DerivedConstants, check_m, simplex_caps, simplex_runs
 from .errors import BadBox
 from .gaps import GapTable, build_gap_report, gaps_via_complement
 from .maximal import (enumerate_classical_Gamma, enumerate_classical_Lambda, gamma_hat_in_C, lambda_hat_in_C,
@@ -206,18 +206,21 @@ def _closure_rows(gens, m: int, bound: int):
     As t >= 0, g lies below (alpha_0, t) iff g_0 <= alpha_0 and its cell,
     g_1..g_m with negative coordinates raised to 0, lies below t; a g with
     max(g_0, 0) + sum(cell) > bound lies below no simplex point.  Each cell
-    seeds held with the bits g_0 >= 0 of its generators, and low[r] with
-    their least g_0 over g_r >= 0 (a negative g_r attains nothing).  A zeta
-    transform over the product order (Bjorklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007) then ORs into held[t] the held of every cell below
-    t, and takes into low[r][t] the least low[r] of every cell below t with
-    the same t_r.  It runs one coordinate j at a time, run by run of
-    simplex_runs, each run at C speed: along the last coordinate an
-    accumulate within the run, along any other a map against the run of
-    head - e_j, whose transform along j is already done.  Then held[t]
-    holds the alpha_0 attained at 0, and no alpha_0 < end = max_r low[r][t]
-    attains every r >= 1, so the non-members of t up to top = bound - sum(t)
-    are the bits of range(end) and the zero bits of held[t].
+    seeds, at its position runs[cell[:-1]][cell[-1]] in the layout runs =
+    simplex_runs(m, bound), held with the bits g_0 >= 0 of its generators,
+    and low[r] with their least g_0 over g_r >= 0 (a negative g_r attains
+    nothing).  A zeta transform over the product order (Bjorklund,
+    Husfeldt, Kaski and Koivisto, STOC 2007) then ORs into held[t] the held
+    of every cell below t, and takes into low[r][t] the least low[r] of
+    every cell below t with the same t_r.  It runs one coordinate j at a
+    time, run by run of the layout, each run (the range of its tails'
+    positions) at C speed: along the last coordinate an accumulate within
+    the run, along any other a map against the run of head - e_j, whose
+    transform along j is already done.  Then held[t] holds the alpha_0
+    attained at 0, and no alpha_0 < end = max_r low[r][t] attains every
+    r >= 1, so the non-members of t up to top = bound - sum(t) are the bits
+    of range(end) and the zero bits of held[t], with top + 1 read from the
+    layout (simplex_caps).
     """
     n, runs = comb(bound + m, m), simplex_runs(m, bound)
     held = [0] * n
@@ -226,7 +229,7 @@ def _closure_rows(gens, m: int, bound: int):
         cell = tuple([x if x > 0 else 0 for x in g[1:]])
         if max(g[0], 0) + sum(cell) > bound:
             continue
-        i = runs[cell[:-1]] + cell[-1]
+        i = runs[cell[:-1]][cell[-1]]
         if g[0] >= 0:
             held[i] |= 1 << g[0]
         for r, x in enumerate(g[1:]):
@@ -234,18 +237,17 @@ def _closure_rows(gens, m: int, bound: int):
                 low[r][i] = g[0]
     for j in range(m):
         cols = [(held, or_)] + [(col, min) for r, col in enumerate(low) if r != j]
-        for head, start in runs.items():
-            stop = start + bound + 1 - sum(head)
+        for head, run in runs.items():
+            start, stop = run.start, run.stop
             if j == m - 1:
                 for col, op in cols:
                     col[start:stop] = accumulate(col[start:stop], op)
             elif head[j]:
-                prev = runs[head[:j] + (head[j] - 1,) + head[j + 1:]]
+                prev = runs[head[:j] + (head[j] - 1,) + head[j + 1:]].start
                 for col, op in cols:
-                    col[start:stop] = map(op, col[start:stop], col[prev:prev + stop - start])
-    caps = chain.from_iterable(range(bound + 1 - sum(head), 0, -1) for head in runs)  # top + 1
+                    col[start:stop] = map(op, col[start:stop], col[prev:prev + len(run)])
     return (((1 << min(end, cap)) - 1 | ~bits) & ((1 << cap) - 1)
-            for bits, end, cap in zip(held, map(max, repeat(0), *low), caps))
+            for bits, end, cap in zip(held, map(max, repeat(0), *low), simplex_caps(runs)))
 
 
 def closure_difference(gens, table: GapTable):

@@ -83,7 +83,7 @@ def table_of(points, E, m, bound):
     point must lie below its class count: the k points of a class then are
     its first k."""
     runs, counts = simplex_runs(m, bound), bytearray(comb(bound + m, m) * E)
-    rows = [((runs[a[1:-1]] + a[-1]) * E + a[0] % E, a[0] // E) for a in points]
+    rows = [(runs[a[1:-1]][a[-1]] * E + a[0] % E, a[0] // E) for a in points]
     for i, _ in rows:
         counts[i] += 1
     assert all(k < counts[i] for i, k in rows), "not a union of class prefixes"

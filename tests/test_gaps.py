@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import table_of
 from wsgaps import gaps, membership
-from wsgaps.curves import curve, simplex_runs
+from wsgaps.curves import curve, simplex_caps, simplex_runs
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
@@ -32,7 +32,7 @@ from wsgaps.gaps import (
     table_classes,
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
-from wsgaps.membership import witness_test
+from wsgaps.membership import one_point_gaps_at_P1, witness_test
 from wsgaps.oracle import closure_difference, default_box, monomial_vectors_in_box
 from wsgaps.semigroup import from_generators
 from wsgaps.sweep import sweep_instances
@@ -57,12 +57,28 @@ def test_gaps_y231_contains(y231):
     assert gaps == gaps_via_complement(y231, 1)
 
 
-def test_gap_projection_is_one_point_gap_set(y231, y233, x21131):
-    for dc in (y231, y233, x21131):
-        gaps = gaps_via_complement(dc, 1)
-        slice0 = {a for a, b in gaps if b == 0}
-        assert slice0 == set(from_generators(dc.gens).gaps)
-        assert len(slice0) == dc.genus
+def test_gap_projection_is_one_point_gap_set(sweep):
+    """On the sweep cases with g <= 60 at m <= 3, the complement and the
+    Lambda tables meet the P_inf axis in the gaps of the one-point
+    semigroup of dc.gens and each P_j axis in the one-point gaps at P_1,
+    g of each."""
+    cases = 0
+    for dc in sweep:
+        if dc.genus > 60:
+            continue
+        at_inf, at_p1 = set(from_generators(dc.gens).gaps), set(one_point_gaps_at_P1(dc))
+        assert len(at_inf) == len(at_p1) == dc.genus
+        for m in range(1, min(3, dc.max_m) + 1):
+            for table in (gaps_via_complement(dc, m), gaps_via_lambda(dc, m)):
+                axes = [set() for _ in range(m + 1)]
+                for a in table:
+                    nonzero = [j for j, x in enumerate(a) if x]
+                    if len(nonzero) == 1:
+                        axes[nonzero[0]].add(a[nonzero[0]])
+                assert axes[0] == at_inf, (dc.params, m)
+                assert all(axis == at_p1 for axis in axes[1:]), (dc.params, m)
+            cases += 1
+    assert cases == 34, cases
 
 
 def test_pure_gaps_examples(y231, x21131):
@@ -432,7 +448,7 @@ def test_threshold_scan_is_the_per_tail_reference_far_past_the_gap_region(monkey
         bound = _far_bound(dc)
         E = table_classes(dc, bound)
         assert bound + 1 > 2 * E
-        first = simplex_runs(m, bound)[(0,) * (m - 1)]  # the run of the tails (0, ..., 0, x)
+        first = simplex_runs(m, bound)[(0,) * (m - 1)].start  # the run of the tails (0, ..., 0, x)
         for pure in (False, True):
             table = _scan(dc, m, bound, pure)
             assert table.counts == _reference_scan(dc, m, bound, pure), (dc.params, m, pure)
@@ -465,14 +481,57 @@ def test_gaps_are_invariant_under_moving_e_to_coordinate_0(family, params, m):
     assert pairs and any(max(a[1:]) >= e for a in gaps)
 
 
+def test_lambda_tables_obey_the_shift_law(sweep):
+    """On the sweep cases with g <= 60 at m <= 3 and bound 2g + 2e: Lambda
+    holds the step beta + (-e, ..., +e at j, ...) of each of its vectors
+    whose first coordinate stays >= 0, and both Lambda tables have
+    row(t) = row(t - E*u_j) with every count lowered by one, floored at 0,
+    wherever t_j >= E: 298 steps and 111,994 pairs of rows.  The positions
+    are read off simplex_points."""
+    steps = rows = 0
+    for dc in sweep:
+        if dc.genus > 60:
+            continue
+        e, bound = dc.e, 2 * dc.genus + 2 * dc.e
+        E = table_classes(dc, bound)
+        for m in range(1, min(3, dc.max_m) + 1):
+            lam = enumerate_classical_Lambda(dc, m)
+            listed = set(lam)
+            for beta in lam:
+                for j in range(1, m + 1):
+                    if beta[0] >= e:
+                        assert (beta[0] - e, *beta[1:j], beta[j] + e, *beta[j + 1:]) in listed, (beta, j)
+                        steps += 1
+            at = {t: i for i, t in enumerate(simplex_points(m, bound))}
+            for table in _lambda_tables(lam, E, m, bound, (False, True)):
+                assert table.stray is None
+                counts = table.counts
+                for t, i in at.items():
+                    for j, x in enumerate(t):
+                        if x >= E:
+                            k = at[(*t[:j], x - E, *t[j + 1:])]
+                            lowered = bytes([max(0, n - 1) for n in counts[k * E:(k + 1) * E]])
+                            assert counts[i * E:(i + 1) * E] == lowered, (dc.params, m, t, j)
+                            rows += 1
+    assert (steps, rows) == (298, 111_994), (steps, rows)
+
+
 def test_runs_place_every_tail_at_its_simplex_position(y231):
-    """runs[t[:-1]] + t[-1] is the position of t in simplex_points, at
-    m = 1..4 on small bounds and at m = 2 past 2g."""
+    """The layout against simplex_points alone, at m = 1..4 on small bounds
+    and at m = 2 past 2g: the runs follow each other from 0, each
+    range(start, start + bound + 1 - sum(head)); runs[t[:-1]][t[-1]] is the
+    position of t; and simplex_caps gives bound + 1 - sum(t) per tail."""
     cases = [(m, bound) for m in range(1, 5) for bound in (0, 1, 4, 7)]
     for m, bound in cases + [(2, 2 * y231.genus + y231.e)]:
         runs = simplex_runs(m, bound)
         tails = list(simplex_points(m, bound))
-        assert [runs[t[:-1]] + t[-1] for t in tails] == list(range(len(tails)))
+        start = 0
+        for head, run in runs.items():
+            assert run == range(start, start + bound + 1 - sum(head)), (m, bound, head)
+            start = run.stop
+        assert start == len(tails)
+        assert [runs[t[:-1]][t[-1]] for t in tails] == list(range(len(tails)))
+        assert list(simplex_caps(runs)) == [bound + 1 - sum(t) for t in tails]
         assert len(tails) == comb(bound + m, m) and tails == sorted(tails)
         assert list(runs) == sorted({t[:-1] for t in tails})
 
@@ -636,9 +695,9 @@ def test_first_difference_is_the_smallest_vector_in_one_table(y231):
     # (0, 0) gains the next member of its first class whose next member
     # lies in the simplex.  Rows start at multiples of E, so an index mod E
     # is its class.
-    lose = (runs[(0,)] + 1) * E
+    lose = runs[(0,)][1] * E
     lose += next(C for C in range(E) if counts[lose + C])
-    gain = runs[(0,)] * E
+    gain = runs[(0,)][0] * E
     gain += next(C for C in range(E) if C + E * counts[gain + C] <= bound)
     counts[lose] -= 1
     counts[gain] += 1
@@ -659,7 +718,7 @@ def test_first_difference_decodes_only_the_rows_that_differ(y231, monkeypatch):
     each table once and no other row.  Equal tables decode no row."""
     table = gaps_via_complement(y231, 2, 200)
     E, bound = table.E, table.bound
-    i = simplex_runs(2, bound)[(30,)]
+    i = simplex_runs(2, bound)[(30,)][0]
     assert i > gaps._BLOCK_ROWS and not any(table.counts[i * E:(i + 1) * E])
     counts = bytearray(table.counts)
     counts[i * E] = 1

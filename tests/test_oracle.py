@@ -164,6 +164,20 @@ def test_mutation_dropping_theta_is_detected(y231, drop_theta):
     assert checks["closure_matches_membership"] is False
 
 
+def test_families_check_fails_on_a_family_vector_moved_onto_a_gap(y231, monkeypatch):
+    """A Gamma listing whose first vector is moved onto a gap of the
+    complement table fails families_in_closure and no other check: the gap
+    lies outside the monomials' lub closure, while the closure check reads
+    no family."""
+    real = oracle.enumerate_classical_Gamma
+    for m in (1, 2):
+        gap = next(iter(gaps.gaps_via_complement(y231, m, 2 * y231.genus)))
+        monkeypatch.setattr(oracle, "enumerate_classical_Gamma", lambda dc, m, gap=gap: [gap] + real(dc, m)[1:])
+        checks = consistency_report(y231, m)
+        assert checks["closure_matches_membership"] is True
+        assert [name for name, ok in checks.items() if not ok] == ["families_in_closure"], (m, checks)
+
+
 def test_default_box_holds_every_family_vector(sweep):
     """families_in_closure tests every closed-form family vector, so each must
     lie in the box whose monomials it is tested against, and the box reaches
