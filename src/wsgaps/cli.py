@@ -47,6 +47,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from . import gaps as gaps_mod
@@ -68,7 +69,7 @@ _JSON_SAFE = 2**53
 # `gaps` needs no byte refusal of its own.
 BYTES_PER_ENTRY = 9
 # Peak resident bytes of `verify` per monomial of the oracle's box
-# (count_monomials_in_box): the set of their valuation vectors, the gap
+# (oracle.monomial_counts): the set of their valuation vectors, the gap
 # tables and the interpreter.  Measured with scripts/peak_rss.py 187-202 on
 # Y(2,3,1) at m = 2 up to degree 300-460 (202 just past a doubling of the
 # set's hash table), a box the family corner does not widen.  On Y(4,3,13)
@@ -76,8 +77,10 @@ BYTES_PER_ENTRY = 9
 # coordinate reached q^2*e/p^b = 80, and reads 228 and 281 on the box of
 # the family corner (718,914 and 207,663 monomials): the fixed part of the
 # peak weighs more on fewer monomials, and between the two runs a monomial
-# adds 207.  Below m = max_m monomials share vectors and the figure is
-# loose: 120 at m = 3 on Y(4,3,13), 12-24 at m = 1 on Y(2,3,1).
+# adds 207.  So 224 is the marginal price, which governs near BYTE_LIMIT,
+# not a bound on the peak of a small box.  Below m = max_m monomials share
+# vectors and the figure is loose: 120 at m = 3 on Y(4,3,13), 12-24 at
+# m = 1 on Y(2,3,1).
 BYTES_PER_MONOMIAL = 224
 # Peak resident bytes of `counts` at m = 1 per unit of e*(q^2/p^b + 1), the
 # bound on the relative maximals the two-point count holds and sorts (about
@@ -287,11 +290,15 @@ def _refuse_verify(dc, m: int, bound: int) -> int:
     them) and by bytes (the monomial vectors, held at once).  The monomials
     are counted only when the rest is under the limit, on the box that
     consistency_report builds: oracle.default_box, whose corner the
-    families size in O(e).  Returns the volume, for the report's gap-count
-    check."""
+    families size in O(e).  The count runs over the box's (a_z, b_y) runs
+    and stops once it passes the steps the rest leaves, so a refusal by
+    steps names a lower bound and never walks every run.  Returns the
+    volume, for the report's gap-count check."""
     work = 5 * comb(bound + m, m) * gaps_mod.table_classes(dc, bound) + comb(bound + m + 1, m + 1)
     volume = _refuse_above_limit(dc, "verify", m, bound, work)
-    monomials = oracle.count_monomials_in_box(dc, m, oracle.default_box(dc, m, bound))
+    for monomials in accumulate(oracle.monomial_counts(dc, m, oracle.default_box(dc, m, bound)), initial=0):
+        if work + volume + monomials > WORK_LIMIT:
+            break
     _refuse(_needs("verify", m, bound), work + volume + monomials)
     _refuse(f"verify at m = {m} builds {amount_str(monomials)} monomial vectors, about",
             monomials * BYTES_PER_MONOMIAL, "bytes", BYTE_LIMIT)

@@ -70,8 +70,10 @@ from .membership import _residue_tables
 
 # The most gaps a table stores for one (tail, class): each count is a byte.
 CEILING = 255
-# Rows sliced or joined at a time: bytes.join takes a buffer of some 80 bytes
-# per item, so a table of few classes on many tails is built in blocks.
+# Rows sliced, joined or compared at a time.  Sliced rows and bytes.join's
+# buffer of some 80 bytes per item would outweigh a table of few classes on
+# many tails, so walk and the non-pure Lambda table take the rows in blocks;
+# first_difference compares blocks at C speed before any row.
 _BLOCK_ROWS = 4096
 
 
@@ -330,15 +332,9 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
         stray = None
         if pure:
             counts, alive, buckets = bytearray(size * E), bytearray(size), defaultdict(partial(array, "i"))
-            # The tails with a nonzero end, skipping blocks of zero ends by one
-            # C-level comparison: past the gap region a block has none.
-            zeros = array("q", bytes(8 * _BLOCK_ROWS))
-            for start in range(0, size, _BLOCK_ROWS):
-                block = ends[start:start + _BLOCK_ROWS]
-                if block != zeros[:len(block)]:
-                    for t in compress(range(start, start + len(block)), block):
-                        alive[t] = 1
-                        buckets[block[t - start]].append(t)
+            for t in compress(range(size), ends):  # the tails with a nonzero end
+                alive[t] = 1
+                buckets[ends[t]].append(t)
             pending = sorted(buckets, reverse=True)  # the ends still to pass, ascending from the end
         else:
             rows, counts = {end: _prefix_row(end, E) for end in set(ends)}, bytearray()

@@ -15,17 +15,15 @@ there and its top), with the inverse classes[rho] added; the formula side
 builds its instances separately, so a defect planted in this one reaches
 the membership decisions and never Lambda.  Per point, nabla_witness
 builds the witness (caps, first unpinned shift lowered by the slack) for
-in_generalized_H, in_classical_H and `wsgaps member`;
-witness_test decides the same inequality as a boolean closure, for the
-one-point gaps and the tests.  Gap tables come from the threshold scan
-in gaps.py, which solves the inequality for alpha_0 once per tail.
+in_generalized_H, in_classical_H, the one-point gaps and `wsgaps member`.
+Gap tables come from the threshold scan in gaps.py, which solves the
+inequality for alpha_0 once per tail.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Callable
 from functools import lru_cache
 
 from .curves import DerivedConstants, check_m
@@ -125,30 +123,6 @@ def in_generalized_H(dc: DerivedConstants, m: int, alpha) -> MembershipVerdict:
     return MembershipVerdict(member=True, witnesses=ordered, failing_coordinate=None)
 
 
-def witness_test(dc: DerivedConstants, m: int) -> Callable[[tuple[int, ...], int], bool]:
-    """has_witness(alpha, r) == (nabla_witness(dc, m, alpha, r) is not None),
-    decided without building the witness.
-
-    The residue of the target coordinate forces the maximal element rho of
-    class c through _residue_tables.  Its shifts can reach alpha at r and
-    stay below it elsewhere iff the slack
-    (alpha_0 - c)//e - tops[c] + sum_t (alpha_t - rho)//e is >= 0: its first
-    term is (alpha_0 - a0)//e exactly, as a0 = c + e*tops[c].  The lookup is
-    inline rather than a helper shared with nabla_witness, whose call per
-    check would cost about a quarter more.
-    """
-    check_m(dc, m)
-    e = dc.e
-    rhos, tops, classes = _residue_tables(dc, m)
-
-    def has_witness(alpha: tuple[int, ...], r: int) -> bool:
-        c = classes[alpha[r] % e] if r else alpha[0] % e
-        rho = rhos[c]
-        return rho >= 0 and (alpha[0] - c) // e - tops[c] + sum([(x - rho) // e for x in alpha[1:]]) >= 0
-
-    return has_witness
-
-
 def in_classical_H(dc: DerivedConstants, m: int, alpha) -> bool:
     """Membership with every coordinate >= 0."""
     alpha = tuple(alpha)
@@ -158,11 +132,10 @@ def in_classical_H(dc: DerivedConstants, m: int, alpha) -> bool:
 
 
 def one_point_gaps_at_P1(dc: DerivedConstants) -> tuple[int, ...]:
-    """Gap sequence of the one-point semigroup at P_1, via the witness test
-    at coordinate 1 with nothing allowed at P_inf."""
+    """Gap sequence of the one-point semigroup at P_1: the b with no witness
+    at coordinate 1 of (0, b), nothing being allowed at P_inf."""
     g = dc.genus
-    has_witness = witness_test(dc, 1)
-    out = tuple(b for b in range(2 * g + 1) if not has_witness((0, b), 1))
+    out = tuple(b for b in range(2 * g + 1) if nabla_witness(dc, 1, (0, b), 1) is None)
     if len(out) != g:
         raise SelfCheckError(f"{len(out)} one-point gaps at P_1 for {dc.params}, genus {g}")
     return out

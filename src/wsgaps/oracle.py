@@ -146,13 +146,15 @@ def _points_up_to(ranges, total: int) -> int:
     return count
 
 
-def count_monomials_in_box(dc: DerivedConstants, m: int, box: Box) -> int:
-    """The number of monomials monomial_vectors_in_box builds, at least the
-    number of vectors it returns (below m = max_m two monomials can share a
-    vector), without building them: for each (a_z, b_y), the points c of
-    the box of the c ranges with lo <= sum(c) <= hi, in closed form."""
-    return sum(_points_up_to(ranges, hi) - _points_up_to(ranges, lo - 1)
-               for *_, ranges, lo, hi in _monomial_runs(dc, m, box))
+def monomial_counts(dc: DerivedConstants, m: int, box: Box):
+    """Per (a_z, b_y) run of _monomial_runs, the number of its monomials,
+    without building them: the points c of the box of the c ranges with
+    lo <= sum(c) <= hi, in closed form.  Their sum is the number of
+    monomials monomial_vectors_in_box builds, at least the number of
+    vectors it returns (below m = max_m two monomials can share a
+    vector)."""
+    for *_, ranges, lo, hi in _monomial_runs(dc, m, box):
+        yield _points_up_to(ranges, hi) - _points_up_to(ranges, lo - 1)
 
 
 def lub_closure(vectors, box: Box) -> set[tuple[int, ...]]:

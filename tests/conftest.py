@@ -51,8 +51,8 @@ def drop_theta(monkeypatch):
     mutant and the formula side's maximal.residues does not.  The decisions
     are the threshold scans (so the complement table that the oracle's
     closure check and every gap-side check of consistency_report compare
-    with, and the nabla table), witness_test, nabla_witness,
-    in_generalized_H and in_classical_H.
+    with, and the nabla table), nabla_witness, in_generalized_H,
+    in_classical_H, one_point_gaps_at_P1 and the witness_test reference.
     """
     real = membership._residue_tables
 
@@ -65,6 +65,26 @@ def drop_theta(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("wsgaps.") and getattr(mod, "_residue_tables", None) is real:
             monkeypatch.setattr(mod, "_residue_tables", mutant)
+
+
+def witness_test(dc, m):
+    """The per-point reference of the slack test: has_witness(alpha, r) ==
+    (membership.nabla_witness(dc, m, alpha, r) is not None), decided
+    without building the witness.  The residue of the target coordinate
+    forces the maximal element rho of class c; its shifts reach alpha at r
+    and stay below it elsewhere iff
+    (alpha_0 - c)//e - tops[c] + sum_t (alpha_t - rho)//e >= 0.  The
+    tables are membership._residue_tables, looked up at this call, so a
+    test that takes the reference under drop_theta reads the mutant."""
+    e = dc.e
+    rhos, tops, classes = membership._residue_tables(dc, m)
+
+    def has_witness(alpha, r):
+        c = classes[alpha[r] % e] if r else alpha[0] % e
+        rho = rhos[c]
+        return rho >= 0 and (alpha[0] - c) // e - tops[c] + sum([(x - rho) // e for x in alpha[1:]]) >= 0
+
+    return has_witness
 
 
 def dp_members(gens, limit):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import witness_test
 from wsgaps import cli, gaps, maximal, oracle
 from wsgaps.cli import (
     BYTE_LIMIT,
@@ -42,7 +43,6 @@ from wsgaps.cli import (
 )
 from wsgaps.curves import curve, simplex_points
 from wsgaps.errors import SHOWN_BITS, TooMuchWork, amount_str, exact_str
-from wsgaps.membership import witness_test
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Y231 = ["--family", "Y", "--q", "2", "--n", "3", "--s", "1"]
@@ -428,6 +428,18 @@ def test_verify_refuses_what_memory_cannot_hold(capsys):
     _assert_refused_at_once(argv)
     assert run(argv) == 2
     assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box_sum", [6000, 14000])
+def test_verify_refusal_stops_counting_at_the_limit(box_sum, capsys):
+    """Y(2,3,1) at m = 1 up to degree 6000 and 14000 passes the closed-form
+    terms, and its box holds millions of (a_z, b_y) runs (21.8M at 14000):
+    the monomial count stops once it passes the steps the rest leaves, so
+    the command exits 2 at once, refused by steps."""
+    argv = ["verify", *Y231, "--m", "1", "--box-sum", str(box_sum)]
+    _assert_refused_at_once(argv)
+    assert run(argv) == 2
+    assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
 
 
 def test_verify_refuses_by_bytes_only_what_cannot_fit(sweep, y231):

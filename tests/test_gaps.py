@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_of
+from conftest import table_of, witness_test
 from wsgaps import gaps, membership
 from wsgaps.curves import curve, simplex_caps, simplex_runs
 from wsgaps.errors import SelfCheckError
@@ -32,7 +32,7 @@ from wsgaps.gaps import (
     table_classes,
 )
 from wsgaps.maximal import count_Lambda, enumerate_classical_Lambda
-from wsgaps.membership import one_point_gaps_at_P1, witness_test
+from wsgaps.membership import one_point_gaps_at_P1
 from wsgaps.oracle import closure_difference, default_box, monomial_vectors_in_box
 from wsgaps.semigroup import from_generators
 from wsgaps.sweep import sweep_instances

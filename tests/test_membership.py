@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import witness_test
 from wsgaps import maximal, membership, semigroup
 from wsgaps.curves import curve
 from wsgaps.errors import EmptyInput, LengthMismatch, SelfCheckError, WsgapsError
@@ -21,7 +22,6 @@ from wsgaps.membership import (
     lub,
     nabla_witness,
     one_point_gaps_at_P1,
-    witness_test,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -153,7 +153,7 @@ def test_degree_threshold_m2(a0, a1, a2):
 
 
 def _assert_boolean_test_matches_witnesses(dc, m, vectors):
-    """witness_test against nabla_witness, at every coordinate."""
+    """The witness_test reference against nabla_witness, at every coordinate."""
     has_witness = witness_test(dc, m)
     for a in vectors:
         found = [nabla_witness(dc, m, a, r) is not None for r in range(m + 1)]
@@ -276,7 +276,7 @@ def test_lub_self_check_survives_optimize():
 
 
 def test_one_point_gap_count_self_check(monkeypatch, y231):
-    monkeypatch.setattr(membership, "witness_test", lambda dc, m: lambda a, r: True)
+    monkeypatch.setattr(membership, "nabla_witness", lambda dc, m, alpha, r: MaximalElement(0, (0,)))
     with pytest.raises(SelfCheckError, match="genus 10"):
         one_point_gaps_at_P1(y231)
 
@@ -291,4 +291,4 @@ def test_residue_collision_self_check(monkeypatch, y231):
     monkeypatch.setattr(maximal, "coord0", lambda dc, m, rho: 0)
     membership._residue_tables.cache_clear()  # a cached table would hide the patch
     with pytest.raises(SelfCheckError, match="residues 0 and 1 .* share the class 0 of the first coordinate"):
-        witness_test(y231, 1)
+        membership._residue_tables(y231, 1)
