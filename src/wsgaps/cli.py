@@ -70,18 +70,17 @@ _JSON_SAFE = 2**53
 BYTES_PER_ENTRY = 9
 # Peak resident bytes of `verify` per monomial of the oracle's box
 # (oracle.monomial_counts): the set of their valuation vectors, the gap
-# tables and the interpreter.  Measured with scripts/peak_rss.py 187-202 on
-# Y(2,3,1) at m = 2 up to degree 300-460 (202 just past a doubling of the
-# set's hash table), a box the family corner does not widen.  On Y(4,3,13)
-# at m = 4 up to degree 40 and 30 it read 195-216 when the box's first
-# coordinate reached q^2*e/p^b = 80, and reads 228 and 281 on the box of
-# the family corner (718,914 and 207,663 monomials): the fixed part of the
-# peak weighs more on fewer monomials, and between the two runs a monomial
-# adds 207.  So 224 is the marginal price, which governs near BYTE_LIMIT,
-# not a bound on the peak of a small box.  Below m = max_m monomials share
-# vectors and the figure is loose: 120 at m = 3 on Y(4,3,13), 12-24 at
-# m = 1 on Y(2,3,1).
-BYTES_PER_MONOMIAL = 224
+# tables and the interpreter.  Measured with scripts/peak_rss.py 147-179 on
+# Y(2,3,1) at m = 2 up to degree 300-520 (179 at 460, just past a doubling
+# of the set's hash table), a box the family corner does not widen.  On
+# Y(4,3,13) at m = 4 it reads 194 and 248 on the box of the family corner
+# up to degree 40 and 30 (718,914 and 207,663 monomials): the fixed part of
+# the peak weighs more on fewer monomials, and between the two runs a
+# monomial adds 173.  So 192 is the marginal price, which governs near
+# BYTE_LIMIT, not a bound on the peak of a small box.  Below m = max_m
+# monomials share vectors and the figure is loose: 105 at m = 3 on
+# Y(4,3,13) up to degree 60, 6-9 at m = 1 on Y(2,3,1) up to degree 800-1000.
+BYTES_PER_MONOMIAL = 192
 # Peak resident bytes of `counts` at m = 1 per unit of e*(q^2/p^b + 1), the
 # bound on the relative maximals the two-point count holds and sorts (about
 # half that many at large q^2/p^b, some 300 bytes each).  Measured 116 on
@@ -109,11 +108,17 @@ BYTES_PER_CLASSICAL_RESIDUE = 640
 #   inverse).  Measured 32 on Y(2,21,1) at m = 1 and 2 and on X(2,1,1,21,1)
 #   at m = 1, 35 on Y(3,13,1) at m = 1 and 3 and 26 on Y(2,23,1) at m = 1.
 BYTES_PER_REGION_RESIDUE = 88
-# Largest memory estimate `verify`, `counts`, `member` and the listings run,
-# a quarter of an 8 GB desk machine; above it the command exits 2 at once
-# instead of crowding out the rest of the machine.  Near WORK_LIMIT a `gaps`
-# table takes about 0.9 GB.
+# Largest memory estimate `counts`, `member` and the listings run, a quarter
+# of an 8 GB desk machine; above it the command exits 2 at once instead of
+# crowding out the rest of the machine.  Near WORK_LIMIT a `gaps` table
+# takes about 0.9 GB, and `verify`'s monomials at most BYTE_LIMIT.
 BYTE_LIMIT = 2 * 10**9
+# Steps `verify` charges a monomial of the oracle's box, so that WORK_LIMIT
+# steps hold at most BYTE_LIMIT bytes of monomials: the step limit alone
+# bounds the set, as BYTES_PER_ENTRY lets it bound the tables of `gaps`.
+# A monomial takes 1-2 us to build and strike (1.6 on X(3,2,1,5,1181) at
+# m = 2), a table step about 10 ns, so the price falls short of its time.
+STEPS_PER_MONOMIAL = -(-BYTES_PER_MONOMIAL * WORK_LIMIT // BYTE_LIMIT)
 
 
 def _encode(obj):
@@ -281,27 +286,25 @@ def _refuse_gaps(dc, m: int, bound: int) -> None:
 
 
 def _refuse_verify(dc, m: int, bound: int) -> int:
-    """`verify` by steps (five tables' entries as in `gaps`: the closure
-    transform, complement, nabla and both Lambda routes; one step per
+    """`verify` by steps: five tables' entries as in `gaps` (the closure
+    transform, complement, nabla and both Lambda routes); one step per
     simplex point, an allowance for the closure check, which builds each
     tail's non-members as an integer of top + 1 bits and XORs it with the
     table's row in GapTable.difference, so the term prices those bits; the
-    volume; the monomials of the oracle's box, counted without building
-    them) and by bytes (the monomial vectors, held at once).  The monomials
-    are counted only when the rest is under the limit, on the box that
-    consistency_report builds: oracle.default_box, whose corner the
-    families size in O(e).  The count runs over the box's (a_z, b_y) runs
-    and stops once it passes the steps the rest leaves, so a refusal by
-    steps names a lower bound and never walks every run.  Returns the
-    volume, for the report's gap-count check."""
+    volume; and STEPS_PER_MONOMIAL per monomial of the oracle's box,
+    counted without building them, a price under which admitted monomials
+    fit in BYTE_LIMIT.  The monomials are counted only when the rest is
+    under the limit, on the box that consistency_report builds:
+    oracle.default_box, whose corner the families size in O(e).  The count
+    runs over the box's (a_z, b_y) runs and stops once it passes the steps
+    the rest leaves, so a refusal names a lower bound and never walks every
+    run.  Returns the volume, for the report's gap-count check."""
     work = 5 * comb(bound + m, m) * gaps_mod.table_classes(dc, bound) + comb(bound + m + 1, m + 1)
     volume = _refuse_above_limit(dc, "verify", m, bound, work)
     for monomials in accumulate(oracle.monomial_counts(dc, m, oracle.default_box(dc, m, bound)), initial=0):
-        if work + volume + monomials > WORK_LIMIT:
+        if work + volume + monomials * STEPS_PER_MONOMIAL > WORK_LIMIT:
             break
-    _refuse(_needs("verify", m, bound), work + volume + monomials)
-    _refuse(f"verify at m = {m} builds {amount_str(monomials)} monomial vectors, about",
-            monomials * BYTES_PER_MONOMIAL, "bytes", BYTE_LIMIT)
+    _refuse(_needs("verify", m, bound), work + volume + monomials * STEPS_PER_MONOMIAL)
     return volume
 
 

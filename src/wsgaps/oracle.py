@@ -19,9 +19,14 @@ closure_difference hands those rows to GapTable.difference, the one row
 comparison, so the oracle reads a gap table only through its public
 methods.  consistency_report compares with the complement route's table,
 so only gaps.py writes gap tables, and every other check of the report
-runs on that same region.  The families check alone reads the
-(coordinate, value) buckets of index_generators, one in_lub_closure call
-per family vector.
+runs on that same region.  The families check buckets the family vectors
+by (coordinate, value) (index_generators) and makes one pass over the same
+monomial set: each monomial g strikes, from the bucket of each of its own
+(r, g_r), the vectors above it.  A vector is a lub of monomials iff every
+coordinate is attained by a monomial below it, that is iff it is struck
+from each of its buckets, so the check holds iff every bucket empties: the
+rule of in_lub_closure, seen from the generators' side.  The box's
+monomials are held once, as that set.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate, product, repeat
 from math import comb
-from operator import or_
+from operator import gt, or_
 
 from .curves import DerivedConstants, check_m, simplex_caps, simplex_runs
 from .errors import BadBox
@@ -180,9 +185,10 @@ def lub_closure(vectors, box: Box) -> set[tuple[int, ...]]:
 
 
 def in_lub_closure(gens_index: dict, alpha: tuple[int, ...]) -> bool:
-    """Membership in the lub closure, decided pointwise for the families
-    check: alpha is a lub of generators iff every coordinate r is attained
-    by a generator below alpha."""
+    """Membership in the lub closure, decided pointwise: alpha is a lub of
+    generators iff every coordinate r is attained by a generator below
+    alpha.  The tests' per-point reference; consistency_report applies the
+    same rule from the generators' side."""
     n = len(alpha)
     for r in range(n):
         hits = gens_index.get((r, alpha[r]), ())
@@ -192,7 +198,9 @@ def in_lub_closure(gens_index: dict, alpha: tuple[int, ...]) -> bool:
 
 
 def index_generators(gens) -> dict:
-    """Bucket a generator set by (coordinate, value) for in_lub_closure."""
+    """Bucket a vector set by (coordinate, value): the generators, for
+    in_lub_closure, or the family vectors that consistency_report strikes
+    off as the monomials attain them."""
     buckets: dict = {}
     for g in gens:
         for r, x in enumerate(g):
@@ -286,9 +294,13 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
     lam = enumerate_classical_Lambda(dc, m)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)
     families.update(enumerate_classical_Gamma(dc, m), lam)
-    idx = index_generators(mono)
-    checks["families_in_closure"] = all(in_lub_closure(idx, v) for v in families)
-    del mono, idx, families  # released before the gap-side tables
+    waiting = index_generators(families)
+    for g in mono:
+        for key in enumerate(g):
+            if bucket := waiting.get(key):
+                bucket[:] = [v for v in bucket if any(map(gt, g, v))]
+    checks["families_in_closure"] = not any(waiting.values())
+    del mono, waiting, families  # released before the gap-side tables
 
     checks.update(build_gap_report(dc, m, complement, lam, volume))
     return checks

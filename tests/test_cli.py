@@ -25,8 +25,10 @@ from wsgaps.cli import (
     BYTE_LIMIT,
     BYTES_PER_CLASSICAL_RESIDUE,
     BYTES_PER_ENTRY,
+    BYTES_PER_MONOMIAL,
     BYTES_PER_REGION_RESIDUE,
     BYTES_PER_VECTOR,
+    STEPS_PER_MONOMIAL,
     WORK_LIMIT,
     _counts_work,
     _emit_blocks,
@@ -422,12 +424,16 @@ def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
 
 
 def test_verify_refuses_what_memory_cannot_hold(capsys):
-    """Y(2,3,1) at m = 2 up to degree 700 passes the step estimate
-    (78,320,796 steps) but builds 9,589,320 monomial vectors, about 2.1 GB."""
+    """The step estimate charges STEPS_PER_MONOMIAL a monomial, and
+    WORK_LIMIT steps of monomials at BYTES_PER_MONOMIAL fit under
+    BYTE_LIMIT, so the step limit alone keeps the oracle's monomial set in
+    memory.  Y(2,3,1) at m = 2 up to degree 700 would build 9,589,320
+    monomial vectors and is refused at once, by steps."""
+    assert STEPS_PER_MONOMIAL * BYTE_LIMIT >= BYTES_PER_MONOMIAL * WORK_LIMIT
     argv = ["verify", *Y231, "--m", "2", "--box-sum", "700"]
     _assert_refused_at_once(argv)
     assert run(argv) == 2
-    assert f"bytes, above the limit {BYTE_LIMIT}" in capsys.readouterr().err
+    assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("box_sum", [6000, 14000])
@@ -442,13 +448,30 @@ def test_verify_refusal_stops_counting_at_the_limit(box_sum, capsys):
     assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
 
 
+def test_verify_refusal_leaves_the_last_monomial_run_unread(monkeypatch, capsys):
+    """Y(2,5,1) at m = 1 up to degree 5000 passes the closed-form terms, and
+    its monomials pass the steps the rest leaves: the count stops before
+    the last (a_z, b_y) run of the box, so a run is left to read once the
+    command is refused by steps."""
+    real, counts = oracle.monomial_counts, []
+
+    def kept(*args):
+        counts.append(real(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(oracle, "monomial_counts", kept)
+    assert run(["verify", "--family", "Y", "--q", "2", "--n", "5", "--s", "1", "--m", "1", "--box-sum", "5000"]) == 2
+    assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
+    assert len(counts) == 1 and next(counts[0], None) is not None
+
+
 def test_verify_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
     """Pricing the monomials keeps every outcome of
     scripts/verify_small_instances.py on the sweep cases with g <= 100
     (each at every m runs, but Y(3,3,1) at m = 3, refused by steps, as are
     the 21 cases past g = 100 that the script skips), `verify-m2` and
     test_08 included.  Of Y(2,3,1) at m = 2 widened to degree 500 and 700,
-    only the second is refused, by bytes."""
+    only the second is refused, by steps: no case is refused by bytes."""
     cases = [(dc, m, 2 * dc.genus) for dc in sweep if dc.genus <= 100 for m in range(1, dc.max_m + 1)]
     cases += [(y231, 2, 500), (y231, 2, 700)]
     refused = {}
@@ -459,7 +482,7 @@ def test_verify_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
             by = "bytes" if f"bytes, above the limit {BYTE_LIMIT}" in str(err) else "steps"
             refused[(dc.params.family, dc.params.q, dc.params.n, dc.params.s, m, bound)] = by
     assert len(cases) == 44
-    assert refused == {("Y", 3, 3, 1, 3, 198): "steps", ("Y", 2, 3, 1, 2, 700): "bytes"}
+    assert refused == {("Y", 3, 3, 1, 3, 198): "steps", ("Y", 2, 3, 1, 2, 700): "steps"}
 
 
 @pytest.mark.parametrize("pure", [False, True])

@@ -178,6 +178,43 @@ def test_families_check_fails_on_a_family_vector_moved_onto_a_gap(y231, monkeypa
         assert [name for name, ok in checks.items() if not ok] == ["families_in_closure"], (m, checks)
 
 
+def test_families_check_matches_the_per_point_reference(sweep, monkeypatch):
+    """families_in_closure, struck off the monomial set, is the per-point
+    reference: in_lub_closure of every family vector over an index of the
+    box's monomials.  On the sweep cases with g <= 60 and m <= 3, with the
+    Gamma listing as enumerated and with its middle vector moved by +-1 at
+    each coordinate, so that both verdicts occur at every m.  The gap-route
+    checks read no family vector, so build_gap_report is left out."""
+    real = oracle.enumerate_classical_Gamma
+    monkeypatch.setattr(oracle, "build_gap_report", lambda *args: {})
+    verdicts = set()
+    for dc in (dc for dc in sweep if dc.genus <= 60):
+        for m in range(1, min(3, dc.max_m) + 1):
+            bound, listing = 2 * dc.genus, real(dc, m)
+            idx = index_generators(monomial_vectors_in_box(dc, m, default_box(dc, m, bound)))
+            rest = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m) | set(enumerate_classical_Lambda(dc, m))
+            i = len(listing) // 2
+            moved = [listing[:i] + [listing[i][:r] + (listing[i][r] + d,) + listing[i][r + 1:]] + listing[i + 1:]
+                     for r in range(m + 1) for d in (-1, 1)]
+            for gamma in [listing, *moved]:
+                monkeypatch.setattr(oracle, "enumerate_classical_Gamma", lambda dc, m, gamma=gamma: gamma)
+                got = consistency_report(dc, m, bound)["families_in_closure"]
+                assert got == all(in_lub_closure(idx, v) for v in rest.union(gamma)), (dc.params, m, gamma)
+                verdicts.add((m, got))
+    assert verdicts == set(product((1, 2, 3), (True, False)))
+
+
+def test_consistency_report_calls_no_per_point_closure_test(y231, monkeypatch):
+    """The families check strikes family vectors off the monomial set in one
+    pass; it asks in_lub_closure about no point."""
+    def refuse(*args):
+        raise AssertionError("in_lub_closure called")
+
+    monkeypatch.setattr(oracle, "in_lub_closure", refuse)
+    for m in (1, 2):
+        assert all(consistency_report(y231, m).values())
+
+
 def test_default_box_holds_every_family_vector(sweep):
     """families_in_closure tests every closed-form family vector, so each must
     lie in the box whose monomials it is tested against, and the box reaches
