@@ -81,11 +81,6 @@ BYTES_PER_ENTRY = 9
 # monomials share vectors and the figure is loose: 105 at m = 3 on
 # Y(4,3,13) up to degree 60, 6-9 at m = 1 on Y(2,3,1) up to degree 800-1000.
 BYTES_PER_MONOMIAL = 192
-# Peak resident bytes of `counts` at m = 1 per unit of e*(q^2/p^b + 1), the
-# bound on the relative maximals the two-point count holds and sorts (about
-# half that many at large q^2/p^b, some 300 bytes each).  Measured 116 on
-# Y(2,17,1), 94 on Y(2,19,1), 132 on Y(8,5,1) and 150 on Y(16,3,1).
-BYTES_PER_MAXIMAL = 160
 # Peak resident bytes of `gamma --classical` and `lambda --classical` per
 # vector listed, stdout to /dev/null: the interpreter, the shift tails of
 # every residue and one x's block (one i's at m = 1).  Measured 33.5 on
@@ -108,10 +103,11 @@ BYTES_PER_CLASSICAL_RESIDUE = 640
 #   inverse).  Measured 32 on Y(2,21,1) at m = 1 and 2 and on X(2,1,1,21,1)
 #   at m = 1, 35 on Y(3,13,1) at m = 1 and 3 and 26 on Y(2,23,1) at m = 1.
 BYTES_PER_REGION_RESIDUE = 88
-# Largest memory estimate `counts`, `member` and the listings run, a quarter
-# of an 8 GB desk machine; above it the command exits 2 at once instead of
+# Largest memory estimate `member` and the listings run, a quarter of an
+# 8 GB desk machine; above it the command exits 2 at once instead of
 # crowding out the rest of the machine.  Near WORK_LIMIT a `gaps` table
-# takes about 0.9 GB, and `verify`'s monomials at most BYTE_LIMIT.
+# takes about 0.9 GB, `counts` about 0.35 GB (_counts_work) and `verify`'s
+# monomials at most BYTE_LIMIT.
 BYTE_LIMIT = 2 * 10**9
 # Steps `verify` charges a monomial of the oracle's box, so that WORK_LIMIT
 # steps hold at most BYTE_LIMIT bytes of monomials: the step limit alone
@@ -316,9 +312,14 @@ def _refuse(what: str, amount: int, unit: str = "steps", limit: int = WORK_LIMIT
 def _counts_work(dc, m: int) -> int:
     """Steps of `counts`, in O(1): gap_count_upper_bound sums, for each of
     e residues, 3m + 1 binomials of O(m) multiplications, priced (m + 1)^2
-    steps; at m = 1 the two-point count builds and sorts up to
-    e*(q^2/p^b + 1) relative maximals, priced two steps each."""
-    two_point = 2 * (dc.q**2 // dc.pb + 1) if m == 1 else 0
+    steps; at m = 1 the two-point count (gaps.count_gaps_two_points) makes
+    two Fenwick passes over the residues, a query and an update per
+    residue and pass, each of at most ceil(log2 e) levels, priced a step a
+    level.  It lists no relative maximal: its lists of e entries peak at
+    143-292 bytes a residue (scripts/peak_rss.py, e from 177,148 to
+    1,030,302), and this estimate admits at most 1,136,363 residues at
+    m = 1, so the step limit alone keeps `counts` under BYTE_LIMIT."""
+    two_point = 4 * (dc.e - 1).bit_length() if m == 1 else 0
     return dc.e * ((m + 1) ** 2 + two_point)
 
 
@@ -490,16 +491,14 @@ def run(argv) -> int:
 
         if args.command == "counts":
             _refuse(f"counts at m = {args.m} needs about", _counts_work(dc, args.m))
-            maximals = dc.e * (dc.q**2 // dc.pb + 1) if args.m == 1 else 0
-            _refuse(f"counts at m = 1 holds up to {amount_str(maximals)} relative maximals, about",
-                    maximals * BYTES_PER_MAXIMAL, "bytes", BYTE_LIMIT)
+            residues = maximal.residues(dc, args.m, maximal.relative_shift(dc, args.m))
             payload = {
                 "m": args.m,
-                "lambda_count": maximal.count_Lambda(dc, args.m),
+                "lambda_count": maximal.count_classical(residues, args.m),
                 "gap_count_upper_bound": gaps_mod.gap_count_upper_bound(dc, args.m),
             }
             if args.m == 1:
-                payload["two_point_gap_count"] = gaps_mod.count_gaps_two_points(dc)
+                payload["two_point_gap_count"] = gaps_mod.count_gaps_two_points(dc, residues)
             _emit_fields(_record(dc, payload), args.format)
             return 0
 

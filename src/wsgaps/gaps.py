@@ -64,7 +64,6 @@ from math import comb
 from operator import itemgetter, lt, ne
 
 from .curves import DerivedConstants, check_m, simplex_caps, simplex_points, simplex_runs
-from .errors import SelfCheckError
 from .maximal import count_Lambda, enumerate_classical_Lambda, relative_shift, residues
 from .membership import _residue_tables
 
@@ -475,41 +474,63 @@ def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) 
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
 
 
-def _inversions(xs: list[int]) -> int:
-    """Pairs s < t with xs[s] > xs[t] of distinct values xs, by a Fenwick
-    tree over ranks."""
-    rank = {x: r for r, x in enumerate(sorted(xs), start=1)}
-    tree = [0] * (len(xs) + 1)
-    total = 0
-    for seen, x in enumerate(xs):
-        i = r = rank[x]
-        while i:  # earlier elements not above x
+def count_gaps_two_points(dc: DerivedConstants, residues=None) -> int:
+    """Exact two-point gap count of H(P_inf, P_1), from the m = 1 residues
+    alone (maximal.residues at the relative shift 0; residues, when the
+    caller has them), in O(e log e) time and O(e) memory: no relative
+    maximal is listed.
+
+    The gaps number sum (b0 + b1) over the relative maximals less their
+    inversions, the pairs u, v with u0 < v0 and u1 > v1.  The
+    residue of class c, with rho and top T >= 0, lists the vectors
+    (c + e*i, (T - i)*e + rho) for i in [0, T], so sum (b0 + b1) is
+    sum (T + 1)(c + rho + e*T).  Take u at i' of (c', rho', T') and v at i
+    of (c, rho, T), d = i - i'.  As c and rho lie in [0, e - 1], u0 < v0
+    iff d > 0, or d = 0 and c' < c; u1 > v1 iff d > T - T', or d = T - T'
+    and rho' > rho.  So each ordered pair of residues, a residue with
+    itself included, holds:
+    - comb(min(T', T) + 1, 2) inversions with d > max(0, T - T');
+    - T + 1 with d = 0 when c' < c and T'*e + rho' > T*e + rho (then
+      T' >= T, and i' = i runs over [0, T]);
+    - T' + 1 with d = T - T' > 0 when rho' > rho and T' < T (i' runs over
+      [0, T']).
+    The first sum reads the tops in descending order, the j-th the min of
+    2j + 1 ordered pairs (with the j before it and with itself); the
+    second is one Fenwick pass over the classes in descending T*e + rho,
+    the third one over the tops in descending rho.
+    The classes are distinct and so are the rho (maximal.residues raises
+    SelfCheckError on a shared class), so no coordinate repeats."""
+    e = dc.e
+    # The parameter hides this module's maximal.residues.
+    rhos, tops = globals()["residues"](dc, 1, 0) if residues is None else residues
+    live = list(compress(range(e), map((-1).__lt__, tops)))  # the classes with top >= 0
+    ts, rs = [tops[c] for c in live], [rhos[c] for c in live]
+    n, size = len(live), max(ts) + 1
+    total = sum([(t + 1) * (c + r + e * t) for c, r, t in zip(live, rs, ts)])
+    total -= sum([t * (t + 1) // 2 * (2 * j + 1) for j, t in enumerate(sorted(ts, reverse=True))])
+    keys = [t * e + r for t, r in zip(ts, rs)]
+    tree = [0] * (n + 1)  # per class position, a residue of larger key seen
+    for j in sorted(range(n), key=keys.__getitem__, reverse=True):
+        i, before = j, 0
+        while i:
+            before += tree[i]
+            i &= i - 1
+        total -= (ts[j] + 1) * before
+        i = j + 1
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+    tree = [0] * (size + 1)  # per top T' + 1, the T' + 1 of each residue of larger rho seen
+    for j in sorted(range(n), key=rs.__getitem__, reverse=True):
+        i = t = ts[j]
+        while i:
             total -= tree[i]
             i &= i - 1
-        total += seen
-        while r < len(tree):
-            tree[r] += 1
-            r += r & -r
+        i = t + 1
+        while i <= size:
+            tree[i] += t + 1
+            i += i & -i
     return total
-
-
-def _two_point_premise(lam) -> bool:
-    """Whether the two-point count applies to lam, the m = 1 relative
-    maximals as listed: first coordinates strictly increasing, second
-    coordinates pairwise distinct."""
-    return all(a[0] < b[0] for a, b in zip(lam, islice(lam, 1, None))) and len({b[1] for b in lam}) == len(lam)
-
-
-def count_gaps_two_points(dc: DerivedConstants, lam=None) -> int:
-    """Exact two-point gap count sum_t (b0 + b1 - z_t) over the relative
-    maximals in ascending b1, where z_t counts the earlier ones whose b0
-    exceeds that of the t-th; sum_t z_t counts the inversions of the b0 in
-    b1 order, which are those of the b1 in b0 order, the listing's.  lam,
-    when the caller has it, is enumerate_classical_Lambda(dc, 1)."""
-    lam = enumerate_classical_Lambda(dc, 1) if lam is None else lam
-    if not _two_point_premise(lam):
-        raise SelfCheckError(f"relative maximals of {dc.params} at m = 1 have repeated coordinates")
-    return sum(map(sum, lam)) - _inversions([b[1] for b in lam])
 
 
 def _box_volume_sum(T: int, d: int, rho: int, e: int, m: int) -> int:
@@ -561,7 +582,5 @@ def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable, lam=Non
         "gap_count_bound": len(complement) <= volume,
     }
     if m == 1:
-        # A Lambda outside the formula's premise fails the check instead of raising.
-        ready = _two_point_premise(lam)
-        checks["two_point_count_formula"] = ready and count_gaps_two_points(dc, lam) == len(complement)
+        checks["two_point_count_formula"] = count_gaps_two_points(dc) == len(complement)
     return checks

@@ -87,6 +87,24 @@ def witness_test(dc, m):
     return has_witness
 
 
+def inversions(xs):
+    """The listing-side reference of the two-point count: the pairs s < t
+    with xs[s] > xs[t] of distinct values xs, by a Fenwick tree over ranks."""
+    rank = {x: r for r, x in enumerate(sorted(xs), start=1)}
+    tree = [0] * (len(xs) + 1)
+    total = 0
+    for seen, x in enumerate(xs):
+        i = r = rank[x]
+        while i:  # earlier elements not above x
+            total -= tree[i]
+            i &= i - 1
+        total += seen
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
+    return total
+
+
 def dp_members(gens, limit):
     """Coin-problem DP: the set of representable integers in [0, limit]."""
     reach = [False] * (limit + 1)

@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -348,11 +349,11 @@ def _assert_refused_at_once(argv):
 
 @pytest.mark.parametrize("command", ["gaps", "verify", "counts"])
 def test_refusal_comes_before_the_volume(command):
-    """Y(101,3,1) at m = 1: the threshold scan alone is about 1.1e16 steps
-    and the counts estimate, through its two-point term, about 2.1e10, so
+    """Y(2,23,1) at m = 1: the threshold scan alone is about 2.1e14 steps
+    and the counts estimate, through its two-point term, about 8.4e8, so
     the command refuses before summing the Lambda-box volume over its
-    1,030,302 residues, which takes seconds."""
-    _assert_refused_at_once([command, "--family", "Y", "--q", "101", "--n", "3", "--s", "1", "--m", "1"])
+    8,388,609 residues, which takes seconds."""
+    _assert_refused_at_once([command, "--family", "Y", "--q", "2", "--n", "23", "--s", "1", "--m", "1"])
 
 
 def test_counts_runs_what_a_convolution_price_refused():
@@ -390,17 +391,40 @@ def test_gaps_refuses_what_memory_cannot_hold(capsys):
 
 
 def test_counts_refuses_what_memory_cannot_hold(capsys):
-    """Y(32,3,1) at m = 1 passes the step estimate (about 6.7e7) but its
-    two-point count would hold up to 33,588,225 relative maximals, about
-    5.4 GB; at m = 2 there is no two-point count, and the command runs."""
-    argv = ["counts", "--family", "Y", "--q", "32", "--n", "3", "--s", "1", "--m"]
-    dc = curve("Y", q=32, n=3, s=1)
-    assert _counts_work(dc, 1) <= WORK_LIMIT
-    _assert_refused_at_once([*argv, "1"])
-    assert run([*argv, "1"]) == 2
-    assert f"33588225 relative maximals, about 5374116000 bytes, above the limit {BYTE_LIMIT}" in (
-        capsys.readouterr().err)
-    assert run([*argv, "2"]) == 0
+    """The two-point count keeps a few lists of e entries, no listing: its
+    peak, measured with scripts/peak_rss.py, is 143-292 bytes a residue at
+    e from 177,148 to 1,030,302 (725 on Y(32,3,1), where the interpreter
+    weighs most).  The step estimate admits at most 1,136,363 residues at
+    m = 1, so at 300 bytes each the step limit alone keeps `counts` under
+    BYTE_LIMIT.  Y(32,3,1) at m = 1, whose two-point count once held up to
+    33,588,225 relative maximals, runs; Y(2,23,1) is refused by steps."""
+    # The estimate grows with e, so 1,136,363 is the most residues it admits.
+    assert _counts_work(SimpleNamespace(e=1_136_363), 1) <= WORK_LIMIT < _counts_work(SimpleNamespace(e=1_136_364), 1)
+    assert 1_136_363 * 300 <= BYTE_LIMIT
+    argv = ["counts", "--family", "Y", "--q", "32", "--n", "3", "--s", "1", "--m", "1"]
+    proc, seconds = _cli_subprocess(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 5
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["lambda_count"] == maximal.count_Lambda(curve("Y", q=32, n=3, s=1), 1)
+    assert run(["counts", "--family", "Y", "--q", "2", "--n", "23", "--s", "1", "--m", "1"]) == 2
+    assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
+
+
+def test_counts_builds_no_listing(capsys, monkeypatch):
+    """`counts --m 1` computes the residues once, for the Lambda count and
+    the two-point count, and lists no relative maximal (the volume reads
+    its own, as verify calls it too)."""
+    def refuse(*args):
+        raise AssertionError("counts built a listing")
+
+    calls = []
+    real = maximal.residues
+    monkeypatch.setattr(maximal, "_enumerate_classical", refuse)
+    monkeypatch.setattr(maximal, "residues", lambda *args: calls.append(args) or real(*args))
+    assert run(["counts", *Y231, "--m", "1"]) == 0
+    assert _json(capsys)["payload"]["two_point_gap_count"] == 115
+    assert len(calls) == 1
 
 
 def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):

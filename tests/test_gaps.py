@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_of, witness_test
-from wsgaps import gaps, membership
+from conftest import inversions, table_of, witness_test
+from wsgaps import gaps, maximal, membership
 from wsgaps.curves import curve, simplex_caps, simplex_runs
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
@@ -18,7 +18,6 @@ from wsgaps.gaps import (
     _box_runs,
     _box_volume_sum,
     _first,
-    _inversions,
     _lambda_tables,
     _prefix_row,
     build_gap_report,
@@ -132,10 +131,45 @@ def test_two_point_count(y231, y233, x21131):
 
 def test_two_point_count_repeated_coordinate_is_a_defect(monkeypatch, y231):
     """Distinct coordinates among the m = 1 relative maximals are a property
-    of the families, so a repeat is a defect of this package, not bad input."""
-    monkeypatch.setattr(gaps, "enumerate_classical_Lambda", lambda dc, m: {(0, 0), (0, 9)})
-    with pytest.raises(SelfCheckError, match="repeated coordinates"):
+    of the families, so a repeat is a defect of this package, not bad input.
+    The closed form reads classes and residues, which cannot repeat; two
+    residues in one class would list its first coordinate twice, and
+    maximal.residues refuses them before the count reads them."""
+    real = maximal.coord0
+    monkeypatch.setattr(maximal, "coord0", lambda dc, m, rho: real(dc, m, 1) if rho == 2 else real(dc, m, rho))
+    with pytest.raises(SelfCheckError, match="residues 1 and 2 of .* share the class 1 "):
         count_gaps_two_points(y231)
+
+
+def test_two_point_count_is_the_listing_count(sweep):
+    """The closed form over the residues equals sum(b0 + b1) less the
+    inversions of the b1 over the relative maximals as listed, ascending in
+    b0, on every sweep case and four larger curves."""
+    extra = [curve("Y", q=4, n=5, s=1), curve("Y", q=8, n=3, s=1), curve("X", p=3, a=2, b=1, n=3, s=1),
+             curve("X", p=2, a=2, b=1, n=5, s=1)]
+    for dc in sweep + extra:
+        lam = enumerate_classical_Lambda(dc, 1)
+        assert count_gaps_two_points(dc) == sum(map(sum, lam)) - inversions([b[1] for b in lam]), dc.params
+
+
+def test_two_point_check_bites_on_a_lowered_top(y231, monkeypatch):
+    """A formula-side defect, one top of the m = 1 residues lowered by one
+    (the relative maximal of its class with the largest b0 dropped), turns
+    the two-point check false, while the complement table, which reads
+    membership's own residues, is unchanged."""
+    complement = gaps_via_complement(y231, 1)
+    real = gaps.residues
+
+    def lowered(dc, m, shift):
+        rhos, tops = real(dc, m, shift)
+        tops = array("q", tops)
+        tops[tops.index(max(tops))] -= 1
+        return rhos, tops
+
+    monkeypatch.setattr(gaps, "residues", lowered)
+    assert gaps_via_complement(y231, 1) == complement
+    checks = build_gap_report(y231, 1, complement)
+    assert checks["two_point_count_formula"] is False
 
 
 def test_two_point_count_internals(y231, x21131):
@@ -164,7 +198,7 @@ def test_two_point_count_matches_zeta_definition(sweep):
 @given(st.lists(st.integers(-50, 50), unique=True, max_size=40))
 def test_inversions_match_brute_force(xs):
     n = len(xs)
-    assert _inversions(xs) == sum(
+    assert inversions(xs) == sum(
         1 for s in range(n) for t in range(s + 1, n) if xs[s] > xs[t]
     )
 
@@ -252,8 +286,8 @@ def test_build_gap_report(y231):
 def test_lambda_count_formula_needs_strictly_increasing_lambda(y231, monkeypatch, defect, m):
     """A repeated vector (in place of its successor, so the count still
     matches) or two neighbours out of order make the verdict False.  At
-    m = 1 either defect breaks the two-point count's premise too: the report
-    says so instead of raising, while the count itself still raises."""
+    m = 1 the two-point count reads the residues, not the listing, so its
+    check still holds."""
     lam = enumerate_classical_Lambda(y231, m)
     if defect == "duplicate":
         bad = lam[:1] + lam[:1] + lam[2:]
@@ -264,9 +298,7 @@ def test_lambda_count_formula_needs_strictly_increasing_lambda(y231, monkeypatch
     checks = build_gap_report(y231, m, gaps_via_complement(y231, m))
     assert checks["lambda_count_formula"] is False
     if m == 1:
-        assert checks["two_point_count_formula"] is False
-        with pytest.raises(SelfCheckError, match="repeated coordinates"):
-            count_gaps_two_points(y231)
+        assert checks["two_point_count_formula"] is True
 
 
 def test_build_gap_report_detects_dropped_theta(y231, drop_theta):
