@@ -14,17 +14,25 @@ indents json.dumps(indent=1) uses at that depth (or as TSV rows).  Both
 kinds of `gamma` and `lambda` listing take one pass over the e residues
 (maximal.residues: a rho and a top per class of the first coordinate mod
 e).  A classical listing (`gamma --classical`, `lambda --classical`) gets
-its count, its byte refusal and its walk from them:
-maximal.walk_classical walks the first coordinate x upwards, each shift
-tail is rendered once, and each x's rows are one str.join of its
-rendering and those of its rests, so no vector is built (at m = 1, where
-each x has one row, a %-template fills each row).  A fundamental-region
-listing sorts the classes by top, which puts its e vectors in order, and
-writes one row per residue in blocks of _REGION_ROWS rows, so neither a
-vector set nor its sort is built.  A gap table (`gaps`) is streamed the
-same way: walking alpha_0 upwards, each alpha_0's rows are one str.join of
-its rendering and the renderings of its tails, each tail rendered once,
-so neither a row list nor the gap set is ever built.
+its count, its byte refusal and its rows from them, in the order of
+maximal.walk_classical: the first coordinate x upwards, and at each x the
+shift vectors of one sum in lexicographic order, so the rows come out
+lexicographic with no vector built and nothing sorted.  At m = 1, where
+each x has one row, a %-template fills each row.  Above, the rows of
+coordinates 2..m of each residue and shift sum are rendered once, into
+one string whose rows each open with the marker _SLOT (_sum_blocks), and
+each x's rows are one str.join of those strings with the marker replaced
+by the rendering of x and of coordinate 1: one str.replace per level and
+sum, mapped over every residue, so no Python code runs per row.  The
+marker is a NUL character, which no rendered integer and no piece of
+_ROW_PARTS or _ROW_SEP holds, so a replace hits the markers alone.  A
+fundamental-region listing sorts the classes by top, which puts its e
+vectors in order, and writes one row per residue in blocks of
+_REGION_ROWS rows, so neither a vector set nor its sort is built.  A gap
+table (`gaps`) is streamed the same way: walking alpha_0 upwards, each
+alpha_0's rows are one str.join of its rendering and the renderings of
+its tails, each tail rendered once, so neither a row list nor the gap
+set is ever built.
 A table stores one gap count per (tail, class of alpha_0), as a byte, and
 GapTable.walk reads those counts as stored: it hands over each alpha_0's
 renderings as a list it filters from the class's previous one with a
@@ -46,9 +54,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_right
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from math import comb
+from operator import neg
 
 from . import gaps as gaps_mod
 from . import maximal, membership, oracle
@@ -82,20 +92,24 @@ BYTES_PER_ENTRY = 9
 # Y(4,3,13) up to degree 60, 6-9 at m = 1 on Y(2,3,1) up to degree 800-1000.
 BYTES_PER_MONOMIAL = 192
 # Peak resident bytes of `gamma --classical` and `lambda --classical` per
-# vector listed, stdout to /dev/null: the interpreter, the shift tails of
-# every residue and one x's block (one i's at m = 1).  Measured 33.5 on
-# Y(8,5,1) at m = 1 (1,031,969 vectors, where the interpreter weighs most),
-# 7.1 on Y(13,5,1) at m = 1, 25.7 on Y(5,9,7) at m = 2, 20.1 on Y(7,3,1)
-# and 27.4 on Y(5,5,1) at m = 3 and 21.1 on Y(5,5,1) at m = 4.
+# vector listed, stdout to /dev/null: the interpreter, the sum-blocks of
+# every residue at m >= 2 (_sum_blocks) and one x's block (one i's at
+# m = 1).  Measured with scripts/peak_rss.py, gamma and lambda: 28.7 on
+# Y(8,5,1) at m = 1 (1,031,969 vectors, where the interpreter weighs
+# most), 24.3-25.6 on Y(5,9,7) at m = 2, 14.1-16.3 on Y(7,3,1) and
+# 18.9-23.5 on Y(5,5,1) at m = 3 and 11.0-14.1 on Y(5,5,1) at m = 4.
+# Y(8,5,1) at m = 1 has read up to 33.5, so the price keeps that margin.
 BYTES_PER_VECTOR = 36
 # Peak resident bytes per residue (e of them, whatever m is), stdout to
 # /dev/null and the interpreter included, of:
 # - `gamma --classical` and `lambda --classical`, on top of BYTES_PER_VECTOR:
-#   the residue arrays and each live residue's entry, shift renderings and
-#   tails in the walk.  Measured, as (peak - 36 per vector)/e, 152 on
-#   X(2,1,1,21,1) at m = 1, 214 on Y(2,21,1) at m = 1, 299 and 505 there at
-#   m = 2 (shifts 0 and (m - 1)e), 195 on Y(3,13,1) at m = 1 and 596 at m = 2.
-BYTES_PER_CLASSICAL_RESIDUE = 640
+#   the residue arrays and, at m = 1, each live residue's entry in the walk,
+#   above, the sum-blocks and cells of each live residue and the sorted
+#   classes while they are built.  Measured, as (peak - 36 per vector)/e,
+#   151 on X(2,1,1,21,1) at m = 1, 213 on Y(2,21,1) at m = 1, 205 and 351
+#   there at m = 2 (shifts 0 and (m - 1)e), 196 on Y(3,13,1) at m = 1 and
+#   414 and 453 at m = 2.
+BYTES_PER_CLASSICAL_RESIDUE = 560
 # - the fundamental-region `gamma` and `lambda`: the residue arrays and the
 #   classes sorted by top.  Measured 78-80 on Y(2,21,1) and X(2,1,1,21,1) at
 #   m = 1 and 2, 83 on Y(3,13,1) at m = 3.
@@ -195,26 +209,77 @@ def _table_blocks(table, fmt: str):
         yield first + (between + first).join(rests)
 
 
+def _sum_blocks(e: int, m: int, residues, fmt: str) -> tuple[list, list]:
+    """For m >= 2, each live residue's rows of coordinates 2..m as sum-blocks,
+    by class c: blocks[c][t], for t in [0, top], is its level-(m - 1) block
+    of sum top - t, and cells[c][k], for k in [0, top], is its cell_k =
+    sep + str(k*e + rho).  Both are None for a class with top < 0.
+
+    A level-p block of sum R holds the rows of the last p coordinates of
+    one residue with shift sum R, lexicographic, each row opened by the
+    marker _SLOT.  Level 1 is the one row _SLOT + cell_R + end, and level
+    p + 1 of sum R is between.join, for k ascending in [0, R], of the
+    level-p block of sum R - k with each marker replaced by _SLOT + cell_k:
+    k is the new first shift, and the rows of one k are its lower block's.
+    With the live residues sorted by top, descending, those with top >= R
+    are a prefix, so each (level, R, k) is one map over the prefix, and
+    the Python work is per level, sum and k, not per residue and shift
+    vector."""
+    sep, end = _ROW_PARTS[fmt][1:]
+    between = _ROW_SEP[fmt]
+    rhos, tops = residues
+    order = sorted(compress(range(e), map((-1).__lt__, tops)), key=tops.__getitem__, reverse=True)
+    ranked = [tops[c] for c in order]
+    # The first n[R] residues of order have top >= R.
+    n = [bisect_right(ranked, -r, key=neg) for r in range(max(tops) + 2)]
+    # column[k][j] and level[R][j]: cell_k and the block of sum R of the j-th residue of order.
+    column = [[sep + str(k * e + rhos[c]) for c in order[:n[k]]] for k in range(len(n) - 1)]
+    level = [[_SLOT + cell + end for cell in row] for row in column]
+    marks = [[_SLOT + cell for cell in row] for row in column] if m > 2 else []
+    for _ in range(m - 2):
+        # zip stops at k = 0, whose blocks of sum r are the n[r] of the prefix.
+        level = [list(map(between.join, zip(*[map(str.replace, level[r - k], repeat(_SLOT), marks[k])
+                                              for k in range(r + 1)])))
+                 for r in range(len(level))]
+    blocks, cells = [None] * e, [None] * e
+    # The residues of one top t, [a, b) in order, take their own rows of both in one zip each.
+    for t, (b, a) in enumerate(zip(n, n[1:])):
+        for c, own_blocks, own_cells in zip(order[a:b], zip(*[row[a:b] for row in level[t::-1]]),
+                                            zip(*[row[a:b] for row in column[:t + 1]])):
+            blocks[c], cells[c] = own_blocks, own_cells
+    return blocks, cells
+
+
 def _classical_blocks(e: int, m: int, residues, fmt: str):
-    """The rows of the classical listing of residues (maximal.residues),
-    streamed from maximal.walk_classical: each shift of a residue is
-    rendered once, into the tails that share it.
+    """The rows of the classical listing of residues (maximal.residues), in
+    the order of maximal.walk_classical: x = c + e*i ascending, i outer and
+    c inner over the classes with top >= i, its vectors of shift sum
+    s = top - i.  _listing_work bounds every coordinate, so str renders
+    each.
     At m = 1 every x has one row: one block per i, a %-template per row.
-    Above, one block per x: one str.join of the renderings of x and of its
-    rests, the rests of one k_1 joined first.  _listing_work bounds every
-    coordinate, so str renders each."""
+    Above, each x is one block: its residue's sum-blocks (_sum_blocks) of
+    sum s - k, k ascending in [0, s], joined with each marker replaced by
+    lead + str(x) + cell_k.  It is made when its turn comes, so one x's
+    block is held at a time, and the walk keeps no entry per residue.
+    The rows are lexicographic: x ascends; at one x coordinate 1 is
+    k*e + rho, which ascends with k; and the rows of one k are its
+    sum-block's, lexicographic by induction on the level.  No row repeats
+    (walk_classical).  The marker, a NUL character, cannot meet the text
+    it stands in: every row holds only digits, minus signs and the pieces
+    of _ROW_PARTS and _ROW_SEP, none of which holds it, so each replace
+    hits the markers alone."""
     lead, sep, end = _ROW_PARTS[fmt]
     between = _ROW_SEP[fmt]
-    row = lead + "%d" + sep + "%d" + end
-    for i, live in maximal.walk_classical(e, m, residues, lambda y: sep + str(y)):
-        if m == 1:
+    if m == 1:
+        row = lead + "%d" + sep + "%d" + end
+        for i, live in maximal.walk_classical(e, m, residues, None):
             yield between.join([row % (c + e * i, (top - i) * e + rho) for c, rho, top, _ in live])
-            continue
-        for c, _, top, (heads, tails) in live:
-            first = lead + str(c + e * i)
-            glue = end + between + first
-            groups = [head + (glue + head).join(rests) for head, rests in zip(heads, tails[top - i::-1])]
-            yield first + glue.join(groups) + end
+        return
+    tops = residues[1]
+    (blocks, cells), slots = _sum_blocks(e, m, residues, fmt), repeat(_SLOT)
+    for i in range(max(tops) + 1):
+        for c in compress(range(e), map(i.__le__, tops)):
+            yield between.join(map(str.replace, blocks[c][i:], slots, map((lead + str(c + e * i)).__add__, cells[c])))
 
 
 def _emit_blocks(record: dict, fmt: str, blocks) -> None:
@@ -495,7 +560,7 @@ def run(argv) -> int:
             payload = {
                 "m": args.m,
                 "lambda_count": maximal.count_classical(residues, args.m),
-                "gap_count_upper_bound": gaps_mod.gap_count_upper_bound(dc, args.m),
+                "gap_count_upper_bound": gaps_mod.gap_count_upper_bound(dc, args.m, residues),
             }
             if args.m == 1:
                 payload["two_point_gap_count"] = gaps_mod.count_gaps_two_points(dc, residues)

@@ -555,11 +555,12 @@ def _box_volume_sum(T: int, d: int, rho: int, e: int, m: int) -> int:
     )
 
 
-def gap_count_upper_bound(dc: DerivedConstants, m: int) -> int:
+def gap_count_upper_bound(dc: DerivedConstants, m: int, residues=None) -> int:
     """Sum over the classical relative maximals of the shifted-box volumes,
     in closed form per residue with top >= 0 (maximal.residues at the
-    relative shift)."""
-    rhos, tops = residues(dc, m, relative_shift(dc, m))
+    relative shift; residues, when the caller has them)."""
+    # The parameter hides this module's maximal.residues.
+    rhos, tops = globals()["residues"](dc, m, relative_shift(dc, m)) if residues is None else residues
     return sum(_box_volume_sum(top, c, rho, dc.e, m) for c, (rho, top) in enumerate(zip(rhos, tops)) if top >= 0)
 
 

@@ -29,10 +29,13 @@ one vector per (rho, ks): distinct parameters realize distinct vectors,
 so no set removes repeats, and the order follows from the closed form,
 so nothing sorts them.  The walk shares the shift tails among the
 vectors that end in them and is generic in the piece it joins per shift:
-_enumerate_classical joins 1-tuples into the vectors, and the command
-line joins rendered cells into rows without building a vector, after
-counting and pricing the listing from the same residues.  The command
-line's fundamental-region listing streams from the residues too.
+_enumerate_classical joins 1-tuples into the vectors (the listings
+`verify` checks).  The command line counts and prices a listing from the
+same residues and writes its rows in the walk's order without building a
+vector: at m = 1 through the walk, whose one row per first coordinate
+needs no tail, and above from text of its own (cli._sum_blocks), one
+string per residue and shift sum, so it builds no shift tails.  The
+command line's fundamental-region listing streams from the residues too.
 Membership reads the same arrays at shift 0, from a call of its own
 (membership._residue_tables), so it never shares an instance with this
 side.

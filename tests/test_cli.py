@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import witness_test
@@ -31,6 +31,10 @@ from wsgaps.cli import (
     BYTES_PER_VECTOR,
     STEPS_PER_MONOMIAL,
     WORK_LIMIT,
+    _ROW_PARTS,
+    _ROW_SEP,
+    _SLOT,
+    _classical_blocks,
     _counts_work,
     _emit_blocks,
     _encode,
@@ -411,20 +415,27 @@ def test_counts_refuses_what_memory_cannot_hold(capsys):
     assert f"steps, above the limit {WORK_LIMIT}" in capsys.readouterr().err
 
 
-def test_counts_builds_no_listing(capsys, monkeypatch):
-    """`counts --m 1` computes the residues once, for the Lambda count and
-    the two-point count, and lists no relative maximal (the volume reads
-    its own, as verify calls it too)."""
+def test_counts_builds_no_listing(capsys, monkeypatch, y231):
+    """`counts` at m = 1 and 2 computes the residues once, for the Lambda
+    count, the volume and (at m = 1) the two-point count, and lists no
+    relative maximal: one call through maximal.residues and gaps.residues
+    together."""
     def refuse(*args):
         raise AssertionError("counts built a listing")
 
+    volumes = {m: gaps.gap_count_upper_bound(y231, m) for m in (1, 2)}
     calls = []
     real = maximal.residues
     monkeypatch.setattr(maximal, "_enumerate_classical", refuse)
-    monkeypatch.setattr(maximal, "residues", lambda *args: calls.append(args) or real(*args))
-    assert run(["counts", *Y231, "--m", "1"]) == 0
-    assert _json(capsys)["payload"]["two_point_gap_count"] == 115
-    assert len(calls) == 1
+    for module in (maximal, gaps):
+        monkeypatch.setattr(module, "residues", lambda *args: calls.append(args) or real(*args))
+    for m, volume in volumes.items():
+        calls.clear()
+        assert run(["counts", *Y231, "--m", str(m)]) == 0
+        payload = _json(capsys)["payload"]
+        assert payload["gap_count_upper_bound"] == volume
+        assert payload.get("two_point_gap_count") == (115 if m == 1 else None)
+        assert len(calls) == 1, m
 
 
 def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
@@ -580,7 +591,7 @@ def test_classical_listing_bound_is_within_its_step_estimate(sweep):
 def test_classical_listings_refuse_by_bytes_only_what_cannot_fit(capsys):
     """Y(5,9,7) at m = 2 passes the step estimate (97,935,318 steps), and
     the streamed `lambda --classical` (27,101,250 vectors from 279,018
-    residues) peaks at about 664 MiB, so its byte estimate is admitted.  At
+    residues) peaks at about 628 MiB, so its byte estimate is admitted.  At
     m = 3 the listing would hold 170,958,196 vectors, above the byte limit,
     but the command is refused on its steps first, before the O(e) count."""
     dc = curve("Y", q=5, n=9, s=7)
@@ -617,7 +628,7 @@ def test_listings_admit_what_their_residues_can_hold():
     """The per-residue prices admit the listings measured at e = 2,097,153:
     `member` on Y(2,21,1) at m = 1 and 2 (65 MiB), the fundamental-region
     `gamma` and `lambda` there at m = 1 and 2 (159 MiB), `lambda --classical`
-    there at m = 2 (4,893,354 vectors, 1,178 MiB) and `gamma --classical` on
+    there at m = 2 (4,893,354 vectors, 870 MiB) and `gamma --classical` on
     X(2,1,1,21,1) at m = 1 (1,048,576 vectors, 339 MiB).  `member` on
     Y(2,23,1) at m = 1 (e = 8,388,609, about 0.74 GB at 88 bytes a
     residue, measured 209 MiB) is admitted too."""
@@ -841,6 +852,59 @@ def test_emit_encodes_past_2_53(y231, capsys):
         ["-13510798882111488", 1], [5, 2], ["13510798882111489", 0]]
     _emit_region(y231, 3, 1, residues, "tsv")
     assert capsys.readouterr().out == "-13510798882111488\t1\n5\t2\n13510798882111489\t0\n"
+
+
+@st.composite
+def _classical_residues(draw):
+    """Hand-built residues of a classical listing: e, m and the lists
+    (rhos, tops) by class, rhos a permutation of range(e), tops in [-1, 6]."""
+    e, m = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    rhos = draw(st.permutations(range(e)))
+    return e, m, rhos, draw(st.lists(st.integers(-1, 6), min_size=e, max_size=e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_classical_residues(), st.sampled_from(["json", "tsv"]))
+@example((3, 2, [2, 0, 1], [-1, -1, -1]), "json")  # no live residue
+@example((3, 2, [2, 0, 1], [-1, -1, -1]), "tsv")
+@example((4, 3, [1, 3, 0, 2], [-1, 6, -1, -1]), "json")  # one live residue
+@example((4, 3, [1, 3, 0, 2], [-1, 6, -1, -1]), "tsv")
+@example((5, 5, [4, 2, 0, 3, 1], [0, 0, 0, 0, 0]), "json")  # every top 0
+@example((5, 5, [4, 2, 0, 3, 1], [0, 0, 0, 0, 0]), "tsv")
+def test_classical_blocks_are_the_walked_vectors(y231, listing, fmt):
+    """_classical_blocks on any residues writes the encoder's bytes of the
+    vectors maximal.walk_classical lists with 1-tuples
+    (maximal._enumerate_classical on the same residues)."""
+    e, m, rhos, tops = listing
+    residues = (array("q", rhos), array("q", tops))
+    with patch.object(maximal, "residues", lambda *args: residues):
+        vectors = maximal._enumerate_classical(SimpleNamespace(e=e), m, 0)
+    assert len(vectors) == maximal.count_classical(residues, m)
+    fast, reference = io.StringIO(), io.StringIO()
+    with redirect_stdout(fast):
+        _emit_blocks(_record(y231, {"m": m, "count": len(vectors)}), fmt, _classical_blocks(e, m, residues, fmt))
+    with redirect_stdout(reference):
+        _reference_emit(_record(y231, {"m": m, "vectors": vectors, "count": len(vectors)}), fmt)
+    assert fast.getvalue() == reference.getvalue()
+
+
+def test_classical_listings_build_no_shift_tails(monkeypatch):
+    """`lambda --classical` and `gamma --classical` at m = 2..4 on Y(4,5,5)
+    render from sum-blocks: they run with maximal._tails patched to raise.
+    The marker the sum-blocks replace is in none of the row pieces, so no
+    replace can hit the text around it."""
+    def refuse(*args):
+        raise AssertionError("the listing built shift tails")
+
+    assert not any(_SLOT in piece for piece in (*_ROW_SEP.values(), *(p for ps in _ROW_PARTS.values() for p in ps)))
+    monkeypatch.setattr(maximal, "_tails", refuse)
+    for command in ("lambda", "gamma"):
+        for m in (2, 3, 4):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert run([command, *Y455.split(), "--m", str(m), "--classical"]) == 0
+            record = json.loads(out.getvalue())
+            assert len(record["payload"]["vectors"]) == record["payload"]["count"] > 0, (command, m)
 
 
 # The curves the streamed-emitter test draws from.
