@@ -183,32 +183,41 @@ def curve(family: str, **raw) -> DerivedConstants:
     return derive(validate_params(family, **raw))
 
 
-def simplex_points(dim: int, bound: int):
-    """All vectors in N_0^dim with coordinate sum <= bound."""
+def simplex_points(dim: int, bound: int, width: int | None = None):
+    """All vectors in N_0^dim with coordinate sum <= bound, in lexicographic
+    order; with width, only those in [0, width)^dim."""
+    top = bound if width is None else min(bound, width - 1)
     if dim == 1:
-        for x in range(bound + 1):
+        for x in range(top + 1):
             yield (x,)
         return
-    for x in range(bound + 1):
-        for rest in simplex_points(dim - 1, bound - x):
+    for x in range(top + 1):
+        for rest in simplex_points(dim - 1, bound - x, width):
             yield (x,) + rest
 
 
-def simplex_runs(dim: int, bound: int) -> dict:
-    """The layout of simplex_points(dim, bound): each head (a point without
-    its last coordinate), in simplex_points order, to the range of positions
-    of its run, the points head + (x,) for x in range(bound - sum(head) + 1).
-    The point head + (x,) sits at runs[head][x]; the run holds
-    len(runs[head]) points and ends at runs[head].stop."""
-    heads = list(simplex_points(dim - 1, bound)) if dim > 1 else [()]
-    sizes = [bound + 1 - sum(head) for head in heads]
+def simplex_runs(dim: int, bound: int, width: int | None = None) -> dict:
+    """The layout of simplex_points(dim, bound, width): each head (a point
+    without its last coordinate), in simplex_points order, to the range of
+    positions of its run, the points head + (x,) for x in
+    range(bound - sum(head) + 1), and below width when it is given.  The
+    point head + (x,) sits at runs[head][x]; the run holds len(runs[head])
+    points and ends at runs[head].stop.  With width the region is
+    down-closed in the product order: each coordinate of a head lowered by
+    one is a head, whose run is at least as long."""
+    heads = list(simplex_points(dim - 1, bound, width)) if dim > 1 else [()]
+    most = bound + 1 if width is None else width
+    sizes = [min(most, bound + 1 - sum(head)) for head in heads]
     return {head: range(stop - size, stop) for head, size, stop in zip(heads, sizes, accumulate(sizes))}
 
 
-def simplex_caps(runs: dict):
+def simplex_caps(runs: dict, bound: int):
     """top + 1 = bound + 1 - sum(t) for each point t of the layout runs
-    (simplex_runs), in layout order: each run counts down from its length."""
-    return chain.from_iterable(range(len(run), 0, -1) for run in runs.values())
+    (simplex_runs of the simplex sum(t) <= bound), in layout order: each run
+    counts down from bound + 1 - sum(head), its length on the whole
+    simplex."""
+    return chain.from_iterable(range(cap, cap - len(run), -1)
+                               for cap, run in zip([bound + 1 - sum(head) for head in runs], runs.values()))
 
 
 def check_m(dc: DerivedConstants, m: int) -> None:

@@ -52,6 +52,18 @@ clipped and cannot be lowered, so the runs of such a block take the
 formula tail by tail.  Cost: the formula, O(E + m) per row, runs on at most
 min(comb(E + m - 1, m), #tails) rows; every other row is a share of a
 translate, against O(#points * m^2) for a per-point membership test.
+
+The Lambda route is checked on the blocks too (lambda_route_agrees).  Its
+tables obey the same shift law whenever Lambda is closed under the step
+(-e at 0, +e at j) and its reverse (_steps_closed, O(|Lambda|*m) set
+lookups), so a whole Lambda table equals a whole scan table iff their
+blocks agree (GapTable.blocks()), and the Lambda tables are built on the
+blocks alone: each box clipped to [0, E)^m, a box at r >= 1 with
+beta_r >= E skipped, and box runs that follow each other in the layout
+joined into one span.  A Lambda not closed under the step is compared on
+the whole simplex, so the answer is the whole tables' either way.  `gaps`
+prints the scan's table and builds the whole Lambda table only when the
+blocks disagree, to name the smallest differing vector.
 """
 
 from __future__ import annotations
@@ -126,9 +138,12 @@ class GapTable:
     """A gap (or pure-gap) set on the simplex sum(alpha) <= bound, as counts.
 
     counts holds E bytes per tail t = (alpha_1..alpha_m), the tails in
-    simplex_points order, laid out by runs = simplex_runs(m, bound):
+    simplex_points order, laid out by runs = simplex_runs(m, bound, width):
     counts[runs[t[:-1]][t[-1]]*E + C] = k when the gaps (alpha_0, t)
-    with alpha_0 = C mod E are range(C, C + E*k, E).
+    with alpha_0 = C mod E are range(C, C + E*k, E).  width None holds
+    every tail of the simplex; width E holds the blocks, the tails in
+    [0, E)^m (blocks()).  A width past bound holds every tail too and is
+    stored as None.
 
     stray is the lexicographically smallest point a route produced above its
     class prefix, or past the CEILING gaps a class can store, else None.
@@ -136,10 +151,12 @@ class GapTable:
     prefixes only, and a table with a stray equals none.
     """
 
-    __slots__ = ("E", "m", "bound", "counts", "stray")
+    __slots__ = ("E", "m", "bound", "counts", "stray", "width")
 
-    def __init__(self, E: int, m: int, bound: int, counts: bytes, stray: tuple[int, ...] | None = None):
+    def __init__(self, E: int, m: int, bound: int, counts: bytes, stray: tuple[int, ...] | None = None,
+                 width: int | None = None):
         self.E, self.m, self.bound, self.counts, self.stray = E, m, bound, counts, stray
+        self.width = width if width is not None and width <= bound else None
 
     def __len__(self) -> int:
         return sum(self.counts)
@@ -152,8 +169,18 @@ class GapTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GapTable):
             return NotImplemented
-        shape = (self.E, self.m, self.bound)
-        return shape == (other.E, other.m, other.bound) and self.first_difference(other) is None
+        shape = (self.E, self.m, self.bound, self.width)
+        return shape == (other.E, other.m, other.bound, other.width) and self.first_difference(other) is None
+
+    def blocks(self) -> GapTable:
+        """This table on its blocks, the tails in [0, E)^m: one slice of
+        counts per run of the blocks' layout, simplex_runs(m, bound, E).  The
+        stray stays, wherever it lies, so a table with a stray still equals
+        none."""
+        whole, E, counts = simplex_runs(self.m, self.bound, self.width), self.E, self.counts
+        rows = b"".join([counts[whole[head].start * E:(whole[head].start + len(run)) * E]
+                         for head, run in simplex_runs(self.m, self.bound, E).items()])
+        return GapTable(E, self.m, self.bound, rows, self.stray, E)
 
     def walk(self, label):
         """Yield (alpha_0, [label(t) for each tail t with a gap (alpha_0, t)])
@@ -172,7 +199,7 @@ class GapTable:
         within E of the last alpha_0 with a gap, not at bound.
         """
         E, counts = self.E, self.counts
-        tails, none, step = simplex_points(self.m, self.bound), bytes(E), E * _BLOCK_ROWS
+        tails, none, step = simplex_points(self.m, self.bound, self.width), bytes(E), E * _BLOCK_ROWS
         labels, joined = [], bytearray()
         size = len(counts.rstrip(b"\0"))  # no row past the last nonzero count holds a gap
         for start in range(0, size, step):
@@ -218,7 +245,7 @@ class GapTable:
         best = min((((diff & -diff).bit_length() - 1, i) for i, diff in diffs if diff), default=None)
         if best is not None:
             a0, i = best
-            tail = next(islice(simplex_points(self.m, self.bound), i, None))
+            tail = next(islice(simplex_points(self.m, self.bound, self.width), i, None))
             found.append(((a0, *tail), self if decode(counts[i * E:(i + 1) * E]) >> a0 & 1 else holder))
         return min(found, key=itemgetter(0), default=None)
 
@@ -226,7 +253,7 @@ class GapTable:
         """(vector, table) for the lexicographically smallest vector that one
         table's counts hold and the other's do not, or that is a table's
         stray, with the table holding it; None when the tables hold the same
-        set.  Both tables must cover the same simplex with the same E.  This
+        set.  Both tables must cover the same tails with the same E.  This
         is difference over other's rows and stray: at a tie self's stray
         comes first, then other's, then a row.  Only the rows whose bytes
         differ are decoded: equal counts are one comparison, and otherwise
@@ -244,14 +271,30 @@ def _box_runs(ranges, runs: dict, budget: int):
     """The tails of the box prod(ranges) with sum <= budget, grouped by
     head: yields (head, xs, base), the tails head + (x,) for x in xs at the
     positions base + x, base = runs[head].start, runs the simplex_runs of a
-    simplex sum(t) <= bound with bound >= budget.  xs is clipped to the
-    budget, not to the run's end: a budget below bound ends the box short
-    of it."""
+    simplex sum(t) <= bound with bound >= budget, or of its tails below a
+    width, to which ranges are then clipped.  xs is clipped to the budget,
+    not to the run's end: a budget below bound ends the box short of it."""
     *heads, last = ranges
     for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
         xs = range(last.start, min(last.stop, budget - sum(head) + 1))
         if xs:
             yield head, xs, runs[head].start
+
+
+def _box_spans(ranges, runs: dict, budget: int):
+    """The positions of _box_runs(ranges, runs, budget) as spans
+    (first, stop), each joining the box runs that follow each other in the
+    layout: a run that ends at its run's end joins the next head's run
+    that starts at x = 0."""
+    first = stop = None
+    for _, xs, base in _box_runs(ranges, runs, budget):
+        if base + xs.start != stop:
+            if stop is not None:
+                yield first, stop
+            first = base + xs.start
+        stop = base + xs.stop
+    if stop is not None:
+        yield first, stop
 
 
 @cache
@@ -266,25 +309,34 @@ def _below(bar: int) -> bytes:
     return bytes([i < bar for i in range(256)])
 
 
-def _reach(lam, r: int, runs: dict, bound: int, size: int) -> array:
-    """Per tail of the simplex sum(t) <= bound (size tails laid out by
-    runs), the largest beta_0 of the boxes at r >= 1 that hold it, else 0.
-    lam is in ascending beta_0, so each box run is one slice fill: a later
-    box never lowers a reach.  A box with beta_0 <= 0 is skipped, as its
-    fill would go below the initial 0."""
+def _reach(lam, r: int, runs: dict, bound: int, size: int, width: int) -> array:
+    """Per tail of the region runs (size tails of the simplex sum(t) <= bound,
+    each coordinate below width), the largest beta_0 of the boxes at r >= 1
+    that hold it, else 0.  lam is in ascending beta_0, so each box span
+    (_box_spans) is one slice fill: a later box never lowers a reach.  A
+    box with beta_0 <= 0 is skipped, as its fill would go below the initial
+    0, and so is one with beta_r >= width, which holds no tail of the
+    region."""
     out = array("q", [0]) * size
     for beta in lam:
-        if beta[0] > 0:
+        if beta[0] > 0 and beta[r] < width:
             fill = array("q", beta[:1])
-            ranges = [range(b, b + 1) if j == r else range(b) for j, b in enumerate(beta[1:], 1)]
-            for _, xs, base in _box_runs(ranges, runs, bound):
-                out[base + xs.start:base + xs.stop] = fill * len(xs)
+            ranges = [range(b, b + 1) if j == r else range(min(b, width)) for j, b in enumerate(beta[1:], 1)]
+            for first, stop in _box_spans(ranges, runs, bound):
+                out[first:stop] = fill * (stop - first)
     return out
 
 
-def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
+def _lambda_tables(lam, E: int, m: int, bound: int, kinds, width: int | None = None):
     """Yield, for each pure in kinds, the gaps (pure: the pure gaps) of the
-    simplex from the relative maximals lam, with E classes of alpha_0.
+    simplex from the relative maximals lam, with E classes of alpha_0, on
+    the tails in [0, width)^m (width None: every tail; width E: the blocks,
+    as GapTable.blocks() lays them out).  Each box's ranges are clipped to
+    [0, width), and a box at r >= 1 with beta_r >= width holds no tail of
+    the region and is skipped, so a table on the blocks reads only the box
+    runs that meet them.  A tail's row reads only the boxes that hold it,
+    so it is the same on any region that holds the tail; a stray is the
+    smallest of the region.
 
     Each beta in lam gives an open box per coordinate i, shifted to pass
     through beta there: alpha_i = beta_i and 0 <= alpha_j < beta_j elsewhere.
@@ -299,35 +351,34 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
     tail's end) must extend its class prefix; the smallest that does not,
     or that would pass CEILING, becomes the table's stray.
 
-    Every step costs O(1) Python operations per box run, each at C speed
-    over the run's tails.  The class-c counts old of a run move up by one
-    where old == k0 (a translate and a replace).  The pure pass keeps one
-    byte per tail, alive while beta_0 < its end: beta_0 only rises, so each
-    tail is cleared once, from buckets of the tails by end.  It adds the
-    mask (old == k0) & alive as big integers (k0 <= 254: no carry).  A
-    stray is a run's first tail with old < k0 (pure: and alive), a find
-    (pure: the highest set bit of the mask).
+    Every step costs O(1) Python operations per box span (_box_spans: the
+    box runs that follow each other in the layout, joined), each at C speed
+    over its tails.  The class-c counts old of a span move up by one where
+    old == k0 (a translate and a replace).  The pure pass keeps one byte
+    per tail, alive while beta_0 < its end: beta_0 only rises, so each tail
+    is cleared once, from buckets of the tails by end.  It adds the mask
+    (old == k0) & alive as big integers (k0 <= 254: no carry).  A stray is
+    a span's first tail with old < k0 (pure: and alive), a find (pure: the
+    highest set bit of the mask), kept as (beta_0, position) until the
+    table is done: the layout follows the lexicographic order of the tails.
 
-    Both tables obey the scan's shift law by construction.  Raising k_j by
-    one moves a vector of the listing by (-e, 0, ..., +e at j, ..., 0), and
-    the moved vector leaves the listing only where its first coordinate
-    turns negative.  The move carries each box of beta onto the same box
-    of the moved vector, so for t_j >= e, (alpha_0, t) lies in a box at i
-    iff (alpha_0 + e, t - e*u_j) does: row(t) is row(t - E*u_j) with every
-    count lowered by one, floored at 0.  The route does not use the law.
+    Both tables obey the scan's shift law, row(t) is row(t - E*u_j) with
+    every count lowered by one, floored at 0, whenever lam passes
+    _steps_closed (argued there), as the classical listings do.  The route
+    does not use the law; lambda_route_agrees does.
     """
-    size = comb(bound + m, m)
-    runs = simplex_runs(m, bound)
+    runs = simplex_runs(m, bound, width)
+    size, lim = sum(map(len, runs.values())), bound + 1 if width is None else width
     ceiling = CEILING
     lam = sorted(lam)
-    prefixes = [_reach(lam, 1, runs, bound, size)] * len(kinds)
+    prefixes = [_reach(lam, 1, runs, bound, size, lim)] * len(kinds)
     for r in range(2, m + 1):
-        more = _reach(lam, r, runs, bound, size)
+        more = _reach(lam, r, runs, bound, size, lim)
         for i, pure in enumerate(kinds):
             prefixes[i] = array("q", map(min if pure else max, prefixes[i], more))
         del more
     for pure in kinds:
-        ends = array("q", map(min, prefixes.pop(0), simplex_caps(runs)))  # per tail, where its prefix of gaps ends
+        ends = array("q", map(min, prefixes.pop(0), simplex_caps(runs, bound)))  # per tail, where its prefix ends
         stray = None
         if pure:
             counts, alive, buckets = bytearray(size * E), bytearray(size), defaultdict(partial(array, "i"))
@@ -340,8 +391,7 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
             for start in range(0, size, _BLOCK_ROWS):
                 counts += b"".join(map(rows.__getitem__, ends[start:start + _BLOCK_ROWS]))
             if max(ends) > E * ceiling:  # the first such tail's class 0 passes the ceiling
-                i = next(i for i, end in enumerate(ends) if end > E * ceiling)
-                stray = (E * ceiling, *next(islice(simplex_points(m, bound), i, None)))
+                stray = (E * ceiling, next(i for i, end in enumerate(ends) if end > E * ceiling))
         del ends
         for beta in lam:
             b0 = beta[0]
@@ -356,8 +406,7 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
             while pure and pending and pending[-1] <= b0:
                 for t in buckets.pop(pending.pop()):
                     alive[t] = 0
-            for head, xs, base in _box_runs([range(b) for b in beta[1:]], runs, bound - b0):
-                first, stop = base + xs.start, base + xs.stop
+            for first, stop in _box_spans([range(min(b, lim)) for b in beta[1:]], runs, bound - b0):
                 cells = slice(first * E + c, stop * E, E)
                 old = counts[cells]
                 # b0 <= top on every tail of the run, so only pure gaps need the prefix.
@@ -366,19 +415,21 @@ def _lambda_tables(lam, E: int, m: int, bound: int, kinds):
                         counts[cells] = old.replace(was, now)
                     x = old.translate(below).find(1)
                     if x >= 0:
-                        stray = _first(stray, (b0, *head, xs.start + x))
+                        stray = _first(stray, (b0, first + x))
                     continue
                 live = int.from_bytes(alive[first:stop], "big")
                 if not live:
                     continue
                 if bar == k0:
                     counts[cells] = (int.from_bytes(old, "big")
-                                     + (int.from_bytes(old.translate(equal), "big") & live)).to_bytes(len(xs), "big")
+                                     + (int.from_bytes(old.translate(equal), "big") & live)).to_bytes(len(old), "big")
                 low = int.from_bytes(old.translate(below), "big") & live
                 if low:  # the first tail's byte is the highest
-                    stray = _first(stray, (b0, *head, xs.stop - 1 - (low.bit_length() - 1) // 8))
+                    stray = _first(stray, (b0, stop - 1 - (low.bit_length() - 1) // 8))
+        if stray is not None:  # (alpha_0, position): positions follow the lexicographic order of the tails
+            stray = (stray[0], *next(islice(simplex_points(m, bound, width), stray[1], None)))
         counts = bytes(counts)  # the table's own bytes: no second copy waits in this frame
-        yield GapTable(E, m, bound, counts, stray)
+        yield GapTable(E, m, bound, counts, stray, width)
         del counts  # freed before the next kind's arrays are built
 
 
@@ -399,6 +450,54 @@ def pure_gaps_via_lambda(dc: DerivedConstants, m: int, bound: int | None = None)
     check_m(dc, m)
     bound = _default_bound(dc, bound)
     return next(_lambda_tables(enumerate_classical_Lambda(dc, m), table_classes(dc, bound), m, bound, (True,)))
+
+
+def _steps_closed(lam, e: int) -> bool:
+    """Whether lam, as a set, holds the step beta + (-e, 0, ..., +e at j,
+    ..., 0) of each of its vectors with beta_0 >= e, and the reverse step
+    beta + (+e, 0, ..., -e at j, ..., 0) of each with beta_j >= e, at every
+    j >= 1: O(|lam|*m) set lookups.
+
+    Then both Lambda tables obey the scan's shift law.  Take t_j >= e.  A
+    box at 0 of beta holding (alpha_0, t) has beta_j > t_j >= e, and the
+    box at 0 of its reverse step holds (alpha_0 + e, t - e*u_j); a box at
+    r >= 1 holding it has beta_0 > alpha_0 and beta_j > t_j (r != j) or
+    beta_j = t_j (r = j), so its reverse step's box at r holds the moved
+    point.  Back, a box holding (alpha_0 + e, t - e*u_j) has beta_0 >= e,
+    and its step's box holds (alpha_0, t).  So each coordinate's union of
+    boxes, and with it the gaps and the pure gaps, obeys the law at e, and
+    so at E = K*e; the classical listings hold both steps (k_j raised by
+    one while K <= top, or lowered while k_j >= 1)."""
+    listed = set(lam)
+    for beta in listed:
+        b0 = beta[0]
+        for j in range(1, len(beta)):
+            head, bj, rest = beta[1:j], beta[j], beta[j + 1:]
+            if b0 >= e and (b0 - e, *head, bj + e, *rest) not in listed:
+                return False
+            if bj >= e and (b0 + e, *head, bj - e, *rest) not in listed:
+                return False
+    return True
+
+
+def lambda_route_agrees(dc: DerivedConstants, m: int, scans: dict, lam=None) -> list[bool]:
+    """Whether the Lambda route holds the set of each scan table, in the
+    order of scans: scans[pure] is the complement table (pure False) or the
+    nabla table (pure True) of one simplex, whole.  lam, when the caller
+    has it, is enumerate_classical_Lambda(dc, m).
+
+    The scan tables obey the shift law by construction.  When lam is closed
+    under the step (_steps_closed) the Lambda tables obey it too, so each
+    row of a whole table is its block row lowered, and two whole tables
+    agree iff their blocks do: the Lambda tables are built on the blocks
+    alone and compared with scan.blocks().  Otherwise they are built on the
+    whole simplex and compared with the scan tables as they are.  Either
+    way the answer is the whole tables' equality."""
+    some = next(iter(scans.values()))
+    lam = enumerate_classical_Lambda(dc, m) if lam is None else lam
+    width = some.E if _steps_closed(lam, dc.e) else None
+    tables = _lambda_tables(lam, some.E, m, some.bound, tuple(scans), width)
+    return [table == (scan if width is None else scan.blocks()) for table, scan in zip(tables, scans.values())]
 
 
 def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> GapTable:
@@ -568,16 +667,18 @@ def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable, lam=Non
                      volume: int | None = None) -> dict[str, bool]:
     """The gap-side cross-check table: each route and formula against an
     independent one, on the region of complement, the complement route's
-    gap table (gaps_via_complement), which must hold the gap region
-    sum(alpha) <= 2g - 1.  lam and volume, when the caller has them, are
-    enumerate_classical_Lambda(dc, m) and gap_count_upper_bound(dc, m)."""
-    bound, E = complement.bound, complement.E
+    whole gap table (gaps_via_complement), which must hold the gap region
+    sum(alpha) <= 2g - 1.  The routes are compared on the blocks
+    (lambda_route_agrees); the counts read the whole table.  lam and
+    volume, when the caller has them, are enumerate_classical_Lambda(dc, m)
+    and gap_count_upper_bound(dc, m)."""
     lam = enumerate_classical_Lambda(dc, m) if lam is None else lam
     volume = gap_count_upper_bound(dc, m) if volume is None else volume
-    tables = _lambda_tables(lam, E, m, bound, (False, True))
+    scans = {False: complement, True: pure_gaps_via_nabla(dc, m, complement.bound)}
+    gap_routes, pure_routes = lambda_route_agrees(dc, m, scans, lam)
     checks = {
-        "gap_routes_agree": next(tables) == complement,
-        "pure_gap_routes_agree": next(tables) == pure_gaps_via_nabla(dc, m, bound),
+        "gap_routes_agree": gap_routes,
+        "pure_gap_routes_agree": pure_routes,
         # Strictly increasing: no vector listed twice, and the order the listings rely on.
         "lambda_count_formula": count_Lambda(dc, m) == len(lam) and all(map(lt, lam, islice(lam, 1, None))),
         "gap_count_bound": len(complement) <= volume,

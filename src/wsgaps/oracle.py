@@ -17,9 +17,15 @@ run by run, and gives the closure's non-members on the simplex
 sum(alpha) <= bound tail by tail, each as the bits of one integer.
 closure_difference hands those rows to GapTable.difference, the one row
 comparison, so the oracle reads a gap table only through its public
-methods.  consistency_report compares with the complement route's table,
-so only gaps.py writes gap tables, and every other check of the report
-runs on that same region.  The families check buckets the family vectors
+methods.  consistency_report compares with the complement route's table on
+its blocks, the tails in [0, E)^m (GapTable.blocks()): the blocks are
+down-closed, so the transform runs on them alone, seeded only by the
+generators whose cell lies there.  The closure's non-members obey the
+shift law ((alpha_0, t) is one iff (alpha_0 + e, t - e*u_j) is, for
+t_j >= e, from the monomials alone), and the scan's tables obey it by
+construction, so the blocks agree iff the whole tables do.  Only gaps.py
+writes gap tables, and every other check of the report runs on that same
+region.  The families check buckets the family vectors
 by (coordinate, value) (index_generators) and makes one pass over the same
 monomial set: each monomial g strikes, from the bucket of each of its own
 (r, g_r), the vectors above it.  A vector is a lub of monomials iff every
@@ -208,16 +214,20 @@ def index_generators(gens) -> dict:
     return buckets
 
 
-def _closure_rows(gens, m: int, bound: int):
+def _closure_rows(gens, m: int, bound: int, width: int | None = None):
     """Per tail t = (alpha_1..alpha_m) of the simplex sum(alpha) <= bound,
-    in simplex_points order, the points (alpha_0, t) outside the lub
-    closure of gens, as the bits alpha_0 of one integer.
+    each coordinate below width when it is given, in simplex_points order,
+    the points (alpha_0, t) outside the lub closure of gens, as the bits
+    alpha_0 of one integer.
 
     As t >= 0, g lies below (alpha_0, t) iff g_0 <= alpha_0 and its cell,
     g_1..g_m with negative coordinates raised to 0, lies below t; a g with
-    max(g_0, 0) + sum(cell) > bound lies below no simplex point.  Each cell
-    seeds, at its position runs[cell[:-1]][cell[-1]] in the layout runs =
-    simplex_runs(m, bound), held with the bits g_0 >= 0 of its generators,
+    max(g_0, 0) + sum(cell) > bound lies below no simplex point, and one
+    with a cell coordinate at or past width below no tail of the region.
+    The region is down-closed, so the rows of its tails are those of the
+    whole simplex.  Each cell seeds, at its position
+    runs[cell[:-1]][cell[-1]] in the layout runs = simplex_runs(m, bound,
+    width), held with the bits g_0 >= 0 of its generators,
     and low[r] with their least g_0 over g_r >= 0 (a negative g_r attains
     nothing).  A zeta transform over the product order (Bjorklund,
     Husfeldt, Kaski and Koivisto, STOC 2007) then ORs into held[t] the held
@@ -232,12 +242,13 @@ def _closure_rows(gens, m: int, bound: int):
     of range(end) and the zero bits of held[t], with top + 1 read from the
     layout (simplex_caps).
     """
-    n, runs = comb(bound + m, m), simplex_runs(m, bound)
+    runs = simplex_runs(m, bound, width)
+    n, width = sum(map(len, runs.values())), bound + 1 if width is None else width
     held = [0] * n
     low = [[bound + 1] * n for _ in range(m)]
     for g in gens:
         cell = tuple([x if x > 0 else 0 for x in g[1:]])
-        if max(g[0], 0) + sum(cell) > bound:
+        if max(g[0], 0) + sum(cell) > bound or max(cell) >= width:
             continue
         i = runs[cell[:-1]][cell[-1]]
         if g[0] >= 0:
@@ -257,19 +268,20 @@ def _closure_rows(gens, m: int, bound: int):
                 for col, op in cols:
                     col[start:stop] = map(op, col[start:stop], col[prev:prev + len(run)])
     return (((1 << min(end, cap)) - 1 | ~bits) & ((1 << cap) - 1)
-            for bits, end, cap in zip(held, map(max, repeat(0), *low), simplex_caps(runs)))
+            for bits, end, cap in zip(held, map(max, repeat(0), *low), simplex_caps(runs, bound)))
 
 
 def closure_difference(gens, table: GapTable):
-    """The points of table's simplex sum(alpha) <= bound outside the lub
-    closure of gens, compared with the gaps of table: None when they agree,
-    else (vector, side) for the lexicographically smallest point where they
-    differ, side table when it calls the point a gap (its stray included,
-    named ahead of a closure-side difference at the same vector) and
-    "closure" when the closure alone does.  _closure_rows builds the
+    """The points of table's tails (its simplex sum(alpha) <= bound, or
+    that simplex's blocks) outside the lub closure of gens, compared with
+    the gaps of table: None when they agree, else (vector, side) for the
+    lexicographically smallest point where they differ, side table when it
+    calls the point a gap (its stray included, named ahead of a
+    closure-side difference at the same vector) and "closure" when the
+    closure alone does.  _closure_rows builds the
     closure's rows, and GapTable.difference compares them with the table's.
     """
-    return table.difference(enumerate(_closure_rows(gens, table.m, table.bound)), "closure")
+    return table.difference(enumerate(_closure_rows(gens, table.m, table.bound, table.width)), "closure")
 
 
 def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
@@ -277,19 +289,21 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
     """Run the full cross-validation suite on the simplex sum(alpha) <= bound
     (2g by default); all verdicts True means pass.
 
-    gaps_via_complement runs once.  The non-members of the monomials' lub
-    closure must be its gaps on every point (closure_difference finds none
-    apart), the closed-form families must lie in the monomial lub closure,
-    and build_gap_report checks the other routes and formulas against the
-    same table, on the same region.  Lambda is enumerated once, for the
-    families and the report; volume, when the caller has it, is
-    gap_count_upper_bound(dc, m)."""
+    gaps_via_complement runs once, on the whole simplex.  The non-members
+    of the monomials' lub closure must be its gaps on every block tail
+    (closure_difference on complement.blocks() finds none apart), which
+    the shift law carries to every tail; the closed-form families must lie
+    in the monomial lub closure; and build_gap_report checks the other
+    routes against the same table on its blocks, and the counts against
+    the whole table.  Lambda is enumerated once, for the families and the
+    report; volume, when the caller has it, is gap_count_upper_bound(dc,
+    m)."""
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
     mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
     complement = gaps_via_complement(dc, m, bound)
 
-    checks = {"closure_matches_membership": closure_difference(mono, complement) is None}
+    checks = {"closure_matches_membership": closure_difference(mono, complement.blocks()) is None}
 
     lam = enumerate_classical_Lambda(dc, m)
     families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m)

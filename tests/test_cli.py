@@ -438,6 +438,46 @@ def test_counts_builds_no_listing(capsys, monkeypatch, y231):
         assert len(calls) == 1, m
 
 
+@pytest.mark.parametrize("command", [
+    "verify --family Y --q 2 --n 5 --s 1 --m 2 --jobs 1",
+    "gaps --family Y --q 4 --n 3 --s 1 --m 1 --jobs 1",
+    "gaps --family X --p 2 --a 2 --b 2 --n 5 --s 5 --m 1 --pure --jobs 1",
+])
+def test_benchmark_commands_check_the_routes_on_the_blocks(command, capsys, monkeypatch):
+    """The benchmark's `verify` and `gaps` commands build no whole Lambda
+    table and print the bytes pinned in perfbench/digests.json: the Lambda
+    tables are built on the blocks alone (width E), and the closure, where
+    it runs, reads at most the block tails."""
+    def refuse(*args):
+        raise AssertionError("a whole Lambda table was built")
+
+    real_tables, real_rows = gaps._lambda_tables, oracle._closure_rows
+    widths, tails = [], []
+
+    def tables(lam, E, m, bound, kinds, width=None):
+        widths.append((width, E))
+        return real_tables(lam, E, m, bound, kinds, width)
+
+    def rows(gens, m, bound, width=None):
+        out = list(real_rows(gens, m, bound, width))
+        tails.append((len(out), sum(1 for _ in simplex_points(m, bound, width)), width))
+        return iter(out)
+
+    monkeypatch.setattr(gaps, "gaps_via_lambda", refuse)
+    monkeypatch.setattr(gaps, "pure_gaps_via_lambda", refuse)
+    monkeypatch.setattr(gaps, "_lambda_tables", tables)
+    monkeypatch.setattr(oracle, "_closure_rows", rows)
+    assert run(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == json.loads((SRC.parent / "perfbench" / "digests.json").read_text())[command]
+    assert widths and all(width == E for width, E in widths), widths
+    if command.startswith("verify"):
+        # Y(2,5,1) at m = 2 up to degree 92: 33^2 block tails of the simplex's 4,371.
+        assert tails == [(33 * 33, 33 * 33, 33)], tails
+    else:
+        assert tails == []
+
+
 def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
     """Every sweep case under the step limit fits, the largest table among
     them, Y(4,5,1) at m = 1 (15,694,800 entries, about 0.14 GB), included,
@@ -677,6 +717,25 @@ def test_streamed_classical_listings_are_the_encoder_output(sweep):
                     assert fast.getvalue() == reference.getvalue(), (dc.params, command, flags, m, fmt)
                     checked += 1
     assert checked >= 400
+
+
+def test_gaps_prints_the_whole_lambda_table(sweep):
+    """`gaps` prints the scan's table once the Lambda route agrees on the
+    blocks: its bytes are those of the whole Lambda table's walk, with and
+    without --pure, on every sweep case with g <= 60 at m <= 3."""
+    checked = 0
+    for dc in (dc for dc in sweep if dc.genus <= 60):
+        for m in range(1, min(3, dc.max_m) + 1):
+            for pure, route in ((False, gaps.gaps_via_lambda), (True, gaps.pure_gaps_via_lambda)):
+                table = route(dc, m)
+                printed, reference = io.StringIO(), io.StringIO()
+                with redirect_stdout(printed):
+                    assert run(["gaps", *_flags(dc), "--m", str(m), *(["--pure"] if pure else [])]) == 0
+                with redirect_stdout(reference):
+                    _emit_blocks(_record(dc, {"m": m, "count": len(table)}), "json", _table_blocks(table, "json"))
+                assert printed.getvalue() == reference.getvalue(), (dc.params, m, pure)
+                checked += 1
+    assert checked == 68, checked
 
 
 def test_integers_past_the_str_limit_print_exactly():

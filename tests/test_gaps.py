@@ -20,6 +20,7 @@ from wsgaps.gaps import (
     _first,
     _lambda_tables,
     _prefix_row,
+    _steps_closed,
     build_gap_report,
     count_gaps_two_points,
     gap_count_upper_bound,
@@ -548,6 +549,48 @@ def test_lambda_tables_obey_the_shift_law(sweep):
     assert (steps, rows) == (298, 111_994), (steps, rows)
 
 
+def test_block_runs_lay_out_the_blocks(y231):
+    """With a width, the layout holds the simplex's tails in [0, width)^m,
+    in lexicographic order, each run the tails of one head, and
+    simplex_caps still gives bound + 1 - sum(t) per tail."""
+    for m, bound, width in [(1, 20, 9), (2, 20, 9), (3, 20, 9), (3, 10, 5), (2, 4, 9), (4, 7, 3)]:
+        runs = simplex_runs(m, bound, width)
+        tails = [t for t in simplex_points(m, bound) if max(t) < width]
+        assert list(simplex_points(m, bound, width)) == tails
+        assert [(*head, x) for head, run in runs.items() for x in range(len(run))] == tails
+        assert [runs[t[:-1]][t[-1]] for t in tails] == list(range(len(tails)))
+        assert list(simplex_caps(runs, bound)) == [bound + 1 - sum(t) for t in tails]
+    assert simplex_runs(2, 20, 21) == simplex_runs(2, 20)
+
+
+def test_lambda_tables_on_the_blocks_are_the_whole_tables_blocks(y231):
+    """Y(2,3,1) at m = 1 and 2, bound 2g + e (tails past E = 9): Lambda as
+    listed and without each of its vectors.  The tables built on the blocks
+    hold the whole tables' block rows (GapTable.blocks()), and a stray
+    there is the whole table's whenever that lies on a block tail, else a
+    later one or None.  _steps_closed holds on the listing and fails
+    without any vector that has a step or a reverse step, (0, ..., 0) being
+    the one that has neither."""
+    e, bound = y231.e, 2 * y231.genus + y231.e
+    E = table_classes(y231, bound)
+    strays = 0
+    for m in (1, 2):
+        lam = enumerate_classical_Lambda(y231, m)
+        for i, dropped in [(None, None), *enumerate(lam)]:
+            mutant = lam if i is None else lam[:i] + lam[i + 1:]
+            assert _steps_closed(mutant, e) == (dropped is None or max(dropped) < e), dropped
+            for pure in (False, True):
+                whole = next(_lambda_tables(mutant, E, m, bound, (pure,)))
+                block = next(_lambda_tables(mutant, E, m, bound, (pure,), E))
+                assert (block.width, block.counts) == (E, whole.blocks().counts), (m, pure)
+                if whole.stray is not None and max(whole.stray[1:]) < E:
+                    assert block.stray == whole.stray
+                else:
+                    assert block.stray is None or block.stray > whole.stray
+                strays += block.stray is not None
+    assert strays
+
+
 def test_runs_place_every_tail_at_its_simplex_position(y231):
     """The layout against simplex_points alone, at m = 1..4 on small bounds
     and at m = 2 past 2g: the runs follow each other from 0, each
@@ -563,7 +606,7 @@ def test_runs_place_every_tail_at_its_simplex_position(y231):
             start = run.stop
         assert start == len(tails)
         assert [runs[t[:-1]][t[-1]] for t in tails] == list(range(len(tails)))
-        assert list(simplex_caps(runs)) == [bound + 1 - sum(t) for t in tails]
+        assert list(simplex_caps(runs, bound)) == [bound + 1 - sum(t) for t in tails]
         assert len(tails) == comb(bound + m, m) and tails == sorted(tails)
         assert list(runs) == sorted({t[:-1] for t in tails})
 

@@ -14,6 +14,12 @@ The columns are consistency_report's keys, on small curves only.  A row
 fails when a check stops biting, or when it starts to read another side.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from wsgaps import gaps, oracle
@@ -167,3 +173,30 @@ def test_kill_matrix(row, monkeypatch, request):
         mutate(monkeypatch)
     got = {case: false_keys(CURVES[case[0]], case[1]) for case in CASES}
     assert got == {case: expected.get(case, set()) for case in CASES}
+
+
+_UNDER_O = """
+import sys
+from test_kill_matrix import off_the_blocks
+from wsgaps import cli, oracle
+if not sys.flags.optimize:
+    sys.exit(3)
+real = oracle.enumerate_classical_Lambda
+oracle.enumerate_classical_Lambda = lambda dc, m: real(dc, m) + [off_the_blocks(dc, m)]
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_step_check_is_a_verdict_under_python_O():
+    """The step check is a verdict, not an assert: under python -O, `verify`
+    on Y(2,3,1) at m = 1 with Lambda off the blocks exits 1 with the keys
+    of its kill-matrix row false."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+    argv = ["verify", "--family", "Y", "--q", "2", "--n", "3", "--s", "1", "--m", "1"]
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    checks = json.loads(proc.stdout)["payload"]["checks"]
+    assert {key for key, ok in checks.items() if not ok} == MATRIX["lambda_off_the_blocks"][1][("Y231", 1)]

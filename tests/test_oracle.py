@@ -13,6 +13,7 @@ from wsgaps import gaps, oracle
 from wsgaps.curves import MonomialExponents, curve, monomial_valuation, simplex_points
 from wsgaps.errors import BadBox
 from wsgaps.maximal import (
+    count_Lambda,
     enumerate_classical_Gamma,
     enumerate_classical_Lambda,
     gamma_hat_in_C,
@@ -545,3 +546,45 @@ def test_mutant_reaches_every_membership_decision(y231, drop_theta):
             assert in_generalized_H(y231, m, a).member == member, (m, a)
             assert in_classical_H(y231, m, a) == member, (m, a)
         assert (0,) * (m + 1) in scan_gaps
+
+
+def _whole_simplex_report(dc, m, bound):
+    """The whole-simplex reference of consistency_report: each check on
+    whole tables, as before the routes were compared on the blocks.  The
+    closure against the whole complement table, every family vector by
+    in_lub_closure over an index of the box's monomials, and both whole
+    Lambda tables against the whole scan tables."""
+    mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))
+    complement = gaps.gaps_via_complement(dc, m, bound)
+    lam = enumerate_classical_Lambda(dc, m)
+    families = gamma_hat_in_C(dc, m) | lambda_hat_in_C(dc, m) | set(enumerate_classical_Gamma(dc, m)) | set(lam)
+    idx = index_generators(mono)
+    checks = {
+        "closure_matches_membership": closure_difference(mono, complement) is None,
+        "families_in_closure": all(in_lub_closure(idx, v) for v in families),
+        "gap_routes_agree": gaps.gaps_via_lambda(dc, m, bound) == complement,
+        "pure_gap_routes_agree": gaps.pure_gaps_via_lambda(dc, m, bound) == gaps.pure_gaps_via_nabla(dc, m, bound),
+        "lambda_count_formula": count_Lambda(dc, m) == len(lam) and lam == sorted(set(lam)),
+        "gap_count_bound": len(complement) <= gaps.gap_count_upper_bound(dc, m),
+    }
+    if m == 1:
+        checks["two_point_count_formula"] = gaps.count_gaps_two_points(dc) == len(complement)
+    return checks
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_report_on_the_blocks_is_the_whole_simplex_reference(sweep, request, mutant):
+    """consistency_report compares the routes and the closure on the blocks
+    alone; its verdicts, keys in order, are the whole-simplex reference's on
+    the sweep cases with g <= 60 at m <= 3, on the real curve (every verdict
+    true) and under drop_theta (some false on every case)."""
+    if mutant:
+        request.getfixturevalue("drop_theta")
+    cases = 0
+    for dc in (dc for dc in sweep if dc.genus <= 60):
+        for m in range(1, min(3, dc.max_m) + 1):
+            report = consistency_report(dc, m)
+            assert list(report.items()) == list(_whole_simplex_report(dc, m, 2 * dc.genus).items()), (dc.params, m)
+            assert all(report.values()) != mutant, (dc.params, m, report)
+            cases += 1
+    assert cases == 34, cases
