@@ -285,14 +285,20 @@ def _box_spans(ranges, runs: dict, budget: int):
     """The positions of _box_runs(ranges, runs, budget) as spans
     (first, stop), each joining the box runs that follow each other in the
     layout: a run that ends at its run's end joins the next head's run
-    that starts at x = 0."""
+    that starts at x = 0.  This is the Lambda route's inner loop, so it
+    walks the heads itself rather than through _box_runs' tuples."""
+    *heads, last = ranges
+    lo, hi = last.start, last.stop
     first = stop = None
-    for _, xs, base in _box_runs(ranges, runs, budget):
-        if base + xs.start != stop:
-            if stop is not None:
-                yield first, stop
-            first = base + xs.start
-        stop = base + xs.stop
+    for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
+        end = min(hi, budget - sum(head) + 1)
+        if lo < end:
+            base = runs[head].start
+            if base + lo != stop:
+                if stop is not None:
+                    yield first, stop
+                first = base + lo
+            stop = base + end
     if stop is not None:
         yield first, stop
 

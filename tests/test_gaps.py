@@ -16,6 +16,7 @@ from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
     _box_runs,
+    _box_spans,
     _box_volume_sum,
     _first,
     _lambda_tables,
@@ -552,7 +553,10 @@ def test_lambda_tables_obey_the_shift_law(sweep):
 def test_block_runs_lay_out_the_blocks(y231):
     """With a width, the layout holds the simplex's tails in [0, width)^m,
     in lexicographic order, each run the tails of one head, and
-    simplex_caps still gives bound + 1 - sum(t) per tail."""
+    simplex_caps still gives bound + 1 - sum(t) per tail.  On boxes clipped
+    to the width, _box_spans holds _box_runs' positions, each span as long
+    as it can be: no span starts where the one before it stops."""
+    rng = random.Random(7)
     for m, bound, width in [(1, 20, 9), (2, 20, 9), (3, 20, 9), (3, 10, 5), (2, 4, 9), (4, 7, 3)]:
         runs = simplex_runs(m, bound, width)
         tails = [t for t in simplex_points(m, bound) if max(t) < width]
@@ -560,6 +564,13 @@ def test_block_runs_lay_out_the_blocks(y231):
         assert [(*head, x) for head, run in runs.items() for x in range(len(run))] == tails
         assert [runs[t[:-1]][t[-1]] for t in tails] == list(range(len(tails)))
         assert list(simplex_caps(runs, bound)) == [bound + 1 - sum(t) for t in tails]
+        for _ in range(50):
+            ranges = [range(lo, min(lo + rng.randrange(width + 2), width)) for lo in rng.choices(range(width), k=m)]
+            budget = rng.randrange(bound + 1)
+            spans = list(_box_spans(ranges, runs, budget))
+            held = [base + x for _, xs, base in _box_runs(ranges, runs, budget) for x in xs]
+            assert [t for first, stop in spans for t in range(first, stop)] == held
+            assert all(stop < first for (_, stop), (first, _) in zip(spans, spans[1:]))
     assert simplex_runs(2, 20, 21) == simplex_runs(2, 20)
 
 
