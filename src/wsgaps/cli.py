@@ -18,12 +18,13 @@ its count, its byte refusal and its rows from them, in the order of
 maximal.walk_classical: the first coordinate x upwards, and at each x the
 shift vectors of one sum in lexicographic order, so the rows come out
 lexicographic with no vector built and nothing sorted.  At m = 1, where
-each x has one row, a %-template fills each row.  Above, the rows of
-coordinates 2..m of each residue and shift sum are rendered once, into
-one string whose rows each open with the marker _SLOT (_sum_blocks), and
-each x's rows are one str.join of those strings with the marker replaced
-by the rendering of x and of coordinate 1: one str.replace per level and
-sum, mapped over every residue, so no Python code runs per row.  The
+each x has one row, the walk's live residues fill a %-template per row.
+Above, the walk is not used: the rows of coordinates 2..m of each
+residue and shift sum are rendered once, into one string whose rows each
+open with the marker _SLOT (_sum_blocks), and each x's rows are one
+str.join of those strings with the marker replaced by the rendering of x
+and of coordinate 1: one str.replace per level and sum, mapped over every
+residue, so no Python code runs per row.  The
 marker is a NUL character, which no rendered integer and no piece of
 _ROW_PARTS or _ROW_SEP holds, so a replace hits the markers alone.  A
 fundamental-region listing sorts the classes by top, which puts its e
@@ -106,8 +107,8 @@ BYTES_PER_VECTOR = 36
 #   the residue arrays and, at m = 1, each live residue's entry in the walk,
 #   above, the sum-blocks and cells of each live residue and the sorted
 #   classes while they are built.  Measured, as (peak - 36 per vector)/e,
-#   151 on X(2,1,1,21,1) at m = 1, 213 on Y(2,21,1) at m = 1, 205 and 351
-#   there at m = 2 (shifts 0 and (m - 1)e), 196 on Y(3,13,1) at m = 1 and
+#   143 on X(2,1,1,21,1) at m = 1, 200 on Y(2,21,1) at m = 1, 205 and 351
+#   there at m = 2 (shifts 0 and (m - 1)e), 181 on Y(3,13,1) at m = 1 and
 #   414 and 453 at m = 2.
 BYTES_PER_CLASSICAL_RESIDUE = 560
 # - the fundamental-region `gamma` and `lambda`: the residue arrays and the
@@ -272,8 +273,8 @@ def _classical_blocks(e: int, m: int, residues, fmt: str):
     between = _ROW_SEP[fmt]
     if m == 1:
         row = lead + "%d" + sep + "%d" + end
-        for i, live in maximal.walk_classical(e, m, residues, None):
-            yield between.join([row % (c + e * i, (top - i) * e + rho) for c, rho, top, _ in live])
+        for i, live in maximal.walk_classical(residues):
+            yield between.join([row % (c + e * i, (top - i) * e + rho) for c, rho, top in live])
         return
     tops = residues[1]
     (blocks, cells), slots = _sum_blocks(e, m, residues, fmt), repeat(_SLOT)
@@ -361,10 +362,10 @@ def _refuse_verify(dc, m: int, bound: int) -> int:
     the rest leaves, so a refusal names a lower bound and never walks every
     run.  Returns the volume, for the report's gap-count check.
 
-    The terms price whole tables, while the closure and both Lambda tables
-    now run on the blocks, the tails in [0, E)^m (oracle.consistency_report),
-    so the estimate overstates those terms, and some cases it refuses
-    would now run in time."""
+    The terms price whole tables, while the closure, nabla and both Lambda
+    tables now run on the blocks, the tails in [0, E)^m
+    (oracle.consistency_report), so the estimate overstates those terms,
+    and some cases it refuses would now run in time."""
     work = 5 * comb(bound + m, m) * gaps_mod.table_classes(dc, bound) + comb(bound + m + 1, m + 1)
     volume = _refuse_above_limit(dc, "verify", m, bound, work)
     for monomials in accumulate(oracle.monomial_counts(dc, m, oracle.default_box(dc, m, bound)), initial=0):

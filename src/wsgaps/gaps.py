@@ -61,9 +61,12 @@ blocks agree (GapTable.blocks()), and the Lambda tables are built on the
 blocks alone: each box clipped to [0, E)^m, a box at r >= 1 with
 beta_r >= E skipped, and box runs that follow each other in the layout
 joined into one span.  A Lambda not closed under the step is compared on
-the whole simplex, so the answer is the whole tables' either way.  `gaps`
-prints the scan's table and builds the whole Lambda table only when the
-blocks disagree, to name the smallest differing vector.
+the whole simplex, so the answer is the whole tables' either way.  So
+`verify` builds its nabla table, which only that comparison reads, on the
+blocks alone (the scan takes a width, as the Lambda tables do) unless
+Lambda fails the step check.  `gaps` prints the scan's whole table and
+builds the whole Lambda table only when the blocks disagree, to name the
+smallest differing vector.
 """
 
 from __future__ import annotations
@@ -267,26 +270,16 @@ class GapTable:
         return self.difference(((i, decode(theirs[i * E:(i + 1) * E])) for i in tails), other, other.stray)
 
 
-def _box_runs(ranges, runs: dict, budget: int):
-    """The tails of the box prod(ranges) with sum <= budget, grouped by
-    head: yields (head, xs, base), the tails head + (x,) for x in xs at the
-    positions base + x, base = runs[head].start, runs the simplex_runs of a
-    simplex sum(t) <= bound with bound >= budget, or of its tails below a
-    width, to which ranges are then clipped.  xs is clipped to the budget,
-    not to the run's end: a budget below bound ends the box short of it."""
-    *heads, last = ranges
-    for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
-        xs = range(last.start, min(last.stop, budget - sum(head) + 1))
-        if xs:
-            yield head, xs, runs[head].start
-
-
 def _box_spans(ranges, runs: dict, budget: int):
-    """The positions of _box_runs(ranges, runs, budget) as spans
-    (first, stop), each joining the box runs that follow each other in the
-    layout: a run that ends at its run's end joins the next head's run
-    that starts at x = 0.  This is the Lambda route's inner loop, so it
-    walks the heads itself rather than through _box_runs' tuples."""
+    """The positions of the tails of the box prod(ranges) with
+    sum <= budget, as spans (first, stop) of the layout runs, the
+    simplex_runs of a simplex sum(t) <= bound with bound >= budget, or of
+    its tails below a width, to which ranges are then clipped.  The tails
+    head + (x,) of one head (a box run) sit at runs[head].start + x, x
+    clipped to the budget, not to the run's end: a budget below bound ends
+    the box short of it.  Each span joins the box runs that follow each
+    other in the layout: a run that ends at its run's end joins the next
+    head's run that starts at x = 0."""
     *heads, last = ranges
     lo, hi = last.start, last.stop
     first = stop = None
@@ -489,27 +482,32 @@ def _steps_closed(lam, e: int) -> bool:
 def lambda_route_agrees(dc: DerivedConstants, m: int, scans: dict, lam=None) -> list[bool]:
     """Whether the Lambda route holds the set of each scan table, in the
     order of scans: scans[pure] is the complement table (pure False) or the
-    nabla table (pure True) of one simplex, whole.  lam, when the caller
-    has it, is enumerate_classical_Lambda(dc, m).
+    nabla table (pure True) of one simplex, whole, or on its blocks when
+    lam is closed under the step.  lam, when the caller has it, is
+    enumerate_classical_Lambda(dc, m).
 
     The scan tables obey the shift law by construction.  When lam is closed
     under the step (_steps_closed) the Lambda tables obey it too, so each
     row of a whole table is its block row lowered, and two whole tables
     agree iff their blocks do: the Lambda tables are built on the blocks
-    alone and compared with scan.blocks().  Otherwise they are built on the
-    whole simplex and compared with the scan tables as they are.  Either
-    way the answer is the whole tables' equality."""
+    alone and compared with the scans' blocks.  Otherwise they are built on
+    the whole simplex and compared with the scan tables, which must then be
+    whole.  Either way the answer is the whole tables' equality."""
     some = next(iter(scans.values()))
     lam = enumerate_classical_Lambda(dc, m) if lam is None else lam
     width = some.E if _steps_closed(lam, dc.e) else None
     tables = _lambda_tables(lam, some.E, m, some.bound, tuple(scans), width)
-    return [table == (scan if width is None else scan.blocks()) for table, scan in zip(tables, scans.values())]
+    return [table == (scan.blocks() if width and scan.width is None else scan)
+            for table, scan in zip(tables, scans.values())]
 
 
-def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> GapTable:
+def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool, width: int | None = None) -> GapTable:
     """The non-members (pure: the vectors with no witness at any coordinate)
-    of the simplex sum(alpha) <= bound: the threshold formula on the tails in
-    [0, E)^m, every other run its block lowered by one count per E."""
+    of the simplex sum(alpha) <= bound, on the tails in [0, width)^m (width
+    None: every tail; width E: the blocks, as GapTable.blocks() lays them
+    out): the threshold formula on the tails in [0, E)^m, every other run
+    its block lowered by one count per E.  The smallest stray lies in the
+    blocks, as a tail's counts are at most those of the tail E lower."""
     e, E, ceiling = dc.e, table_classes(dc, bound), CEILING
     rhos, tops, classes = _residue_tables(dc, m)
     # Per class, (rho, a0) with a0 = c + e*tops[c] the zero-shift first
@@ -550,7 +548,7 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         return bytes([min(n, ceiling) for n in ns])
 
     by_sorted = cache(row)  # the formula is symmetric in the tail: blocks call it once per sorted tail
-    runs = simplex_runs(m, bound)
+    runs = simplex_runs(m, bound, width)
     for head, run in runs.items():
         size, low = len(run), tuple([x % E for x in head])  # low <= head is a head too
         if low not in blocks:
@@ -564,7 +562,7 @@ def _threshold_scan(dc: DerivedConstants, m: int, bound: int, pure: bool) -> Gap
         for j in range(min(most - level, -(-size // E))):  # row x = E*j + r is block row r lowered by level + j
             counts += rows[:E * (size - E * j)].translate(_lowered(level + j))
         counts += bytes(E * run.stop - len(counts))  # the rest of the run: every count lowered to 0
-    return GapTable(E, m, bound, bytes(counts), stray)
+    return GapTable(E, m, bound, bytes(counts), stray, width)
 
 
 def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
@@ -573,17 +571,19 @@ def gaps_via_complement(dc: DerivedConstants, m: int, bound: int | None = None) 
     return _threshold_scan(dc, m, _default_bound(dc, bound), pure=False)
 
 
-def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None) -> GapTable:
-    """Definition-based route: every coordinate witness must fail."""
+def pure_gaps_via_nabla(dc: DerivedConstants, m: int, bound: int | None = None,
+                        width: int | None = None) -> GapTable:
+    """Definition-based route: every coordinate witness must fail; on the
+    tails in [0, width)^m when width is given (_threshold_scan)."""
     check_m(dc, m)
-    return _threshold_scan(dc, m, _default_bound(dc, bound), pure=True)
+    return _threshold_scan(dc, m, _default_bound(dc, bound), True, width)
 
 
-def count_gaps_two_points(dc: DerivedConstants, residues=None) -> int:
+def count_gaps_two_points(dc: DerivedConstants, rhos_tops=None) -> int:
     """Exact two-point gap count of H(P_inf, P_1), from the m = 1 residues
-    alone (maximal.residues at the relative shift 0; residues, when the
-    caller has them), in O(e log e) time and O(e) memory: no relative
-    maximal is listed.
+    alone (maximal.residues at the relative shift 0; rhos_tops, when the
+    caller has those arrays), in O(e log e) time and O(e) memory: no
+    relative maximal is listed.
 
     The gaps number sum (b0 + b1) over the relative maximals less their
     inversions, the pairs u, v with u0 < v0 and u1 > v1.  The
@@ -606,8 +606,7 @@ def count_gaps_two_points(dc: DerivedConstants, residues=None) -> int:
     The classes are distinct and so are the rho (maximal.residues raises
     SelfCheckError on a shared class), so no coordinate repeats."""
     e = dc.e
-    # The parameter hides this module's maximal.residues.
-    rhos, tops = globals()["residues"](dc, 1, 0) if residues is None else residues
+    rhos, tops = residues(dc, 1, 0) if rhos_tops is None else rhos_tops
     live = list(compress(range(e), map((-1).__lt__, tops)))  # the classes with top >= 0
     ts, rs = [tops[c] for c in live], [rhos[c] for c in live]
     n, size = len(live), max(ts) + 1
@@ -660,12 +659,11 @@ def _box_volume_sum(T: int, d: int, rho: int, e: int, m: int) -> int:
     )
 
 
-def gap_count_upper_bound(dc: DerivedConstants, m: int, residues=None) -> int:
+def gap_count_upper_bound(dc: DerivedConstants, m: int, rhos_tops=None) -> int:
     """Sum over the classical relative maximals of the shifted-box volumes,
     in closed form per residue with top >= 0 (maximal.residues at the
-    relative shift; residues, when the caller has them)."""
-    # The parameter hides this module's maximal.residues.
-    rhos, tops = globals()["residues"](dc, m, relative_shift(dc, m)) if residues is None else residues
+    relative shift; rhos_tops, when the caller has those arrays)."""
+    rhos, tops = residues(dc, m, relative_shift(dc, m)) if rhos_tops is None else rhos_tops
     return sum(_box_volume_sum(top, c, rho, dc.e, m) for c, (rho, top) in enumerate(zip(rhos, tops)) if top >= 0)
 
 
@@ -675,13 +673,14 @@ def build_gap_report(dc: DerivedConstants, m: int, complement: GapTable, lam=Non
     independent one, on the region of complement, the complement route's
     whole gap table (gaps_via_complement), which must hold the gap region
     sum(alpha) <= 2g - 1.  The routes are compared on the blocks
-    (lambda_route_agrees); the counts read the whole table.  lam and
-    volume, when the caller has them, are enumerate_classical_Lambda(dc, m)
-    and gap_count_upper_bound(dc, m)."""
+    (lambda_route_agrees), so the nabla table is built on them alone, or
+    whole when lam is not closed under the step; the counts read the whole
+    complement table.  lam and volume, when the caller has them, are
+    enumerate_classical_Lambda(dc, m) and gap_count_upper_bound(dc, m)."""
     lam = enumerate_classical_Lambda(dc, m) if lam is None else lam
     volume = gap_count_upper_bound(dc, m) if volume is None else volume
-    scans = {False: complement, True: pure_gaps_via_nabla(dc, m, complement.bound)}
-    gap_routes, pure_routes = lambda_route_agrees(dc, m, scans, lam)
+    nabla = pure_gaps_via_nabla(dc, m, complement.bound, complement.E if _steps_closed(lam, dc.e) else None)
+    gap_routes, pure_routes = lambda_route_agrees(dc, m, {False: complement, True: nabla}, lam)
     checks = {
         "gap_routes_agree": gap_routes,
         "pure_gap_routes_agree": pure_routes,

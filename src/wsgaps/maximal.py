@@ -24,19 +24,19 @@ region sets (gamma_hat_in_C, lambda_hat_in_C) are the vectors
 (c + e*top, rho, ..., rho); the classical listings (every coordinate
 >= 0) take the residues with top >= 0, whose shift sums run over
 [0, top]; count_classical sums over them, gaps.gap_count_upper_bound sums
-their box volumes, and walk_classical lists them in lexicographic order,
-one vector per (rho, ks): distinct parameters realize distinct vectors,
-so no set removes repeats, and the order follows from the closed form,
-so nothing sorts them.  The walk shares the shift tails among the
-vectors that end in them and is generic in the piece it joins per shift:
-_enumerate_classical joins 1-tuples into the vectors (the listings
-`verify` checks).  The command line counts and prices a listing from the
-same residues and writes its rows in the walk's order without building a
-vector: at m = 1 through the walk, whose one row per first coordinate
-needs no tail, and above from text of its own (cli._sum_blocks), one
-string per residue and shift sum, so it builds no shift tails.  The
-command line's fundamental-region listing streams from the residues too.
-Membership reads the same arrays at shift 0, from a call of its own
+their box volumes, and walk_classical orders them: first coordinate x
+ascending, one vector per (rho, ks) and at each x the shift vectors in
+lexicographic order.  Distinct parameters realize distinct vectors, so no
+set removes repeats, and the order follows from the closed form, so
+nothing sorts them.  The walk decides the order and nothing else:
+_enumerate_classical builds each vector of a residue from its shift
+vectors (curves.simplex_points), the listings `verify` checks.  The
+command line counts and prices a listing from the same residues and
+writes its rows in the walk's order without building a vector: at
+m = 1 through the walk, one row per first coordinate, and above from
+text of its own (cli._sum_blocks), one string per residue and shift sum.
+The command line's fundamental-region listing streams from the residues
+too.  Membership reads the same arrays at shift 0, from a call of its own
 (membership._residue_tables), so it never shares an instance with this
 side.
 """
@@ -47,7 +47,7 @@ from array import array
 from collections import namedtuple
 from math import comb
 
-from .curves import DerivedConstants, check_m
+from .curves import DerivedConstants, check_m, simplex_points
 from .errors import BadIndexPair, LengthMismatch, SelfCheckError
 
 
@@ -102,26 +102,6 @@ def lambda_hat_in_C(dc: DerivedConstants, m: int) -> set[tuple[int, ...]]:
     return _hat_in_C(dc, m, relative_shift(dc, m))
 
 
-def _tails(heads: list, parts: int) -> list[list]:
-    """For each R in [0, len(heads) - 1], the shift vectors (k_1, ..., k_parts)
-    with k >= 0 and sum(k) = R, in lexicographic order, each as the
-    concatenation heads[k_1] + ... + heads[k_parts].  heads[k] is the piece of
-    one shift k*e + rho: a 1-tuple for a listing of vectors, a rendered cell
-    for the emitter.  For k_1 ascending, heads[k_1] is followed by each
-    vector of parts - 1 shifts with sum R - k_1."""
-    top = len(heads) - 1
-    level = [[head] for head in heads]
-    for _ in range(parts - 1):
-        rows = []
-        for r in range(top + 1):
-            row = []
-            for k in range(r + 1):
-                row += map(heads[k].__add__, level[r - k])
-            rows.append(row)
-        level = rows
-    return level
-
-
 def residues(dc: DerivedConstants, m: int, shift: int) -> tuple[array, array]:
     """The e residues translated by shift at P_inf, in O(e), as two arrays
     indexed by class: rhos[c] and tops[c] for the residue rho with
@@ -153,50 +133,41 @@ def residues(dc: DerivedConstants, m: int, shift: int) -> tuple[array, array]:
     return rhos, tops
 
 
-def walk_classical(e: int, m: int, residues: tuple[array, array], piece):
-    """The vectors of the classical listing of residues (the residues
-    arrays), one per (rho, ks), walked by first coordinate x ascending.
+def walk_classical(residues: tuple[array, array]):
+    """The order of the classical listing of residues (the residues
+    arrays): the first coordinate x ascending.
 
-    Yields (i, live) for i = 0, 1, ...: live holds (c, rho, top, shared)
-    for each residue with top >= i, c ascending, and stands for the first
-    coordinates x = c + e*i.  The vectors at x have shift sum s = top - i.
-    At m = 1 their one rest (coordinate 1) is the shift k_1 = s, and shared
-    is None.  Above, shared is (heads, tails), heads[k] = piece(k*e + rho)
-    and tails = _tails(heads, m - 1), and the rests of x (coordinates 1..m)
-    run in lexicographic order as heads[k_1] + t for k_1 ascending in
-    [0, s] and t in tails[s - k_1].
+    Yields (i, live) for i = 0, 1, ...: live holds (c, rho, top) for each
+    residue with top >= i, c ascending, and stands for the first
+    coordinates x = c + e*i, whose vectors have shift sum s = top - i.
 
     Coordinates 1..m are nonnegative iff every k is, and x = c + e*i
     belongs to the shifts of sum top - i.  So the walk takes x upwards, i
     outer and c inner; each x has one rho, as no two residues share a
-    class.  At one x, coordinate 1 is k_1*e + rho, so the rests run k_1
-    ascending, each followed by the shifts k_2..k_m of sum S - k_1 in
-    lexicographic order (_tails).  Rests differ in rho (coordinate 1 mod e)
-    or in some k, so none repeats, and nothing is sorted.
+    class.  At one x, coordinate j is k_j*e + rho, so the vectors of x are
+    in lexicographic order when their shift vectors are.  Vectors differ in rho
+    (coordinate 1 mod e) or in some k, so none repeats, and nothing is
+    sorted.
     """
-    live = []
-    for c, (rho, top) in enumerate(zip(*residues)):
-        if top >= 0:
-            heads = [piece(k * e + rho) for k in range(top + 1)] if m > 1 else None
-            live.append((c, rho, top, (heads, _tails(heads, m - 1)) if heads else None))
+    live = [(c, rho, top) for c, (rho, top) in enumerate(zip(*residues)) if top >= 0]
     for i in range(max(residues[1]) + 1):
         live = [entry for entry in live if entry[2] >= i]
         yield i, live
 
 
 def _enumerate_classical(dc: DerivedConstants, m: int, shift: int) -> list[tuple[int, ...]]:
-    """The vectors of walk_classical in its order, lexicographic: one
-    concatenation (x, k_1*e + rho) + tail per vector."""
+    """The vectors of walk_classical in its order, lexicographic.  Above
+    m = 1 the vectors of x with shift sum s take (k_1, ..., k_(m-1)) from
+    simplex_points(m - 1, s), in lexicographic order, and k_m = s - sum."""
     e = dc.e
     out = []
-    for i, live in walk_classical(e, m, residues(dc, m, shift), lambda y: (y,)):
+    for i, live in walk_classical(residues(dc, m, shift)):
         if m == 1:
-            out += [(c + e * i, (top - i) * e + rho) for c, rho, top, _ in live]
+            out += [(c + e * i, (top - i) * e + rho) for c, rho, top in live]
             continue
-        for c, rho, top, (_, tails) in live:
+        for c, rho, top in live:
             x, s = c + e * i, top - i
-            for k1 in range(s + 1):
-                out += map((x, k1 * e + rho).__add__, tails[s - k1])
+            out += [(x, *[k * e + rho for k in ks], (s - sum(ks)) * e + rho) for ks in simplex_points(m - 1, s)]
     return out
 
 

@@ -294,10 +294,10 @@ def consistency_report(dc: DerivedConstants, m: int, bound: int | None = None,
     (closure_difference on complement.blocks() finds none apart), which
     the shift law carries to every tail; the closed-form families must lie
     in the monomial lub closure; and build_gap_report checks the other
-    routes against the same table on its blocks, and the counts against
-    the whole table.  Lambda is enumerated once, for the families and the
-    report; volume, when the caller has it, is gap_count_upper_bound(dc,
-    m)."""
+    routes against the same table on its blocks, the nabla table built on
+    them alone, and the counts against the whole table.  Lambda is
+    enumerated once, for the families and the report; volume, when the
+    caller has it, is gap_count_upper_bound(dc, m)."""
     check_m(dc, m)
     bound = 2 * dc.genus if bound is None else bound
     mono = monomial_vectors_in_box(dc, m, default_box(dc, m, bound))

@@ -447,12 +447,19 @@ def test_benchmark_commands_check_the_routes_on_the_blocks(command, capsys, monk
     """The benchmark's `verify` and `gaps` commands build no whole Lambda
     table and print the bytes pinned in perfbench/digests.json: the Lambda
     tables are built on the blocks alone (width E), and the closure, where
-    it runs, reads at most the block tails."""
+    it runs, reads at most the block tails.  `verify` builds its nabla table
+    on the blocks too, and its complement table whole; `gaps` prints a
+    whole scan table."""
     def refuse(*args):
         raise AssertionError("a whole Lambda table was built")
 
-    real_tables, real_rows = gaps._lambda_tables, oracle._closure_rows
-    widths, tails = [], []
+    real_tables, real_rows, real_scan = gaps._lambda_tables, oracle._closure_rows, gaps._threshold_scan
+    widths, tails, scans = [], [], []
+
+    def scan(dc, m, bound, pure, width=None):
+        table = real_scan(dc, m, bound, pure, width)
+        scans.append((pure, table.width, table.E))
+        return table
 
     def tables(lam, E, m, bound, kinds, width=None):
         widths.append((width, E))
@@ -467,6 +474,7 @@ def test_benchmark_commands_check_the_routes_on_the_blocks(command, capsys, monk
     monkeypatch.setattr(gaps, "pure_gaps_via_lambda", refuse)
     monkeypatch.setattr(gaps, "_lambda_tables", tables)
     monkeypatch.setattr(oracle, "_closure_rows", rows)
+    monkeypatch.setattr(gaps, "_threshold_scan", scan)
     assert run(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == json.loads((SRC.parent / "perfbench" / "digests.json").read_text())[command]
@@ -474,8 +482,10 @@ def test_benchmark_commands_check_the_routes_on_the_blocks(command, capsys, monk
     if command.startswith("verify"):
         # Y(2,5,1) at m = 2 up to degree 92: 33^2 block tails of the simplex's 4,371.
         assert tails == [(33 * 33, 33 * 33, 33)], tails
+        assert scans == [(False, None, 33), (True, 33, 33)], scans
     else:
         assert tails == []
+        assert [(pure, width) for pure, width, _ in scans] == [("--pure" in command, None)], scans
 
 
 def test_gaps_refuses_by_bytes_only_what_cannot_fit(sweep, y231):
@@ -948,17 +958,18 @@ def test_classical_blocks_are_the_walked_vectors(y231, listing, fmt):
 
 
 def test_classical_listings_build_no_shift_tails(monkeypatch):
-    """`lambda --classical` and `gamma --classical` at m = 2..4 on Y(4,5,5)
-    render from sum-blocks: they run with maximal._tails patched to raise.
-    The marker the sum-blocks replace is in none of the row pieces, so no
-    replace can hit the text around it."""
+    """`lambda --classical` and `gamma --classical` at m = 1..4 on Y(4,5,5)
+    build no shift tails and no tuple listing: they run with
+    maximal._enumerate_classical, the one builder of either, patched to
+    raise.  The marker the sum-blocks replace is in none of the row
+    pieces, so no replace can hit the text around it."""
     def refuse(*args):
-        raise AssertionError("the listing built shift tails")
+        raise AssertionError("the listing built its vectors as tuples")
 
     assert not any(_SLOT in piece for piece in (*_ROW_SEP.values(), *(p for ps in _ROW_PARTS.values() for p in ps)))
-    monkeypatch.setattr(maximal, "_tails", refuse)
+    monkeypatch.setattr(maximal, "_enumerate_classical", refuse)
     for command in ("lambda", "gamma"):
-        for m in (2, 3, 4):
+        for m in (1, 2, 3, 4):
             out = io.StringIO()
             with redirect_stdout(out):
                 assert run([command, *Y455.split(), "--m", str(m), "--classical"]) == 0

@@ -2,7 +2,7 @@
 
 import random
 from array import array
-from itertools import repeat
+from itertools import product, repeat
 from math import comb
 
 import pytest
@@ -15,7 +15,6 @@ from wsgaps.curves import curve, simplex_caps, simplex_runs
 from wsgaps.errors import SelfCheckError
 from wsgaps.gaps import (
     GapTable,
-    _box_runs,
     _box_spans,
     _box_volume_sum,
     _first,
@@ -37,6 +36,21 @@ from wsgaps.membership import one_point_gaps_at_P1
 from wsgaps.oracle import closure_difference, default_box, monomial_vectors_in_box
 from wsgaps.semigroup import from_generators
 from wsgaps.sweep import sweep_instances
+
+
+def _box_runs(ranges, runs: dict, budget: int):
+    """The reference layout of a box: the tails of prod(ranges) with
+    sum <= budget, grouped by head, a Python step per head.  Yields
+    (head, xs, base), the tails head + (x,) for x in xs at the positions
+    base + x, base = runs[head].start, runs the simplex_runs of a simplex
+    sum(t) <= bound with bound >= budget, or of its tails below a width, to
+    which ranges are then clipped.  xs is clipped to the budget, not to the
+    run's end: a budget below bound ends the box short of it."""
+    *heads, last = ranges
+    for head in product(*[range(r.start, min(r.stop, budget + 1)) for r in heads]):
+        xs = range(last.start, min(last.stop, budget - sum(head) + 1))
+        if xs:
+            yield head, xs, runs[head].start
 
 
 def test_simplex_points():

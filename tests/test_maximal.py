@@ -216,19 +216,6 @@ def test_classical_listings_are_the_sorted_realizations(sweep):
     assert checked >= 100
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
-def test_tails_join_tuple_and_string_pieces_alike(parts):
-    """_tails joins the pieces it is given in one order: its string tails
-    are its tuple tails with each coordinate rendered, and the tuple tails
-    of sum R are the shift vectors of sum R in lexicographic order."""
-    e, rho, top = 7, 3, 6
-    tuples = maximal._tails([(k * e + rho,) for k in range(top + 1)], parts)
-    strings = maximal._tails([f",{k * e + rho}" for k in range(top + 1)], parts)
-    assert strings == [["".join(f",{y}" for y in tail) for tail in row] for row in tuples]
-    assert tuples == [[tuple(k * e + rho for k in ks) for ks in simplex_points(parts, r) if sum(ks) == r]
-                      for r in range(top + 1)]
-
-
 def test_residues_hold_one_residue_per_class(sweep):
     """residues holds, for every class c in [0, e - 1], exactly one residue
     rho and its top, with coord0 + shift = c + e*top; count_classical of it

@@ -281,8 +281,8 @@ def test_closure_check_reads_the_threshold_scan(y231, monkeypatch):
     lowered by one drops the largest gap of its class."""
     real = gaps._threshold_scan
 
-    def lossy(dc, m, bound, pure):
-        out = real(dc, m, bound, pure)
+    def lossy(dc, m, bound, pure, width=None):
+        out = real(dc, m, bound, pure, width)
         return out if pure else _moved(out, {_held_classes(out)[0]: -1})
 
     monkeypatch.setattr(gaps, "_threshold_scan", lossy)
@@ -297,8 +297,8 @@ def test_closure_check_catches_a_scan_that_gains_a_member(y231, monkeypatch, als
     count comparison shows it."""
     real = gaps._threshold_scan
 
-    def gaining(dc, m, bound, pure):
-        out = real(dc, m, bound, pure)
+    def gaining(dc, m, bound, pure, width=None):
+        out = real(dc, m, bound, pure, width)
         if pure:
             return out
         gain, lose = _held_classes(out)[:2]
